@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .descriptor import DescriptorState, DescriptorTag, Intent, Partition, _META
+from .descriptor import TAG_SPECS, DescriptorState, DescriptorTag, Intent, Partition
 from .model import Entity, Kind, Ontology, OntologyError
 
 
@@ -98,34 +98,8 @@ class CompoundDescriptor:
         return self._run("write")
 
 
-_PROPERTY_TAGS = [
-    DescriptorTag.SUPER_PROPERTIES,
-    DescriptorTag.EQUIVALENT_PROPERTIES,
-    DescriptorTag.DISJOINT_PROPERTIES,
-    DescriptorTag.INVERSE_PROPERTIES,
-    DescriptorTag.DOMAIN,
-    DescriptorTag.RANGE,
-    DescriptorTag.FUNCTIONAL,
-    DescriptorTag.REFLEXIVE,
-    DescriptorTag.SYMMETRIC,
-    DescriptorTag.TRANSITIVE,
-]
-
-_CLASS_TAGS = [
-    DescriptorTag.DEFINITION,
-    DescriptorTag.SUB_CLASSES,
-    DescriptorTag.SUPER_CLASSES,
-    DescriptorTag.EQUIVALENT_CLASSES,
-    DescriptorTag.DISJOINT_CLASSES,
-    DescriptorTag.INSTANCES,
-]
-
-_INDIVIDUAL_TAGS = [
-    DescriptorTag.TYPES,
-    DescriptorTag.LINKS,
-    DescriptorTag.SAME_AS,
-    DescriptorTag.DIFFERENT_FROM,
-]
+def _tags(partition: Partition) -> list[DescriptorTag]:
+    return [tag for tag, spec in TAG_SPECS.items() if spec.partition is partition]
 
 
 def full_property(ontology: Ontology, ground: Entity) -> CompoundDescriptor:
@@ -133,19 +107,19 @@ def full_property(ontology: Ontology, ground: Entity) -> CompoundDescriptor:
     skip the object-only characteristics)."""
     parts = [
         DescriptorState(tag, ground, ontology)
-        for tag in _PROPERTY_TAGS
-        if ground.kind in _META[tag].ground_kinds
+        for tag in _tags(Partition.PROPERTY)
+        if ground.kind in TAG_SPECS[tag].ground_kinds
     ]
     return CompoundDescriptor(ontology, ground, parts)
 
 
 def full_class(ontology: Ontology, ground: Entity) -> CompoundDescriptor:
-    parts = [DescriptorState(tag, ground, ontology) for tag in _CLASS_TAGS]
+    parts = [DescriptorState(tag, ground, ontology) for tag in _tags(Partition.CLASS)]
     return CompoundDescriptor(ontology, ground, parts)
 
 
 def full_individual(ontology: Ontology, ground: Entity) -> CompoundDescriptor:
-    parts = [DescriptorState(tag, ground, ontology) for tag in _INDIVIDUAL_TAGS]
+    parts = [DescriptorState(tag, ground, ontology) for tag in _tags(Partition.INDIVIDUAL)]
     return CompoundDescriptor(ontology, ground, parts)
 
 

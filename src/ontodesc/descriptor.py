@@ -2,7 +2,10 @@
 
 A descriptor is a triple of a tag, a ground entity x and an ordered,
 duplicate-free item list Y.  The tag fixes which axiom shape the items
-map to; the ground is the entity the axioms are about.  Mapping is
+map to; the ground is the entity the axioms are about.  TAG_SPECS holds
+one TagSpec row per tag: the axiom tag and its model constructor, the
+argument that holds the ground, the item type, the partition and the
+legal ground kinds.  Mapping is driven by that table alone, and is
 bidirectional and lossless:
 
 * to_axioms(tag, x, Y) renders the items as axioms,
@@ -194,47 +197,60 @@ class DescriptorTag(Enum):
 
     @property
     def partition(self) -> Partition:
-        return _META[self].partition
+        return TAG_SPECS[self].partition
 
 
 @dataclass(frozen=True)
-class _TagMeta:
+class TagSpec:
+    """What one descriptor tag maps to.
+
+    The tag's items become `axiom_tag` axioms built by `factory`, whose
+    argument `ground_at` holds the ground and whose remaining arguments
+    are the item's payload.  For unordered pair tags
+    (model.ORDERLESS_TAGS) the ground may sit in either argument.
+    """
+
     partition: Partition
     axiom_tag: AxiomTag
+    factory: Callable[..., Axiom]
     ground_kinds: tuple
     item_type: type
+    ground_at: int = 0
+
+    @property
+    def buildable(self) -> bool:
+        # property characteristics hold Void items, which name no entity
+        return self.item_type is not Void
 
 
-_PROP_KINDS = (Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY)
+_PROP = (Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY)
 _OBJ = (Kind.OBJECT_PROPERTY,)
-_META = {
-    DescriptorTag.SUPER_PROPERTIES: _TagMeta(Partition.PROPERTY, AxiomTag.SUB_PROPERTY, _PROP_KINDS, Ref),
-    DescriptorTag.DISJOINT_PROPERTIES: _TagMeta(Partition.PROPERTY, AxiomTag.DISJOINT_PROPERTIES, _PROP_KINDS, Ref),
-    DescriptorTag.EQUIVALENT_PROPERTIES: _TagMeta(Partition.PROPERTY, AxiomTag.EQUIVALENT_PROPERTIES, _PROP_KINDS, Ref),
-    DescriptorTag.INVERSE_PROPERTIES: _TagMeta(Partition.PROPERTY, AxiomTag.INVERSE_PROPERTIES, _OBJ, Ref),
-    DescriptorTag.DOMAIN: _TagMeta(Partition.PROPERTY, AxiomTag.PROPERTY_DOMAIN, _PROP_KINDS, Restriction),
-    DescriptorTag.RANGE: _TagMeta(Partition.PROPERTY, AxiomTag.PROPERTY_RANGE, _PROP_KINDS, Restriction),
-    DescriptorTag.FUNCTIONAL: _TagMeta(Partition.PROPERTY, AxiomTag.FUNCTIONAL_PROPERTY, _PROP_KINDS, Void),
-    DescriptorTag.REFLEXIVE: _TagMeta(Partition.PROPERTY, AxiomTag.REFLEXIVE_PROPERTY, _OBJ, Void),
-    DescriptorTag.SYMMETRIC: _TagMeta(Partition.PROPERTY, AxiomTag.SYMMETRIC_PROPERTY, _OBJ, Void),
-    DescriptorTag.TRANSITIVE: _TagMeta(Partition.PROPERTY, AxiomTag.TRANSITIVE_PROPERTY, _OBJ, Void),
-    DescriptorTag.SUB_CLASSES: _TagMeta(Partition.CLASS, AxiomTag.SUB_CLASS, (Kind.CLASS,), Ref),
-    DescriptorTag.SUPER_CLASSES: _TagMeta(Partition.CLASS, AxiomTag.SUB_CLASS, (Kind.CLASS,), Ref),
-    DescriptorTag.EQUIVALENT_CLASSES: _TagMeta(Partition.CLASS, AxiomTag.EQUIVALENT_CLASSES, (Kind.CLASS,), Ref),
-    DescriptorTag.DISJOINT_CLASSES: _TagMeta(Partition.CLASS, AxiomTag.DISJOINT_CLASSES, (Kind.CLASS,), Ref),
-    DescriptorTag.DEFINITION: _TagMeta(Partition.CLASS, AxiomTag.CLASS_DEFINITION, (Kind.CLASS,), Restriction),
-    DescriptorTag.INSTANCES: _TagMeta(Partition.CLASS, AxiomTag.CLASS_ASSERTION, (Kind.CLASS,), Ref),
-    DescriptorTag.TYPES: _TagMeta(Partition.INDIVIDUAL, AxiomTag.CLASS_ASSERTION, (Kind.INDIVIDUAL,), Ref),
-    DescriptorTag.LINKS: _TagMeta(Partition.INDIVIDUAL, AxiomTag.PROPERTY_ASSERTION, (Kind.INDIVIDUAL,), Link),
-    DescriptorTag.SAME_AS: _TagMeta(Partition.INDIVIDUAL, AxiomTag.SAME_INDIVIDUAL, (Kind.INDIVIDUAL,), Ref),
-    DescriptorTag.DIFFERENT_FROM: _TagMeta(Partition.INDIVIDUAL, AxiomTag.DIFFERENT_INDIVIDUALS, (Kind.INDIVIDUAL,), Ref),
-}
+_CLS = (Kind.CLASS,)
+_IND = (Kind.INDIVIDUAL,)
+_P, _C, _I = Partition.PROPERTY, Partition.CLASS, Partition.INDIVIDUAL
 
-_UNBUILDABLE = {
-    DescriptorTag.FUNCTIONAL,
-    DescriptorTag.REFLEXIVE,
-    DescriptorTag.SYMMETRIC,
-    DescriptorTag.TRANSITIVE,
+# One row per tag, each partition's rows in compound part order.
+TAG_SPECS = {
+    DescriptorTag.SUPER_PROPERTIES: TagSpec(_P, AxiomTag.SUB_PROPERTY, model.sub_property, _PROP, Ref),
+    DescriptorTag.EQUIVALENT_PROPERTIES: TagSpec(_P, AxiomTag.EQUIVALENT_PROPERTIES, model.equivalent_properties, _PROP, Ref),
+    DescriptorTag.DISJOINT_PROPERTIES: TagSpec(_P, AxiomTag.DISJOINT_PROPERTIES, model.disjoint_properties, _PROP, Ref),
+    DescriptorTag.INVERSE_PROPERTIES: TagSpec(_P, AxiomTag.INVERSE_PROPERTIES, model.inverse_properties, _OBJ, Ref),
+    DescriptorTag.DOMAIN: TagSpec(_P, AxiomTag.PROPERTY_DOMAIN, model.property_domain, _PROP, Restriction),
+    DescriptorTag.RANGE: TagSpec(_P, AxiomTag.PROPERTY_RANGE, model.property_range, _PROP, Restriction),
+    DescriptorTag.FUNCTIONAL: TagSpec(_P, AxiomTag.FUNCTIONAL_PROPERTY, model.functional, _PROP, Void),
+    DescriptorTag.REFLEXIVE: TagSpec(_P, AxiomTag.REFLEXIVE_PROPERTY, model.reflexive, _OBJ, Void),
+    DescriptorTag.SYMMETRIC: TagSpec(_P, AxiomTag.SYMMETRIC_PROPERTY, model.symmetric, _OBJ, Void),
+    DescriptorTag.TRANSITIVE: TagSpec(_P, AxiomTag.TRANSITIVE_PROPERTY, model.transitive, _OBJ, Void),
+    DescriptorTag.DEFINITION: TagSpec(_C, AxiomTag.CLASS_DEFINITION, model.class_definition, _CLS, Restriction),
+    DescriptorTag.SUB_CLASSES: TagSpec(_C, AxiomTag.SUB_CLASS, model.sub_class, _CLS, Ref, ground_at=1),
+    DescriptorTag.SUPER_CLASSES: TagSpec(_C, AxiomTag.SUB_CLASS, model.sub_class, _CLS, Ref),
+    DescriptorTag.EQUIVALENT_CLASSES: TagSpec(_C, AxiomTag.EQUIVALENT_CLASSES, model.equivalent_classes, _CLS, Ref),
+    DescriptorTag.DISJOINT_CLASSES: TagSpec(_C, AxiomTag.DISJOINT_CLASSES, model.disjoint_classes, _CLS, Ref),
+    DescriptorTag.INSTANCES: TagSpec(_C, AxiomTag.CLASS_ASSERTION, model.class_assertion, _CLS, Ref, ground_at=1),
+    DescriptorTag.TYPES: TagSpec(_I, AxiomTag.CLASS_ASSERTION, model.class_assertion, _IND, Ref),
+    DescriptorTag.LINKS: TagSpec(_I, AxiomTag.PROPERTY_ASSERTION, model.property_assertion, _IND, Link),
+    DescriptorTag.SAME_AS: TagSpec(_I, AxiomTag.SAME_INDIVIDUAL, model.same_individual, _IND, Ref),
+    DescriptorTag.DIFFERENT_FROM: TagSpec(_I, AxiomTag.DIFFERENT_INDIVIDUALS, model.different_individuals, _IND, Ref),
 }
 
 
@@ -243,7 +259,7 @@ _UNBUILDABLE = {
 
 
 def _check_item(tag: DescriptorTag, item: Item) -> None:
-    expected = _META[tag].item_type
+    expected = TAG_SPECS[tag].item_type
     if not isinstance(item, expected):
         raise IllegalItem(
             f"{tag.value} holds {expected.__name__} items, got {type(item).__name__}"
@@ -333,49 +349,32 @@ def _group_atoms(expr: ClassExpression) -> list[ClassExpression]:
     return [expr]
 
 
-def to_axiom(tag: DescriptorTag, ground: Entity, item: Item) -> Axiom:
-    """Render one item as the axiom it stands for.  Not for DEFINITION."""
-    _check_item(tag, item)
+def _payload(tag: DescriptorTag, item: Item) -> list:
+    """The axiom arguments an item contributes besides the ground."""
+    if isinstance(item, Ref):
+        return [item.entity]
+    if isinstance(item, Link):
+        return [item.prop, item.filler]
+    if isinstance(item, Void):
+        return []
     if tag is DescriptorTag.DEFINITION:
-        return model.class_definition(ground, restriction_to_atom(item))
-    if tag is DescriptorTag.SUPER_PROPERTIES:
-        return model.sub_property(ground, item.entity)
-    if tag is DescriptorTag.DISJOINT_PROPERTIES:
-        return model.disjoint_properties(ground, item.entity)
-    if tag is DescriptorTag.EQUIVALENT_PROPERTIES:
-        return model.equivalent_properties(ground, item.entity)
-    if tag is DescriptorTag.INVERSE_PROPERTIES:
-        return model.inverse_properties(ground, item.entity)
-    if tag in (DescriptorTag.DOMAIN, DescriptorTag.RANGE):
-        if item.form is not Form.NAMED:
-            raise UnsupportedRestriction(f"{tag.value} accepts named-class restrictions only")
-        maker = model.property_domain if tag is DescriptorTag.DOMAIN else model.property_range
-        return maker(ground, item.cls)
-    if tag is DescriptorTag.FUNCTIONAL:
-        return model.functional(ground)
-    if tag is DescriptorTag.REFLEXIVE:
-        return model.reflexive(ground)
-    if tag is DescriptorTag.SYMMETRIC:
-        return model.symmetric(ground)
-    if tag is DescriptorTag.TRANSITIVE:
-        return model.transitive(ground)
-    if tag is DescriptorTag.SUB_CLASSES:
-        return model.sub_class(item.entity, ground)
-    if tag is DescriptorTag.SUPER_CLASSES:
-        return model.sub_class(ground, item.entity)
-    if tag is DescriptorTag.EQUIVALENT_CLASSES:
-        return model.equivalent_classes(ground, item.entity)
-    if tag is DescriptorTag.DISJOINT_CLASSES:
-        return model.disjoint_classes(ground, item.entity)
-    if tag is DescriptorTag.INSTANCES:
-        return model.class_assertion(item.entity, ground)
-    if tag is DescriptorTag.TYPES:
-        return model.class_assertion(ground, item.entity)
-    if tag is DescriptorTag.LINKS:
-        return model.property_assertion(ground, item.prop, item.filler)
-    if tag is DescriptorTag.SAME_AS:
-        return model.same_individual(ground, item.entity)
-    return model.different_individuals(ground, item.entity)
+        return [restriction_to_atom(item)]
+    if item.form is not Form.NAMED:
+        raise UnsupportedRestriction(f"{tag.value} accepts named-class restrictions only")
+    return [item.cls]
+
+
+def to_axiom(tag: DescriptorTag, ground: Entity, item: Item) -> Axiom:
+    """Render one item as the axiom it stands for.
+
+    For DEFINITION this is the one-atom definition; to_axioms maps a
+    whole definition list.
+    """
+    _check_item(tag, item)
+    spec = TAG_SPECS[tag]
+    args = _payload(tag, item)
+    args.insert(spec.ground_at, ground)
+    return spec.factory(*args)
 
 
 def to_axioms(tag: DescriptorTag, ground: Entity, items: list) -> list[Axiom]:
@@ -387,77 +386,34 @@ def to_axioms(tag: DescriptorTag, ground: Entity, items: list) -> list[Axiom]:
     return [to_axiom(tag, ground, item) for item in items]
 
 
-def _other_of_pair(ground: Entity, axiom: Axiom) -> Entity:
-    a, b = axiom.args
-    if ground == a:
-        return b
-    if ground == b:
-        return a
-    raise GroundMismatch(f"{axiom!r} is not about {ground.iri}")
-
-
-def _expect_first(ground: Entity, axiom: Axiom):
-    if axiom.args[0] != ground:
-        raise GroundMismatch(f"{axiom!r} is not grounded on {ground.iri}")
+def _payload_of(tag: DescriptorTag, ground: Entity, axiom: Axiom) -> list:
+    """The axiom's arguments with the ground taken out, once checked."""
+    spec = TAG_SPECS[tag]
+    if axiom.tag is not spec.axiom_tag:
+        raise TagMismatch(f"{tag.value} maps {spec.axiom_tag.value} axioms, got {axiom.tag.value}")
+    if not model.mentions_at_ground(axiom, ground, spec.ground_at):
+        raise GroundMismatch(f"{axiom!r} is not about {ground.iri} as {tag.value}")
+    payload = list(axiom.args)
+    # the first occurrence is the ground position, except in a pair,
+    # where either occurrence leaves the same remainder
+    payload.remove(ground)
+    return payload
 
 
 def from_axiom(tag: DescriptorTag, ground: Entity, axiom: Axiom) -> Item:
     """Recover the item one axiom encodes for a descriptor on `ground`."""
-    meta = _META[tag]
-    if axiom.tag is not meta.axiom_tag:
-        raise TagMismatch(f"{tag.value} maps {meta.axiom_tag.value} axioms, got {axiom.tag.value}")
+    payload = _payload_of(tag, ground, axiom)
     if tag is DescriptorTag.DEFINITION:
-        _expect_first(ground, axiom)
         raise MappingError("definitions map through from_definition, not from_axiom")
-    if tag is DescriptorTag.SUPER_PROPERTIES:
-        _expect_first(ground, axiom)
-        return Ref(axiom.args[1])
-    if tag in (
-        DescriptorTag.DISJOINT_PROPERTIES,
-        DescriptorTag.EQUIVALENT_PROPERTIES,
-        DescriptorTag.INVERSE_PROPERTIES,
-        DescriptorTag.EQUIVALENT_CLASSES,
-        DescriptorTag.DISJOINT_CLASSES,
-        DescriptorTag.SAME_AS,
-        DescriptorTag.DIFFERENT_FROM,
-    ):
-        return Ref(_other_of_pair(ground, axiom))
-    if tag in (DescriptorTag.DOMAIN, DescriptorTag.RANGE):
-        _expect_first(ground, axiom)
-        return named_restriction(axiom.args[1])
-    if tag in (
-        DescriptorTag.FUNCTIONAL,
-        DescriptorTag.REFLEXIVE,
-        DescriptorTag.SYMMETRIC,
-        DescriptorTag.TRANSITIVE,
-    ):
-        _expect_first(ground, axiom)
-        return Void()
-    if tag is DescriptorTag.SUB_CLASSES:
-        if axiom.args[1] != ground:
-            raise GroundMismatch(f"{axiom!r} is not a subclass axiom under {ground.iri}")
-        return Ref(axiom.args[0])
-    if tag is DescriptorTag.SUPER_CLASSES:
-        _expect_first(ground, axiom)
-        return Ref(axiom.args[1])
-    if tag is DescriptorTag.INSTANCES:
-        if axiom.args[1] != ground:
-            raise GroundMismatch(f"{axiom!r} does not assert membership in {ground.iri}")
-        return Ref(axiom.args[0])
-    if tag is DescriptorTag.TYPES:
-        _expect_first(ground, axiom)
-        return Ref(axiom.args[1])
-    if tag is DescriptorTag.LINKS:
-        _expect_first(ground, axiom)
-        return Link(axiom.args[1], axiom.args[2])
-    raise TagMismatch(f"unhandled tag {tag!r}")  # pragma: no cover
+    item_type = TAG_SPECS[tag].item_type
+    if item_type is Restriction:
+        return named_restriction(*payload)
+    return item_type(*payload)
 
 
 def from_definition(ground: Entity, axiom: Axiom) -> list[Restriction]:
-    if axiom.tag is not AxiomTag.CLASS_DEFINITION:
-        raise TagMismatch(f"expected a class definition, got {axiom.tag.value}")
-    _expect_first(ground, axiom)
-    return expression_to_restrictions(axiom.args[1])
+    [expr] = _payload_of(DescriptorTag.DEFINITION, ground, axiom)
+    return expression_to_restrictions(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +447,9 @@ class DescriptorState:
         self.items = deduped
 
     def _check_ground(self, entity: Entity) -> None:
-        meta = _META[self.tag]
-        if not isinstance(entity, Entity) or entity.kind not in meta.ground_kinds:
-            wanted = " or ".join(k.value for k in meta.ground_kinds)
+        kinds = TAG_SPECS[self.tag].ground_kinds
+        if not isinstance(entity, Entity) or entity.kind not in kinds:
+            wanted = " or ".join(k.value for k in kinds)
             raise model.KindMismatch(f"{self.tag.value} descriptors ground on a {wanted}")
 
     def set_ground(self, entity: Entity) -> None:
@@ -530,7 +486,11 @@ class DescriptorState:
             return {model.sub_class(g, c) for c in closure.direct_superclasses(g)}
         if tag is DescriptorTag.INSTANCES:
             return {model.class_assertion(i, g) for i in closure.instances_of(g)}
-        return self.ontology.axioms_about(_META[tag].axiom_tag, g, "entailed")
+        return self._about("entailed")
+
+    def _about(self, view: str) -> set[Axiom]:
+        spec = TAG_SPECS[self.tag]
+        return self.ontology.axioms_about(spec.axiom_tag, self.ground, view, spec.ground_at)
 
     def _items_from_query(self, result: set[Axiom]) -> list[Item]:
         if self.tag is DescriptorTag.DEFINITION:
@@ -542,32 +502,21 @@ class DescriptorState:
         items = [from_axiom(self.tag, self.ground, a) for a in result]
         return sorted(set(items), key=item_sort_key)
 
-    def _intent_axiom(self, item: Item) -> Axiom:
-        if self.tag is DescriptorTag.DEFINITION:
-            return model.class_definition(self.ground, restriction_to_atom(item))
-        return to_axiom(self.tag, self.ground, item)
-
     def read(self) -> list[Intent]:
         """Synchronise Y with the ontology's entailed view."""
         new_items = self._items_from_query(self.query())
         old, new = set(self.items), set(new_items)
         intents = [
-            Intent("read", "remove", self._intent_axiom(i), "descriptor") for i in self.items if i not in new
+            Intent("read", "remove", to_axiom(self.tag, self.ground, i), "descriptor")
+            for i in self.items
+            if i not in new
         ] + [
-            Intent("read", "add", self._intent_axiom(i), "descriptor") for i in new_items if i not in old
+            Intent("read", "add", to_axiom(self.tag, self.ground, i), "descriptor")
+            for i in new_items
+            if i not in old
         ]
         self.items = new_items
         return intents
-
-    def _asserted_projection(self) -> set[Axiom]:
-        tag, g = self.tag, self.ground
-        axiom_tag = _META[tag].axiom_tag
-        asserted = [a for a in self.ontology.axioms("asserted") if a.tag is axiom_tag]
-        if tag in (DescriptorTag.SUB_CLASSES, DescriptorTag.INSTANCES):
-            return {a for a in asserted if a.args[1] == g}
-        if axiom_tag in model.ORDERLESS_TAGS:
-            return {a for a in asserted if g in a.args[:2]}
-        return {a for a in asserted if a.args[0] == g}
 
     def write(self) -> list[Intent]:
         """Make the asserted axioms for (tag, ground) exactly match Y.
@@ -580,7 +529,7 @@ class DescriptorState:
             for entity in _item_entities(item):
                 self.ontology.ensure(entity)
         target = set(to_axioms(self.tag, self.ground, self.items))
-        current = self._asserted_projection()
+        current = self._about("asserted")
         intents = []
         for axiom in sorted(target - current, key=repr):
             self.ontology.assert_axiom(axiom)
@@ -595,8 +544,6 @@ class DescriptorState:
     def _build_grounds(self) -> list[Entity]:
         grounds: list[Entity] = []
         for item in self.items:
-            if isinstance(item, Void):
-                raise UndefinedBuild(f"build is undefined for {self.tag.value}")
             if isinstance(item, Ref):
                 candidate = item.entity
             elif isinstance(item, Restriction):
@@ -622,7 +569,7 @@ class DescriptorState:
 
     def build(self, factory: Callable | None = None) -> list:
         """One read-initialised descriptor per distinct item entity."""
-        if self.tag in _UNBUILDABLE:
+        if not TAG_SPECS[self.tag].buildable:
             raise UndefinedBuild(f"build is undefined for {self.tag.value}")
         factory = self._resolve_factory(factory)
         built = []

@@ -513,15 +513,15 @@ def tautological(axiom: Axiom) -> bool:
     return False
 
 
-def mentions_at_ground(axiom: Axiom, ground: Entity) -> bool:
+def mentions_at_ground(axiom: Axiom, ground: Entity, at: int = 0) -> bool:
     """True when `ground` sits in the axiom's ground position.
 
-    The ground position is the first argument; for unordered pair tags
-    either argument counts.
+    The ground position is argument `at`; for unordered pair tags either
+    argument counts.
     """
     if axiom.tag in ORDERLESS_TAGS:
         return ground in axiom.args[:2]
-    return axiom.args[0] == ground
+    return axiom.args[at] == ground
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +650,14 @@ class Ontology:
             raise StaleClosure("inferred partition requested after mutations; run reason()")
         return self._inferred
 
-    def axioms_about(self, tag: AxiomTag, ground: Entity, view: str = "asserted") -> set[Axiom]:
+    def axioms_about(
+        self, tag: AxiomTag, ground: Entity, view: str = "asserted", at: int = 0
+    ) -> set[Axiom]:
+        """The `tag` axioms of `view` with `ground` in ground position `at`."""
         return {
             a
             for a in self.axioms(view)
-            if a.tag is tag and mentions_at_ground(a, ground)
+            if a.tag is tag and mentions_at_ground(a, ground, at)
         }
 
     def contains(self, axiom: Axiom, view: str = "asserted") -> bool:

@@ -158,42 +158,35 @@ class Closure:
         A class with no named strict subclass reports {NOTHING}; NOTHING
         itself reports the empty set.
         """
-        self._check_fresh()
-        candidates = [
-            c
-            for c in self._named_classes()
-            if c != cls and self.subsumed_by(c, cls) and not self.subsumed_by(cls, c)
-        ]
-        return {
-            c
-            for c in candidates
-            if not any(
-                m != c
-                and self.subsumed_by(c, m)
-                and not self.equivalent(c, m)
-                and not self.equivalent(m, cls)
-                for m in candidates
-            )
-        }
+        return self._direct(cls, below=True)
 
     def direct_superclasses(self, cls: Entity) -> set[Entity]:
+        return self._direct(cls, below=False)
+
+    def _direct(self, cls: Entity, below: bool) -> set[Entity]:
+        """The taxonomy neighbours of `cls` on one side.
+
+        (lo, hi) orients each comparison so one walk serves both sides:
+        hi is strictly above lo when it is in lo's reach (which never
+        holds lo itself) and lo is not in hi's.  The candidates sit
+        strictly on the walked side of `cls`, so none is equivalent to it.
+        """
         self._check_fresh()
-        candidates = [
-            c
-            for c in self._named_classes()
-            if c != cls and self.subsumed_by(cls, c) and not self.subsumed_by(c, cls)
-        ]
-        return {
-            c
-            for c in candidates
-            if not any(
-                m != c
-                and self.subsumed_by(m, c)
-                and not self.equivalent(m, c)
-                and not self.equivalent(m, cls)
-                for m in candidates
-            )
-        }
+        reach = self._class_reach
+        candidates = []
+        for c in self._named_classes():
+            lo, hi = (c, cls) if below else (cls, c)
+            if hi in reach.get(lo, ()) and lo not in reach.get(hi, ()):
+                candidates.append(c)
+        direct = set()
+        for c in candidates:
+            for m in candidates:
+                lo, hi = (c, m) if below else (m, c)
+                if hi in reach.get(lo, ()) and lo not in reach.get(hi, ()):
+                    break
+            else:
+                direct.add(c)
+        return direct
 
     # -- individuals
 

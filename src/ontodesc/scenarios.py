@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .compound import CompoundDescriptor, full_class, full_individual
-from .descriptor import DescriptorState, DescriptorTag, Link, Ref
+from .descriptor import DescriptorTag, Link, Ref
 from .model import Entity, Kind, Ontology, OntologyError
 from .reasoner import Closure, reason
 from .syntax import parse, parse_file
@@ -131,13 +131,6 @@ def categorize_new_location(
     return sorted(r.entity.iri for r in here.part(DescriptorTag.TYPES).items)
 
 
-def _is_leaf(onto: Ontology, cls: Entity) -> bool:
-    descriptor = full_class(onto, cls)
-    descriptor.part(DescriptorTag.SUB_CLASSES).read()
-    subs = [r.entity.iri for r in descriptor.part(DescriptorTag.SUB_CLASSES).items]
-    return subs == ["NOTHING"]
-
-
 def reachable_leaf_places(onto: Ontology, robot: str = ROBOT) -> list[tuple[str, str]]:
     """Locations connected to the robot's own, tagged by leaf class.
 
@@ -191,18 +184,10 @@ def door_factory(onto: Ontology, door_class: Entity):
 
     def make(entity: Entity) -> CompoundDescriptor:
         closure = onto.current_closure()
-        if entity.kind is Kind.INDIVIDUAL and door_class in closure.types_of(entity):
-            parts = [
-                DescriptorState(tag, entity, onto)
-                for tag in (
-                    DescriptorTag.TYPES,
-                    DescriptorTag.LINKS,
-                    DescriptorTag.SAME_AS,
-                    DescriptorTag.DIFFERENT_FROM,
-                )
-            ]
-            return DoorDescriptor(onto, entity, parts)
-        return full_individual(onto, entity)
+        plain = full_individual(onto, entity)
+        if door_class in closure.types_of(entity):
+            return DoorDescriptor(onto, entity, plain.parts)
+        return plain
 
     return make
 

@@ -29,6 +29,7 @@ byte-stable.  Inferred axioms are emitted only on request, rendered as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import model
@@ -145,10 +146,14 @@ def _classify(word: str, line: int, col: int) -> Token:
     if head.isdigit() or head in "+-.":
         try:
             if any(c in word for c in ".eE") and not word.lstrip("+-").isdigit():
-                return Token("double", word, float(word), line, col)
-            return Token("int", word, int(word), line, col)
+                value = float(word)
+                if math.isfinite(value):  # overflow reads as infinity
+                    return Token("double", word, value, line, col)
+            else:
+                return Token("int", word, int(word), line, col)
         except ValueError:
-            raise ParseError(line, col, f"malformed number: {word!r}") from None
+            pass
+        raise ParseError(line, col, f"malformed number: {word!r}")
     if not (head.isalpha() or head == "_"):
         raise ParseError(line, col, f"names must start with a letter or underscore: {word!r}")
     return Token("name", word, word, line, col)
@@ -157,6 +162,7 @@ def _classify(word: str, line: int, col: int) -> Token:
 # ---------------------------------------------------------------------------
 # parsing
 
+# in serialization order
 _DECLARATIONS = {
     "Class": Kind.CLASS,
     "ObjectProperty": Kind.OBJECT_PROPERTY,
@@ -164,28 +170,7 @@ _DECLARATIONS = {
     "Individual": Kind.INDIVIDUAL,
 }
 _EXPRESSION_HEADS = {"And", "Or", "Some", "Only", "Min", "Max"}
-_AXIOM_HEADS = {
-    "SubClassOf",
-    "EquivalentClasses",
-    "DisjointClasses",
-    "DefineClass",
-    "SubPropertyOf",
-    "EquivalentProperties",
-    "DisjointProperties",
-    "InverseProperties",
-    "PropertyDomain",
-    "PropertyRange",
-    "FunctionalProperty",
-    "SymmetricProperty",
-    "ReflexiveProperty",
-    "TransitiveProperty",
-    "IrreflexiveProperty",
-    "SubPropertyChain",
-    "ClassAssertion",
-    "PropertyAssertion",
-    "SameIndividual",
-    "DifferentIndividuals",
-}
+_AXIOM_HEADS = {t.value for t in AxiomTag}
 
 
 @dataclass
@@ -522,18 +507,12 @@ def render_axiom(axiom: Axiom) -> str:
 
 
 _BOX_ORDER = {Box.RBOX: 0, Box.TBOX: 1, Box.ABOX: 2}
-_DECL_ORDER = [
-    ("Class", Kind.CLASS),
-    ("ObjectProperty", Kind.OBJECT_PROPERTY),
-    ("DataProperty", Kind.DATA_PROPERTY),
-    ("Individual", Kind.INDIVIDUAL),
-]
 
 
 def serialize(onto: Ontology, include_inferred: bool = False) -> str:
     lines: list[str] = []
     builtin = set(model.BUILTINS)
-    for keyword, kind in _DECL_ORDER:
+    for keyword, kind in _DECLARATIONS.items():
         names = sorted(e.iri for e in onto.entities_of_kind(kind) if e not in builtin)
         lines.extend(f"{keyword}({iri})" for iri in names)
     asserted = onto.axioms("asserted")

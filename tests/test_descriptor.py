@@ -123,6 +123,78 @@ class TestMappingPerTag:
             from_axiom(DescriptorTag.EQUIVALENT_CLASSES, c, model.equivalent_classes(a, b))
         with pytest.raises(GroundMismatch):
             from_axiom(DescriptorTag.TYPES, x, model.class_assertion(onto.lookup("y"), a))
+        with pytest.raises(GroundMismatch):
+            from_axiom(DescriptorTag.SUB_CLASSES, a, model.sub_class(a, b))
+        with pytest.raises(GroundMismatch):
+            from_axiom(DescriptorTag.INSTANCES, a, model.class_assertion(x, b))
+
+
+# Per tag: asserted axioms with the ground ("Mid", "mid" or "mid1") in the
+# tag's ground position, then same-tag axioms the ground's descriptor does
+# not own.  Pair members sort on both sides of the ground.
+_GROUND_WORLD = (
+    "Class(A) Class(Mid) Class(Z) ObjectProperty(a) ObjectProperty(mid) ObjectProperty(z) "
+    "Individual(a1) Individual(mid1) Individual(z1) "
+)
+_GROUND_CASES = {
+    DescriptorTag.SUPER_PROPERTIES: ("mid", "SubPropertyOf(mid z)", "SubPropertyOf(a mid)"),
+    DescriptorTag.EQUIVALENT_PROPERTIES: (
+        "mid",
+        "EquivalentProperties(a mid) EquivalentProperties(mid z)",
+        "EquivalentProperties(a z)",
+    ),
+    DescriptorTag.DISJOINT_PROPERTIES: (
+        "mid",
+        "DisjointProperties(a mid) DisjointProperties(mid z)",
+        "DisjointProperties(a z)",
+    ),
+    DescriptorTag.INVERSE_PROPERTIES: (
+        "mid",
+        "InverseProperties(a mid) InverseProperties(mid z)",
+        "InverseProperties(a z)",
+    ),
+    DescriptorTag.DOMAIN: ("mid", "PropertyDomain(mid Mid)", "PropertyDomain(a Mid)"),
+    DescriptorTag.RANGE: ("mid", "PropertyRange(mid Mid)", "PropertyRange(a Mid)"),
+    DescriptorTag.FUNCTIONAL: ("mid", "FunctionalProperty(mid)", "FunctionalProperty(a)"),
+    DescriptorTag.REFLEXIVE: ("mid", "ReflexiveProperty(mid)", "ReflexiveProperty(a)"),
+    DescriptorTag.SYMMETRIC: ("mid", "SymmetricProperty(mid)", "SymmetricProperty(a)"),
+    DescriptorTag.TRANSITIVE: ("mid", "TransitiveProperty(mid)", "TransitiveProperty(a)"),
+    DescriptorTag.SUB_CLASSES: ("Mid", "SubClassOf(A Mid)", "SubClassOf(Mid Z)"),
+    DescriptorTag.SUPER_CLASSES: ("Mid", "SubClassOf(Mid Z)", "SubClassOf(A Mid)"),
+    DescriptorTag.EQUIVALENT_CLASSES: (
+        "Mid",
+        "EquivalentClasses(A Mid) EquivalentClasses(Mid Z)",
+        "EquivalentClasses(A Z)",
+    ),
+    DescriptorTag.DISJOINT_CLASSES: (
+        "Mid",
+        "DisjointClasses(A Mid) DisjointClasses(Mid Z)",
+        "DisjointClasses(A Z)",
+    ),
+    DescriptorTag.INSTANCES: ("Mid", "ClassAssertion(Mid a1)", "ClassAssertion(A a1)"),
+    DescriptorTag.TYPES: ("mid1", "ClassAssertion(A mid1)", "ClassAssertion(A a1)"),
+    DescriptorTag.LINKS: ("mid1", "PropertyAssertion(a mid1 z1)", "PropertyAssertion(a a1 mid1)"),
+    DescriptorTag.SAME_AS: ("mid1", "SameIndividual(a1 mid1) SameIndividual(mid1 z1)", "SameIndividual(a1 z1)"),
+    DescriptorTag.DIFFERENT_FROM: (
+        "mid1",
+        "DifferentIndividuals(a1 mid1) DifferentIndividuals(mid1 z1)",
+        "DifferentIndividuals(a1 z1)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "tag", [t for t in DescriptorTag if t is not DescriptorTag.DEFINITION], ids=lambda t: t.value
+)
+def test_empty_write_retracts_exactly_the_ground_position(tag):
+    ground, owned, foreign = _GROUND_CASES[tag]
+    owned_axioms = set(parse(_GROUND_WORLD + owned).axioms("asserted"))
+    foreign_axioms = set(parse(_GROUND_WORLD + foreign).axioms("asserted"))
+    assert len({a.tag for a in owned_axioms | foreign_axioms}) == 1
+    onto = parse(_GROUND_WORLD + owned + " " + foreign)
+    intents = DescriptorState(tag, onto.lookup(ground), onto).write()
+    assert {(i.change, i.axiom) for i in intents} == {("remove", a) for a in owned_axioms}
+    assert set(onto.axioms("asserted")) == foreign_axioms
 
 
 class TestDefinitionMapping:

@@ -45,6 +45,12 @@ class TestTokenizer:
     def test_comments_run_to_end_of_line(self):
         assert [t.text for t in tokenize("A # B C\nD") if t.typ != "eof"] == ["A", "D"]
 
+    def test_overflowing_double_is_a_positioned_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse("DataProperty(d) Individual(x)\nPropertyAssertion(d x 1e999)")
+        assert (err.value.line, err.value.col) == (2, 23)
+        assert "malformed number" in str(err.value)
+
 
 class TestParser:
     def test_world_parses(self):
