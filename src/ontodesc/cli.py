@@ -22,7 +22,10 @@ world, 4 missing filler (no position or no door).
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -97,8 +100,23 @@ def _cmd_example1(args) -> int:
     for iri in types:
         print(iri)
     if args.ontology is not None:
-        Path(args.ontology).write_text(serialize(onto), encoding="utf-8")
+        _replace_file(Path(args.ontology), serialize(onto))
     return EXIT_OK
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write `text` to `path` so that readers see the old or the new file, whole."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_reachable(args) -> int:

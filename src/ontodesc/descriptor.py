@@ -3,10 +3,10 @@
 A descriptor is a triple of a tag, a ground entity x and an ordered,
 duplicate-free item list Y.  The tag fixes which axiom shape the items
 map to; the ground is the entity the axioms are about.  TAG_SPECS holds
-one TagSpec row per tag: the axiom tag and its model constructor, the
-argument that holds the ground, the item type, the partition and the
-legal ground kinds.  Mapping is driven by that table alone, and is
-bidirectional and lossless:
+one TagSpec row per tag: the axiom tag, the argument that holds the
+ground, the item type, the partition and the legal ground kinds; the
+axiom tag's entry in model.AXIOM_FACTORIES builds the axioms.  Mapping
+is driven by that table alone, and is bidirectional and lossless:
 
 * to_axioms(tag, x, Y) renders the items as axioms,
 * from_axiom(tag, x, a) recovers the item encoded by one axiom,
@@ -204,15 +204,15 @@ class DescriptorTag(Enum):
 class TagSpec:
     """What one descriptor tag maps to.
 
-    The tag's items become `axiom_tag` axioms built by `factory`, whose
-    argument `ground_at` holds the ground and whose remaining arguments
-    are the item's payload.  For unordered pair tags
-    (model.ORDERLESS_TAGS) the ground may sit in either argument.
+    The tag's items become `axiom_tag` axioms, built by that tag's
+    model.AXIOM_FACTORIES entry, whose argument `ground_at` holds the
+    ground and whose remaining arguments are the item's payload.  For
+    unordered pair tags (model.ORDERLESS_TAGS) the ground may sit in
+    either argument.
     """
 
     partition: Partition
     axiom_tag: AxiomTag
-    factory: Callable[..., Axiom]
     ground_kinds: tuple
     item_type: type
     ground_at: int = 0
@@ -231,26 +231,26 @@ _P, _C, _I = Partition.PROPERTY, Partition.CLASS, Partition.INDIVIDUAL
 
 # One row per tag, each partition's rows in compound part order.
 TAG_SPECS = {
-    DescriptorTag.SUPER_PROPERTIES: TagSpec(_P, AxiomTag.SUB_PROPERTY, model.sub_property, _PROP, Ref),
-    DescriptorTag.EQUIVALENT_PROPERTIES: TagSpec(_P, AxiomTag.EQUIVALENT_PROPERTIES, model.equivalent_properties, _PROP, Ref),
-    DescriptorTag.DISJOINT_PROPERTIES: TagSpec(_P, AxiomTag.DISJOINT_PROPERTIES, model.disjoint_properties, _PROP, Ref),
-    DescriptorTag.INVERSE_PROPERTIES: TagSpec(_P, AxiomTag.INVERSE_PROPERTIES, model.inverse_properties, _OBJ, Ref),
-    DescriptorTag.DOMAIN: TagSpec(_P, AxiomTag.PROPERTY_DOMAIN, model.property_domain, _PROP, Restriction),
-    DescriptorTag.RANGE: TagSpec(_P, AxiomTag.PROPERTY_RANGE, model.property_range, _PROP, Restriction),
-    DescriptorTag.FUNCTIONAL: TagSpec(_P, AxiomTag.FUNCTIONAL_PROPERTY, model.functional, _PROP, Void),
-    DescriptorTag.REFLEXIVE: TagSpec(_P, AxiomTag.REFLEXIVE_PROPERTY, model.reflexive, _OBJ, Void),
-    DescriptorTag.SYMMETRIC: TagSpec(_P, AxiomTag.SYMMETRIC_PROPERTY, model.symmetric, _OBJ, Void),
-    DescriptorTag.TRANSITIVE: TagSpec(_P, AxiomTag.TRANSITIVE_PROPERTY, model.transitive, _OBJ, Void),
-    DescriptorTag.DEFINITION: TagSpec(_C, AxiomTag.CLASS_DEFINITION, model.class_definition, _CLS, Restriction),
-    DescriptorTag.SUB_CLASSES: TagSpec(_C, AxiomTag.SUB_CLASS, model.sub_class, _CLS, Ref, ground_at=1),
-    DescriptorTag.SUPER_CLASSES: TagSpec(_C, AxiomTag.SUB_CLASS, model.sub_class, _CLS, Ref),
-    DescriptorTag.EQUIVALENT_CLASSES: TagSpec(_C, AxiomTag.EQUIVALENT_CLASSES, model.equivalent_classes, _CLS, Ref),
-    DescriptorTag.DISJOINT_CLASSES: TagSpec(_C, AxiomTag.DISJOINT_CLASSES, model.disjoint_classes, _CLS, Ref),
-    DescriptorTag.INSTANCES: TagSpec(_C, AxiomTag.CLASS_ASSERTION, model.class_assertion, _CLS, Ref, ground_at=1),
-    DescriptorTag.TYPES: TagSpec(_I, AxiomTag.CLASS_ASSERTION, model.class_assertion, _IND, Ref),
-    DescriptorTag.LINKS: TagSpec(_I, AxiomTag.PROPERTY_ASSERTION, model.property_assertion, _IND, Link),
-    DescriptorTag.SAME_AS: TagSpec(_I, AxiomTag.SAME_INDIVIDUAL, model.same_individual, _IND, Ref),
-    DescriptorTag.DIFFERENT_FROM: TagSpec(_I, AxiomTag.DIFFERENT_INDIVIDUALS, model.different_individuals, _IND, Ref),
+    DescriptorTag.SUPER_PROPERTIES: TagSpec(_P, AxiomTag.SUB_PROPERTY, _PROP, Ref),
+    DescriptorTag.EQUIVALENT_PROPERTIES: TagSpec(_P, AxiomTag.EQUIVALENT_PROPERTIES, _PROP, Ref),
+    DescriptorTag.DISJOINT_PROPERTIES: TagSpec(_P, AxiomTag.DISJOINT_PROPERTIES, _PROP, Ref),
+    DescriptorTag.INVERSE_PROPERTIES: TagSpec(_P, AxiomTag.INVERSE_PROPERTIES, _OBJ, Ref),
+    DescriptorTag.DOMAIN: TagSpec(_P, AxiomTag.PROPERTY_DOMAIN, _PROP, Restriction),
+    DescriptorTag.RANGE: TagSpec(_P, AxiomTag.PROPERTY_RANGE, _PROP, Restriction),
+    DescriptorTag.FUNCTIONAL: TagSpec(_P, AxiomTag.FUNCTIONAL_PROPERTY, _PROP, Void),
+    DescriptorTag.REFLEXIVE: TagSpec(_P, AxiomTag.REFLEXIVE_PROPERTY, _OBJ, Void),
+    DescriptorTag.SYMMETRIC: TagSpec(_P, AxiomTag.SYMMETRIC_PROPERTY, _OBJ, Void),
+    DescriptorTag.TRANSITIVE: TagSpec(_P, AxiomTag.TRANSITIVE_PROPERTY, _OBJ, Void),
+    DescriptorTag.DEFINITION: TagSpec(_C, AxiomTag.CLASS_DEFINITION, _CLS, Restriction),
+    DescriptorTag.SUB_CLASSES: TagSpec(_C, AxiomTag.SUB_CLASS, _CLS, Ref, ground_at=1),
+    DescriptorTag.SUPER_CLASSES: TagSpec(_C, AxiomTag.SUB_CLASS, _CLS, Ref),
+    DescriptorTag.EQUIVALENT_CLASSES: TagSpec(_C, AxiomTag.EQUIVALENT_CLASSES, _CLS, Ref),
+    DescriptorTag.DISJOINT_CLASSES: TagSpec(_C, AxiomTag.DISJOINT_CLASSES, _CLS, Ref),
+    DescriptorTag.INSTANCES: TagSpec(_C, AxiomTag.CLASS_ASSERTION, _CLS, Ref, ground_at=1),
+    DescriptorTag.TYPES: TagSpec(_I, AxiomTag.CLASS_ASSERTION, _IND, Ref),
+    DescriptorTag.LINKS: TagSpec(_I, AxiomTag.PROPERTY_ASSERTION, _IND, Link),
+    DescriptorTag.SAME_AS: TagSpec(_I, AxiomTag.SAME_INDIVIDUAL, _IND, Ref),
+    DescriptorTag.DIFFERENT_FROM: TagSpec(_I, AxiomTag.DIFFERENT_INDIVIDUALS, _IND, Ref),
 }
 
 
@@ -374,7 +374,7 @@ def to_axiom(tag: DescriptorTag, ground: Entity, item: Item) -> Axiom:
     spec = TAG_SPECS[tag]
     args = _payload(tag, item)
     args.insert(spec.ground_at, ground)
-    return spec.factory(*args)
+    return model.AXIOM_FACTORIES[spec.axiom_tag](*args)
 
 
 def to_axioms(tag: DescriptorTag, ground: Entity, items: list) -> list[Axiom]:
@@ -541,71 +541,55 @@ class DescriptorState:
 
     # -- building
 
-    def _build_grounds(self) -> list[Entity]:
-        grounds: list[Entity] = []
+    def _build_grounds(self):
         for item in self.items:
             if isinstance(item, Ref):
-                candidate = item.entity
+                yield item.entity
             elif isinstance(item, Restriction):
                 if item.form is not Form.NAMED:
                     raise UndefinedBuild("build is undefined for quantified restrictions")
-                candidate = item.cls
-            else:  # Link
-                if not isinstance(item.filler, Entity):
-                    continue  # literal fillers name no entity to build on
-                candidate = item.filler
-            if candidate not in grounds:
-                grounds.append(candidate)
-        return grounds
+                yield item.cls
+            elif isinstance(item.filler, Entity):  # literal fillers name no entity
+                yield item.filler
 
-    def _resolve_factory(self, factory):
-        if factory is not None:
-            return factory
-        if self.build_factory is not None:
-            return self.build_factory
-        from . import compound
+    def _build_each(self, grounds, factory: Callable | None) -> list:
+        """One read-initialised descriptor per distinct ground, in order."""
+        grounds = list(dict.fromkeys(grounds))
+        if factory is None:
+            factory = self.build_factory
+        if factory is None:
+            from . import compound
 
-        return compound.default_factory(self.ontology)
-
-    def build(self, factory: Callable | None = None) -> list:
-        """One read-initialised descriptor per distinct item entity."""
-        if not TAG_SPECS[self.tag].buildable:
-            raise UndefinedBuild(f"build is undefined for {self.tag.value}")
-        factory = self._resolve_factory(factory)
+            factory = compound.default_factory(self.ontology)
         built = []
-        for ground in self._build_grounds():
+        for ground in grounds:
             descriptor = factory(ground)
             descriptor.read()
             built.append(descriptor)
         return built
 
+    def build(self, factory: Callable | None = None) -> list:
+        """One read-initialised descriptor per distinct item entity."""
+        if not TAG_SPECS[self.tag].buildable:
+            raise UndefinedBuild(f"build is undefined for {self.tag.value}")
+        return self._build_each(self._build_grounds(), factory)
+
     def build_property(self, factory: Callable | None = None) -> list:
         """For LINKS: one property descriptor per distinct link property."""
         if self.tag is not DescriptorTag.LINKS:
             raise TagMismatch("build_property applies to LINKS descriptors only")
-        factory = self._resolve_factory(factory)
-        built, seen = [], []
-        for item in self.items:
-            if item.prop not in seen:
-                seen.append(item.prop)
-                descriptor = factory(item.prop)
-                descriptor.read()
-                built.append(descriptor)
-        return built
+        return self._build_each((item.prop for item in self.items), factory)
 
     def build_individuals_by_property(self, prop: Entity, factory: Callable | None = None) -> list:
         """For LINKS: descriptors for the fillers reached through `prop`."""
         if self.tag is not DescriptorTag.LINKS:
             raise TagMismatch("build_individuals_by_property applies to LINKS descriptors only")
-        factory = self._resolve_factory(factory)
-        built, seen = [], []
-        for item in self.items:
-            if item.prop == prop and isinstance(item.filler, Entity) and item.filler not in seen:
-                seen.append(item.filler)
-                descriptor = factory(item.filler)
-                descriptor.read()
-                built.append(descriptor)
-        return built
+        fillers = (
+            item.filler
+            for item in self.items
+            if item.prop == prop and isinstance(item.filler, Entity)
+        )
+        return self._build_each(fillers, factory)
 
 
 def _item_entities(item: Item):

@@ -467,6 +467,32 @@ def different_individuals(a: Entity, b: Entity) -> Axiom:
     return _pair(AxiomTag.DIFFERENT_INDIVIDUALS, a, b)
 
 
+# The one constructor per tag.  They are the only kind checks on axiom
+# arguments; the parser and the descriptor mapping both build through them.
+AXIOM_FACTORIES = {
+    AxiomTag.SUB_PROPERTY: sub_property,
+    AxiomTag.EQUIVALENT_PROPERTIES: equivalent_properties,
+    AxiomTag.DISJOINT_PROPERTIES: disjoint_properties,
+    AxiomTag.INVERSE_PROPERTIES: inverse_properties,
+    AxiomTag.PROPERTY_DOMAIN: property_domain,
+    AxiomTag.PROPERTY_RANGE: property_range,
+    AxiomTag.FUNCTIONAL_PROPERTY: functional,
+    AxiomTag.REFLEXIVE_PROPERTY: reflexive,
+    AxiomTag.SYMMETRIC_PROPERTY: symmetric,
+    AxiomTag.TRANSITIVE_PROPERTY: transitive,
+    AxiomTag.IRREFLEXIVE_PROPERTY: irreflexive,
+    AxiomTag.PROPERTY_CHAIN: property_chain,
+    AxiomTag.SUB_CLASS: sub_class,
+    AxiomTag.EQUIVALENT_CLASSES: equivalent_classes,
+    AxiomTag.DISJOINT_CLASSES: disjoint_classes,
+    AxiomTag.CLASS_DEFINITION: class_definition,
+    AxiomTag.CLASS_ASSERTION: class_assertion,
+    AxiomTag.PROPERTY_ASSERTION: property_assertion,
+    AxiomTag.SAME_INDIVIDUAL: same_individual,
+    AxiomTag.DIFFERENT_INDIVIDUALS: different_individuals,
+}
+
+
 def axiom_entities(axiom: Axiom) -> Iterator[Entity]:
     """Every named entity mentioned by the axiom (literals are skipped)."""
     for arg in axiom.args:

@@ -7,30 +7,49 @@ A document is a sequence of functional-style statements::
     DefineClass(ROOM And(INDOOR Some(hasDoor DOOR) Max(1 hasDoor DOOR)))
     PropertyAssertion(hasDoor Room1 Door1)
 
-Statements may sit one per line or whitespace-separated; `#` starts a
-comment running to end of line.  Names must start with a letter or
-underscore and may then use any character except whitespace, parentheses,
-quotes and `#`.  Literals are written `"text"` (with \\" \\\\ \\n \\t \\r
-escapes), `42`, `3.14` (or exponent form), `true`, `false`.
+Statements may sit one per line or whitespace-separated; any whitespace
+separates tokens, and only a newline starts a new line for error
+positions.  `#` starts a comment running to end of line.  Names must
+start with a letter or underscore and may then use any character except
+whitespace, parentheses, quotes and `#`.  Literals are written `"text"`
+(with \\" \\\\ \\n \\t \\r escapes; a string may not span lines),
+`true`, `false`, integers and doubles.  Numbers use ASCII digits only:
 
-Class expressions use And / Or / Some / Only / Min / Max.  And and Or are
-n-ary; intersection binds tighter than union, so the only accepted nesting
-is a union whose members are atoms or plain intersections of atoms.
-Deeper trees are rejected.
+    integer  [+-]? [0-9]+
+    double   [+-]? ( [0-9]+ ( . [0-9]* )? | . [0-9]+ ) ( [eE] [+-]? [0-9]+ )?
+
+where a double has a point or an exponent (or both) and must be finite.
+Any other word that starts with a digit, a sign or a point is a
+malformed number.
+
+Class expressions use And / Or / Some / Only / Min / Max; a bare name in
+an expression position is that named class.  And and Or are n-ary;
+intersection binds tighter than union, so the only accepted nesting is a
+union whose members are atoms or plain intersections of atoms.  Calls
+therefore nest at most three deep below a statement (statement > Or >
+And > quantifier); a deeper call is a parse error at its head.  The
+count of Min and Max must be an integer token.
 
 References may appear before their declaration: names are resolved only
-after the whole document has been scanned.  Serialization is canonical:
-declarations first (classes, object properties, data properties,
-individuals, each sorted by IRI), then RBox, TBox and ABox axioms, each
-sorted by their rendered line.  Re-serializing a parsed document is
-byte-stable.  Inferred axioms are emitted only on request, rendered as
-`# inferred:` comment lines so the output stays parseable.
+after the whole document has been scanned.  An undeclared name is an
+UnknownEntity error at the name.  Argument kinds are checked by the
+model's axiom and expression constructors alone; a wrong kind anywhere
+in a statement is a ParseError at the statement's head.
+
+Serialization is canonical: declarations first (classes, object
+properties, data properties, individuals, each sorted by IRI), then
+RBox, TBox and ABox axioms, each sorted by their rendered line.
+Re-serializing a parsed document is byte-stable.  Inferred axioms are
+emitted only on request, rendered as `# inferred:` comment lines so the
+output stays parseable.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 
 from . import model
 from .model import (
@@ -62,9 +81,26 @@ class ParseError(model.OntologyError):
 # ---------------------------------------------------------------------------
 # tokens
 
-_NAME_BREAK = set(' \t\r\n()"#')
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _UNESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+
+# Every character starts some alternative, so finditer leaves no gaps.
+# Numbers must end where a word would, or `12ab` would split in two.
+_STRING_BODY = r'"[^"\\\n]*(?:\\["\\ntr][^"\\\n]*)*'
+_WORD_END = r'(?=[\s()"#]|\Z)'
+_TOKEN = re.compile(
+    rf"""(?P<blank>[^\S\n]+|\#[^\n]*)
+    |(?P<paren>[()])
+    |(?P<newline>\n)
+    |(?P<string>{_STRING_BODY}")
+    |(?P<quote>")
+    |(?P<int>[+-]?[0-9]+){_WORD_END}
+    |(?P<double>[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?){_WORD_END}
+    |(?P<word>[^\s()"\#]+)""",
+    re.VERBOSE,
+)
+_OPEN_STRING = re.compile(_STRING_BODY)
+_ESCAPE = re.compile(r"\\(.)")
 
 
 @dataclass(frozen=True)
@@ -78,63 +114,47 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "blank":
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance()
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
             continue
-        if ch == "(" or ch == ")":
-            tokens.append(Token(ch, ch, ch, line, col))
-            advance()
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            advance()
-            out = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise ParseError(start_line, start_col, "unterminated string literal")
-                c = text[i]
-                if c == '"':
-                    advance()
-                    break
-                if c == "\\":
-                    advance()
-                    if i >= n or text[i] not in _ESCAPES:
-                        raise ParseError(line, col, "bad escape in string literal")
-                    out.append(_ESCAPES[text[i]])
-                    advance()
-                else:
-                    out.append(c)
-                    advance()
-            tokens.append(Token("string", "".join(out), "".join(out), start_line, start_col))
-            continue
-        # bareword: name, number or boolean
-        j = i
-        while j < n and text[j] not in _NAME_BREAK:
-            j += 1
-        word = text[i:j]
-        advance(j - i)
-        tokens.append(_classify(word, start_line, start_col))
-    tokens.append(Token("eof", "", None, line, col))
+        word = m.group()
+        col = m.start() - line_start + 1
+        if kind == "paren":
+            append(Token(word, word, word, line, col))
+        elif kind == "word":
+            append(_classify(word, line, col))
+        elif kind == "string":
+            value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], word[1:-1])
+            append(Token("string", value, value, line, col))
+        elif kind == "quote":
+            # the string pattern stopped short: at a bad escape, or at the
+            # end of the line or input
+            stop = _OPEN_STRING.match(text, m.start()).end()
+            if text.startswith("\\", stop):
+                raise ParseError(line, stop + 1 - line_start + 1, "bad escape in string literal")
+            raise ParseError(line, col, "unterminated string literal")
+        else:
+            append(_number(kind, word, line, col))
+    tokens.append(Token("eof", "", None, line, len(text) - line_start + 1))
     return tokens
+
+
+def _number(kind: str, word: str, line: int, col: int) -> Token:
+    try:
+        value = int(word) if kind == "int" else float(word)
+    except ValueError:  # int() refuses very long digit strings
+        value = None
+    # a double too large for a float reads as infinity
+    if value is None or kind == "double" and not math.isfinite(value):
+        raise ParseError(line, col, f"malformed number: {word!r}")
+    return Token(kind, word, value, line, col)
 
 
 def _classify(word: str, line: int, col: int) -> Token:
@@ -144,15 +164,6 @@ def _classify(word: str, line: int, col: int) -> Token:
         return Token("bool", word, False, line, col)
     head = word[0]
     if head.isdigit() or head in "+-.":
-        try:
-            if any(c in word for c in ".eE") and not word.lstrip("+-").isdigit():
-                value = float(word)
-                if math.isfinite(value):  # overflow reads as infinity
-                    return Token("double", word, value, line, col)
-            else:
-                return Token("int", word, int(word), line, col)
-        except ValueError:
-            pass
         raise ParseError(line, col, f"malformed number: {word!r}")
     if not (head.isalpha() or head == "_"):
         raise ParseError(line, col, f"names must start with a letter or underscore: {word!r}")
@@ -169,8 +180,21 @@ _DECLARATIONS = {
     "DataProperty": Kind.DATA_PROPERTY,
     "Individual": Kind.INDIVIDUAL,
 }
-_EXPRESSION_HEADS = {"And", "Or", "Some", "Only", "Min", "Max"}
+# the expression classes are named after their text heads
+_EXPRESSIONS = {cls.__name__: cls for cls in (And, Or, Some, Only, Min, Max)}
 _AXIOM_HEADS = {t.value for t in AxiomTag}
+# Text argument j is axiom argument _TEXT_ORDER[tag][j]; other tags write
+# their arguments in axiom order.
+_TEXT_ORDER = {
+    AxiomTag.CLASS_ASSERTION: (1, 0),
+    AxiomTag.PROPERTY_ASSERTION: (1, 0, 2),
+}
+# statement > Or > And > quantifier: no valid document nests deeper
+_MAX_DEPTH = 3
+_ARITY = {
+    factory: len(inspect.signature(factory).parameters)
+    for factory in (*model.AXIOM_FACTORIES.values(), Some, Only, Min, Max)
+}
 
 
 @dataclass
@@ -206,28 +230,38 @@ class _Parser:
                 raise ParseError(tok.line, tok.col, f"expected a statement, found {tok.text!r}")
             if tok.text not in _DECLARATIONS and tok.text not in _AXIOM_HEADS:
                 raise ParseError(tok.line, tok.col, f"unknown statement: {tok.text!r}")
-            statements.append(self.parse_call(tok))
+            statements.append(self.parse_call(tok, 0))
         return statements
 
-    def parse_call(self, head: Token) -> _Call:
+    def parse_call(self, head: Token, depth: int) -> _Call:
         self.expect("(")
         args: list = []
         while True:
-            tok = self.peek()
+            tok = self.next()
             if tok.typ == ")":
-                self.next()
                 return _Call(head, args)
             if tok.typ == "eof":
                 raise ParseError(tok.line, tok.col, "unexpected end of input inside statement")
-            tok = self.next()
+            if tok.typ == "(":
+                raise ParseError(tok.line, tok.col, "unexpected '('")
             if tok.typ == "name" and self.peek().typ == "(":
-                if tok.text not in _EXPRESSION_HEADS:
+                if tok.text not in _EXPRESSIONS:
                     raise ParseError(
                         tok.line, tok.col, f"unknown expression constructor: {tok.text!r}"
                     )
-                args.append(self.parse_call(tok))
+                if depth == _MAX_DEPTH:
+                    raise ParseError(
+                        tok.line, tok.col, f"{tok.text} nests deeper than statement > Or > And > quantifier"
+                    )
+                args.append(self.parse_call(tok, depth + 1))
             else:
                 args.append(tok)
+
+
+def _check_arity(head: Token, factory, args: list) -> None:
+    arity = _ARITY[factory]
+    if len(args) != arity:
+        raise ParseError(head.line, head.col, f"{head.text} takes {arity} arguments")
 
 
 class _Builder:
@@ -242,207 +276,78 @@ class _Builder:
             kind = _DECLARATIONS.get(st.head.text)
             if kind is None:
                 continue
-            tok = self._one_name(st)
+            if len(st.args) != 1 or not isinstance(st.args[0], Token) or st.args[0].typ != "name":
+                raise ParseError(st.head.line, st.head.col, f"{st.head.text} takes one name")
+            tok = st.args[0]
             try:
                 self.onto.declare(kind, tok.text)
             except model.KindClash as e:
                 raise ParseError(tok.line, tok.col, str(e)) from None
         for st in self.statements:
-            if st.head.text in _DECLARATIONS:
-                continue
-            axiom = self._axiom(st)
-            self.onto.assert_axiom(axiom)
+            if st.head.text not in _DECLARATIONS:
+                self.onto.assert_axiom(self._axiom(st))
         return self.onto
 
-    # -- argument helpers
-
-    def _one_name(self, st: _Call) -> Token:
-        if len(st.args) != 1 or not isinstance(st.args[0], Token) or st.args[0].typ != "name":
-            raise ParseError(st.head.line, st.head.col, f"{st.head.text} takes one name")
-        return st.args[0]
-
-    def _names(self, st: _Call, count: int) -> list[Token]:
-        if len(st.args) != count or any(
-            not isinstance(a, Token) or a.typ != "name" for a in st.args
-        ):
-            raise ParseError(st.head.line, st.head.col, f"{st.head.text} takes {count} names")
-        return st.args
-
-    def _resolve(self, tok: Token, *kinds: Kind) -> Entity:
-        entity = self.onto.maybe_lookup(tok.text)
+    def _arg(self, node) -> object:
+        """A name's entity, a literal token's Literal, or a call's expression."""
+        if isinstance(node, _Call):
+            return self._expression(node, "top")
+        if node.typ != "name":
+            return Literal(node.value)
+        entity = self.onto.maybe_lookup(node.text)
         if entity is None:
             raise model.UnknownEntity(
-                f"line {tok.line}, column {tok.col}: unknown entity {tok.text!r}",
-                tok.line,
-                tok.col,
+                f"line {node.line}, column {node.col}: unknown entity {node.text!r}",
+                node.line,
+                node.col,
             )
-        if kinds and entity.kind not in kinds:
-            wanted = " or ".join(k.value for k in kinds)
-            raise ParseError(tok.line, tok.col, f"{tok.text!r} is a {entity.kind.value}, expected {wanted}")
         return entity
 
-    def _term(self, node) -> model.Term:
-        if isinstance(node, _Call):
-            raise ParseError(node.head.line, node.head.col, "expected an individual or literal")
-        if node.typ == "name":
-            return self._resolve(node, Kind.INDIVIDUAL)
-        if node.typ in ("string", "int", "double", "bool"):
-            return Literal(node.value)
-        raise ParseError(node.line, node.col, f"expected an individual or literal, found {node.text!r}")
-
-    # -- expressions
-
-    def _expression(self, node, mode: str = "top") -> ClassExpression:
+    def _expression(self, node, mode: str) -> ClassExpression:
         # mode limits nesting: a body is an atom, an intersection of atoms,
         # or a union whose members are atoms or intersections of atoms
         if isinstance(node, Token):
-            if node.typ != "name":
-                raise ParseError(node.line, node.col, f"expected a class, found {node.text!r}")
-            return Named(self._resolve(node, Kind.CLASS))
-        head = node.head.text
-        if head in ("And", "Or"):
-            if head == "And" and mode == "and" or head == "Or" and mode != "top":
+            return Named(self._arg(node))
+        head = node.head
+        cls = _EXPRESSIONS[head.text]
+        if cls is And or cls is Or:
+            if cls is And and mode == "and" or cls is Or and mode != "top":
                 raise ParseError(
-                    node.head.line,
-                    node.head.col,
-                    "expression nesting is limited to a union of intersections",
+                    head.line, head.col, "expression nesting is limited to a union of intersections"
                 )
-            inner_mode = "and" if head == "And" else "or"
-            members = tuple(self._expression(a, inner_mode) for a in node.args)
-            if len(members) < 2:
-                raise ParseError(node.head.line, node.head.col, f"{head} needs at least two members")
-            return And(members) if head == "And" else Or(members)
-        if head in ("Some", "Only"):
-            toks = self._names(node, 2)
-            prop = self._resolve(toks[0], Kind.OBJECT_PROPERTY)
-            filler = self._resolve(toks[1], Kind.CLASS)
-            return Some(prop, filler) if head == "Some" else Only(prop, filler)
-        # Min / Max
-        if len(node.args) != 3 or not isinstance(node.args[0], Token) or node.args[0].typ != "int":
-            raise ParseError(node.head.line, node.head.col, f"{head} takes a count, a property and a class")
-        count = node.args[0].value
-        for a in node.args[1:]:
-            if not isinstance(a, Token) or a.typ != "name":
-                raise ParseError(node.head.line, node.head.col, f"{head} takes a count, a property and a class")
-        prop = self._resolve(node.args[1], Kind.OBJECT_PROPERTY)
-        filler = self._resolve(node.args[2], Kind.CLASS)
-        try:
-            return Min(count, prop, filler) if head == "Min" else Max(count, prop, filler)
-        except model.OntologyError as e:
-            raise ParseError(node.head.line, node.head.col, str(e)) from None
-
-    # -- statements
+            inner_mode = "and" if cls is And else "or"
+            return cls(tuple(self._expression(a, inner_mode) for a in node.args))
+        args = [self._arg(a) for a in node.args]
+        _check_arity(head, cls, args)
+        if cls is Min or cls is Max:
+            count = node.args[0]
+            if not isinstance(count, Token) or count.typ != "int":
+                raise ParseError(head.line, head.col, f"{head.text} takes an integer count first")
+            args[0] = count.value
+        return cls(*args)
 
     def _axiom(self, st: _Call) -> Axiom:
-        head = st.head.text
+        head = st.head
         try:
-            return getattr(self, "_st_" + head)(st)
-        except model.KindMismatch as e:
-            raise ParseError(st.head.line, st.head.col, str(e)) from None
-
-    def _st_SubClassOf(self, st):
-        a, b = self._names(st, 2)
-        return model.sub_class(self._resolve(a, Kind.CLASS), self._resolve(b, Kind.CLASS))
-
-    def _st_EquivalentClasses(self, st):
-        if len(st.args) != 2:
-            raise ParseError(st.head.line, st.head.col, "EquivalentClasses takes two arguments")
-        first, second = st.args
-        if not isinstance(first, Token) or first.typ != "name":
-            raise ParseError(st.head.line, st.head.col, "the first argument must be a class name")
-        cls = self._resolve(first, Kind.CLASS)
-        if isinstance(second, Token):
-            return model.equivalent_classes(cls, self._resolve(second, Kind.CLASS))
-        return model.class_definition(cls, self._expression(second))
-
-    def _st_DisjointClasses(self, st):
-        a, b = self._names(st, 2)
-        return model.disjoint_classes(self._resolve(a, Kind.CLASS), self._resolve(b, Kind.CLASS))
-
-    def _st_DefineClass(self, st):
-        if len(st.args) != 2 or not isinstance(st.args[0], Token):
-            raise ParseError(st.head.line, st.head.col, "DefineClass takes a class name and an expression")
-        cls = self._resolve(st.args[0], Kind.CLASS)
-        return model.class_definition(cls, self._expression(st.args[1]))
-
-    def _st_SubPropertyOf(self, st):
-        a, b = self._names(st, 2)
-        return model.sub_property(self._resolve_prop(a), self._resolve_prop(b))
-
-    def _st_EquivalentProperties(self, st):
-        a, b = self._names(st, 2)
-        return model.equivalent_properties(self._resolve_prop(a), self._resolve_prop(b))
-
-    def _st_DisjointProperties(self, st):
-        a, b = self._names(st, 2)
-        return model.disjoint_properties(self._resolve_prop(a), self._resolve_prop(b))
-
-    def _st_InverseProperties(self, st):
-        a, b = self._names(st, 2)
-        return model.inverse_properties(
-            self._resolve(a, Kind.OBJECT_PROPERTY), self._resolve(b, Kind.OBJECT_PROPERTY)
-        )
-
-    def _st_PropertyDomain(self, st):
-        a, b = self._names(st, 2)
-        return model.property_domain(self._resolve_prop(a), self._resolve(b, Kind.CLASS))
-
-    def _st_PropertyRange(self, st):
-        a, b = self._names(st, 2)
-        return model.property_range(self._resolve_prop(a), self._resolve(b, Kind.CLASS))
-
-    def _resolve_prop(self, tok: Token) -> Entity:
-        return self._resolve(tok, Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY)
-
-    def _st_FunctionalProperty(self, st):
-        return model.functional(self._resolve_prop(self._one_name(st)))
-
-    def _st_SymmetricProperty(self, st):
-        return model.symmetric(self._resolve(self._one_name(st), Kind.OBJECT_PROPERTY))
-
-    def _st_ReflexiveProperty(self, st):
-        return model.reflexive(self._resolve(self._one_name(st), Kind.OBJECT_PROPERTY))
-
-    def _st_TransitiveProperty(self, st):
-        return model.transitive(self._resolve(self._one_name(st), Kind.OBJECT_PROPERTY))
-
-    def _st_IrreflexiveProperty(self, st):
-        return model.irreflexive(self._resolve(self._one_name(st), Kind.OBJECT_PROPERTY))
-
-    def _st_SubPropertyChain(self, st):
-        a, b, c = self._names(st, 3)
-        return model.property_chain(
-            self._resolve(a, Kind.OBJECT_PROPERTY),
-            self._resolve(b, Kind.OBJECT_PROPERTY),
-            self._resolve(c, Kind.OBJECT_PROPERTY),
-        )
-
-    def _st_ClassAssertion(self, st):
-        a, b = self._names(st, 2)
-        return model.class_assertion(self._resolve(b, Kind.INDIVIDUAL), self._resolve(a, Kind.CLASS))
-
-    def _st_PropertyAssertion(self, st):
-        if len(st.args) != 3:
-            raise ParseError(st.head.line, st.head.col, "PropertyAssertion takes a property, a subject and a filler")
-        prop_tok, subj_tok, filler = st.args
-        for tok in (prop_tok, subj_tok):
-            if not isinstance(tok, Token) or tok.typ != "name":
-                raise ParseError(st.head.line, st.head.col, "PropertyAssertion takes a property, a subject and a filler")
-        prop = self._resolve_prop(prop_tok)
-        subject = self._resolve(subj_tok, Kind.INDIVIDUAL)
-        return model.property_assertion(subject, prop, self._term(filler))
-
-    def _st_SameIndividual(self, st):
-        a, b = self._names(st, 2)
-        return model.same_individual(
-            self._resolve(a, Kind.INDIVIDUAL), self._resolve(b, Kind.INDIVIDUAL)
-        )
-
-    def _st_DifferentIndividuals(self, st):
-        a, b = self._names(st, 2)
-        return model.different_individuals(
-            self._resolve(a, Kind.INDIVIDUAL), self._resolve(b, Kind.INDIVIDUAL)
-        )
+            args = [self._arg(a) for a in st.args]
+            tag = AxiomTag(head.text)
+            # a composite second class makes a definition; a named body is
+            # the named class expression
+            if tag is AxiomTag.EQUIVALENT_CLASSES and len(args) == 2 and isinstance(st.args[1], _Call):
+                tag = AxiomTag.CLASS_DEFINITION
+            if tag is AxiomTag.CLASS_DEFINITION and len(args) == 2 and isinstance(args[1], Entity):
+                args[1] = Named(args[1])
+            factory = model.AXIOM_FACTORIES[tag]
+            _check_arity(head, factory, args)
+            order = _TEXT_ORDER.get(tag)
+            if order:
+                args = [arg for _, arg in sorted(zip(order, args))]
+            return factory(*args)
+        except (ParseError, model.UnknownEntity):
+            raise
+        except model.OntologyError as e:
+            # the factories and expression classes are the kind checks
+            raise ParseError(head.line, head.col, str(e)) from None
 
 
 def parse(text: str) -> Ontology:
@@ -474,36 +379,34 @@ def render_term(term) -> str:
     return term.iri
 
 
+def _render_arg(arg) -> str:
+    if isinstance(arg, Entity):
+        return arg.iri
+    if isinstance(arg, Literal):
+        return render_literal(arg)
+    if isinstance(arg, int):  # a Min / Max count
+        return str(arg)
+    return render_expression(arg)
+
+
 def render_expression(expr: ClassExpression) -> str:
     if isinstance(expr, Named):
         return expr.cls.iri
     if isinstance(expr, (And, Or)):
-        head = "And" if isinstance(expr, And) else "Or"
-        return f"{head}({' '.join(render_expression(m) for m in expr.members)})"
-    if isinstance(expr, Some):
-        return f"Some({expr.prop.iri} {expr.filler.iri})"
-    if isinstance(expr, Only):
-        return f"Only({expr.prop.iri} {expr.filler.iri})"
-    if isinstance(expr, Min):
-        return f"Min({expr.count} {expr.prop.iri} {expr.filler.iri})"
-    return f"Max({expr.count} {expr.prop.iri} {expr.filler.iri})"
+        args = expr.members
+    else:
+        args = [getattr(expr, f.name) for f in fields(expr)]
+    return f"{type(expr).__name__}({' '.join(_render_arg(a) for a in args)})"
 
 
 def render_axiom(axiom: Axiom) -> str:
-    tag = axiom.tag
-    if tag is AxiomTag.CLASS_ASSERTION:
-        individual, cls = axiom.args
-        args = (cls.iri, individual.iri)
-    elif tag is AxiomTag.PROPERTY_ASSERTION:
-        subject, prop, filler = axiom.args
-        rendered = filler.iri if isinstance(filler, Entity) else render_literal(filler)
-        args = (prop.iri, subject.iri, rendered)
-    elif tag is AxiomTag.CLASS_DEFINITION:
-        cls, expr = axiom.args
-        args = (cls.iri, render_expression(expr))
-    else:
-        args = tuple(a.iri for a in axiom.args)
-    return f"{tag.value}({' '.join(args)})"
+    args = axiom.args
+    order = _TEXT_ORDER.get(axiom.tag)
+    if order:
+        args = [args[i] for i in order]
+    # entities are most arguments; skip the dispatch for them
+    text = " ".join([a.iri if type(a) is Entity else _render_arg(a) for a in args])
+    return f"{axiom.tag.value}({text})"
 
 
 _BOX_ORDER = {Box.RBOX: 0, Box.TBOX: 1, Box.ABOX: 2}

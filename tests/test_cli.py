@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from ontodesc import model
@@ -104,6 +106,13 @@ class TestSerialize:
         assert code == EXIT_PARSE
         assert "parse error" in err
 
+    def test_deep_nesting_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "deep.onto"
+        path.write_text("Class(A)\nDefineClass(A " + "And(A " * 2000 + ")" * 2001, encoding="utf-8")
+        code, _, err = run(capsys, "reason", "--ontology", str(path))
+        assert code == EXIT_PARSE
+        assert err.startswith("parse error: line 2, column ")
+
 
 class TestExample1:
     def test_prints_sorted_types(self, capsys):
@@ -129,6 +138,18 @@ class TestExample1:
         code, out, _ = run(capsys, "reachable", "--ontology", str(seed_file))
         assert code == EXIT_OK
         assert out.splitlines() == ["Location3 ROOM", "Room1 ROOM", "Room2 ROOM"]
+
+    def test_failed_save_leaves_the_file_untouched(self, capsys, seed_file, monkeypatch):
+        before = seed_file.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            main(["example1", "--ontology", str(seed_file), "Location3", "Corridor1", "Door3"])
+        assert seed_file.read_bytes() == before
+        assert list(seed_file.parent.iterdir()) == [seed_file]
 
     def test_unknown_connected_location_exits_two(self, capsys):
         code, _, err = run(capsys, "example1", "Location3", "Nowhere", "Door3")

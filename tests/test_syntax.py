@@ -45,6 +45,29 @@ class TestTokenizer:
     def test_comments_run_to_end_of_line(self):
         assert [t.text for t in tokenize("A # B C\nD") if t.typ != "eof"] == ["A", "D"]
 
+    @pytest.mark.parametrize(
+        "word, typ, value",
+        [("+5", "int", 5), ("-0", "int", 0), (".5", "double", 0.5), ("5.", "double", 5.0),
+         ("1e3", "double", 1000.0), ("+.5e-1", "double", 0.05)],
+    )
+    def test_number_shapes_accepted(self, word, typ, value):
+        [token, _] = tokenize(word)
+        assert (token.typ, token.value) == (typ, value)
+
+    # underscores and non-ASCII digits are not in the grammar; an integer
+    # longer than int() reads is malformed, not a crash
+    @pytest.mark.parametrize("word", ["1_000", "1_0.5", "\u0663", "+1_0", "12ab", "1.5e", "9" * 5000])
+    def test_number_shapes_rejected(self, word):
+        with pytest.raises(ParseError) as err:
+            tokenize(f"x {word}")
+        assert (err.value.line, err.value.col) == (1, 3)
+        assert "malformed number" in str(err.value)
+
+    def test_any_whitespace_separates_tokens(self):
+        assert [t.text for t in tokenize("A\u00a0B\x0cC") if t.typ != "eof"] == ["A", "B", "C"]
+        onto = parse("Class(A)\u2003Class(B)")
+        assert {e.iri for e in onto.entities_of_kind(Kind.CLASS)} >= {"A", "B"}
+
     def test_overflowing_double_is_a_positioned_parse_error(self):
         with pytest.raises(ParseError) as err:
             parse("DataProperty(d) Individual(x)\nPropertyAssertion(d x 1e999)")
@@ -74,6 +97,22 @@ class TestParser:
             parse("Class(A) Individual(x) SubClassOf(A x)")
         with pytest.raises(ParseError):
             parse("Class(A) SubClassOf(string A)")
+
+    def test_kind_error_is_reported_at_the_statement_head(self):
+        with pytest.raises(ParseError) as err:
+            parse("Class(A) Individual(x)\n  SubClassOf(A x)")
+        assert (err.value.line, err.value.col) == (2, 3)
+
+    def test_min_count_must_be_an_integer_token(self):
+        with pytest.raises(ParseError):
+            parse("Class(A) ObjectProperty(p) DefineClass(A Min(true p A))")
+
+    def test_deep_nesting_is_a_parse_error_at_the_first_deep_head(self):
+        text = "Class(A)\nDefineClass(A " + "And(A " * 2000 + ")" * 2001
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        # DefineClass > And > And > And is allowed; the fourth And is not
+        assert (err.value.line, err.value.col) == (2, 15 + 3 * len("And(A "))
 
     def test_punning_is_a_parse_error(self):
         with pytest.raises(ParseError):
@@ -157,3 +196,29 @@ def test_arbitrary_string_literals_roundtrip(value):
     rendered = render_literal(Literal(value))
     token = tokenize(rendered)[0]
     assert token.typ == "string" and token.value == value
+
+
+_DECLARED = "Class(A) ObjectProperty(p) DataProperty(d) Individual(x)\n"
+_HEADS = [t.value for t in AxiomTag] + ["Class", "Individual", "And", "Or", "Some", "Only", "Min", "Max"]
+_SOUP_PARTS = st.one_of(
+    st.sampled_from(_HEADS + ["(", ")", "A", "p", "d", "x", "THING", "string", "Nobody"]),
+    st.sampled_from(['"', '"open', "# comment", "\n", "\\", '"\\q"', "\u00a0", "true", "1e999"]),
+    st.integers().map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(max_size=6),
+    st.text(max_size=60).map(lambda t: render_literal(Literal(t))),
+    # deep calls, deep parens, long literals, unterminated strings
+    st.integers(1, 3000).map(lambda n: "DefineClass(A " + "And(A " * n),
+    st.integers(1, 3000).map(lambda n: "(" * n + ")" * n),
+    st.integers(1, 6000).map(lambda n: "9" * n),
+    st.integers(1, 6000).map(lambda n: '"' + "s" * n),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(_SOUP_PARTS, max_size=24))
+def test_adversarial_input_parses_or_raises_a_parse_error(parts):
+    try:
+        parse(_DECLARED + " ".join(parts))
+    except (ParseError, UnknownEntity):
+        pass
