@@ -550,6 +550,53 @@ def mentions_at_ground(axiom: Axiom, ground: Entity, at: int = 0) -> bool:
     return axiom.args[at] == ground
 
 
+class _GroundIndex:
+    """One axiom partition's axioms by (tag, ground position, entity).
+
+    A slot per (tag, position) maps each entity to the axioms holding it
+    there; unordered pair tags have one slot, holding each axiom under
+    both arguments.  A slot is built by one pass over the partition on
+    its first lookup, and add/remove keep the built slots current.
+    """
+
+    def __init__(self, axioms):
+        self._axioms = axioms
+        self._slots: dict[AxiomTag, dict] = {}  # tag -> position -> entity -> axioms
+
+    @staticmethod
+    def _grounds(axiom: Axiom, at):
+        return axiom.args if at is None else (axiom.args[at],)
+
+    def lookup(self, tag: AxiomTag, ground, at: int):
+        if tag in ORDERLESS_TAGS:
+            at = None
+        slot = self._slots.get(tag, {}).get(at)
+        if slot is None:
+            slot = {}
+            for axiom in self._axioms:
+                if axiom.tag is tag:
+                    for g in self._grounds(axiom, at):
+                        slot.setdefault(g, set()).add(axiom)
+            self._slots.setdefault(tag, {})[at] = slot
+        return slot.get(ground, ())
+
+    def add(self, axiom: Axiom) -> None:
+        if self._slots:
+            for at, slot in self._slots.get(axiom.tag, {}).items():
+                for g in self._grounds(axiom, at):
+                    slot.setdefault(g, set()).add(axiom)
+
+    def remove(self, axiom: Axiom) -> None:
+        if self._slots:
+            for at, slot in self._slots.get(axiom.tag, {}).items():
+                for g in self._grounds(axiom, at):
+                    bucket = slot.get(g)  # a pair of equal arguments empties it once
+                    if bucket is not None:
+                        bucket.discard(axiom)
+                        if not bucket:
+                            del slot[g]
+
+
 # ---------------------------------------------------------------------------
 # the store
 
@@ -561,12 +608,25 @@ class Ontology:
     The inferred partition belongs to the reasoner; it is read through the
     "entailed" view, which is the union of both partitions and is guarded
     by a staleness check.
+
+    axioms() copies a whole view and is meant for bulk work (reasoning,
+    serializing).  contains() and axioms_about() are lookups.
+    axioms_about() reads one ground index per partition, keyed by
+    (tag, argument position, entity) - or (tag, entity) for unordered
+    pair tags.  Each (tag, position) slot of an index is built on the
+    first query that needs it, so parse -> reason -> serialize builds
+    none.  Built slots of the asserted index are kept current by
+    assert_axiom / retract_axiom; the inferred index is dropped whenever
+    the reasoner installs a new partition, and its slots are rebuilt by
+    the entailed queries that follow.
     """
 
     def __init__(self):
         self._vocab: dict[str, Entity] = {e.iri: e for e in BUILTINS}
         self._asserted: set[Axiom] = set()
         self._inferred: frozenset[Axiom] = frozenset()
+        self._asserted_index = _GroundIndex(self._asserted)
+        self._inferred_index = _GroundIndex(self._inferred)
         self._generation = 0
         self._closure_generation = -1
         self._closure = None
@@ -631,6 +691,7 @@ class Ontology:
         if axiom in self._asserted:
             return False
         self._asserted.add(axiom)
+        self._asserted_index.add(axiom)
         self._generation += 1
         return True
 
@@ -640,6 +701,7 @@ class Ontology:
         if axiom not in self._asserted:
             return False
         self._asserted.remove(axiom)
+        self._asserted_index.remove(axiom)
         self._generation += 1
         return True
 
@@ -654,6 +716,7 @@ class Ontology:
     def _install_closure(self, closure, inferred: frozenset) -> None:
         # called by the reasoner only
         self._inferred = inferred
+        self._inferred_index = _GroundIndex(inferred)
         self._closure = closure
         self._closure_generation = self._generation
 
@@ -662,14 +725,24 @@ class Ontology:
             raise StaleClosure("reason() must run before entailed reads")
         return self._closure
 
-    def axioms(self, view: str = "asserted") -> frozenset[Axiom]:
+    def _entailed_view(self, view: str) -> bool:
+        """True for the entailed view, False for the asserted one.
+
+        Raises StaleClosure for an entailed view the reasoner has not
+        caught up with, and ValueError for any other view name.
+        """
         if view == "asserted":
-            return frozenset(self._asserted)
+            return False
         if view == "entailed":
             if self.stale:
                 raise StaleClosure("entailed view requested after mutations; run reason()")
-            return frozenset(self._asserted) | self._inferred
+            return True
         raise ValueError(f"view must be 'asserted' or 'entailed', got {view!r}")
+
+    def axioms(self, view: str = "asserted") -> frozenset[Axiom]:
+        if self._entailed_view(view):
+            return frozenset(self._asserted) | self._inferred
+        return frozenset(self._asserted)
 
     def inferred_axioms(self) -> frozenset[Axiom]:
         if self.stale:
@@ -679,15 +752,22 @@ class Ontology:
     def axioms_about(
         self, tag: AxiomTag, ground: Entity, view: str = "asserted", at: int = 0
     ) -> set[Axiom]:
-        """The `tag` axioms of `view` with `ground` in ground position `at`."""
-        return {
-            a
-            for a in self.axioms(view)
-            if a.tag is tag and mentions_at_ground(a, ground, at)
-        }
+        """The `tag` axioms of `view` with `ground` in ground position `at`.
+
+        A fresh set, looked up in the ground indexes (see the class
+        docstring); `at` is ignored for unordered pair tags.
+        """
+        entailed = self._entailed_view(view)
+        found = set(self._asserted_index.lookup(tag, ground, at))
+        if entailed:
+            found.update(self._inferred_index.lookup(tag, ground, at))
+        return found
 
     def contains(self, axiom: Axiom, view: str = "asserted") -> bool:
-        return canonical(axiom) in self.axioms(view)
+        axiom = canonical(axiom)
+        if self._entailed_view(view):
+            return axiom in self._asserted or axiom in self._inferred
+        return axiom in self._asserted
 
     def assert_all(self, axioms: Iterable[Axiom]) -> None:
         for a in axioms:

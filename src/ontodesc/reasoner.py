@@ -64,6 +64,7 @@ Consistency checks (reported as violations, never derived from):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .model import (
@@ -84,7 +85,6 @@ from .model import (
     Or,
     Some,
     StaleClosure,
-    canonical,
     class_assertion,
     property_assertion,
     same_individual,
@@ -106,6 +106,16 @@ class Closure:
 
     All query methods re-check that the underlying ontology has not been
     mutated since the run; if it has, they raise StaleClosure.
+
+    Every query is a lookup.  `fillers` and `links_of` read the
+    subject -> property -> fillers map that the run builds for its own
+    definition checks, and `types_of` the run's membership map.
+    `instances_of` and the two `direct_*` taxonomy queries read indexes
+    derived from those maps: the class -> instances inversion and the
+    transitive reduction of the subsumption reach.  Each is built on the
+    first query that needs it and kept for the life of the Closure; the
+    run's data never changes, and a later mutation makes the whole
+    Closure stale rather than its indexes.
     """
 
     ontology: Ontology
@@ -129,7 +139,7 @@ class Closure:
 
     def is_entailed(self, axiom: Axiom) -> bool:
         self._check_fresh()
-        if canonical(axiom) in self.ontology.axioms("entailed"):
+        if self.ontology.contains(axiom, "entailed"):
             return True
         # tautologies (reflexive subsumption, lattice bounds, ...) hold
         # everywhere but are never materialised
@@ -145,48 +155,44 @@ class Closure:
 
     # -- taxonomy
 
-    def _named_classes(self):
-        return [
-            c
-            for c in self.ontology.entities_of_kind(Kind.CLASS)
-            if c not in DATATYPES
-        ]
-
     def direct_subclasses(self, cls: Entity) -> set[Entity]:
         """Named strict subclasses with nothing strictly in between.
 
         A class with no named strict subclass reports {NOTHING}; NOTHING
-        itself reports the empty set.
-        """
-        return self._direct(cls, below=True)
-
-    def direct_superclasses(self, cls: Entity) -> set[Entity]:
-        return self._direct(cls, below=False)
-
-    def _direct(self, cls: Entity, below: bool) -> set[Entity]:
-        """The taxonomy neighbours of `cls` on one side.
-
-        (lo, hi) orients each comparison so one walk serves both sides:
-        hi is strictly above lo when it is in lo's reach (which never
-        holds lo itself) and lo is not in hi's.  The candidates sit
-        strictly on the walked side of `cls`, so none is equivalent to it.
+        itself reports the empty set.  Classes equivalent to `cls` are
+        not strictly below it, and equivalent classes below it are all
+        reported.
         """
         self._check_fresh()
+        return set(self._taxonomy[1].get(cls, ()))
+
+    def direct_superclasses(self, cls: Entity) -> set[Entity]:
+        self._check_fresh()
+        return set(self._taxonomy[0].get(cls, ()))
+
+    @cached_property
+    def _taxonomy(self) -> tuple[dict, dict]:
+        """The transitive reduction of the strict subsumption order.
+
+        Returns (above, below): each class's direct superclasses and
+        direct subclasses.  hi is strictly above lo when it is in lo's
+        reach and lo is not in hi's (which excludes equivalents); a
+        strict superclass is direct when no other strict superclass of
+        lo lies strictly below it.
+        """
         reach = self._class_reach
-        candidates = []
-        for c in self._named_classes():
-            lo, hi = (c, cls) if below else (cls, c)
-            if hi in reach.get(lo, ()) and lo not in reach.get(hi, ()):
-                candidates.append(c)
-        direct = set()
-        for c in candidates:
-            for m in candidates:
-                lo, hi = (c, m) if below else (m, c)
-                if hi in reach.get(lo, ()) and lo not in reach.get(hi, ()):
-                    break
-            else:
-                direct.add(c)
-        return direct
+        strictly_above = {
+            lo: {hi for hi in his if lo not in reach[hi]} for lo, his in reach.items()
+        }
+        above = {}
+        below = {}
+        for lo, his in strictly_above.items():
+            between = set().union(*(strictly_above[m] for m in his))
+            direct = his - between
+            above[lo] = direct
+            for hi in direct:
+                below.setdefault(hi, set()).add(lo)
+        return above, below
 
     # -- individuals
 
@@ -206,15 +212,26 @@ class Closure:
 
     def instances_of(self, cls: Entity) -> set[Entity]:
         self._check_fresh()
-        return {ind for ind, types in self._types.items() if cls in types}
+        return set(self._instances.get(cls, ()))
+
+    @cached_property
+    def _instances(self) -> dict:
+        """class -> its instances, the inversion of the membership map."""
+        instances = {}
+        for ind, types in self._types.items():
+            for cls in types:
+                instances.setdefault(cls, set()).add(ind)
+        return instances
 
     def fillers(self, individual: Entity, prop: Entity) -> set:
         self._check_fresh()
-        return {f for s, p, f in self._links if s == individual and p == prop}
+        return set(self._links.get(individual, {}).get(prop, ()))
 
     def links_of(self, individual: Entity) -> set:
         self._check_fresh()
-        return {(p, f) for s, p, f in self._links if s == individual}
+        return {
+            (p, f) for p, fs in self._links.get(individual, {}).items() for f in fs
+        }
 
     def same_as(self, a: Entity, b: Entity) -> bool:
         self._check_fresh()
@@ -276,7 +293,7 @@ def _satisfies(expr, ind, types, link_index, rep) -> bool:
         return all(_satisfies(m, ind, types, link_index, rep) for m in expr.members)
     if isinstance(expr, Or):
         return any(_satisfies(m, ind, types, link_index, rep) for m in expr.members)
-    fillers = link_index.get((ind, expr.prop), ())
+    fillers = link_index.get(ind, {}).get(expr.prop, ())
     named = [f for f in fillers if isinstance(f, Entity)]
     if isinstance(expr, Some):
         return any(expr.filler in types.get(f, ()) for f in named)
@@ -410,9 +427,10 @@ def reason(onto: Ontology) -> Closure:
                 if other != f:
                     put(s, p, other)
 
-    link_index: dict[tuple, set] = {}
+    # subject -> property -> fillers; kept by the Closure for its queries
+    link_index: dict[Entity, dict[Entity, set]] = {}
     for s, p, f in links:
-        link_index.setdefault((s, p), set()).add(f)
+        link_index.setdefault(s, {}).setdefault(p, set()).add(f)
 
     # phase three: memberships in snapshot rounds ----------------------------
     domains: dict[Entity, set[Entity]] = {}
@@ -484,9 +502,8 @@ def reason(onto: Ontology) -> Closure:
                 )
     for a in tagged(AxiomTag.FUNCTIONAL_PROPERTY):
         p = a.args[0]
-        for (s, q), fs in link_index.items():
-            if q != p:
-                continue
+        for s, by_prop in link_index.items():
+            fs = by_prop.get(p, ())
             distinct = {
                 rep.get(f, f) if isinstance(f, Entity) else f for f in fs
             }
@@ -537,7 +554,7 @@ def reason(onto: Ontology) -> Closure:
         _prop_reach=prop_reach,
         _same_rep=rep,
         _types=types,
-        _links=links,
+        _links=link_index,
     )
     onto._install_closure(closure, inferred)
     return closure
