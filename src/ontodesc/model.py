@@ -74,6 +74,12 @@ class Entity:
     def __repr__(self):
         return f"{self.kind.value}:{self.iri}"
 
+    def __hash__(self):
+        # Equal entities share an IRI, and str caches its own hash; the
+        # generated hash would rebuild (kind, iri) and call the
+        # Python-level Enum.__hash__ on every set or dict probe.
+        return hash(self.iri)
+
 
 class Literal:
     """A typed literal value: string, integer, boolean or double.

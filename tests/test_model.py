@@ -57,6 +57,13 @@ class TestEntity:
         assert Entity(Kind.CLASS, "A") == Entity(Kind.CLASS, "A")
         assert Entity(Kind.CLASS, "A") != Entity(Kind.INDIVIDUAL, "A")
 
+    def test_hash_is_the_iri_hash(self):
+        # the frozen dataclass must keep the explicit __hash__, and punned
+        # entities still hash together but never compare equal
+        assert hash(Entity(Kind.CLASS, "A")) == hash("A")
+        assert hash(Entity(Kind.INDIVIDUAL, "A")) == hash("A")
+        assert len({Entity(Kind.CLASS, "A"), Entity(Kind.INDIVIDUAL, "A")}) == 2
+
 
 class TestLiteral:
     def test_type_distinguishes_equal_looking_values(self):
