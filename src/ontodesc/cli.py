@@ -15,8 +15,9 @@ a file.  example1 additionally saves the updated world back to that
 file, so flows can be chained.  Output is plain text, one record per
 line, deterministic for a fixed (file, flags, seed).
 
-Exit codes: 0 ok, 1 parse error, 2 unknown entity, 3 inconsistent
-world, 4 missing filler (no position or no door).
+Exit codes: 0 ok, 1 parse error or i/o error (an ontology file that
+cannot be read, or a failed example1 save), 2 unknown entity, 3
+inconsistent world, 4 missing filler (no position or no door).
 """
 
 from __future__ import annotations
@@ -195,6 +196,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except FileNotFoundError as exc:
         print(f"cannot read ontology: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except UnknownEntity as exc:
         print(f"unknown entity: {exc}", file=sys.stderr)

@@ -99,6 +99,11 @@ class TestSerialize:
         assert code == EXIT_PARSE
         assert "cannot read ontology" in err
 
+    def test_directory_path_exits_one(self, capsys, tmp_path):
+        code, _, err = run(capsys, "reason", "--ontology", str(tmp_path))
+        assert code == EXIT_PARSE
+        assert err.startswith("i/o error: ")
+
     def test_bad_syntax_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.onto"
         path.write_text("Class(A SubClassOf", encoding="utf-8")
@@ -146,8 +151,11 @@ class TestExample1:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError):
-            main(["example1", "--ontology", str(seed_file), "Location3", "Corridor1", "Door3"])
+        code, _, err = run(
+            capsys, "example1", "--ontology", str(seed_file), "Location3", "Corridor1", "Door3"
+        )
+        assert code == EXIT_PARSE
+        assert err == "i/o error: disk full\n"
         assert seed_file.read_bytes() == before
         assert list(seed_file.parent.iterdir()) == [seed_file]
 
