@@ -9,6 +9,10 @@ inside a phase is naive.
 
 subsumption_reachability and transitive_fillers express two laws as
 plain graph problems on networkx.
+
+The *_scan functions are the linear scans that the store's and the
+Closure's query indexes replaced, kept as references for them.  They
+read the entailed view, not the Closure's private maps.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from ontodesc.model import (
     THING,
     class_assertion,
     property_assertion,
+    mentions_at_ground,
     same_individual,
     sub_class,
     sub_property,
@@ -293,3 +298,75 @@ def transitive_fillers(onto: Ontology, prop: Entity) -> set[tuple]:
             graph.add_edge(a.args[0], a.args[2])
     closure = nx.transitive_closure(graph)
     return set(closure.edges)
+
+
+# ---------------------------------------------------------------------------
+# query scans
+
+
+def axioms_about_scan(axioms, tag: AxiomTag, ground, at: int = 0) -> set:
+    """Ontology.axioms_about over one view's axioms, by scanning them."""
+    return {a for a in axioms if a.tag is tag and mentions_at_ground(a, ground, at)}
+
+
+def entailed_links(onto: Ontology) -> set[tuple]:
+    """Every entailed (subject, property, filler) triple."""
+    return {
+        tuple(a.args)
+        for a in onto.axioms("entailed")
+        if a.tag is AxiomTag.PROPERTY_ASSERTION
+    }
+
+
+def fillers_scan(links: set[tuple], individual: Entity, prop: Entity) -> set:
+    return {f for s, p, f in links if s == individual and p == prop}
+
+
+def links_of_scan(links: set[tuple], individual: Entity) -> set:
+    return {(p, f) for s, p, f in links if s == individual}
+
+
+def entailed_types(onto: Ontology) -> dict[Entity, set]:
+    """Each individual's entailed classes."""
+    types = {ind: set() for ind in onto.individuals()}
+    for a in onto.axioms("entailed"):
+        if a.tag is AxiomTag.CLASS_ASSERTION:
+            types[a.args[0]].add(a.args[1])
+    return types
+
+
+def instances_of_scan(types: dict, cls: Entity) -> set:
+    return {ind for ind, ts in types.items() if cls in ts}
+
+
+def entailed_reach(onto: Ontology) -> dict[Entity, set]:
+    """Each named class's strict entailed superclasses, equivalents included."""
+    reach = {c: set() for c in _named_classes(onto)}
+    for a in onto.axioms("entailed"):
+        if a.tag is AxiomTag.SUB_CLASS and a.args[0] != a.args[1]:
+            reach[a.args[0]].add(a.args[1])
+    return reach
+
+
+def direct_scan(onto: Ontology, reach: dict, cls: Entity, below: bool) -> set:
+    """The taxonomy neighbours of `cls` on one side, by a double loop.
+
+    (lo, hi) orients each comparison so one walk serves both sides:
+    hi is strictly above lo when it is in lo's reach and lo is not in
+    hi's.  A candidate is direct when no other candidate lies strictly
+    between it and `cls`.
+    """
+    candidates = []
+    for c in _named_classes(onto):
+        lo, hi = (c, cls) if below else (cls, c)
+        if hi in reach.get(lo, ()) and lo not in reach.get(hi, ()):
+            candidates.append(c)
+    direct = set()
+    for c in candidates:
+        for m in candidates:
+            lo, hi = (c, m) if below else (m, c)
+            if hi in reach.get(lo, ()) and lo not in reach.get(hi, ()):
+                break
+        else:
+            direct.add(c)
+    return direct
