@@ -164,11 +164,13 @@ class Closure:
         reported.
         """
         self._check_fresh()
-        return set(self._taxonomy[1].get(cls, ()))
+        _, below = self._taxonomy
+        return set(below.get(cls, ()))
 
     def direct_superclasses(self, cls: Entity) -> set[Entity]:
         self._check_fresh()
-        return set(self._taxonomy[0].get(cls, ()))
+        above, _ = self._taxonomy
+        return set(above.get(cls, ()))
 
     @cached_property
     def _taxonomy(self) -> tuple[dict, dict]:
