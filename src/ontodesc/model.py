@@ -586,21 +586,23 @@ class _GroundIndex:
             self._slots.setdefault(tag, {})[at] = slot
         return slot.get(ground, ())
 
+    def _built_slots(self, axiom: Axiom):
+        # no slot is built on the bulk load path; skip even the tag lookup
+        return self._slots.get(axiom.tag, {}).items() if self._slots else ()
+
     def add(self, axiom: Axiom) -> None:
-        if self._slots:
-            for at, slot in self._slots.get(axiom.tag, {}).items():
-                for g in self._grounds(axiom, at):
-                    slot.setdefault(g, set()).add(axiom)
+        for at, slot in self._built_slots(axiom):
+            for g in self._grounds(axiom, at):
+                slot.setdefault(g, set()).add(axiom)
 
     def remove(self, axiom: Axiom) -> None:
-        if self._slots:
-            for at, slot in self._slots.get(axiom.tag, {}).items():
-                for g in self._grounds(axiom, at):
-                    bucket = slot.get(g)  # a pair of equal arguments empties it once
-                    if bucket is not None:
-                        bucket.discard(axiom)
-                        if not bucket:
-                            del slot[g]
+        for at, slot in self._built_slots(axiom):
+            for g in self._grounds(axiom, at):
+                bucket = slot.get(g)  # a pair of equal arguments empties it once
+                if bucket is not None:
+                    bucket.discard(axiom)
+                    if not bucket:
+                        del slot[g]
 
 
 # ---------------------------------------------------------------------------
