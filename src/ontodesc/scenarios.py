@@ -198,6 +198,8 @@ def setup_door_state_classes(onto: Ontology) -> None:
     One class descriptor does all three writes: grounded on CLOSE it
     writes the superclass, then it is re-grounded on OPEN, keeps DOOR in
     its superclass part, gains CLOSE as a disjoint, and writes both.
+    Reasons only when the writes (or earlier edits) changed the world: on
+    a world set up before they change nothing, and the closure stands.
     """
     door = onto.lookup(DOOR_CLASS)
     close = onto.declare(Kind.CLASS, CLOSE_CLASS)
@@ -210,7 +212,7 @@ def setup_door_state_classes(onto: Ontology) -> None:
     descriptor.part(DescriptorTag.DISJOINT_CLASSES).add(Ref(close))
     descriptor.part(DescriptorTag.SUPER_CLASSES).write()
     descriptor.part(DescriptorTag.DISJOINT_CLASSES).write()
-    reason(onto)
+    _fresh_closure(onto)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 import pytest
 
-from ontodesc import model
+from ontodesc import model, scenarios
 from ontodesc.compound import full_individual
 from ontodesc.descriptor import DescriptorTag
 from ontodesc.model import Kind
@@ -218,6 +218,29 @@ class TestPatrol:
             assert step.crossed in doors_of[step.destination]
             assert step.destination != step.location
             at = step.destination
+
+    def test_a_later_patrol_reasons_once_per_step(self, monkeypatch):
+        # the first patrol reasons after writing OPEN/CLOSE and after each
+        # step; a later one finds those writes already made
+        onto = load_seed()
+        run_reason = scenarios.reason
+        calls = []
+
+        def counted(world):
+            opened, close = world.maybe_lookup("OPEN"), world.maybe_lookup("CLOSE")
+            calls.append(
+                opened is not None
+                and close is not None
+                and world.contains(model.disjoint_classes(opened, close))
+            )
+            return run_reason(world)
+
+        monkeypatch.setattr(scenarios, "reason", counted)
+        patrol(onto, PatrolConfig(steps=3, seed=7))
+        assert calls == [True] * 4
+        calls.clear()
+        patrol(onto, PatrolConfig(steps=3, seed=7))
+        assert calls == [True] * 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
