@@ -6,10 +6,18 @@ vocabulary (IRI -> entity), an asserted axiom set partitioned into RBox,
 TBox and ABox, and an inferred partition that is owned by the reasoner.
 Any mutation bumps a generation counter; entailed-view reads made against
 an outdated closure raise StaleClosure.
+
+Entities are interned: one live object per (kind, IRI) in the process, so
+equality is identity and hashing is the C-level object hash.  The
+reasoner spends most of its time probing sets and dicts keyed by
+entities, and an identity hash runs no Python code on those probes.
+The Kind and AxiomTag enums hash by identity for the same reason.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Union
@@ -55,30 +63,58 @@ class Kind(Enum):
     INDIVIDUAL = "individual"
     LITERAL = "literal"
 
+    # members are singletons compared by identity; Enum.__hash__ is Python
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
+
+# (kind, iri) -> the live Entity; the lock makes a miss create one object
+_ENTITIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_ENTITIES_LOCK = threading.Lock()
+
+
 class Entity:
-    """A named term of the vocabulary.  IRIs compare byte-for-byte."""
+    """A named term of the vocabulary.  IRIs compare byte-for-byte.
 
-    kind: Kind
-    iri: str
+    Interned: Entity(kind, iri) returns the one live object for that
+    (kind, iri), and copy and pickle give it back too.  Equality is
+    therefore identity and the hash is object.__hash__, so set and dict
+    probes run no Python code.  Entities are immutable; an entity that
+    nothing references is freed.
+    """
 
-    def __post_init__(self):
-        if self.kind is Kind.LITERAL:
+    __slots__ = ("kind", "iri", "__weakref__")
+
+    def __new__(cls, kind: Kind, iri: str):
+        if kind is Kind.LITERAL:
             raise KindMismatch("literals carry a value, not an IRI; use Literal")
-        if not isinstance(self.iri, str) or not self.iri:
+        if not isinstance(iri, str) or not iri:
             raise OntologyError("IRI must be a non-empty string")
-        if any(ch.isspace() for ch in self.iri):
-            raise OntologyError(f"IRI may not contain whitespace: {self.iri!r}")
+        key = (kind, iri)
+        entity = _ENTITIES.get(key)
+        if entity is not None:
+            return entity
+        if any(ch.isspace() for ch in iri):
+            raise OntologyError(f"IRI may not contain whitespace: {iri!r}")
+        with _ENTITIES_LOCK:
+            entity = _ENTITIES.get(key)
+            if entity is None:
+                entity = object.__new__(cls)
+                object.__setattr__(entity, "kind", kind)
+                object.__setattr__(entity, "iri", iri)
+                _ENTITIES[key] = entity
+        return entity
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: entities are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: entities are immutable")
+
+    def __reduce__(self):
+        return (Entity, (self.kind, self.iri))
 
     def __repr__(self):
         return f"{self.kind.value}:{self.iri}"
-
-    def __hash__(self):
-        # Equal entities share an IRI, and str caches its own hash; the
-        # generated hash would rebuild (kind, iri) and call the
-        # Python-level Enum.__hash__ on every set or dict probe.
-        return hash(self.iri)
 
 
 class Literal:
@@ -280,6 +316,9 @@ class AxiomTag(Enum):
     SAME_INDIVIDUAL = "SameIndividual"
     DIFFERENT_INDIVIDUALS = "DifferentIndividuals"
 
+    # hashed inside every Axiom hash; see Kind
+    __hash__ = object.__hash__
+
     @property
     def box(self) -> Box:
         return _BOX_OF[self]
@@ -475,6 +514,8 @@ def different_individuals(a: Entity, b: Entity) -> Axiom:
 
 # The one constructor per tag.  They are the only kind checks on axiom
 # arguments; the parser and the descriptor mapping both build through them.
+# The reasoner builds its derived axioms as plain Axiom(tag, args) from the
+# arguments of checked asserted axioms, so they pass these checks too.
 AXIOM_FACTORIES = {
     AxiomTag.SUB_PROPERTY: sub_property,
     AxiomTag.EQUIVALENT_PROPERTIES: equivalent_properties,

@@ -88,8 +88,6 @@ from .model import (
     class_assertion,
     property_assertion,
     same_individual,
-    sub_class,
-    sub_property,
     tautological,
 )
 
@@ -528,22 +526,25 @@ def reason(onto: Ontology) -> Closure:
             violations.add(Violation("same-and-different", frozenset({a, same_individual(x, y)})))
 
     # materialize ------------------------------------------------------------
+    # Every argument below comes from a checked asserted axiom and each rule
+    # keeps its kinds, so the factories' checks are skipped (a test holds
+    # every inferred axiom to its factory).
     derived: set[Axiom] = set()
     for cls, sups in class_reach.items():
         for sup in sups:
-            derived.add(sub_class(cls, sup))
+            derived.add(Axiom(AxiomTag.SUB_CLASS, (cls, sup)))
     for prop, sups in prop_reach.items():
         for sup in sups:
-            derived.add(sub_property(prop, sup))
+            derived.add(Axiom(AxiomTag.SUB_PROPERTY, (prop, sup)))
     for members in groups.values():
         if len(members) > 1:
             for a, b in combinations(members, 2):
                 derived.add(same_individual(a, b))
-    for s, p, f in links:
-        derived.add(property_assertion(s, p, f))
+    for fact in links:
+        derived.add(Axiom(AxiomTag.PROPERTY_ASSERTION, fact))
     for ind, ts in types.items():
         for cls in ts:
-            derived.add(class_assertion(ind, cls))
+            derived.add(Axiom(AxiomTag.CLASS_ASSERTION, (ind, cls)))
     inferred = frozenset(derived - asserted)
 
     closure = Closure(

@@ -1,4 +1,8 @@
+import copy
+import gc
 import math
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -57,12 +61,26 @@ class TestEntity:
         assert Entity(Kind.CLASS, "A") == Entity(Kind.CLASS, "A")
         assert Entity(Kind.CLASS, "A") != Entity(Kind.INDIVIDUAL, "A")
 
-    def test_hash_is_the_iri_hash(self):
-        # the frozen dataclass must keep the explicit __hash__, and punned
-        # entities still hash together but never compare equal
-        assert hash(Entity(Kind.CLASS, "A")) == hash("A")
-        assert hash(Entity(Kind.INDIVIDUAL, "A")) == hash("A")
+    def test_entities_are_interned_and_hash_by_identity(self):
+        # one live object per (kind, iri), whichever path builds it, so the
+        # hash and equality are object identity; punned entities never
+        # compare equal
+        assert Entity(Kind.CLASS, "A") is Entity(Kind.CLASS, "A")
+        assert Ontology().declare(Kind.CLASS, "A") is Entity(Kind.CLASS, "A")
+        a = Entity(Kind.CLASS, "A")
+        assert copy.copy(a) is a and copy.deepcopy(a) is a
+        assert pickle.loads(pickle.dumps(a)) is a
+        assert Entity.__hash__ is object.__hash__
         assert len({Entity(Kind.CLASS, "A"), Entity(Kind.INDIVIDUAL, "A")}) == 2
+        unreferenced = weakref.ref(Entity(Kind.CLASS, "NothingHoldsThis"))
+        gc.collect()
+        assert unreferenced() is None
+
+    def test_entities_are_immutable(self):
+        a = Entity(Kind.CLASS, "A")
+        with pytest.raises(AttributeError):
+            a.iri = "B"
+        assert a.iri == "A"
 
 
 class TestLiteral:

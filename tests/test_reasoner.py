@@ -371,3 +371,14 @@ def test_monotone_fragment_growth(seed, extra):
     onto.assert_axiom(addition)
     after = set(reason(onto).inferred) | set(onto.axioms("asserted"))
     assert before <= after
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_inferred_axioms_are_what_their_factories_build(seed):
+    """reason() builds inferred axioms without the factories' kind checks;
+    an ill-kinded or non-canonical one differs from (or is refused by)
+    the factory given its arguments."""
+    onto = random_ontology(random.Random(seed))
+    for axiom in reason(onto).inferred:
+        assert model.AXIOM_FACTORIES[axiom.tag](*axiom.args) == axiom
