@@ -103,7 +103,9 @@ _OPEN_STRING = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen __init__ sets each field through object.__setattr__,
+# and building tokens was half of tokenize
+@dataclass(slots=True)
 class Token:
     typ: str  # ( ) name string int double bool eof
     text: str
