@@ -56,6 +56,9 @@ def _cmd_reason(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    arity = 2 if args.what == "fillers" else 1
+    if len(args.names) != arity:
+        raise KindMismatch(f"{args.what} takes {arity} name(s), got {len(args.names)}")
     onto = scenarios.load_world(args.ontology)
     closure = reason(onto)
     if args.what == "types":
@@ -67,8 +70,6 @@ def _cmd_query(args) -> int:
         _expect_kind(entity, Kind.CLASS)
         lines = sorted(i.iri for i in closure.instances_of(entity))
     else:
-        if len(args.names) != 2:
-            raise KindMismatch("fillers takes an individual and a property")
         subject = onto.lookup(args.names[0])
         prop = onto.lookup(args.names[1])
         _expect_kind(subject, Kind.INDIVIDUAL)

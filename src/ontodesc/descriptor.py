@@ -18,9 +18,7 @@ axiom, each item a restriction carrying the connective to its successor
 
 Operations:
 
-* query   - the entailed axioms of the descriptor's tag about its ground
-            (unstable surface, exposed for tests),
-* read    - replace Y with the query result, mapped through from_axiom,
+* read    - replace Y with the entailed items of (tag, x) (see TagSpec),
 * write   - make the asserted axioms for (tag, x) exactly to_axioms(Y),
 * build   - for every item, create a descriptor grounded on the item's
             entity via a factory and read it.
@@ -31,14 +29,15 @@ touches the asserted partition and leaves the closure stale; read
 requires a current closure.
 
 Reading SUB_CLASSES / SUPER_CLASSES lists the direct taxonomy neighbours
-(so a leaf class reads {NOTHING} and a root reads {THING}); TYPES,
-INSTANCES and LINKS list everything entailed.
+(so a leaf class reads {NOTHING} and a root reads {THING}), from the
+Closure alone; TYPES, INSTANCES and LINKS list everything entailed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import starmap
 from typing import Callable, Union
 
 from . import model
@@ -105,6 +104,8 @@ class Connective(Enum):
     UNION = "union"
     END = "end"
 
+    __hash__ = object.__hash__  # hashed in every Restriction; see model.Kind
+
 
 class Form(Enum):
     NAMED = "named"
@@ -112,6 +113,8 @@ class Form(Enum):
     ONLY = "only"
     AT_LEAST = "at-least"
     AT_MOST = "at-most"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -172,6 +175,8 @@ class Partition(Enum):
     CLASS = "class"
     INDIVIDUAL = "individual"
 
+    __hash__ = object.__hash__
+
 
 class DescriptorTag(Enum):
     SUPER_PROPERTIES = "SuperProperties"
@@ -195,6 +200,8 @@ class DescriptorTag(Enum):
     SAME_AS = "SameAs"
     DIFFERENT_FROM = "DifferentFrom"
 
+    __hash__ = object.__hash__  # TAG_SPECS is probed per item; see model.Kind
+
     @property
     def partition(self) -> Partition:
         return TAG_SPECS[self].partition
@@ -209,6 +216,11 @@ class TagSpec:
     ground and whose remaining arguments are the item's payload.  For
     unordered pair tags (model.ORDERLESS_TAGS) the ground may sit in
     either argument.
+
+    A read lists the asserted items, recovered by from_axiom, plus what
+    the Closure query named `derived` returns about the ground: entities
+    for Ref items, (property, filler) pairs for Link items.  For
+    `closure_only` tags that query alone is the answer.
     """
 
     partition: Partition
@@ -216,6 +228,8 @@ class TagSpec:
     ground_kinds: tuple
     item_type: type
     ground_at: int = 0
+    derived: str | None = None
+    closure_only: bool = False
 
     @property
     def buildable(self) -> bool:
@@ -231,7 +245,7 @@ _P, _C, _I = Partition.PROPERTY, Partition.CLASS, Partition.INDIVIDUAL
 
 # One row per tag, each partition's rows in compound part order.
 TAG_SPECS = {
-    DescriptorTag.SUPER_PROPERTIES: TagSpec(_P, AxiomTag.SUB_PROPERTY, _PROP, Ref),
+    DescriptorTag.SUPER_PROPERTIES: TagSpec(_P, AxiomTag.SUB_PROPERTY, _PROP, Ref, derived="super_properties"),
     DescriptorTag.EQUIVALENT_PROPERTIES: TagSpec(_P, AxiomTag.EQUIVALENT_PROPERTIES, _PROP, Ref),
     DescriptorTag.DISJOINT_PROPERTIES: TagSpec(_P, AxiomTag.DISJOINT_PROPERTIES, _PROP, Ref),
     DescriptorTag.INVERSE_PROPERTIES: TagSpec(_P, AxiomTag.INVERSE_PROPERTIES, _OBJ, Ref),
@@ -242,14 +256,20 @@ TAG_SPECS = {
     DescriptorTag.SYMMETRIC: TagSpec(_P, AxiomTag.SYMMETRIC_PROPERTY, _OBJ, Void),
     DescriptorTag.TRANSITIVE: TagSpec(_P, AxiomTag.TRANSITIVE_PROPERTY, _OBJ, Void),
     DescriptorTag.DEFINITION: TagSpec(_C, AxiomTag.CLASS_DEFINITION, _CLS, Restriction),
-    DescriptorTag.SUB_CLASSES: TagSpec(_C, AxiomTag.SUB_CLASS, _CLS, Ref, ground_at=1),
-    DescriptorTag.SUPER_CLASSES: TagSpec(_C, AxiomTag.SUB_CLASS, _CLS, Ref),
+    DescriptorTag.SUB_CLASSES: TagSpec(
+        _C, AxiomTag.SUB_CLASS, _CLS, Ref, ground_at=1, derived="direct_subclasses", closure_only=True
+    ),
+    DescriptorTag.SUPER_CLASSES: TagSpec(
+        _C, AxiomTag.SUB_CLASS, _CLS, Ref, derived="direct_superclasses", closure_only=True
+    ),
     DescriptorTag.EQUIVALENT_CLASSES: TagSpec(_C, AxiomTag.EQUIVALENT_CLASSES, _CLS, Ref),
     DescriptorTag.DISJOINT_CLASSES: TagSpec(_C, AxiomTag.DISJOINT_CLASSES, _CLS, Ref),
-    DescriptorTag.INSTANCES: TagSpec(_C, AxiomTag.CLASS_ASSERTION, _CLS, Ref, ground_at=1),
-    DescriptorTag.TYPES: TagSpec(_I, AxiomTag.CLASS_ASSERTION, _IND, Ref),
-    DescriptorTag.LINKS: TagSpec(_I, AxiomTag.PROPERTY_ASSERTION, _IND, Link),
-    DescriptorTag.SAME_AS: TagSpec(_I, AxiomTag.SAME_INDIVIDUAL, _IND, Ref),
+    DescriptorTag.INSTANCES: TagSpec(
+        _C, AxiomTag.CLASS_ASSERTION, _CLS, Ref, ground_at=1, derived="instances_of"
+    ),
+    DescriptorTag.TYPES: TagSpec(_I, AxiomTag.CLASS_ASSERTION, _IND, Ref, derived="types_of"),
+    DescriptorTag.LINKS: TagSpec(_I, AxiomTag.PROPERTY_ASSERTION, _IND, Link, derived="links_of"),
+    DescriptorTag.SAME_AS: TagSpec(_I, AxiomTag.SAME_INDIVIDUAL, _IND, Ref, derived="same_individuals"),
     DescriptorTag.DIFFERENT_FROM: TagSpec(_I, AxiomTag.DIFFERENT_INDIVIDUALS, _IND, Ref),
 }
 
@@ -471,40 +491,32 @@ class DescriptorState:
             return True
         return False
 
-    def refs(self) -> list[Entity]:
-        return [i.entity for i in self.items if isinstance(i, Ref)]
+    # -- the three operations
 
-    # -- the four operations
-
-    def query(self) -> set[Axiom]:
-        """Entailed axioms of this tag about the ground.  Unstable surface."""
-        closure = self.ontology.current_closure()
-        tag, g = self.tag, self.ground
-        if tag is DescriptorTag.SUB_CLASSES:
-            return {model.sub_class(c, g) for c in closure.direct_subclasses(g)}
-        if tag is DescriptorTag.SUPER_CLASSES:
-            return {model.sub_class(g, c) for c in closure.direct_superclasses(g)}
-        if tag is DescriptorTag.INSTANCES:
-            return {model.class_assertion(i, g) for i in closure.instances_of(g)}
-        return self._about("entailed")
-
-    def _about(self, view: str) -> set[Axiom]:
+    def _asserted(self) -> set[Axiom]:
         spec = TAG_SPECS[self.tag]
-        return self.ontology.axioms_about(spec.axiom_tag, self.ground, view, spec.ground_at)
+        return self.ontology.axioms_about(spec.axiom_tag, self.ground, at=spec.ground_at)
 
-    def _items_from_query(self, result: set[Axiom]) -> list[Item]:
+    def _entailed_items(self) -> list[Item]:
+        """The asserted items plus the derived ones, sorted (see TagSpec)."""
+        closure = self.ontology.current_closure()  # every tag reads a fresh one
+        spec = TAG_SPECS[self.tag]
+        asserted = set() if spec.closure_only else self._asserted()
         if self.tag is DescriptorTag.DEFINITION:
-            if len(result) > 1:
+            if len(asserted) > 1:
                 raise MappingError(
-                    f"{self.ground.iri} has {len(result)} definitions; a descriptor holds one"
+                    f"{self.ground.iri} has {len(asserted)} definitions; a descriptor holds one"
                 )
-            return from_definition(self.ground, next(iter(result))) if result else []
-        items = [from_axiom(self.tag, self.ground, a) for a in result]
-        return sorted(set(items), key=item_sort_key)
+            return from_definition(self.ground, asserted.pop()) if asserted else []
+        items = {from_axiom(self.tag, self.ground, a) for a in asserted}
+        if spec.derived is not None:
+            found = getattr(closure, spec.derived)(self.ground)
+            items.update(starmap(Link, found) if spec.item_type is Link else map(Ref, found))
+        return sorted(items, key=item_sort_key)
 
     def read(self) -> list[Intent]:
-        """Synchronise Y with the ontology's entailed view."""
-        new_items = self._items_from_query(self.query())
+        """Synchronise Y with the entailed items of (tag, ground)."""
+        new_items = self._entailed_items()
         old, new = set(self.items), set(new_items)
         intents = [
             Intent("read", "remove", to_axiom(self.tag, self.ground, i), "descriptor")
@@ -529,7 +541,7 @@ class DescriptorState:
             for entity in _item_entities(item):
                 self.ontology.ensure(entity)
         target = set(to_axioms(self.tag, self.ground, self.items))
-        current = self._about("asserted")
+        current = self._asserted()
         intents = []
         for axiom in sorted(target - current, key=repr):
             self.ontology.assert_axiom(axiom)

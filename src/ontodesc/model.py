@@ -3,9 +3,9 @@
 Entities (classes, properties, individuals), typed literals, class
 expressions, axioms, and the in-memory axiom store.  The store keeps a
 vocabulary (IRI -> entity), an asserted axiom set partitioned into RBox,
-TBox and ABox, and an inferred partition that is owned by the reasoner.
-Any mutation bumps a generation counter; entailed-view reads made against
-an outdated closure raise StaleClosure.
+TBox and ABox, and the reasoner's last Closure, which holds the inferred
+partition.  Any mutation bumps a generation counter; entailed-view reads
+made against an outdated closure raise StaleClosure.
 
 Entities are interned: one live object per (kind, IRI) in the process, so
 equality is identity and hashing is the C-level object hash.  The
@@ -20,7 +20,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +567,9 @@ def tautological(axiom: Axiom) -> bool:
 
     Reflexive subsumptions, equivalences and self-identity, the class
     lattice bounds (NOTHING below, THING above) and THING membership.
-    The reasoner treats these as entailed without materialising them,
-    so asserting or retracting one never changes what is entailed.
+    The reasoner materializes all but the reflexive ones (for declared
+    entities), and Closure.is_entailed holds every one true, so asserting
+    or retracting one never changes what is entailed.
     """
     tag = axiom.tag
     if tag is AxiomTag.SUB_CLASS:
@@ -598,12 +599,12 @@ def mentions_at_ground(axiom: Axiom, ground: Entity, at: int = 0) -> bool:
 
 
 class _GroundIndex:
-    """One axiom partition's axioms by (tag, ground position, entity).
+    """The asserted axioms by (tag, ground position, entity).
 
     A slot per (tag, position) maps each entity to the axioms holding it
     there; unordered pair tags have one slot, holding each axiom under
-    both arguments.  A slot is built by one pass over the partition on
-    its first lookup, and add/remove keep the built slots current.
+    both arguments.  A slot is built by one pass over the axioms on its
+    first lookup, and add/remove keep the built slots current.
     """
 
     def __init__(self, axioms):
@@ -651,33 +652,28 @@ class _GroundIndex:
 
 
 class Ontology:
-    """Vocabulary plus asserted and inferred axiom partitions.
+    """Vocabulary plus asserted axioms, and the reasoner's last Closure.
 
     The asserted set is only changed through assert_axiom / retract_axiom.
-    The inferred partition belongs to the reasoner; it is read through the
-    "entailed" view, which is the union of both partitions and is guarded
-    by a staleness check.
+    The inferred partition is the installed Closure's `inferred`; it is
+    read through the "entailed" view, which is the union of both
+    partitions and is guarded by a staleness check.
 
     axioms() copies a whole view and is meant for bulk work (reasoning,
     serializing).  contains() and axioms_about() are lookups.
-    axioms_about() reads one ground index per partition, keyed by
+    axioms_about() reads the asserted partition's ground index, keyed by
     (tag, argument position, entity) - or (tag, entity) for unordered
-    pair tags.  Each (tag, position) slot of an index is built on the
-    first query that needs it, so parse -> reason -> serialize builds
-    none.  Built slots of the asserted index are kept current by
-    assert_axiom / retract_axiom; the inferred index is dropped whenever
-    the reasoner installs a new partition, and its slots are rebuilt by
-    the entailed queries that follow.
+    pair tags.  Each (tag, position) slot is built on the first query
+    that needs it, so parse -> reason -> serialize builds none, and
+    assert_axiom / retract_axiom keep built slots current.  Entailed
+    facts about one entity are Closure queries.
     """
 
     def __init__(self):
         self._vocab: dict[str, Entity] = {e.iri: e for e in BUILTINS}
         self._asserted: set[Axiom] = set()
-        self._inferred: frozenset[Axiom] = frozenset()
         self._asserted_index = _GroundIndex(self._asserted)
-        self._inferred_index = _GroundIndex(self._inferred)
         self._generation = 0
-        self._closure_generation = -1
         self._closure = None
 
     # -- vocabulary
@@ -760,17 +756,14 @@ class Ontology:
 
     @property
     def stale(self) -> bool:
-        return self._closure_generation != self._generation
+        return self._closure is None or self._closure.generation != self._generation
 
-    def _install_closure(self, closure, inferred: frozenset) -> None:
+    def _install_closure(self, closure) -> None:
         # called by the reasoner only
-        self._inferred = inferred
-        self._inferred_index = _GroundIndex(inferred)
         self._closure = closure
-        self._closure_generation = self._generation
 
     def current_closure(self):
-        if self._closure is None or self.stale:
+        if self.stale:
             raise StaleClosure("reason() must run before entailed reads")
         return self._closure
 
@@ -783,41 +776,28 @@ class Ontology:
         if view == "asserted":
             return False
         if view == "entailed":
-            if self.stale:
-                raise StaleClosure("entailed view requested after mutations; run reason()")
+            self.current_closure()  # raises StaleClosure
             return True
         raise ValueError(f"view must be 'asserted' or 'entailed', got {view!r}")
 
     def axioms(self, view: str = "asserted") -> frozenset[Axiom]:
         if self._entailed_view(view):
-            return frozenset(self._asserted) | self._inferred
+            return frozenset(self._asserted) | self._closure.inferred
         return frozenset(self._asserted)
 
     def inferred_axioms(self) -> frozenset[Axiom]:
-        if self.stale:
-            raise StaleClosure("inferred partition requested after mutations; run reason()")
-        return self._inferred
+        return self.current_closure().inferred
 
-    def axioms_about(
-        self, tag: AxiomTag, ground: Entity, view: str = "asserted", at: int = 0
-    ) -> set[Axiom]:
-        """The `tag` axioms of `view` with `ground` in ground position `at`.
+    def axioms_about(self, tag: AxiomTag, ground: Entity, *, at: int = 0) -> set[Axiom]:
+        """The asserted `tag` axioms with `ground` in ground position `at`.
 
-        A fresh set, looked up in the ground indexes (see the class
+        A fresh set, looked up in the ground index (see the class
         docstring); `at` is ignored for unordered pair tags.
         """
-        entailed = self._entailed_view(view)
-        found = set(self._asserted_index.lookup(tag, ground, at))
-        if entailed:
-            found.update(self._inferred_index.lookup(tag, ground, at))
-        return found
+        return set(self._asserted_index.lookup(tag, ground, at))
 
     def contains(self, axiom: Axiom, view: str = "asserted") -> bool:
         axiom = canonical(axiom)
         if self._entailed_view(view):
-            return axiom in self._asserted or axiom in self._inferred
+            return axiom in self._asserted or axiom in self._closure.inferred
         return axiom in self._asserted
-
-    def assert_all(self, axioms: Iterable[Axiom]) -> None:
-        for a in axioms:
-            self.assert_axiom(a)

@@ -105,15 +105,17 @@ class Closure:
     All query methods re-check that the underlying ontology has not been
     mutated since the run; if it has, they raise StaleClosure.
 
-    Every query is a lookup.  `fillers` and `links_of` read the
-    subject -> property -> fillers map that the run builds for its own
-    definition checks, and `types_of` the run's membership map.
-    `instances_of` and the two `direct_*` taxonomy queries read indexes
-    derived from those maps: the class -> instances inversion and the
-    transitive reduction of the subsumption reach.  Each is built on the
-    first query that needs it and kept for the life of the Closure; the
-    run's data never changes, and a later mutation makes the whole
-    Closure stale rather than its indexes.
+    Every query is a lookup in the maps the run built for itself:
+    `fillers` and `links_of` read the subject -> property -> fillers map,
+    `types_of` the membership map, `super_properties` the property reach
+    and `same_individuals` the identity groups.  `instances_of` and the
+    two `direct_*` taxonomy queries read indexes derived from those maps:
+    the class -> instances inversion and the transitive reduction of the
+    subsumption reach.  Each is built on the first query that needs it
+    and kept for the life of the Closure; the run's data never changes,
+    and a later mutation makes the whole Closure stale rather than its
+    indexes.  Descriptor reads are answered by these queries; `inferred`
+    serves the store's views.
     """
 
     ontology: Ontology
@@ -124,6 +126,7 @@ class Closure:
     _class_reach: dict = field(default_factory=dict, repr=False)
     _prop_reach: dict = field(default_factory=dict, repr=False)
     _same_rep: dict = field(default_factory=dict, repr=False)
+    _same_groups: dict = field(default_factory=dict, repr=False)
     _types: dict = field(default_factory=dict, repr=False)
     _links: dict = field(default_factory=dict, repr=False)
 
@@ -139,8 +142,8 @@ class Closure:
         self._check_fresh()
         if self.ontology.contains(axiom, "entailed"):
             return True
-        # tautologies (reflexive subsumption, lattice bounds, ...) hold
-        # everywhere but are never materialised
+        # tautologies hold everywhere; the reflexive ones are never
+        # materialised, nor are the bounds of entities not declared here
         return tautological(axiom)
 
     def subsumed_by(self, sub: Entity, sup: Entity) -> bool:
@@ -236,6 +239,17 @@ class Closure:
     def same_as(self, a: Entity, b: Entity) -> bool:
         self._check_fresh()
         return a == b or self._same_rep.get(a, a) == self._same_rep.get(b, b)
+
+    def same_individuals(self, individual: Entity) -> set[Entity]:
+        """The other individuals SameIndividual relates `individual` to."""
+        self._check_fresh()
+        group = self._same_groups.get(self._same_rep.get(individual, individual), ())
+        return {other for other in group if other != individual}
+
+    def super_properties(self, prop: Entity) -> set[Entity]:
+        """Strict entailed super-properties, equivalents included."""
+        self._check_fresh()
+        return set(self._prop_reach.get(prop, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +375,9 @@ def reason(onto: Ontology) -> Closure:
     irreflexive_props = {a.args[0] for a in tagged(AxiomTag.IRREFLEXIVE_PROPERTY)}
     chains = [tuple(a.args) for a in tagged(AxiomTag.PROPERTY_CHAIN)]
 
-    links: set[tuple] = set()
-    pending: list[tuple] = []
+    # asserted facts are kept even on an irreflexive property
+    links: set[tuple] = {a.args for a in tagged(AxiomTag.PROPERTY_ASSERTION)}
+    pending: list[tuple] = list(links)
 
     def put(subject, prop, filler):
         if prop in irreflexive_props and subject == filler:
@@ -372,24 +387,14 @@ def reason(onto: Ontology) -> Closure:
             links.add(fact)
             pending.append(fact)
 
-    for a in tagged(AxiomTag.PROPERTY_ASSERTION):
-        s, p, f = a.args
-        fact = (s, p, f)
-        if fact not in links:
-            links.add(fact)
-            pending.append(fact)
     for p in reflexive_props:
         for ind in individuals:
             put(ind, p, ind)
 
     by_subject: dict[Entity, set[tuple]] = {}
     by_filler: dict[Entity, set[tuple]] = {}
-    processed: set[tuple] = set()
     while pending:
-        fact = pending.pop()
-        if fact in processed:
-            continue
-        processed.add(fact)
+        fact = pending.pop()  # each fact is pending once, when it enters links
         s, p, f = fact
         # index first so a fact can compose with itself (a self-loop feeding
         # a chain whose two links are the same property)
@@ -556,10 +561,11 @@ def reason(onto: Ontology) -> Closure:
         _class_reach=class_reach,
         _prop_reach=prop_reach,
         _same_rep=rep,
+        _same_groups=groups,
         _types=types,
         _links=link_index,
     )
-    onto._install_closure(closure, inferred)
+    onto._install_closure(closure)
     return closure
 
 

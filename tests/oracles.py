@@ -12,7 +12,8 @@ plain graph problems on networkx.
 
 The *_scan functions are the linear scans that the store's and the
 Closure's query indexes replaced, kept as references for them.  They
-read the entailed view, not the Closure's private maps.
+read the entailed view, not the Closure's private maps.  read_reference
+is the axiom round trip that descriptor reads replaced.
 """
 
 from __future__ import annotations
@@ -21,6 +22,16 @@ import itertools
 
 import networkx as nx
 
+from ontodesc.descriptor import (
+    TAG_SPECS,
+    DescriptorTag,
+    Intent,
+    MappingError,
+    from_axiom,
+    from_definition,
+    item_sort_key,
+    to_axiom,
+)
 from ontodesc.model import (
     And,
     AxiomTag,
@@ -370,3 +381,44 @@ def direct_scan(onto: Ontology, reach: dict, cls: Entity, below: bool) -> set:
         else:
             direct.add(c)
     return direct
+
+
+# ---------------------------------------------------------------------------
+# descriptor reads
+
+
+def read_reference(onto: Ontology, entailed, tag: DescriptorTag, ground, old_items: list):
+    """DescriptorState.read by the axiom round trip it replaced.
+
+    Every entailed fact becomes a checked axiom - SUB_CLASSES,
+    SUPER_CLASSES and INSTANCES from Closure queries, every other tag
+    from a scan of `entailed`, the entailed view - and from_axiom maps
+    each back to an item.  Returns the items and the intents a read of a
+    descriptor holding `old_items` gives.
+    """
+    closure = onto.current_closure()
+    spec = TAG_SPECS[tag]
+    if tag is DescriptorTag.SUB_CLASSES:
+        result = {sub_class(c, ground) for c in closure.direct_subclasses(ground)}
+    elif tag is DescriptorTag.SUPER_CLASSES:
+        result = {sub_class(ground, c) for c in closure.direct_superclasses(ground)}
+    elif tag is DescriptorTag.INSTANCES:
+        result = {class_assertion(i, ground) for i in closure.instances_of(ground)}
+    else:
+        result = axioms_about_scan(entailed, spec.axiom_tag, ground, spec.ground_at)
+    if tag is DescriptorTag.DEFINITION:
+        if len(result) > 1:
+            raise MappingError(f"{ground.iri} has {len(result)} definitions")
+        items = from_definition(ground, next(iter(result))) if result else []
+    else:
+        items = sorted({from_axiom(tag, ground, a) for a in result}, key=item_sort_key)
+    intents = [
+        Intent("read", "remove", to_axiom(tag, ground, i), "descriptor")
+        for i in old_items
+        if i not in items
+    ] + [
+        Intent("read", "add", to_axiom(tag, ground, i), "descriptor")
+        for i in items
+        if i not in old_items
+    ]
+    return items, intents

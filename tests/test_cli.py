@@ -80,6 +80,16 @@ class TestQuery:
         code, _, err = run(capsys, "query", "fillers", "Corridor1")
         assert code == EXIT_UNKNOWN
 
+    def test_types_takes_one_name(self, capsys):
+        code, out, err = run(capsys, "query", "types", "Room1", "Room2")
+        assert code == EXIT_UNKNOWN
+        assert out == "" and "types takes 1 name(s), got 2" in err
+
+    def test_instances_takes_one_name(self, capsys):
+        code, out, err = run(capsys, "query", "instances", "INDOOR", "ROOM")
+        assert code == EXIT_UNKNOWN
+        assert out == "" and "instances takes 1 name(s), got 2" in err
+
 
 class TestSerialize:
     def test_canonical_output_is_stable(self, capsys):

@@ -13,6 +13,7 @@ from ontodesc.descriptor import (
     IllegalItem,
     Link,
     MappingError,
+    Partition,
     Ref,
     Restriction,
     TagMismatch,
@@ -309,6 +310,19 @@ class TestReadWrite:
         d = DescriptorState(DescriptorTag.TYPES, onto.lookup("x"), onto)
         with pytest.raises(model.StaleClosure):
             d.read()
+
+    @pytest.mark.parametrize("tag", list(DescriptorTag), ids=lambda tag: tag.value)
+    def test_every_tag_reads_only_a_fresh_closure(self, tag):
+        onto = small_world()
+        ground = onto.lookup({Partition.PROPERTY: "p", Partition.CLASS: "A"}.get(tag.partition, "x"))
+        reason(onto)
+        onto.assert_axiom(model.class_assertion(onto.lookup("y"), onto.lookup("B")))
+        with pytest.raises(model.StaleClosure):
+            DescriptorState(tag, ground, onto).read()
+
+    def test_descriptor_enums_hash_by_identity(self):
+        for enum in (DescriptorTag, Partition, Connective, Form):
+            assert enum.__hash__ is object.__hash__
 
     def test_write_makes_asserted_projection_exact(self):
         onto = small_world()

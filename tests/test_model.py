@@ -285,7 +285,7 @@ class TestOntologyStore:
         axiom = model.disjoint_classes(b, a)
         onto.assert_axiom(axiom)
         for ground in (a, b):
-            found = onto.axioms_about(AxiomTag.DISJOINT_CLASSES, ground, "asserted")
+            found = onto.axioms_about(AxiomTag.DISJOINT_CLASSES, ground)
             assert found == {axiom}
 
     def test_contains_disjointness_in_both_argument_orders(self):
