@@ -58,7 +58,9 @@ def _cmd_reason(args) -> int:
 def _cmd_query(args) -> int:
     arity = 2 if args.what == "fillers" else 1
     if len(args.names) != arity:
-        raise KindMismatch(f"{args.what} takes {arity} name(s), got {len(args.names)}")
+        got = f"{args.what} takes {arity} name(s), got {len(args.names)}"
+        print(f"wrong number of names: {got}", file=sys.stderr)
+        return EXIT_UNKNOWN
     onto = scenarios.load_world(args.ontology)
     closure = reason(onto)
     if args.what == "types":

@@ -1,7 +1,8 @@
 """Object-like descriptors over the axiom store.
 
 A descriptor is a triple of a tag, a ground entity x and an ordered,
-duplicate-free item list Y.  The tag fixes which axiom shape the items
+duplicate-free item list Y (a DEFINITION list spells one expression, so
+it keeps a repeated atom).  The tag fixes which axiom shape the items
 map to; the ground is the entity the axioms are about.  TAG_SPECS holds
 one TagSpec row per tag: the axiom tag, the argument that holds the
 ground, the item type, the partition and the legal ground kinds; the
@@ -455,16 +456,13 @@ class DescriptorState:
     ground: Entity
     ontology: Ontology
     items: list = field(default_factory=list)
-    build_factory: Callable | None = None
 
     def __post_init__(self):
         self._check_ground(self.ground)
-        deduped = []
         for item in self.items:
             _check_item(self.tag, item)
-            if item not in deduped:
-                deduped.append(item)
-        self.items = deduped
+        if self.tag is not DescriptorTag.DEFINITION:  # one expression may repeat an atom
+            self.items = list(dict.fromkeys(self.items))
 
     def _check_ground(self, entity: Entity) -> None:
         kinds = TAG_SPECS[self.tag].ground_kinds
@@ -479,8 +477,9 @@ class DescriptorState:
     # -- item edits
 
     def add(self, item: Item) -> bool:
+        """Append the item unless Y holds it; a DEFINITION list may repeat one."""
         _check_item(self.tag, item)
-        if item in self.items:
+        if item in self.items and self.tag is not DescriptorTag.DEFINITION:
             return False
         self.items.append(item)
         return True
@@ -567,8 +566,6 @@ class DescriptorState:
     def _build_each(self, grounds, factory: Callable | None) -> list:
         """One read-initialised descriptor per distinct ground, in order."""
         grounds = list(dict.fromkeys(grounds))
-        if factory is None:
-            factory = self.build_factory
         if factory is None:
             from . import compound
 

@@ -655,9 +655,10 @@ class Ontology:
     """Vocabulary plus asserted axioms, and the reasoner's last Closure.
 
     The asserted set is only changed through assert_axiom / retract_axiom.
-    The inferred partition is the installed Closure's `inferred`; it is
-    read through the "entailed" view, which is the union of both
-    partitions and is guarded by a staleness check.
+    The inferred partition is the installed Closure's `inferred`, which
+    the Closure builds from its maps on first read; it is read through
+    the "entailed" view, which is the union of both partitions and is
+    guarded by a staleness check.
 
     axioms() copies a whole view and is meant for bulk work (reasoning,
     serializing).  contains() and axioms_about() are lookups.

@@ -1,9 +1,10 @@
 """Forward-chaining saturation reasoner.
 
-reason() computes the deductive closure of the asserted axioms, installs
-the derived axioms as the ontology's inferred partition, and returns a
-Closure handle for entailment queries.  Derived axioms never repeat
-asserted ones and the asserted set is never touched.
+reason() computes the deductive closure of the asserted axioms, keeps
+each derived fact once, in the maps of the Closure it installs and
+returns, and builds the inferred axioms from those maps on the first
+read of Closure.inferred.  Derived axioms never repeat asserted ones and
+the asserted set is never touched.
 
 Rule set
 --------
@@ -19,7 +20,8 @@ Schema rules (phase one):
   EquivalentProperties; there is no builtin top property.
 * SameIndividual is closed as an equivalence relation.
 
-Property-assertion rules (phase two, run to fixpoint):
+Property-assertion rules (phase two, run to fixpoint over the links map
+and its filler-keyed mirror):
 
 * super-property: a filler of p is a filler of every super-property of p.
 * inverse: InverseProperties(p, r) swaps subject and filler, in both
@@ -76,7 +78,6 @@ from .model import (
     AxiomTag,
     Entity,
     Kind,
-    Literal,
     Max,
     Min,
     Named,
@@ -114,13 +115,13 @@ class Closure:
     subsumption reach.  Each is built on the first query that needs it
     and kept for the life of the Closure; the run's data never changes,
     and a later mutation makes the whole Closure stale rather than its
-    indexes.  Descriptor reads are answered by these queries; `inferred`
-    serves the store's views.
+    indexes.  Descriptor reads are answered by these queries; `inferred`,
+    the store's inferred partition, is built from the same maps on first
+    read.
     """
 
     ontology: Ontology
     generation: int
-    inferred: frozenset = field(default_factory=frozenset)
     consistent: bool = True
     violations: tuple = ()
     _class_reach: dict = field(default_factory=dict, repr=False)
@@ -129,12 +130,40 @@ class Closure:
     _same_groups: dict = field(default_factory=dict, repr=False)
     _types: dict = field(default_factory=dict, repr=False)
     _links: dict = field(default_factory=dict, repr=False)
+    _asserted: frozenset = field(default_factory=frozenset, repr=False)
 
     # -- guards
 
     def _check_fresh(self):
         if self.ontology.generation != self.generation:
             raise StaleClosure("the ontology changed after this closure was computed")
+
+    @cached_property
+    def inferred(self) -> frozenset:
+        """The run's derived axioms minus its asserted snapshot.
+
+        Arguments come from checked asserted axioms and each rule keeps
+        its kinds, so the factories' checks are skipped (a test holds
+        every inferred axiom to its factory).
+        """
+        derived: set[Axiom] = set()
+        for cls, sups in self._class_reach.items():
+            for sup in sups:
+                derived.add(Axiom(AxiomTag.SUB_CLASS, (cls, sup)))
+        for prop, sups in self._prop_reach.items():
+            for sup in sups:
+                derived.add(Axiom(AxiomTag.SUB_PROPERTY, (prop, sup)))
+        for members in self._same_groups.values():
+            for a, b in combinations(members, 2):
+                derived.add(same_individual(a, b))
+        for s, by_prop in self._links.items():
+            for p, fillers in by_prop.items():
+                for f in fillers:
+                    derived.add(Axiom(AxiomTag.PROPERTY_ASSERTION, (s, p, f)))
+        for ind, types in self._types.items():
+            for cls in types:
+                derived.add(Axiom(AxiomTag.CLASS_ASSERTION, (ind, cls)))
+        return frozenset(derived - self._asserted)
 
     # -- entailment
 
@@ -300,14 +329,14 @@ def _union_find(pairs, items):
     return {i: find(i) for i in items}
 
 
-def _satisfies(expr, ind, types, link_index, rep) -> bool:
+def _satisfies(expr, ind, types, links, rep) -> bool:
     if isinstance(expr, Named):
         return expr.cls in types.get(ind, ())
     if isinstance(expr, And):
-        return all(_satisfies(m, ind, types, link_index, rep) for m in expr.members)
+        return all(_satisfies(m, ind, types, links, rep) for m in expr.members)
     if isinstance(expr, Or):
-        return any(_satisfies(m, ind, types, link_index, rep) for m in expr.members)
-    fillers = link_index.get(ind, {}).get(expr.prop, ())
+        return any(_satisfies(m, ind, types, links, rep) for m in expr.members)
+    fillers = links.get(ind, {}).get(expr.prop, ())
     named = [f for f in fillers if isinstance(f, Entity)]
     if isinstance(expr, Some):
         return any(expr.filler in types.get(f, ()) for f in named)
@@ -375,67 +404,64 @@ def reason(onto: Ontology) -> Closure:
     irreflexive_props = {a.args[0] for a in tagged(AxiomTag.IRREFLEXIVE_PROPERTY)}
     chains = [tuple(a.args) for a in tagged(AxiomTag.PROPERTY_CHAIN)]
 
-    # asserted facts are kept even on an irreflexive property
-    links: set[tuple] = {a.args for a in tagged(AxiomTag.PROPERTY_ASSERTION)}
-    pending: list[tuple] = list(links)
+    # subject -> property -> fillers (kept by the Closure) and its mirror,
+    # filler -> property -> subjects, over named fillers only
+    links: dict[Entity, dict[Entity, set]] = {}
+    back: dict[Entity, dict[Entity, set]] = {}
+    pending: list[tuple] = []
 
     def put(subject, prop, filler):
-        if prop in irreflexive_props and subject == filler:
-            return
-        fact = (subject, prop, filler)
-        if fact not in links:
-            links.add(fact)
-            pending.append(fact)
+        # a fact is pending once, when it enters both maps
+        fillers = links.setdefault(subject, {}).setdefault(prop, set())
+        if filler not in fillers:
+            fillers.add(filler)
+            if isinstance(filler, Entity):
+                back.setdefault(filler, {}).setdefault(prop, set()).add(subject)
+            pending.append((subject, prop, filler))
 
+    def derive(subject, prop, filler):
+        if not (prop in irreflexive_props and subject == filler):
+            put(subject, prop, filler)
+
+    # asserted facts are kept even on an irreflexive property
+    for a in tagged(AxiomTag.PROPERTY_ASSERTION):
+        put(*a.args)
     for p in reflexive_props:
         for ind in individuals:
-            put(ind, p, ind)
+            derive(ind, p, ind)
 
-    by_subject: dict[Entity, set[tuple]] = {}
-    by_filler: dict[Entity, set[tuple]] = {}
+    # The joins below iterate live sets.  derive() grows only
+    # links[subject][prop] and back[filler][prop]; a join derives into the
+    # set it iterates only from a self-loop (s == f), and then a fact that
+    # set already holds (the maps mirror each other), so none grows.
     while pending:
-        fact = pending.pop()  # each fact is pending once, when it enters links
-        s, p, f = fact
-        # index first so a fact can compose with itself (a self-loop feeding
-        # a chain whose two links are the same property)
-        by_subject.setdefault(s, set()).add(fact)
-        if isinstance(f, Entity):
-            by_filler.setdefault(f, set()).add(fact)
+        s, p, f = pending.pop()
         for sup in prop_reach.get(p, ()):
-            put(s, sup, f)
+            derive(s, sup, f)
         if isinstance(f, Entity):
             for inv in inverses.get(p, ()):
-                put(f, inv, s)
+                derive(f, inv, s)
             if p in symmetric_props:
-                put(f, p, s)
+                derive(f, p, s)
             if p in transitive_props:
-                for s2, p2, f2 in by_subject.get(f, set()):
-                    if p2 == p:
-                        put(s, p, f2)
-                for s0, p0, f0 in by_filler.get(s, set()):
-                    if p0 == p:
-                        put(s0, p, f)
+                for f2 in links.get(f, {}).get(p, ()):
+                    derive(s, p, f2)
+                for s0 in back.get(s, {}).get(p, ()):
+                    derive(s0, p, f)
             for sup, p1, p2 in chains:
                 if p == p1:
-                    for s2, q, f2 in by_subject.get(f, set()):
-                        if q == p2:
-                            put(s, sup, f2)
+                    for f2 in links.get(f, {}).get(p2, ()):
+                        derive(s, sup, f2)
                 if p == p2:
-                    for s0, q, f0 in by_filler.get(s, set()):
-                        if q == p1:
-                            put(s0, sup, f)
+                    for s0 in back.get(s, {}).get(p1, ()):
+                        derive(s0, sup, f)
         for other in groups.get(rep.get(s), ()):
             if other != s:
-                put(other, p, f)
+                derive(other, p, f)
         if isinstance(f, Entity):
             for other in groups.get(rep.get(f), ()):
                 if other != f:
-                    put(s, p, other)
-
-    # subject -> property -> fillers; kept by the Closure for its queries
-    link_index: dict[Entity, dict[Entity, set]] = {}
-    for s, p, f in links:
-        link_index.setdefault(s, {}).setdefault(p, set()).add(f)
+                    derive(s, p, other)
 
     # phase three: memberships in snapshot rounds ----------------------------
     domains: dict[Entity, set[Entity]] = {}
@@ -453,12 +479,12 @@ def reason(onto: Ontology) -> Closure:
     for a in tagged(AxiomTag.CLASS_ASSERTION):
         ind, cls = a.args
         types[ind].add(cls)
-    for s, p, f in links:
-        for c in domains.get(p, ()):
-            types[s].add(c)
-        if isinstance(f, Entity):
-            for c in ranges.get(p, ()):
-                types[f].add(c)
+    for s, by_prop in links.items():
+        for p in by_prop:
+            types[s].update(domains.get(p, ()))
+    for f, by_prop in back.items():
+        for p in by_prop:
+            types[f].update(ranges.get(p, ()))
 
     while True:
         fresh: list[tuple] = []
@@ -474,7 +500,7 @@ def reason(onto: Ontology) -> Closure:
                         fresh.append((other, cls))
         for cls, expr in definitions:
             for ind in individuals:
-                if cls not in types[ind] and _satisfies(expr, ind, types, link_index, rep):
+                if cls not in types[ind] and _satisfies(expr, ind, types, links, rep):
                     fresh.append((ind, cls))
         if not fresh:
             break
@@ -495,67 +521,34 @@ def reason(onto: Ontology) -> Closure:
                 )
     for a in tagged(AxiomTag.DISJOINT_PROPERTIES):
         p, r = a.args
-        for s, q, f in links:
-            if q == p and (s, r, f) in links:
+        for s, by_prop in links.items():
+            for f in by_prop.get(p, set()) & by_prop.get(r, set()):
                 violations.add(
                     Violation(
                         "disjoint-properties",
-                        frozenset(
-                            {a, property_assertion(s, p, f), property_assertion(s, r, f)}
-                        ),
+                        frozenset({a, property_assertion(s, p, f), property_assertion(s, r, f)}),
                     )
                 )
     for a in tagged(AxiomTag.FUNCTIONAL_PROPERTY):
         p = a.args[0]
-        for s, by_prop in link_index.items():
-            fs = by_prop.get(p, ())
-            distinct = {
-                rep.get(f, f) if isinstance(f, Entity) else f for f in fs
-            }
-            if len(distinct) > 1:
-                for f1, f2 in combinations(sorted(fs, key=_term_key), 2):
-                    k1 = rep.get(f1, f1) if isinstance(f1, Entity) else f1
-                    k2 = rep.get(f2, f2) if isinstance(f2, Entity) else f2
-                    if k1 != k2:
-                        violations.add(
-                            Violation(
-                                "functional-property",
-                                frozenset(
-                                    {a, property_assertion(s, p, f1), property_assertion(s, p, f2)}
-                                ),
-                            )
+        for s, by_prop in links.items():
+            # a literal is its own representative
+            for f1, f2 in combinations(by_prop.get(p, ()), 2):
+                if rep.get(f1, f1) != rep.get(f2, f2):
+                    violations.add(
+                        Violation(
+                            "functional-property",
+                            frozenset({a, property_assertion(s, p, f1), property_assertion(s, p, f2)}),
                         )
+                    )
     for a in tagged(AxiomTag.DIFFERENT_INDIVIDUALS):
         x, y = a.args
         if rep.get(x, x) == rep.get(y, y):
             violations.add(Violation("same-and-different", frozenset({a, same_individual(x, y)})))
 
-    # materialize ------------------------------------------------------------
-    # Every argument below comes from a checked asserted axiom and each rule
-    # keeps its kinds, so the factories' checks are skipped (a test holds
-    # every inferred axiom to its factory).
-    derived: set[Axiom] = set()
-    for cls, sups in class_reach.items():
-        for sup in sups:
-            derived.add(Axiom(AxiomTag.SUB_CLASS, (cls, sup)))
-    for prop, sups in prop_reach.items():
-        for sup in sups:
-            derived.add(Axiom(AxiomTag.SUB_PROPERTY, (prop, sup)))
-    for members in groups.values():
-        if len(members) > 1:
-            for a, b in combinations(members, 2):
-                derived.add(same_individual(a, b))
-    for fact in links:
-        derived.add(Axiom(AxiomTag.PROPERTY_ASSERTION, fact))
-    for ind, ts in types.items():
-        for cls in ts:
-            derived.add(Axiom(AxiomTag.CLASS_ASSERTION, (ind, cls)))
-    inferred = frozenset(derived - asserted)
-
     closure = Closure(
         ontology=onto,
         generation=onto.generation,
-        inferred=inferred,
         consistent=not violations,
         violations=tuple(sorted(violations, key=_violation_key)),
         _class_reach=class_reach,
@@ -563,16 +556,11 @@ def reason(onto: Ontology) -> Closure:
         _same_rep=rep,
         _same_groups=groups,
         _types=types,
-        _links=link_index,
+        _links=links,
+        _asserted=asserted,
     )
     onto._install_closure(closure)
     return closure
-
-
-def _term_key(term):
-    if isinstance(term, Entity):
-        return (0, term.iri, "")
-    return (1, type(term.value).__name__, repr(term.value))
 
 
 def _violation_key(v: Violation):

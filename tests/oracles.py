@@ -10,6 +10,9 @@ inside a phase is naive.
 subsumption_reachability and transitive_fillers express two laws as
 plain graph problems on networkx.
 
+naive_violations runs the consistency checks as full scans over the same
+saturation.
+
 The *_scan functions are the linear scans that the store's and the
 Closure's query indexes replaced, kept as references for them.  They
 read the entailed view, not the Closure's private maps.  read_reference
@@ -121,10 +124,8 @@ def _rep(groups: dict, ind: Entity) -> Entity:
     return min(group, key=lambda e: e.iri)
 
 
-def naive_reason(onto: Ontology):
-    """Returns (inferred axiom frozenset, consistent flag)."""
-    asserted = set(onto.axioms("asserted"))
-
+def _naive_saturate(onto: Ontology):
+    """The three phases; returns (class_pairs, prop_pairs, groups, facts, types)."""
     # phase one: schema
     class_pairs = _pair_closure(_class_edges(onto))
     prop_edges = set()
@@ -221,6 +222,13 @@ def naive_reason(onto: Ontology):
             break
         for ind, cls in additions:
             types[ind].add(cls)
+    return class_pairs, prop_pairs, groups, facts, types
+
+
+def naive_reason(onto: Ontology):
+    """Returns (inferred axiom frozenset, consistent flag)."""
+    asserted = set(onto.axioms("asserted"))
+    class_pairs, prop_pairs, groups, facts, types = _naive_saturate(onto)
 
     # violations
     consistent = True
@@ -264,6 +272,41 @@ def naive_reason(onto: Ontology):
         for cls in ts:
             derived.add(class_assertion(ind, cls))
     return frozenset(derived - asserted), consistent
+
+
+def naive_violations(onto: Ontology) -> set[tuple]:
+    """The consistency checks as full scans: a set of (rule, axioms) pairs,
+    each axiom set the checked axiom plus the facts that break it."""
+    _, _, groups, facts, types = _naive_saturate(onto)
+    found = set()
+    for a in _tagged(onto, AxiomTag.DISJOINT_CLASSES):
+        left, right = a.args
+        for ind, ts in types.items():
+            if left in ts and right in ts:
+                clash = {a, class_assertion(ind, left), class_assertion(ind, right)}
+                found.add(("disjoint-classes", frozenset(clash)))
+    for a in _tagged(onto, AxiomTag.DISJOINT_PROPERTIES):
+        left, right = a.args
+        for s, p, f in facts:
+            if p == left and (s, right, f) in facts:
+                clash = {a, property_assertion(s, left, f), property_assertion(s, right, f)}
+                found.add(("disjoint-properties", frozenset(clash)))
+    for a in _tagged(onto, AxiomTag.FUNCTIONAL_PROPERTY):
+        p = a.args[0]
+        for s1, q1, f1 in facts:
+            for s2, q2, f2 in facts:
+                if q1 == q2 == p and s1 == s2 and _key(groups, f1) != _key(groups, f2):
+                    clash = {a, property_assertion(s1, p, f1), property_assertion(s1, p, f2)}
+                    found.add(("functional-property", frozenset(clash)))
+    for a in _tagged(onto, AxiomTag.DIFFERENT_INDIVIDUALS):
+        x, y = a.args
+        if _rep(groups, x) == _rep(groups, y):
+            found.add(("same-and-different", frozenset({a, same_individual(x, y)})))
+    return found
+
+
+def _key(groups: dict, filler):
+    return _rep(groups, filler) if isinstance(filler, Entity) else filler
 
 
 def _holds(expr, ind, types, facts, groups) -> bool:

@@ -90,6 +90,20 @@ class TestQuery:
         assert code == EXIT_UNKNOWN
         assert out == "" and "instances takes 1 name(s), got 2" in err
 
+    @pytest.mark.parametrize(
+        "names, expected",
+        [
+            (["types", "Room1", "Room2"], "types takes 1 name(s), got 2"),
+            (["instances", "INDOOR", "ROOM"], "instances takes 1 name(s), got 2"),
+            (["fillers", "Corridor1"], "fillers takes 2 name(s), got 1"),
+        ],
+        ids=["types", "instances", "fillers"],
+    )
+    def test_wrong_name_count_is_named_as_such(self, capsys, names, expected):
+        code, out, err = run(capsys, "query", *names)
+        assert code == EXIT_UNKNOWN
+        assert out == "" and err == f"wrong number of names: {expected}\n"
+
 
 class TestSerialize:
     def test_canonical_output_is_stable(self, capsys):

@@ -378,6 +378,19 @@ class TestReadWrite:
         assert d.write() == []
         assert set(onto.axioms("asserted")) == before
 
+    def test_definition_with_a_repeated_atom_copies_unchanged(self):
+        onto = parse("Class(A) Class(B) Class(C) Class(D) DefineClass(D Or(And(A B) And(A C)))")
+        reason(onto)
+        d = onto.lookup("D")
+        original = DescriptorState(DescriptorTag.DEFINITION, d, onto)
+        original.read()
+        assert [r.cls.iri for r in original.items] == ["A", "B", "A", "C"]
+        copy = DescriptorState(DescriptorTag.DEFINITION, d, onto, items=list(original.items))
+        assert copy.items == original.items
+        before = set(onto.axioms("asserted"))
+        assert copy.write() == []
+        assert set(onto.axioms("asserted")) == before
+
     def test_definition_read_rejects_two_definitions(self):
         onto = parse(
             "Class(A) Class(B) Class(C) ObjectProperty(p) "
@@ -403,6 +416,16 @@ class TestReadWrite:
         assert d.add(Ref(a)) is False
         assert d.remove(Ref(a)) is True
         assert d.remove(Ref(a)) is False
+
+    def test_definition_items_keep_repeats(self):
+        onto = small_world()
+        a, b = onto.lookup("A"), onto.lookup("B")
+        first = named_restriction(a, Connective.INTERSECT)
+        items = [first, named_restriction(b, Connective.UNION), first]
+        d = DescriptorState(DescriptorTag.DEFINITION, onto.lookup("C"), onto, items=list(items))
+        assert d.items == items
+        assert d.add(first) is True
+        assert d.items == items + [first]
 
 
 class TestIntentCompleteness:

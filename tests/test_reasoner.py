@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from generators import random_ontology
-from oracles import naive_reason, subsumption_reachability, transitive_fillers
-from ontodesc import model
+from oracles import naive_reason, naive_violations, subsumption_reachability, transitive_fillers
+from ontodesc import model, scenarios
 from ontodesc.model import Kind, Literal, NOTHING, Ontology, StaleClosure, THING
 from ontodesc.reasoner import reason
 from ontodesc.syntax import parse
@@ -312,6 +312,24 @@ class TestOracleEquivalence:
         assert closure.inferred == oracle_inferred
         assert closure.consistent == oracle_consistent
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_violations_match_naive_oracle(self, seed):
+        onto = random_ontology(random.Random(seed))
+        closure = reason(onto)
+        assert {(v.rule, v.axioms) for v in closure.violations} == naive_violations(onto)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_inferred_reads_the_run_not_the_store(self, seed):
+        """The inferred axioms are built on first read, from the run's maps
+        minus its snapshot of the asserted set, not the store's."""
+        rng = random.Random(5000 + seed)
+        onto = random_ontology(rng)
+        expected, _ = naive_reason(onto)
+        closure = reason(onto)
+        assert onto.assert_axiom(rng.choice(sorted(expected, key=repr)))
+        assert "inferred" not in closure.__dict__
+        assert closure.inferred == expected
+
     @pytest.mark.parametrize("seed", range(25))
     def test_subsumption_equals_graph_reachability(self, seed):
         onto = random_ontology(random.Random(1000 + seed))
@@ -382,3 +400,21 @@ def test_inferred_axioms_are_what_their_factories_build(seed):
     onto = random_ontology(random.Random(seed))
     for axiom in reason(onto).inferred:
         assert model.AXIOM_FACTORIES[axiom.tag](*axiom.args) == axiom
+
+
+def test_flows_never_build_the_inferred_axioms(monkeypatch):
+    """Descriptor reads, Closure queries and patrol steps read the maps;
+    no Closure they see builds its inferred axioms."""
+    closures = []
+
+    def recorded(onto):
+        closures.append(reason(onto))
+        return closures[-1]
+
+    monkeypatch.setattr(scenarios, "reason", recorded)
+    onto = scenarios.load_seed()
+    recorded(onto)
+    scenarios.reachable_leaf_places(onto)
+    scenarios.patrol(onto, scenarios.PatrolConfig(steps=1, seed=3))
+    assert len(closures) >= 2
+    assert not any("inferred" in closure.__dict__ for closure in closures)
