@@ -598,6 +598,10 @@ def mentions_at_ground(axiom: Axiom, ground: Entity, at: int = 0) -> bool:
     return axiom.args[at] == ground
 
 
+# the tags whose edits the journal carries; any other edit drops it
+_JOURNALED_TAGS = frozenset({AxiomTag.CLASS_ASSERTION, AxiomTag.PROPERTY_ASSERTION})
+
+
 class _GroundIndex:
     """The asserted axioms by (tag, ground position, entity).
 
@@ -660,12 +664,18 @@ class Ontology:
     the "entailed" view, which is the union of both partitions and is
     guarded by a staleness check.
 
+    The store also keeps a journal for the reasoner: the net
+    ClassAssertion and PropertyAssertion asserts and retracts since the
+    installed Closure's generation, which reason() resumes from.  Any
+    other change (another tag, a new declaration) drops the journal, and
+    the next run starts afresh.
+
     axioms() copies a whole view and is meant for bulk work (reasoning,
     serializing).  contains() and axioms_about() are lookups.
     axioms_about() reads the asserted partition's ground index, keyed by
     (tag, argument position, entity) - or (tag, entity) for unordered
     pair tags.  Each (tag, position) slot is built on the first query
-    that needs it, so parse -> reason -> serialize builds none, and
+    that needs it (reason() reads the ClassAssertion one), and
     assert_axiom / retract_axiom keep built slots current.  Entailed
     facts about one entity are Closure queries.
     """
@@ -676,6 +686,7 @@ class Ontology:
         self._asserted_index = _GroundIndex(self._asserted)
         self._generation = 0
         self._closure = None
+        self._journal: dict[Axiom, bool] | None = None  # axiom -> asserted since _closure
 
     # -- vocabulary
 
@@ -701,6 +712,7 @@ class Ontology:
         entity = Entity(kind, iri)
         self._vocab[iri] = entity
         self._generation += 1
+        self._journal = None
         return entity
 
     def ensure(self, entity: Entity) -> Entity:
@@ -739,6 +751,7 @@ class Ontology:
         self._asserted.add(axiom)
         self._asserted_index.add(axiom)
         self._generation += 1
+        self._note(axiom, True)
         return True
 
     def retract_axiom(self, axiom: Axiom) -> bool:
@@ -749,7 +762,17 @@ class Ontology:
         self._asserted.remove(axiom)
         self._asserted_index.remove(axiom)
         self._generation += 1
+        self._note(axiom, False)
         return True
+
+    def _note(self, axiom: Axiom, asserted: bool) -> None:
+        journal = self._journal
+        if journal is None:
+            return
+        if axiom.tag not in _JOURNALED_TAGS:
+            self._journal = None
+        elif journal.pop(axiom, None) is None:  # an edit undone leaves no entry
+            journal[axiom] = asserted
 
     @property
     def generation(self) -> int:
@@ -762,6 +785,13 @@ class Ontology:
     def _install_closure(self, closure) -> None:
         # called by the reasoner only
         self._closure = closure
+        self._journal = {}
+
+    def _edits_since_closure(self):
+        """(installed Closure, journal), or (None, None) when a run must start afresh."""
+        if self._journal is None:
+            return None, None
+        return self._closure, self._journal
 
     def current_closure(self):
         if self.stale:

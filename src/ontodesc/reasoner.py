@@ -61,6 +61,41 @@ Consistency checks (reported as violations, never derived from):
 * a FunctionalProperty subject with two fillers not related by
   SameIndividual;
 * a SameIndividual pair also related by DifferentIndividuals.
+
+Carried state
+-------------
+A run is four phases over one saturation state: _schema (phase one and
+the rule tables), _property_assertions, _memberships and _violations.
+The state is what the installed Closure holds: the links map and its
+filler -> property -> subjects mirror (`back`), every membership with
+the snapshot round in which it entered (its stamp), the number of
+memberships per round, and the violations per individual.  A run
+resumes from that state, fed by the journal the Ontology keeps of the
+net ClassAssertion and PropertyAssertion asserts and retracts since that
+Closure's generation:
+
+* phase two is maintained by DRed (Gupta, Mumick, Subrahmanian,
+  *Maintaining Views Incrementally*, SIGMOD 1993): every fact with a
+  derivation through a retracted one is deleted, those that one rule
+  still derives from what is left are put back, and the worklist runs
+  on them and on the inserted facts.
+* phase three replays the rounds.  An individual is re-evaluated from
+  the first round in which its snapshot can differ from the last
+  run's: its initial types changed, its links through a property some
+  definition reads changed, or a snapshot it reads (its own, one of its
+  SameIndividual group's, or a filler's through such a property)
+  differs from the last run's.  Every other individual keeps its
+  stamps, which give its snapshot in every round, so the outcome is
+  exactly that of the rounds run from scratch, under Only and Max too.
+* violations are recomputed for the individuals phase three
+  re-evaluated and the subjects whose links changed.
+
+Reset rule: any other edit (TBox, RBox, SameIndividual,
+DifferentIndividuals, a new declaration) drops the journal, and the next
+run starts from an empty state.  A first run is the same engine on the
+empty state, with every fact inserted and every individual affected.
+A run copies an entry of the state before it changes it, so an earlier
+Closure keeps its own results.
 """
 
 from __future__ import annotations
@@ -92,6 +127,9 @@ from .model import (
     tautological,
 )
 
+_EMPTY: dict = {}  # stands in for a missing map entry; never written
+_NONE: frozenset = frozenset()
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -108,28 +146,29 @@ class Closure:
 
     Every query is a lookup in the maps the run built for itself:
     `fillers` and `links_of` read the subject -> property -> fillers map,
-    `types_of` the membership map, `super_properties` the property reach
-    and `same_individuals` the identity groups.  `instances_of` and the
-    two `direct_*` taxonomy queries read indexes derived from those maps:
-    the class -> instances inversion and the transitive reduction of the
-    subsumption reach.  Each is built on the first query that needs it
-    and kept for the life of the Closure; the run's data never changes,
-    and a later mutation makes the whole Closure stale rather than its
-    indexes.  Descriptor reads are answered by these queries; `inferred`,
-    the store's inferred partition, is built from the same maps on first
-    read.
+    `subjects` its mirror, `types_of` the membership map,
+    `super_properties` the property reach and `same_individuals` the
+    identity groups.  `instances_of` and the two `direct_*` taxonomy
+    queries read indexes derived from those maps: the class -> instances
+    inversion and the transitive reduction of the subsumption reach.
+    Each is built on the first query that needs it and kept for the life
+    of the Closure; the run's data never changes (a later run copies an
+    entry before it changes it), and a later mutation makes the whole
+    Closure stale rather than its indexes.  Descriptor reads are answered
+    by these queries; `inferred`, the store's inferred partition, is
+    built from the same maps on first read.
     """
 
     ontology: Ontology
     generation: int
     consistent: bool = True
     violations: tuple = ()
-    _class_reach: dict = field(default_factory=dict, repr=False)
-    _prop_reach: dict = field(default_factory=dict, repr=False)
-    _same_rep: dict = field(default_factory=dict, repr=False)
-    _same_groups: dict = field(default_factory=dict, repr=False)
-    _types: dict = field(default_factory=dict, repr=False)
+    _schema: _Schema | None = field(default=None, repr=False)
     _links: dict = field(default_factory=dict, repr=False)
+    _back: dict = field(default_factory=dict, repr=False)
+    _types: dict = field(default_factory=dict, repr=False)  # individual -> class -> round
+    _entered: list = field(default_factory=list, repr=False)  # round -> individuals
+    _violations_by: dict = field(default_factory=dict, repr=False)
     _asserted: frozenset = field(default_factory=frozenset, repr=False)
 
     # -- guards
@@ -146,14 +185,15 @@ class Closure:
         its kinds, so the factories' checks are skipped (a test holds
         every inferred axiom to its factory).
         """
+        schema = self._schema
         derived: set[Axiom] = set()
-        for cls, sups in self._class_reach.items():
+        for cls, sups in schema.class_reach.items():
             for sup in sups:
                 derived.add(Axiom(AxiomTag.SUB_CLASS, (cls, sup)))
-        for prop, sups in self._prop_reach.items():
+        for prop, sups in schema.prop_reach.items():
             for sup in sups:
                 derived.add(Axiom(AxiomTag.SUB_PROPERTY, (prop, sup)))
-        for members in self._same_groups.values():
+        for members in schema.groups.values():
             for a, b in combinations(members, 2):
                 derived.add(same_individual(a, b))
         for s, by_prop in self._links.items():
@@ -178,7 +218,7 @@ class Closure:
     def subsumed_by(self, sub: Entity, sup: Entity) -> bool:
         """Entailed class subsumption, reflexivity included."""
         self._check_fresh()
-        return sub == sup or sup in self._class_reach.get(sub, ())
+        return sub == sup or sup in self._schema.class_reach.get(sub, ())
 
     def equivalent(self, a: Entity, b: Entity) -> bool:
         return self.subsumed_by(a, b) and self.subsumed_by(b, a)
@@ -212,7 +252,7 @@ class Closure:
         strict superclass is direct when no other strict superclass of
         lo lies strictly below it.
         """
-        reach = self._class_reach
+        reach = self._schema.class_reach
         strictly_above = {
             lo: {hi for hi in his if lo not in reach[hi]} for lo, his in reach.items()
         }
@@ -257,32 +297,69 @@ class Closure:
 
     def fillers(self, individual: Entity, prop: Entity) -> set:
         self._check_fresh()
-        return set(self._links.get(individual, {}).get(prop, ()))
+        return set(self._links.get(individual, _EMPTY).get(prop, ()))
+
+    def subjects(self, filler: Entity, prop: Entity) -> set[Entity]:
+        """The individuals that have `filler` as a `prop` filler."""
+        self._check_fresh()
+        return set(self._back.get(filler, _EMPTY).get(prop, ()))
 
     def links_of(self, individual: Entity) -> set:
         self._check_fresh()
         return {
-            (p, f) for p, fs in self._links.get(individual, {}).items() for f in fs
+            (p, f) for p, fs in self._links.get(individual, _EMPTY).items() for f in fs
         }
 
     def same_as(self, a: Entity, b: Entity) -> bool:
         self._check_fresh()
-        return a == b or self._same_rep.get(a, a) == self._same_rep.get(b, b)
+        rep = self._schema.rep
+        return a == b or rep.get(a, a) == rep.get(b, b)
 
     def same_individuals(self, individual: Entity) -> set[Entity]:
         """The other individuals SameIndividual relates `individual` to."""
         self._check_fresh()
-        group = self._same_groups.get(self._same_rep.get(individual, individual), ())
+        schema = self._schema
+        group = schema.groups.get(schema.rep.get(individual, individual), ())
         return {other for other in group if other != individual}
 
     def super_properties(self, prop: Entity) -> set[Entity]:
         """Strict entailed super-properties, equivalents included."""
         self._check_fresh()
-        return set(self._prop_reach.get(prop, ()))
+        return set(self._schema.prop_reach.get(prop, ()))
 
 
 # ---------------------------------------------------------------------------
-# saturation
+# phase one: the schema
+
+
+@dataclass(frozen=True)
+class _Schema:
+    """Phase one's closures and the rule tables the later phases read.
+
+    It depends on the TBox, the RBox, the identity axioms and the
+    vocabulary only, so every run shares it until one of those changes.
+    """
+
+    individuals: list
+    class_reach: dict
+    prop_reach: dict
+    props_below: dict  # property -> the properties it is a strict super-property of
+    rep: dict
+    groups: dict
+    inverses: dict
+    symmetric: frozenset
+    transitive: frozenset
+    reflexive: frozenset
+    irreflexive: frozenset
+    chains: list
+    domains: dict
+    ranges: dict
+    definitions: list
+    read_by_definitions: frozenset  # properties some definition body restricts
+    disjoint_classes: list
+    disjoint_properties: list
+    functional: list
+    violations: frozenset  # same-and-different: no ABox fact bears on them
 
 
 def _reach_map(nodes, edges) -> dict:
@@ -310,6 +387,14 @@ def _definition_conjuncts(expr):
     return expr.members if isinstance(expr, And) else (expr,)
 
 
+def _restricted_properties(expr):
+    if isinstance(expr, (And, Or)):
+        for member in expr.members:
+            yield from _restricted_properties(member)
+    elif not isinstance(expr, Named):
+        yield expr.prop
+
+
 def _union_find(pairs, items):
     rep = {i: i for i in items}
 
@@ -329,33 +414,12 @@ def _union_find(pairs, items):
     return {i: find(i) for i in items}
 
 
-def _satisfies(expr, ind, types, links, rep) -> bool:
-    if isinstance(expr, Named):
-        return expr.cls in types.get(ind, ())
-    if isinstance(expr, And):
-        return all(_satisfies(m, ind, types, links, rep) for m in expr.members)
-    if isinstance(expr, Or):
-        return any(_satisfies(m, ind, types, links, rep) for m in expr.members)
-    fillers = links.get(ind, {}).get(expr.prop, ())
-    named = [f for f in fillers if isinstance(f, Entity)]
-    if isinstance(expr, Some):
-        return any(expr.filler in types.get(f, ()) for f in named)
-    if isinstance(expr, Only):
-        return all(expr.filler in types.get(f, ()) for f in named)
-    matching = {rep.get(f, f) for f in named if expr.filler in types.get(f, ())}
-    if isinstance(expr, Min):
-        return len(matching) >= expr.count
-    return len(matching) <= expr.count  # Max
-
-
-def reason(onto: Ontology) -> Closure:
-    asserted = onto.axioms("asserted")
-    by_tag: dict[AxiomTag, list[Axiom]] = {}
-    for a in asserted:
-        by_tag.setdefault(a.tag, []).append(a)
-
+def _schema(onto: Ontology, by_tag: dict) -> _Schema:
     def tagged(tag):
         return by_tag.get(tag, [])
+
+    def unary(tag):
+        return frozenset(a.args[0] for a in tagged(tag))
 
     classes = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in DATATYPES]
     individuals = onto.individuals()
@@ -363,7 +427,6 @@ def reason(onto: Ontology) -> Closure:
         Kind.DATA_PROPERTY
     )
 
-    # phase one: schema closures -------------------------------------------
     class_edges = [tuple(a.args) for a in tagged(AxiomTag.SUB_CLASS)]
     for a in tagged(AxiomTag.EQUIVALENT_CLASSES):
         x, y = a.args
@@ -378,92 +441,27 @@ def reason(onto: Ontology) -> Closure:
             class_edges.append((c, THING))
         if c != NOTHING:
             class_edges.append((NOTHING, c))
-    class_reach = _reach_map(classes, class_edges)
 
     prop_edges = [tuple(a.args) for a in tagged(AxiomTag.SUB_PROPERTY)]
     for a in tagged(AxiomTag.EQUIVALENT_PROPERTIES):
         x, y = a.args
         prop_edges += [(x, y), (y, x)]
     prop_reach = _reach_map(properties, prop_edges)
+    props_below: dict[Entity, set[Entity]] = {}
+    for p, sups in prop_reach.items():
+        for sup in sups:
+            props_below.setdefault(sup, set()).add(p)
 
-    same_pairs = [tuple(a.args) for a in tagged(AxiomTag.SAME_INDIVIDUAL)]
-    rep = _union_find(same_pairs, individuals)
+    rep = _union_find([tuple(a.args) for a in tagged(AxiomTag.SAME_INDIVIDUAL)], individuals)
     groups: dict[Entity, list[Entity]] = {}
     for ind in individuals:
         groups.setdefault(rep[ind], []).append(ind)
 
-    # phase two: property assertions ----------------------------------------
     inverses: dict[Entity, set[Entity]] = {}
     for a in tagged(AxiomTag.INVERSE_PROPERTIES):
         p, r = a.args
         inverses.setdefault(p, set()).add(r)
         inverses.setdefault(r, set()).add(p)
-    symmetric_props = {a.args[0] for a in tagged(AxiomTag.SYMMETRIC_PROPERTY)}
-    transitive_props = {a.args[0] for a in tagged(AxiomTag.TRANSITIVE_PROPERTY)}
-    reflexive_props = {a.args[0] for a in tagged(AxiomTag.REFLEXIVE_PROPERTY)}
-    irreflexive_props = {a.args[0] for a in tagged(AxiomTag.IRREFLEXIVE_PROPERTY)}
-    chains = [tuple(a.args) for a in tagged(AxiomTag.PROPERTY_CHAIN)]
-
-    # subject -> property -> fillers (kept by the Closure) and its mirror,
-    # filler -> property -> subjects, over named fillers only
-    links: dict[Entity, dict[Entity, set]] = {}
-    back: dict[Entity, dict[Entity, set]] = {}
-    pending: list[tuple] = []
-
-    def put(subject, prop, filler):
-        # a fact is pending once, when it enters both maps
-        fillers = links.setdefault(subject, {}).setdefault(prop, set())
-        if filler not in fillers:
-            fillers.add(filler)
-            if isinstance(filler, Entity):
-                back.setdefault(filler, {}).setdefault(prop, set()).add(subject)
-            pending.append((subject, prop, filler))
-
-    def derive(subject, prop, filler):
-        if not (prop in irreflexive_props and subject == filler):
-            put(subject, prop, filler)
-
-    # asserted facts are kept even on an irreflexive property
-    for a in tagged(AxiomTag.PROPERTY_ASSERTION):
-        put(*a.args)
-    for p in reflexive_props:
-        for ind in individuals:
-            derive(ind, p, ind)
-
-    # The joins below iterate live sets.  derive() grows only
-    # links[subject][prop] and back[filler][prop]; a join derives into the
-    # set it iterates only from a self-loop (s == f), and then a fact that
-    # set already holds (the maps mirror each other), so none grows.
-    while pending:
-        s, p, f = pending.pop()
-        for sup in prop_reach.get(p, ()):
-            derive(s, sup, f)
-        if isinstance(f, Entity):
-            for inv in inverses.get(p, ()):
-                derive(f, inv, s)
-            if p in symmetric_props:
-                derive(f, p, s)
-            if p in transitive_props:
-                for f2 in links.get(f, {}).get(p, ()):
-                    derive(s, p, f2)
-                for s0 in back.get(s, {}).get(p, ()):
-                    derive(s0, p, f)
-            for sup, p1, p2 in chains:
-                if p == p1:
-                    for f2 in links.get(f, {}).get(p2, ()):
-                        derive(s, sup, f2)
-                if p == p2:
-                    for s0 in back.get(s, {}).get(p1, ()):
-                        derive(s0, sup, f)
-        for other in groups.get(rep.get(s), ()):
-            if other != s:
-                derive(other, p, f)
-        if isinstance(f, Entity):
-            for other in groups.get(rep.get(f), ()):
-                if other != f:
-                    derive(s, p, other)
-
-    # phase three: memberships in snapshot rounds ----------------------------
     domains: dict[Entity, set[Entity]] = {}
     for a in tagged(AxiomTag.PROPERTY_DOMAIN):
         p, c = a.args
@@ -475,93 +473,471 @@ def reason(onto: Ontology) -> Closure:
             ranges.setdefault(p, set()).add(c)
     definitions = [tuple(a.args) for a in tagged(AxiomTag.CLASS_DEFINITION)]
 
-    types: dict[Entity, set[Entity]] = {ind: {THING} for ind in individuals}
-    for a in tagged(AxiomTag.CLASS_ASSERTION):
-        ind, cls = a.args
-        types[ind].add(cls)
-    for s, by_prop in links.items():
-        for p in by_prop:
-            types[s].update(domains.get(p, ()))
-    for f, by_prop in back.items():
-        for p in by_prop:
-            types[f].update(ranges.get(p, ()))
-
-    while True:
-        fresh: list[tuple] = []
-        for ind, ts in types.items():
-            for cls in ts:
-                for sup in class_reach.get(cls, ()):
-                    if sup not in ts:
-                        fresh.append((ind, sup))
-            for other in groups.get(rep.get(ind), ()):
-                others = types[other]
-                for cls in ts:
-                    if cls not in others:
-                        fresh.append((other, cls))
-        for cls, expr in definitions:
-            for ind in individuals:
-                if cls not in types[ind] and _satisfies(expr, ind, types, links, rep):
-                    fresh.append((ind, cls))
-        if not fresh:
-            break
-        for ind, cls in fresh:
-            types[ind].add(cls)
-
-    # violations -------------------------------------------------------------
-    violations: set[Violation] = set()
-    for a in tagged(AxiomTag.DISJOINT_CLASSES):
-        x, y = a.args
-        for ind, ts in types.items():
-            if x in ts and y in ts:
-                violations.add(
-                    Violation(
-                        "disjoint-classes",
-                        frozenset({a, class_assertion(ind, x), class_assertion(ind, y)}),
-                    )
-                )
-    for a in tagged(AxiomTag.DISJOINT_PROPERTIES):
-        p, r = a.args
-        for s, by_prop in links.items():
-            for f in by_prop.get(p, set()) & by_prop.get(r, set()):
-                violations.add(
-                    Violation(
-                        "disjoint-properties",
-                        frozenset({a, property_assertion(s, p, f), property_assertion(s, r, f)}),
-                    )
-                )
-    for a in tagged(AxiomTag.FUNCTIONAL_PROPERTY):
-        p = a.args[0]
-        for s, by_prop in links.items():
-            # a literal is its own representative
-            for f1, f2 in combinations(by_prop.get(p, ()), 2):
-                if rep.get(f1, f1) != rep.get(f2, f2):
-                    violations.add(
-                        Violation(
-                            "functional-property",
-                            frozenset({a, property_assertion(s, p, f1), property_assertion(s, p, f2)}),
-                        )
-                    )
+    violations = set()
     for a in tagged(AxiomTag.DIFFERENT_INDIVIDUALS):
         x, y = a.args
         if rep.get(x, x) == rep.get(y, y):
             violations.add(Violation("same-and-different", frozenset({a, same_individual(x, y)})))
 
-    closure = Closure(
-        ontology=onto,
-        generation=onto.generation,
-        consistent=not violations,
-        violations=tuple(sorted(violations, key=_violation_key)),
-        _class_reach=class_reach,
-        _prop_reach=prop_reach,
-        _same_rep=rep,
-        _same_groups=groups,
-        _types=types,
-        _links=links,
-        _asserted=asserted,
+    return _Schema(
+        individuals=individuals,
+        class_reach=_reach_map(classes, class_edges),
+        prop_reach=prop_reach,
+        props_below=props_below,
+        rep=rep,
+        groups=groups,
+        inverses=inverses,
+        symmetric=unary(AxiomTag.SYMMETRIC_PROPERTY),
+        transitive=unary(AxiomTag.TRANSITIVE_PROPERTY),
+        reflexive=unary(AxiomTag.REFLEXIVE_PROPERTY),
+        irreflexive=unary(AxiomTag.IRREFLEXIVE_PROPERTY),
+        chains=[tuple(a.args) for a in tagged(AxiomTag.PROPERTY_CHAIN)],
+        domains=domains,
+        ranges=ranges,
+        definitions=definitions,
+        read_by_definitions=frozenset(
+            p for _, expr in definitions for p in _restricted_properties(expr)
+        ),
+        disjoint_classes=tagged(AxiomTag.DISJOINT_CLASSES),
+        disjoint_properties=tagged(AxiomTag.DISJOINT_PROPERTIES),
+        functional=tagged(AxiomTag.FUNCTIONAL_PROPERTY),
+        violations=frozenset(violations),
     )
-    onto._install_closure(closure)
-    return closure
+
+
+# ---------------------------------------------------------------------------
+# phase two: property assertions
+
+
+class _Nested:
+    """key -> property -> set, starting as the previous run's map.
+
+    Reads go to `map`.  entry() copies a key's entry from the previous
+    run's before its first change, so the previous Closure keeps its own;
+    `copied` holds the keys whose entries in `map` are this run's.
+    """
+
+    __slots__ = ("map", "copied")
+
+    def __init__(self, previous: dict):
+        self.map = dict(previous)
+        self.copied = set()
+
+    def entry(self, key) -> dict:
+        """key's property map, safe to change."""
+        if key in self.copied:
+            return self.map[key]
+        self.copied.add(key)
+        prior = self.map.get(key)
+        entry = self.map[key] = {p: set(vs) for p, vs in prior.items()} if prior else {}
+        return entry
+
+    def discard(self, key, prop, value) -> None:
+        entry = self.entry(key)
+        values = entry[prop]
+        values.discard(value)
+        if not values:
+            del entry[prop]
+            if not entry:
+                del self.map[key]
+                self.copied.discard(key)
+
+
+def _property_assertions(schema: _Schema, links: _Nested, back: _Nested, edits, asserted, seeds):
+    """Phase two: bring the links and their mirror up to date with the edits.
+
+    `edits` maps PropertyAssertion axioms to True (asserted) or False
+    (retracted); `seeds` are premise-free facts to insert.  Returns the
+    facts that entered or left the maps.
+    """
+    fresh, mirror = links.map, back.map
+    prop_reach, inverses, chains = schema.prop_reach, schema.inverses, schema.chains
+    symmetric, transitive, irreflexive = schema.symmetric, schema.transitive, schema.irreflexive
+    rep, groups = schema.rep, schema.groups
+
+    def consequences(s, p, f, emit):
+        # emit every fact one rule derives from (s, p, f) and the maps
+        for sup in prop_reach.get(p, ()):
+            emit(s, sup, f)
+        if isinstance(f, Entity):
+            for inv in inverses.get(p, ()):
+                emit(f, inv, s)
+            if p in symmetric:
+                emit(f, p, s)
+            if p in transitive:
+                for f2 in fresh.get(f, _EMPTY).get(p, ()):
+                    emit(s, p, f2)
+                for s0 in mirror.get(s, _EMPTY).get(p, ()):
+                    emit(s0, p, f)
+            for sup, p1, p2 in chains:
+                if p == p1:
+                    for f2 in fresh.get(f, _EMPTY).get(p2, ()):
+                        emit(s, sup, f2)
+                if p == p2:
+                    for s0 in mirror.get(s, _EMPTY).get(p1, ()):
+                        emit(s0, sup, f)
+            for other in groups[rep[f]]:
+                if other is not f:
+                    emit(s, p, other)
+        for other in groups[rep[s]]:
+            if other is not s:
+                emit(other, p, f)
+
+    # DRed, first step: overdelete every fact with a derivation through a
+    # retracted one, joining against the maps as they were
+    gone: set[tuple] = set()
+    stack: list[tuple] = []
+
+    def overdelete(s, p, f):
+        fact = (s, p, f)
+        if fact not in gone and f in fresh.get(s, _EMPTY).get(p, ()):
+            gone.add(fact)
+            stack.append(fact)
+
+    for axiom, added in edits.items():
+        if not added:
+            overdelete(*axiom.args)
+    while stack:
+        consequences(*stack.pop(), overdelete)
+    for s, p, f in gone:
+        links.discard(s, p, f)
+        if isinstance(f, Entity):
+            back.discard(f, p, s)
+
+    pending: list[tuple] = []
+    put_facts: list[tuple] = []
+
+    def put(s, p, f):
+        # a fact is pending once, when it enters both maps
+        by_prop = fresh.get(s, _EMPTY)
+        if f in by_prop.get(p, ()):
+            return
+        if s not in links.copied:
+            by_prop = links.entry(s)
+        by_prop.setdefault(p, set()).add(f)
+        if isinstance(f, Entity):
+            into = mirror[f] if f in back.copied else back.entry(f)
+            into.setdefault(p, set()).add(s)
+        fact = (s, p, f)
+        pending.append(fact)
+        put_facts.append(fact)
+
+    def derive(s, p, f):
+        if not (p in irreflexive and s is f):
+            put(s, p, f)
+
+    # second step: put back what one rule still derives from the rest ...
+    for fact in gone:
+        if _derivable(schema, fresh, mirror, asserted, *fact):
+            put(*fact)
+    # ... third: insert, asserted facts even on an irreflexive property,
+    # and run the worklist to fixpoint
+    for axiom, added in edits.items():
+        if added:
+            put(*axiom.args)
+    for fact in seeds:
+        derive(*fact)
+    # The joins iterate live sets.  derive() grows only links[subject][prop]
+    # and back[filler][prop]; a join derives into the set it iterates only
+    # from a self-loop (s is f), and then a fact that set already holds
+    # (the maps mirror each other), so none grows or is copied.
+    while pending:
+        consequences(*pending.pop(), derive)
+    return gone.symmetric_difference(put_facts)
+
+
+def _derivable(schema: _Schema, links, back, asserted, s, q, g) -> bool:
+    """True when (s, q, g) is asserted or one rule derives it from the maps."""
+    if Axiom(AxiomTag.PROPERTY_ASSERTION, (s, q, g)) in asserted:
+        return True
+    if s is g and q in schema.irreflexive:
+        return False
+    if s is g and q in schema.reflexive:
+        return True
+    by_prop = links.get(s, _EMPTY)
+    if any(g in by_prop.get(p, ()) for p in schema.props_below.get(q, ())):
+        return True
+    for other in schema.groups[schema.rep[s]]:
+        if other is not s and g in links.get(other, _EMPTY).get(q, ()):
+            return True
+    if not isinstance(g, Entity):
+        return False
+    from_g = links.get(g, _EMPTY)
+    into_g = back.get(g, _EMPTY)
+    if any(s in from_g.get(p, ()) for p in schema.inverses.get(q, ())):
+        return True
+    if q in schema.symmetric and s in from_g.get(q, ()):
+        return True
+    if q in schema.transitive and not by_prop.get(q, _NONE).isdisjoint(into_g.get(q, ())):
+        return True
+    for sup, p1, p2 in schema.chains:
+        if sup == q and not by_prop.get(p1, _NONE).isdisjoint(into_g.get(p2, ())):
+            return True
+    held = by_prop.get(q, ())
+    return any(other is not g and other in held for other in schema.groups[schema.rep[g]])
+
+
+# ---------------------------------------------------------------------------
+# phase three: memberships in snapshot rounds
+
+
+def _satisfies(expr, ind, types, links, rep, r) -> bool:
+    """Whether `ind` is an instance of `expr` in the snapshot before round r."""
+    if isinstance(expr, Named):
+        return types[ind].get(expr.cls, r) < r
+    if isinstance(expr, And):
+        for member in expr.members:
+            if not _satisfies(member, ind, types, links, rep, r):
+                return False
+        return True
+    if isinstance(expr, Or):
+        for member in expr.members:
+            if _satisfies(member, ind, types, links, rep, r):
+                return True
+        return False
+    fillers = links.get(ind, _EMPTY).get(expr.prop, ())
+    named = [f for f in fillers if isinstance(f, Entity)]
+    if isinstance(expr, Some):
+        return any(types[f].get(expr.filler, r) < r for f in named)
+    if isinstance(expr, Only):
+        return all(types[f].get(expr.filler, r) < r for f in named)
+    matching = {rep.get(f, f) for f in named if types[f].get(expr.filler, r) < r}
+    if isinstance(expr, Min):
+        return len(matching) >= expr.count
+    return len(matching) <= expr.count  # Max
+
+
+def _agrees(now: dict, before: dict | None, r: int) -> bool:
+    """Whether the two stamp maps give the same snapshot after round r."""
+    if before is None:
+        return False
+    count = 0
+    for cls, stamp in before.items():
+        if stamp <= r:
+            if cls not in now:
+                return False
+            count += 1
+    return count == len(now)
+
+
+def _readers(schema: _Schema, back, ind) -> set:
+    """The individuals whose next snapshot reads `ind`'s."""
+    found = set(schema.groups[schema.rep[ind]])
+    into = back.get(ind, _EMPTY)
+    for p in schema.read_by_definitions:
+        found.update(into.get(p, ()))
+    return found
+
+
+def _memberships(schema, onto, links, back, previous, types, entered, touched, relinked) -> set:
+    """Phase three: replay the snapshot rounds from the last run's stamps.
+
+    `previous` is the last run's individual -> class -> round map and
+    `types` starts as a copy of it; entered[r] holds the individuals that
+    entered a class in round r (r >= 1).  `touched` individuals get their
+    initial types recomputed; `relinked` ones changed links that a
+    definition reads.  Returns the individuals whose stamps were
+    recomputed.
+
+    Within one run the rounds are semi-naive: inheritance and sharing
+    need only the classes that entered in the round before (earlier ones
+    were propagated already), and an individual's definitions can give
+    something new only in round 1 or after a snapshot they read (its own
+    or a filler's) changed in the round before.
+    """
+    class_reach, rep, groups = schema.class_reach, schema.rep, schema.groups
+    definitions, read = schema.definitions, schema.read_by_definitions
+    last = len(entered) - 1  # the last run's last round that added a membership
+    if not entered:
+        entered.append(set())  # round 0 is every individual's; not tracked
+    owned: set = set()
+    copied: set = set()  # rounds whose sets in `entered` are this run's
+
+    def entered_in(r) -> set:
+        if r == len(entered):
+            entered.append(set())
+        elif r not in copied:
+            entered[r] = set(entered[r])
+        copied.add(r)
+        return entered[r]
+
+    def own(ind, r):
+        # ind's stamps before round r are the last run's; later ones are recomputed
+        kept = {}
+        for cls, stamp in previous.get(ind, _EMPTY).items():
+            if stamp < r:
+                kept[cls] = stamp
+            else:
+                entered_in(stamp).discard(ind)
+        types[ind] = kept
+        owned.add(ind)
+        return kept
+
+    differs = set()
+    for ind in touched:
+        start = {THING}
+        start.update(a.args[1] for a in onto.axioms_about(AxiomTag.CLASS_ASSERTION, ind))
+        for p in links.get(ind, _EMPTY):
+            start.update(schema.domains.get(p, ()))
+        for p in back.get(ind, _EMPTY):
+            start.update(schema.ranges.get(p, ()))
+        before = previous.get(ind)
+        if before is not None and start == {c for c, stamp in before.items() if not stamp}:
+            continue
+        own(ind, 0).update(dict.fromkeys(start, 0))
+        differs.add(ind)
+
+    dirty = owned | relinked
+    r = 0
+    while dirty:
+        r += 1
+        # in a first run every individual is dirty from round 0 on
+        if len(dirty) < len(types):
+            for ind in differs:
+                dirty |= _readers(schema, back, ind)
+        for ind in dirty - owned:
+            own(ind, r)
+        prior = r - 1
+        moved = entered[prior] if 1 < r <= len(entered) else None
+        grew = False
+        for ind in dirty:
+            ts = types[ind]
+            gained = set()
+            for cls, stamp in ts.items():
+                if stamp == prior:
+                    gained.update(class_reach.get(cls, ()))
+            group = groups[rep[ind]]
+            if len(group) > 1:
+                for other in group:
+                    gained.update(c for c, stamp in types[other].items() if stamp == prior)
+            gained.difference_update(ts)
+            evaluate = moved is None or ind in moved
+            if not evaluate:
+                by_prop = links.get(ind, _EMPTY)
+                evaluate = any(not moved.isdisjoint(by_prop.get(p, ())) for p in read)
+            if evaluate:
+                for cls, expr in definitions:
+                    if cls not in ts and cls not in gained and _satisfies(expr, ind, types, links, rep, r):
+                        gained.add(cls)
+            if gained:
+                ts.update(dict.fromkeys(gained, r))
+                entered_in(r).add(ind)
+                grew = True
+        if r > last and not grew:
+            break
+        differs = {ind for ind in dirty if not _agrees(types[ind], previous.get(ind), r)}
+    while len(entered) > 1 and not entered[-1]:
+        entered.pop()
+    return owned
+
+
+# ---------------------------------------------------------------------------
+# violations
+
+
+def _violations(schema: _Schema, types, links, violations_by: dict, checked) -> tuple:
+    """Recheck the `checked` individuals; returns every violation, sorted.
+
+    violations_by maps an individual to the violations about it; a
+    rechecked individual's set is a new one, so an earlier run's stays.
+    """
+    for ind in checked:
+        violations_by.pop(ind, None)
+
+    def found(ind, rule, axioms):
+        violations_by.setdefault(ind, set()).add(Violation(rule, frozenset(axioms)))
+
+    for a in schema.disjoint_classes:
+        x, y = a.args
+        for ind in checked:
+            ts = types[ind]
+            if x in ts and y in ts:
+                found(ind, "disjoint-classes", {a, class_assertion(ind, x), class_assertion(ind, y)})
+    for a in schema.disjoint_properties:
+        p, r = a.args
+        for ind in checked:
+            by_prop = links.get(ind, _EMPTY)
+            for f in by_prop.get(p, _NONE) & by_prop.get(r, _NONE):
+                found(ind, "disjoint-properties", {a, property_assertion(ind, p, f), property_assertion(ind, r, f)})
+    rep = schema.rep
+    for a in schema.functional:
+        p = a.args[0]
+        for ind in checked:
+            # a literal is its own representative
+            for f1, f2 in combinations(links.get(ind, _EMPTY).get(p, ()), 2):
+                if rep.get(f1, f1) != rep.get(f2, f2):
+                    found(
+                        ind,
+                        "functional-property",
+                        {a, property_assertion(ind, p, f1), property_assertion(ind, p, f2)},
+                    )
+    every = set(schema.violations).union(*violations_by.values())
+    return tuple(sorted(every, key=_violation_key))
 
 
 def _violation_key(v: Violation):
     return (v.rule, sorted(repr(a) for a in v.axioms))
+
+
+# ---------------------------------------------------------------------------
+# a run
+
+
+def reason(onto: Ontology) -> Closure:
+    """Saturate the store, resuming from its installed Closure when the
+    journal carries every edit since (see the module docstring)."""
+    previous, edits = onto._edits_since_closure()
+    asserted = onto.axioms("asserted")
+    if previous is None:
+        # an empty state, with every fact inserted and every individual affected
+        by_tag: dict[AxiomTag, list[Axiom]] = {}
+        for a in asserted:
+            by_tag.setdefault(a.tag, []).append(a)
+        schema = _schema(onto, by_tag)
+        previous = Closure(ontology=onto, generation=-1, _schema=schema)
+        edits = dict.fromkeys(
+            by_tag.get(AxiomTag.CLASS_ASSERTION, []) + by_tag.get(AxiomTag.PROPERTY_ASSERTION, []),
+            True,
+        )
+        seeds = [(ind, p, ind) for p in schema.reflexive for ind in schema.individuals]
+        touched = set(schema.individuals)
+    else:
+        schema = previous._schema
+        seeds = ()
+        touched = {a.args[0] for a in edits if a.tag is AxiomTag.CLASS_ASSERTION}
+
+    links, back = _Nested(previous._links), _Nested(previous._back)
+    link_edits = {a: added for a, added in edits.items() if a.tag is AxiomTag.PROPERTY_ASSERTION}
+    changed = _property_assertions(schema, links, back, link_edits, asserted, seeds)
+    relinked = set()
+    for s, p, f in changed:
+        touched.add(s)
+        if isinstance(f, Entity):
+            touched.add(f)
+        if p in schema.read_by_definitions:
+            relinked.add(s)
+
+    types, entered = dict(previous._types), list(previous._entered)
+    owned = _memberships(
+        schema, onto, links.map, back.map, previous._types, types, entered, touched, relinked
+    )
+    violations_by = dict(previous._violations_by)
+    violations = _violations(
+        schema, types, links.map, violations_by, owned.union(s for s, _, _ in changed)
+    )
+
+    closure = Closure(
+        ontology=onto,
+        generation=onto.generation,
+        consistent=not violations,
+        violations=violations,
+        _schema=schema,
+        _links=links.map,
+        _back=back.map,
+        _types=types,
+        _entered=entered,
+        _violations_by=violations_by,
+        _asserted=asserted,
+    )
+    onto._install_closure(closure)
+    return closure
