@@ -16,8 +16,9 @@ file, so flows can be chained.  Output is plain text, one record per
 line, deterministic for a fixed (file, flags, seed).
 
 Exit codes: 0 ok, 1 parse error or i/o error (an ontology file that
-cannot be read, or a failed example1 save), 2 unknown entity, 3
-inconsistent world, 4 missing filler (no position or no door).
+cannot be read, or a failed example1 save), 2 unknown entity or a usage
+error (such as patrol --steps 0 or --seed -1), 3 inconsistent world, 4
+missing filler (no position or no door).
 """
 
 from __future__ import annotations
@@ -140,6 +141,21 @@ def _cmd_patrol(args) -> int:
     return EXIT_OK
 
 
+def _bounded_int(least: int, what: str):
+    """An argparse type: an integer >= least, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what} integer")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ontodesc",
@@ -183,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reachable)
 
     p = sub.add_parser("patrol", parents=[common], help="seeded door-to-door walk")
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--steps", type=_bounded_int(1, "a positive"), default=20)
+    p.add_argument("--seed", type=_bounded_int(0, "an unsigned"), default=7)
     p.set_defaults(func=_cmd_patrol)
 
     return parser

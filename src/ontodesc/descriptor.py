@@ -385,6 +385,12 @@ def _payload(tag: DescriptorTag, item: Item) -> list:
     return [item.cls]
 
 
+def _args(tag: DescriptorTag, ground: Entity, item: Item) -> list:
+    args = _payload(tag, item)
+    args.insert(TAG_SPECS[tag].ground_at, ground)
+    return args
+
+
 def to_axiom(tag: DescriptorTag, ground: Entity, item: Item) -> Axiom:
     """Render one item as the axiom it stands for.
 
@@ -392,10 +398,21 @@ def to_axiom(tag: DescriptorTag, ground: Entity, item: Item) -> Axiom:
     whole definition list.
     """
     _check_item(tag, item)
-    spec = TAG_SPECS[tag]
-    args = _payload(tag, item)
-    args.insert(spec.ground_at, ground)
-    return model.AXIOM_FACTORIES[spec.axiom_tag](*args)
+    return model.AXIOM_FACTORIES[TAG_SPECS[tag].axiom_tag](*_args(tag, ground, item))
+
+
+def _read_axiom(tag: DescriptorTag, ground: Entity, item: Item) -> Axiom:
+    """to_axiom for an item a read found, built without the factory's checks.
+
+    Read items come from checked asserted axioms or from Closure maps
+    built out of them, so their kinds hold.  DEFINITION atoms and
+    unordered pairs (whose factories order the arguments) still go
+    through to_axiom.
+    """
+    axiom_tag = TAG_SPECS[tag].axiom_tag
+    if tag is DescriptorTag.DEFINITION or axiom_tag in model.ORDERLESS_TAGS:
+        return to_axiom(tag, ground, item)
+    return Axiom(axiom_tag, tuple(_args(tag, ground, item)))
 
 
 def to_axioms(tag: DescriptorTag, ground: Entity, items: list) -> list[Axiom]:
@@ -522,7 +539,7 @@ class DescriptorState:
             for i in self.items
             if i not in new
         ] + [
-            Intent("read", "add", to_axiom(self.tag, self.ground, i), "descriptor")
+            Intent("read", "add", _read_axiom(self.tag, self.ground, i), "descriptor")
             for i in new_items
             if i not in old
         ]

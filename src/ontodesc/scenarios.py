@@ -284,8 +284,7 @@ def patrol(onto: Ontology, config: PatrolConfig = PatrolConfig()) -> list[Patrol
         if not doors:
             raise NoFiller(f"no door at {here.ground.iri}")
         across = {
-            door.ground: _across(onto, closure, door.ground, here.ground, has_door)
-            for door in doors
+            door.ground: _across(closure, door.ground, here.ground, has_door) for door in doors
         }
 
         while True:
@@ -324,13 +323,9 @@ def patrol(onto: Ontology, config: PatrolConfig = PatrolConfig()) -> list[Patrol
     return trace
 
 
-def _across(onto, closure, door: Entity, here: Entity, has_door: Entity) -> Entity:
+def _across(closure: Closure, door: Entity, here: Entity, has_door: Entity) -> Entity:
     """The lexicographically first other location sharing the door."""
-    holders = sorted(
-        ind.iri
-        for ind in onto.individuals()
-        if ind != here and door in closure.fillers(ind, has_door)
-    )
+    holders = closure.subjects(door, has_door) - {here}
     if not holders:
         raise NoFiller(f"{door.iri} leads nowhere from {here.iri}")
-    return onto.lookup(holders[0])
+    return min(holders, key=lambda ind: ind.iri)

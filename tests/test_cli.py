@@ -231,3 +231,17 @@ class TestPatrol:
         code, out, _ = run(capsys, "patrol", "--steps", "3")
         assert code == EXIT_OK
         assert len(out.splitlines()) == 3
+
+    def test_zero_steps_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["patrol", "--steps", "0"])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "usage:" in err and "--steps" in err and "Traceback" not in err
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["patrol", "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "usage:" in err and "--seed" in err and "Traceback" not in err

@@ -1,0 +1,233 @@
+"""reason() resumed from the installed Closure against reason() from scratch.
+
+Random edit sequences - mostly ClassAssertion and PropertyAssertion
+asserts and retracts, now and then a TBox, SameIndividual or declaration
+edit that drops the journal - run reason() between edits.  After every
+run the resumed Closure must answer exactly what a from-scratch run on a
+copy of the store answers, and what the naive oracle derives.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from generators import random_axiom, random_ontology
+from oracles import naive_reason, naive_violations
+from ontodesc import model, reasoner, scenarios
+from ontodesc.model import AxiomTag, Kind, Ontology
+from ontodesc.reasoner import reason
+from ontodesc.scenarios import PatrolConfig, patrol, seed_path
+from ontodesc.syntax import parse
+
+ABOX_FACTS = (AxiomTag.CLASS_ASSERTION, AxiomTag.PROPERTY_ASSERTION)
+
+
+def copy_store(onto: Ontology) -> Ontology:
+    copy = Ontology()
+    for entity in onto.vocabulary():
+        copy.ensure(entity)
+    for axiom in onto.axioms("asserted"):
+        copy.assert_axiom(axiom)
+    return copy
+
+
+def answers(onto: Ontology, closure) -> dict:
+    """Every Closure query over the store's vocabulary."""
+    classes = onto.entities_of_kind(Kind.CLASS)
+    props = onto.entities_of_kind(Kind.OBJECT_PROPERTY) + onto.entities_of_kind(
+        Kind.DATA_PROPERTY
+    )
+    individuals = onto.individuals()
+    out = {"consistent": closure.consistent, "violations": closure.violations}
+    for ind in individuals:
+        out["types", ind] = closure.types_of(ind)
+        out["leaf types", ind] = closure.types_of(ind, most_specific_only=True)
+        out["links", ind] = closure.links_of(ind)
+        out["same", ind] = closure.same_individuals(ind)
+        for prop in props:
+            out["fillers", ind, prop] = closure.fillers(ind, prop)
+            out["subjects", ind, prop] = closure.subjects(ind, prop)
+        for other in individuals:
+            out["same as", ind, other] = closure.same_as(ind, other)
+    for cls in classes:
+        out["instances", cls] = closure.instances_of(cls)
+        out["below", cls] = closure.direct_subclasses(cls)
+        out["above", cls] = closure.direct_superclasses(cls)
+        for other in classes:
+            out["subsumed", cls, other] = closure.subsumed_by(cls, other)
+    for prop in props:
+        out["super", prop] = closure.super_properties(prop)
+    return out
+
+
+def edit(rng: random.Random, onto: Ontology, monotone: bool, step: int) -> None:
+    """One random edit: nine in ten touch the ABox facts only."""
+    pick = rng.random()
+    if pick < 0.9:
+        facts = sorted((a for a in onto.axioms("asserted") if a.tag in ABOX_FACTS), key=repr)
+        if facts and rng.random() < 0.5:
+            onto.retract_axiom(rng.choice(facts))
+            return
+        for _ in range(50):
+            axiom = random_axiom(rng, onto, monotone)
+            if axiom.tag in ABOX_FACTS:
+                onto.assert_axiom(axiom)
+                return
+    elif pick < 0.95:
+        onto.assert_axiom(random_axiom(rng, onto, monotone))
+    elif pick < 0.98:
+        individuals = onto.individuals()
+        onto.assert_axiom(model.same_individual(rng.choice(individuals), rng.choice(individuals)))
+    else:
+        onto.declare(Kind.INDIVIDUAL, f"fresh{step}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**9), monotone=st.booleans())
+def test_resumed_runs_match_scratch_runs_and_the_oracle(seed, monotone):
+    rng = random.Random(seed)
+    onto = random_ontology(rng, monotone=monotone)
+    reason(onto)
+    for step in range(rng.randint(2, 8)):
+        for _ in range(rng.randint(1, 4)):
+            edit(rng, onto, monotone, step)
+        resumed = reason(onto)
+        copy = copy_store(onto)
+        scratch = reason(copy)
+        assert resumed.inferred == scratch.inferred
+        assert answers(onto, resumed) == answers(copy, scratch)
+        inferred, consistent = naive_reason(onto)
+        assert resumed.inferred == inferred
+        assert resumed.consistent == consistent
+        assert {(v.rule, v.axioms) for v in resumed.violations} == naive_violations(onto)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_an_earlier_closure_keeps_its_results(seed):
+    """A resumed run copies what it changes: the Closure before it still
+    builds its own world's inferred axioms, first read after the run."""
+    rng = random.Random(7000 + seed)
+    onto = random_ontology(rng, axioms=rng.randint(10, 40))
+    earlier = reason(onto)
+    before = copy_store(onto)
+    expected, _ = naive_reason(before)
+    for _ in range(rng.randint(1, 6)):
+        edit(rng, onto, monotone=False, step=0)
+    reason(onto)
+    assert "inferred" not in earlier.__dict__
+    assert earlier.inferred == expected
+    assert earlier.violations == reason(before).violations
+
+
+class TestJournal:
+    def test_abox_edits_are_carried_and_undone_ones_dropped(self):
+        onto = parse("Class(A) Individual(x) Individual(y) ObjectProperty(p)")
+        closure = reason(onto)
+        x, y = onto.lookup("x"), onto.lookup("y")
+        typed = model.class_assertion(x, onto.lookup("A"))
+        linked = model.property_assertion(x, onto.lookup("p"), y)
+        onto.assert_axiom(typed)
+        onto.assert_axiom(linked)
+        onto.retract_axiom(linked)
+        assert onto._edits_since_closure() == (closure, {typed: True})
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda onto: onto.assert_axiom(model.sub_class(onto.lookup("A"), onto.lookup("B"))),
+            lambda onto: onto.assert_axiom(
+                model.same_individual(onto.lookup("x"), onto.lookup("y"))
+            ),
+            lambda onto: onto.declare(Kind.INDIVIDUAL, "z"),
+        ],
+        ids=["tbox", "same-individual", "declaration"],
+    )
+    def test_any_other_edit_starts_afresh(self, change):
+        onto = parse("Class(A) Class(B) Individual(x) Individual(y)")
+        reason(onto)
+        onto.assert_axiom(model.class_assertion(onto.lookup("x"), onto.lookup("A")))
+        change(onto)
+        assert onto._edits_since_closure() == (None, None)
+
+
+def corridor_chain(n: int) -> Ontology:
+    """The seed schema over n corridors C0..C(n-1): room R<i> behind door
+    RD<i>, door D<i> between C<i> and C<i+1>, Robot1 in C0."""
+    abox = ("Individual(", "ClassAssertion(", "PropertyAssertion(")
+    lines = [
+        line
+        for line in seed_path().read_text(encoding="utf-8").splitlines()
+        if not line.startswith(abox)
+    ]
+    lines += ["Individual(Robot1)", "ClassAssertion(ROBOT Robot1)", "PropertyAssertion(isIn Robot1 C0)"]
+    for i in range(n):
+        lines += [f"Individual(C{i})", f"Individual(R{i})", f"Individual(RD{i})"]
+        lines += [f"PropertyAssertion(hasDoor C{i} RD{i})", f"PropertyAssertion(hasDoor R{i} RD{i})"]
+        if i + 1 < n:
+            lines += [f"Individual(D{i})", f"PropertyAssertion(hasDoor C{i} D{i})"]
+            lines += [f"PropertyAssertion(hasDoor C{i + 1} D{i})"]
+    return parse("\n".join(lines))
+
+
+def _satisfies_calls_in_a_step(monkeypatch, n: int) -> tuple[int, str]:
+    onto = corridor_chain(n)
+    reason(onto)
+    patrol(onto, PatrolConfig(steps=1, seed=0))  # declares the door states: a full run
+    calls = 0
+    satisfies = reasoner._satisfies
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return satisfies(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reasoner, "_satisfies", counted)
+        [step] = patrol(onto, PatrolConfig(steps=1, seed=1))  # from C1, through three doors
+    return calls, step.line()
+
+
+def test_a_patrol_step_costs_the_edit_not_the_world(monkeypatch):
+    small, small_line = _satisfies_calls_in_a_step(monkeypatch, 32)
+    large, large_line = _satisfies_calls_in_a_step(monkeypatch, 128)
+    assert small_line == large_line  # the same local step in both worlds
+    assert 0 < small and large <= 1.5 * small
+
+
+def test_a_patrol_step_matches_a_scratch_run():
+    onto = corridor_chain(8)
+    for seed in range(12):
+        [step] = patrol(onto, PatrolConfig(steps=1, seed=seed))
+        resumed = onto.current_closure()
+        copy = copy_store(onto)
+        assert answers(onto, resumed) == answers(copy, reason(copy)), step.line()
+        assert resumed.inferred == copy.current_closure().inferred
+
+
+def test_patrol_resumes_after_its_first_step():
+    onto = scenarios.load_seed()
+    reason(onto)
+    patrol(onto, PatrolConfig(steps=1, seed=3))
+    onto_closure = onto.current_closure()
+    patrol(onto, PatrolConfig(steps=1, seed=4))
+    assert onto.current_closure()._schema is onto_closure._schema
+
+
+def test_a_late_round_still_reaches_a_re_evaluated_individual():
+    """x enters A3 in round 3, so y enters Y in round 4.  An unrelated edit
+    re-evaluates y from round 0, and y grows nothing until round 4: the
+    replay must run the last run's rounds out, not stop at the first
+    round in which y grew nothing."""
+    onto = parse(
+        "Class(A0) Class(A1) Class(A2) Class(A3) Class(Y) Class(Z) ObjectProperty(p)"
+        " Individual(x) Individual(y)"
+        " DefineClass(A1 A0) DefineClass(A2 A1) DefineClass(A3 A2)"
+        " DefineClass(Y Some(p A3))"
+        " ClassAssertion(A0 x) PropertyAssertion(p y x)"
+    )
+    y, cls_y = onto.lookup("y"), onto.lookup("Y")
+    assert cls_y in reason(onto).types_of(y)
+    onto.assert_axiom(model.class_assertion(y, onto.lookup("Z")))
+    assert cls_y in reason(onto).types_of(y)
+    assert onto.current_closure()._types == reason(copy_store(onto))._types

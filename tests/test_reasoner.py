@@ -418,3 +418,57 @@ def test_flows_never_build_the_inferred_axioms(monkeypatch):
     scenarios.patrol(onto, scenarios.PatrolConfig(steps=1, seed=3))
     assert len(closures) >= 2
     assert not any("inferred" in closure.__dict__ for closure in closures)
+
+
+def _renamer(onto: Ontology, rng: random.Random):
+    """A bijection on the store's non-builtin IRIs that also reorders them,
+    and the maps it induces on entities, expressions and axioms."""
+    names = sorted(e.iri for e in onto.vocabulary() if e not in model.BUILTINS)
+    shuffled = names[:]
+    rng.shuffle(shuffled)
+    new_iri = {old: f"n{i:03d}_{old}" for i, old in enumerate(shuffled)}
+
+    def entity(e):
+        return e if e in model.BUILTINS else model.Entity(e.kind, new_iri[e.iri])
+
+    def term(t):
+        if isinstance(t, model.Entity):
+            return entity(t)
+        if isinstance(t, (model.And, model.Or)):
+            return type(t)(tuple(term(m) for m in t.members))
+        if isinstance(t, model.Named):
+            return model.Named(entity(t.cls))
+        if isinstance(t, (model.Some, model.Only)):
+            return type(t)(entity(t.prop), entity(t.filler))
+        if isinstance(t, (model.Min, model.Max)):
+            return type(t)(t.count, entity(t.prop), entity(t.filler))
+        return t  # a literal
+
+    def axiom(a):
+        # the factories put a renamed unordered pair back in canonical order
+        return model.AXIOM_FACTORIES[a.tag](*(term(x) for x in a.args))
+
+    return entity, axiom
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), monotone=st.booleans())
+def test_renaming_iris_renames_the_closure(seed, monotone):
+    """Metamorphic law: rename every non-builtin IRI by a bijection (one
+    that reorders them, so canonical pair order and SameIndividual
+    representatives change too); reason() gives the renamed inferred
+    axioms, consistency and violations."""
+    rng = random.Random(seed)
+    onto = random_ontology(rng, monotone=monotone)
+    entity, axiom = _renamer(onto, rng)
+    renamed = Ontology()
+    for e in onto.vocabulary():
+        renamed.ensure(entity(e))
+    for a in onto.axioms("asserted"):
+        renamed.assert_axiom(axiom(a))
+    original, image = reason(onto), reason(renamed)
+    assert image.inferred == {axiom(a) for a in original.inferred}
+    assert image.consistent == original.consistent
+    assert {(v.rule, v.axioms) for v in image.violations} == {
+        (v.rule, frozenset(axiom(a) for a in v.axioms)) for v in original.violations
+    }
