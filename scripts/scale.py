@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Measure how a patrol step and a from-scratch reason() grow with world size.
+
+    python scripts/scale.py --label change              # n = 25, 100, 400
+    python scripts/scale.py --sizes 10,25 --repeat 3 --label quick --out /tmp
+
+For each n the world is perfbench's corridor chain (worlds.generate with
+k=0 classes and m=1 robot, seed 0).  reason() is timed on a freshly
+parsed copy, so it runs from an empty state.  The patrol step is
+scenarios.patrol(world, PatrolConfig(steps=1, seed=s_i)) on one world
+carried from step to step, after one untimed step that declares the door
+state classes; seeds s_i come from random.Random(n).  The garbage
+collector runs before every timed call, outside the timer.
+
+Writes BENCH_scale_<label>.json: the Python version, the repeat count,
+per n the asserted axiom count and the median milliseconds of each
+measurement, and the patrol step's ratio between the largest and the
+smallest n.  Times are wall times on whatever machine runs it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import worlds  # noqa: E402  (perfbench/worlds.py: standard library only)
+from ontodesc import reasoner, scenarios, syntax  # noqa: E402
+
+
+def _timed_ms(call) -> float:
+    gc.collect()
+    start = time.perf_counter()
+    call()
+    return (time.perf_counter() - start) * 1000
+
+
+def measure(n: int, repeat: int) -> dict:
+    world = worlds.generate(n, k=0, m=1, seed=0)
+    reason_ms = []
+    for _ in range(repeat):
+        fresh = syntax.parse(world.text)
+        reason_ms.append(_timed_ms(lambda: reasoner.reason(fresh)))
+
+    onto = syntax.parse(world.text)
+    reasoner.reason(onto)
+    scenarios.patrol(onto, scenarios.PatrolConfig(steps=1, seed=0))
+    seeds = random.Random(n)
+    step_ms = []
+    for _ in range(repeat):
+        config = scenarios.PatrolConfig(steps=1, seed=seeds.getrandbits(63))
+        step_ms.append(_timed_ms(lambda: scenarios.patrol(onto, config)))
+    return {
+        "n": n,
+        "asserted": world.asserted,
+        "patrol_step_ms": statistics.median(step_ms),
+        "reason_ms": statistics.median(reason_ms),
+    }
+
+
+def _sizes(text: str) -> list[int]:
+    try:
+        sizes = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers") from None
+    if not sizes or min(sizes) < 2:
+        raise argparse.ArgumentTypeError("every size must be at least 2 corridors")
+    return sorted(set(sizes))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="names the output file")
+    parser.add_argument("--sizes", type=_sizes, default=[25, 100, 400], help="corridor counts")
+    parser.add_argument("--repeat", type=int, default=30, help="timed calls per measurement")
+    parser.add_argument("--out", type=Path, default=ROOT, help="directory for the JSON file")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be positive")
+
+    rows = []
+    for n in args.sizes:
+        row = measure(n, args.repeat)
+        rows.append(row)
+        print(f"n={n} patrol step {row['patrol_step_ms']:.2f} ms, reason {row['reason_ms']:.2f} ms")
+    report = {
+        "label": args.label,
+        "python": platform.python_version(),
+        "repeat": args.repeat,
+        "world": {"k": 0, "m": 1, "seed": 0},
+        "sizes": rows,
+        "patrol_step_ratio": rows[-1]["patrol_step_ms"] / rows[0]["patrol_step_ms"],
+    }
+    path = args.out / f"BENCH_scale_{args.label}.json"
+    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(f"patrol step n={rows[-1]['n']} / n={rows[0]['n']}: {report['patrol_step_ratio']:.2f}x")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

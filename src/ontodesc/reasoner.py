@@ -767,7 +767,7 @@ def _memberships(schema, onto, links, back, previous, types, entered, touched, r
         for cls, stamp in previous.get(ind, _EMPTY).items():
             if stamp < r:
                 kept[cls] = stamp
-            else:
+            elif stamp:
                 entered_in(stamp).discard(ind)
         types[ind] = kept
         owned.add(ind)

@@ -1,0 +1,21 @@
+"""Smoke test of scripts/scale.py at n=10."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scale.py"
+
+
+def test_scale_script_writes_its_report(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("scale", SCRIPT)
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)
+    assert scale.main(["--sizes", "10", "--repeat", "2", "--label", "smoke", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "BENCH_scale_smoke.json").read_text(encoding="utf-8"))
+    assert report["label"] == "smoke" and report["repeat"] == 2 and report["python"]
+    [row] = report["sizes"]
+    assert row["n"] == 10 and row["asserted"] > 0
+    assert row["patrol_step_ms"] > 0 and row["reason_ms"] > 0
+    assert report["patrol_step_ratio"] == 1.0
+    assert "wrote" in capsys.readouterr().out
