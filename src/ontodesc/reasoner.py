@@ -122,6 +122,7 @@ from .model import (
     Some,
     StaleClosure,
     class_assertion,
+    expression_entities,
     property_assertion,
     same_individual,
     tautological,
@@ -387,14 +388,6 @@ def _definition_conjuncts(expr):
     return expr.members if isinstance(expr, And) else (expr,)
 
 
-def _restricted_properties(expr):
-    if isinstance(expr, (And, Or)):
-        for member in expr.members:
-            yield from _restricted_properties(member)
-    elif not isinstance(expr, Named):
-        yield expr.prop
-
-
 def _union_find(pairs, items):
     rep = {i: i for i in items}
 
@@ -496,7 +489,10 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         ranges=ranges,
         definitions=definitions,
         read_by_definitions=frozenset(
-            p for _, expr in definitions for p in _restricted_properties(expr)
+            e
+            for _, expr in definitions
+            for e in expression_entities(expr)
+            if e.kind is Kind.OBJECT_PROPERTY
         ),
         disjoint_classes=tagged(AxiomTag.DISJOINT_CLASSES),
         disjoint_properties=tagged(AxiomTag.DISJOINT_PROPERTIES),
@@ -709,15 +705,7 @@ def _satisfies(expr, ind, types, links, rep, r) -> bool:
 
 def _agrees(now: dict, before: dict | None, r: int) -> bool:
     """Whether the two stamp maps give the same snapshot after round r."""
-    if before is None:
-        return False
-    count = 0
-    for cls, stamp in before.items():
-        if stamp <= r:
-            if cls not in now:
-                return False
-            count += 1
-    return count == len(now)
+    return before is not None and now.keys() == {c for c, stamp in before.items() if stamp <= r}
 
 
 def _readers(schema: _Schema, back, ind) -> set:
