@@ -27,7 +27,8 @@ Operations:
 read and write return Intent records, one per changed element; they give
 the operation's observable effect and are never rolled back.  write only
 touches the asserted partition and leaves the closure stale; read
-requires a current closure.
+requires a current closure, which keeps each (tag, x) answer after its
+first read.
 
 Reading SUB_CLASSES / SUPER_CLASSES lists the direct taxonomy neighbours
 (so a leaf class reads {NOTHING} and a root reads {THING}), from the
@@ -95,7 +96,7 @@ class Void:
     """Marker item for unary property characteristics."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref:
     entity: Entity
 
@@ -138,7 +139,7 @@ class Restriction:
             raise MappingError(f"malformed restriction payload for form {self.form.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     prop: Entity
     filler: Term
@@ -458,7 +459,7 @@ def from_definition(ground: Entity, axiom: Axiom) -> list[Restriction]:
 # intents and descriptor state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Intent:
     direction: str  # "read" | "write"
     change: str  # "add" | "remove"
@@ -513,9 +514,8 @@ class DescriptorState:
         spec = TAG_SPECS[self.tag]
         return self.ontology.axioms_about(spec.axiom_tag, self.ground, at=spec.ground_at)
 
-    def _entailed_items(self) -> list[Item]:
+    def _entailed_items(self, closure) -> list[Item]:
         """The asserted items plus the derived ones, sorted (see TagSpec)."""
-        closure = self.ontology.current_closure()  # every tag reads a fresh one
         spec = TAG_SPECS[self.tag]
         asserted = set() if spec.closure_only else self._asserted()
         if self.tag is DescriptorTag.DEFINITION:
@@ -530,20 +530,45 @@ class DescriptorState:
             items.update(starmap(Link, found) if spec.item_type is Link else map(Ref, found))
         return sorted(items, key=item_sort_key)
 
+    def _memoized(self) -> tuple[list, list]:
+        """The entailed items of (tag, ground) and the add intent of each.
+
+        Kept in the current Closure's `_reads` on the first read: any
+        mutation makes that Closure stale, so the answer cannot change
+        while it is current.  A read that raises stores nothing.  The
+        lists are never handed out; read() copies them.
+        """
+        closure = self.ontology.current_closure()  # every tag reads a fresh one
+        key = (self.tag, self.ground)
+        memo = closure._reads.get(key)
+        if memo is None:
+            items = self._entailed_items(closure)
+            adds = [
+                Intent("read", "add", _read_axiom(self.tag, self.ground, i), "descriptor")
+                for i in items
+            ]
+            memo = closure._reads[key] = (items, adds)
+        return memo
+
     def read(self) -> list[Intent]:
-        """Synchronise Y with the entailed items of (tag, ground)."""
-        new_items = self._entailed_items()
+        """Synchronise Y with the entailed items of (tag, ground).
+
+        Items, axioms and intents are frozen and shared with the memo;
+        Y and the returned list are new lists, so editing either leaves
+        the memo as it was.
+        """
+        new_items, adds = self._memoized()
+        if not self.items:
+            self.items = list(new_items)
+            return list(adds)
         old, new = set(self.items), set(new_items)
         intents = [
             Intent("read", "remove", to_axiom(self.tag, self.ground, i), "descriptor")
             for i in self.items
             if i not in new
-        ] + [
-            Intent("read", "add", _read_axiom(self.tag, self.ground, i), "descriptor")
-            for i in new_items
-            if i not in old
         ]
-        self.items = new_items
+        intents += [add for i, add in zip(new_items, adds) if i not in old]
+        self.items = list(new_items)
         return intents
 
     def write(self) -> list[Intent]:

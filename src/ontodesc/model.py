@@ -368,7 +368,7 @@ ORDERLESS_TAGS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Axiom:
     tag: AxiomTag
     args: tuple

@@ -152,12 +152,15 @@ class Closure:
     identity groups.  `instances_of` and the two `direct_*` taxonomy
     queries read indexes derived from those maps: the class -> instances
     inversion and the transitive reduction of the subsumption reach.
-    Each is built on the first query that needs it and kept for the life
-    of the Closure; the run's data never changes (a later run copies an
-    entry before it changes it), and a later mutation makes the whole
-    Closure stale rather than its indexes.  Descriptor reads are answered
-    by these queries; `inferred`, the store's inferred partition, is
-    built from the same maps on first read.
+    Descriptor reads are answered by these queries, and `_reads` keeps
+    each answer - the items and add intents of one (tag, ground) pair -
+    the first time it is read (see DescriptorState.read).  Each index
+    and each `_reads` entry is built on the first query that needs it
+    and kept for the life of the Closure; the run's data never changes
+    (a later run copies an entry before it changes it), and a later
+    mutation (declare, assert_axiom, retract_axiom) makes the whole
+    Closure stale rather than its indexes.  `inferred`, the store's
+    inferred partition, is built from the same maps on first read.
     """
 
     ontology: Ontology
@@ -171,6 +174,7 @@ class Closure:
     _entered: list = field(default_factory=list, repr=False)  # round -> individuals
     _violations_by: dict = field(default_factory=dict, repr=False)
     _asserted: frozenset = field(default_factory=frozenset, repr=False)
+    _reads: dict = field(default_factory=dict, repr=False)  # (tag, ground) -> (items, add intents)
 
     # -- guards
 

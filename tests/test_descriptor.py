@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -11,6 +14,7 @@ from ontodesc.descriptor import (
     Form,
     GroundMismatch,
     IllegalItem,
+    Intent,
     Link,
     MappingError,
     Partition,
@@ -568,3 +572,36 @@ class TestCalculusLaws:
         d.write()
         reason(onto)
         assert informative(onto.axioms("entailed")) == before
+
+
+def test_slotted_values_copy_pickle_and_hash_equal():
+    """Axiom, Intent, Ref and Link are frozen slots dataclasses: no
+    instance dict, no assignment, and equal to what copy, deepcopy and a
+    pickle round trip give back, under the same hash.  Pickle protocols
+    0 and 1 cannot save a slots class without __getstate__ (Literal
+    could not before), so the round trip runs from protocol 2 up."""
+    onto = small_world()
+    x, y, p, d = (onto.lookup(n) for n in ("x", "y", "p", "d"))
+    axiom = model.property_assertion(x, p, y)
+    values = [
+        axiom,
+        model.property_assertion(x, d, Literal(3)),
+        model.class_definition(onto.lookup("A"), And((Named(onto.lookup("B")), Some(p, onto.lookup("C"))))),
+        Intent("read", "add", axiom, "descriptor"),
+        Intent("write", "remove", axiom, "ontology", succeeded=False),
+        Ref(x),
+        Link(p, y),
+        Link(d, Literal("three")),
+    ]
+    for value in values:
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, dataclasses.fields(value)[0].name, None)
+        twin = dataclasses.replace(value)
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for other in [copy.copy(value), copy.deepcopy(value), *pickled]:
+            assert type(other) is type(value)
+            assert other == value and hash(other) == hash(value)
+    assert len(set(values) | set(map(copy.deepcopy, values))) == len(values)
+    assert Ref(x) != Ref(y) and Link(p, y) != Link(p, x)

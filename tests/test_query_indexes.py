@@ -3,13 +3,16 @@
 Random edit sequences (assert, retract, sometimes reason()) exercise the
 indexes after they are built, including built asserted slots that later
 retracts must shrink; oracles.py holds the scans, and the axiom round
-trip that descriptor reads replaced.
+trip that descriptor reads replaced.  Descriptor reads are memoized per
+Closure, so both the read that fills the memo and the one it answers
+are held to that round trip.
 """
 
 import inspect
 import random
 
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from generators import random_axiom, random_ontology
 from oracles import (
@@ -24,8 +27,8 @@ from oracles import (
     read_reference,
 )
 from ontodesc import model, scenarios
-from ontodesc.descriptor import TAG_SPECS, DescriptorState
-from ontodesc.model import AxiomTag, Kind, Ontology, OntologyError
+from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag, MappingError
+from ontodesc.model import AxiomTag, Kind, Ontology, OntologyError, StaleClosure
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import PatrolConfig, load_seed
 
@@ -123,6 +126,131 @@ def test_read_matches_the_axiom_round_trip(seed):
                 assert got == want, (tag, ground, old)
             if isinstance(got, tuple):
                 held = got[0]
+
+
+def _legal_pairs(onto: Ontology) -> list:
+    vocabulary = sorted(onto.vocabulary(), key=lambda e: (e.kind.value, e.iri))
+    return [
+        (tag, ground)
+        for tag, spec in TAG_SPECS.items()
+        for ground in vocabulary
+        if ground.kind in spec.ground_kinds
+    ]
+
+
+def _old_items(rng: random.Random, tag, pool: list) -> list:
+    """A random buffer for `tag`: items other grounds read, in random order."""
+    old = rng.sample(pool, rng.randint(0, min(len(pool), 4)))
+    return old if tag is DescriptorTag.DEFINITION else list(dict.fromkeys(old))
+
+
+def _check_memoized_reads(onto: Ontology, rng: random.Random, pairs: list) -> None:
+    """Two reads of every pair - the first fills the Closure's memo, the
+    second is answered from it - each equal the round trip: fresh, over
+    an old buffer, and after the caller edits what a read handed out."""
+    entailed = onto.axioms("entailed")
+    wants = {
+        (tag, ground): _outcome(lambda: read_reference(onto, entailed, tag, ground, []))
+        for tag, ground in pairs
+    }
+    pools = {}
+    for (tag, _), want in wants.items():
+        if isinstance(want, tuple):
+            pools.setdefault(tag, []).extend(want[0])
+    for (tag, ground), want in wants.items():
+        for _ in range(2):
+            assert _outcome(lambda: _read(DescriptorState(tag, ground, onto))) == want, (tag, ground)
+            old = _old_items(rng, tag, pools.get(tag, []))
+            got = _outcome(lambda: _read(DescriptorState(tag, ground, onto, items=list(old))))
+            assert got == _outcome(lambda: read_reference(onto, entailed, tag, ground, old)), (tag, ground, old)
+        if not isinstance(want, tuple):
+            continue
+        descriptor = DescriptorState(tag, ground, onto)
+        intents = descriptor.read()
+        descriptor.items.reverse()
+        descriptor.items.append(object())
+        intents.clear()
+        intents.append(None)
+        assert _read(DescriptorState(tag, ground, onto)) == want, (tag, ground)
+
+
+def _change_the_world(rng: random.Random, onto: Ontology, pairs: list) -> None:
+    """A descriptor write that drops or adds one item, then asserts until
+    the store has changed."""
+    tag, ground = rng.choice([p for p in pairs if p[0] is not DescriptorTag.DEFINITION])
+    descriptor = DescriptorState(tag, ground, onto)
+    descriptor.read()
+    if descriptor.items and rng.random() < 0.5:
+        descriptor.items.pop(rng.randrange(len(descriptor.items)))
+    else:
+        donor = DescriptorState(tag, rng.choice([g for t, g in pairs if t is tag]), onto)
+        donor.read()
+        descriptor.items += donor.items[:1]
+    try:
+        descriptor.write()
+    except OntologyError:
+        pass
+    for _ in range(50):
+        if onto.stale:
+            return
+        onto.assert_axiom(random_axiom(rng, onto))
+    assume(onto.stale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_memoized_reads_match_the_round_trip(seed):
+    """read() keeps each (tag, ground) answer on the Closure.  A hit must
+    give what the round trip gives, whatever the descriptor held and
+    whatever the caller did with an earlier answer; a write makes the
+    next read raise StaleClosure, and after reason() reads see the new
+    Closure, not the old memo."""
+    rng = random.Random(seed)
+    onto = random_ontology(rng)
+    reason(onto)
+    pairs = _legal_pairs(onto)
+    _check_memoized_reads(onto, rng, pairs)
+    _change_the_world(rng, onto, pairs)
+    for tag, ground in pairs:
+        with pytest.raises(StaleClosure):
+            DescriptorState(tag, ground, onto).read()
+    reason(onto)
+    _check_memoized_reads(onto, rng, _legal_pairs(onto))
+
+
+def test_two_definitions_raise_on_every_read():
+    onto = load_seed()
+    door, room = onto.lookup("DOOR"), onto.lookup("ROOM")
+    onto.assert_axiom(model.class_definition(room, model.Named(door)))
+    closure = reason(onto)
+    for _ in range(2):
+        with pytest.raises(MappingError):
+            DescriptorState(DescriptorTag.DEFINITION, room, onto).read()
+    assert (DescriptorTag.DEFINITION, room) not in closure._reads
+
+
+def test_a_repeated_flow_reads_from_the_memo(monkeypatch):
+    """A second reachable_leaf_places on an unchanged world computes no
+    entailed items; after a patrol step changes the world it does again."""
+    onto = load_seed()
+    reason(onto)
+    computed = []
+    entailed_items = DescriptorState._entailed_items
+
+    def counted(self, closure):
+        computed.append((self.tag, self.ground))
+        return entailed_items(self, closure)
+
+    monkeypatch.setattr(DescriptorState, "_entailed_items", counted)
+    first = scenarios.reachable_leaf_places(onto)
+    assert computed
+    computed.clear()
+    assert scenarios.reachable_leaf_places(onto) == first
+    assert computed == []
+    scenarios.patrol(onto, PatrolConfig(steps=1, seed=3))
+    computed.clear()
+    scenarios.reachable_leaf_places(onto)
+    assert computed
 
 
 def test_query_path_copies_no_store(monkeypatch):
