@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Measure how a patrol step, reason() and reachable places grow with world size.
+"""Measure how parsing, reason(), the entailed text, reachable places and a
+patrol step grow with world size.
 
     python scripts/scale.py --label change              # n = 25, 100, 400
     python scripts/scale.py --sizes 10,25 --repeat 3 --label quick --out /tmp
 
 For each n the world is perfbench's corridor chain (worlds.generate with
-k=0 classes and m=1 robot, seed 0).  reason() is timed on a freshly
-parsed copy, so it runs from an empty state.  Right after each such
-run, scenarios.reachable_leaf_places(world) for Robot1 is timed once:
-the first call reads every descriptor afresh.  Warm calls repeat it on
-the last of those worlds, unchanged, so their reads come from the
-Closure's memo.  The patrol step is
+k=0 classes and m=1 robot, seed 0).  syntax.parse of the world text is
+timed, and reason() on the copy it returns, so it runs from an empty
+state.  Right after each such run, syntax.serialize(world,
+include_inferred=True) is timed once (the `serialize --entailed` text),
+and then scenarios.reachable_leaf_places(world) for Robot1: the first
+call reads every descriptor afresh.  Warm calls repeat it on the last
+of those worlds, unchanged, so their reads come from the Closure's
+memo.  The patrol step is
 scenarios.patrol(world, PatrolConfig(steps=1, seed=s_i)) on one world
 carried from step to step, after one untimed step that declares the door
 state classes; seeds s_i come from random.Random(n).  The garbage
@@ -18,8 +21,8 @@ collector runs before every timed call, outside the timer.
 
 Writes BENCH_scale_<label>.json: the Python version, the repeat count,
 per n the asserted axiom count and the median milliseconds of each
-measurement (patrol_step_ms, reason_ms, reachable_first_ms,
-reachable_warm_ms), and the patrol step's ratio between the largest and
+measurement (patrol_step_ms, parse_ms, reason_ms, serialize_entailed_ms,
+reachable_first_ms, reachable_warm_ms), and the patrol step's ratio between the largest and
 the smallest n.  Times are wall times on whatever machine runs it.
 """
 
@@ -51,10 +54,13 @@ def _timed_ms(call) -> float:
 
 def measure(n: int, repeat: int) -> dict:
     world = worlds.generate(n, k=0, m=1, seed=0)
-    reason_ms, first_ms = [], []
+    parse_ms, reason_ms, serialize_ms, first_ms = [], [], [], []
     for _ in range(repeat):
-        fresh = syntax.parse(world.text)
+        parsed = []
+        parse_ms.append(_timed_ms(lambda: parsed.append(syntax.parse(world.text))))
+        [fresh] = parsed
         reason_ms.append(_timed_ms(lambda: reasoner.reason(fresh)))
+        serialize_ms.append(_timed_ms(lambda: syntax.serialize(fresh, include_inferred=True)))
         first_ms.append(_timed_ms(lambda: scenarios.reachable_leaf_places(fresh)))
     warm_ms = [_timed_ms(lambda: scenarios.reachable_leaf_places(fresh)) for _ in range(repeat)]
 
@@ -70,7 +76,9 @@ def measure(n: int, repeat: int) -> dict:
         "n": n,
         "asserted": world.asserted,
         "patrol_step_ms": statistics.median(step_ms),
+        "parse_ms": statistics.median(parse_ms),
         "reason_ms": statistics.median(reason_ms),
+        "serialize_entailed_ms": statistics.median(serialize_ms),
         "reachable_first_ms": statistics.median(first_ms),
         "reachable_warm_ms": statistics.median(warm_ms),
     }
@@ -101,7 +109,8 @@ def main(argv=None) -> int:
         row = measure(n, args.repeat)
         rows.append(row)
         print(
-            f"n={n} patrol step {row['patrol_step_ms']:.2f} ms, reason {row['reason_ms']:.2f} ms,"
+            f"n={n} patrol step {row['patrol_step_ms']:.2f} ms, parse {row['parse_ms']:.2f} ms,"
+            f" reason {row['reason_ms']:.2f} ms, serialize --entailed {row['serialize_entailed_ms']:.2f} ms,"
             f" reachable first {row['reachable_first_ms']:.2f} ms, warm {row['reachable_warm_ms']:.3f} ms"
         )
     report = {

@@ -47,7 +47,9 @@ def _cmd_reason(args) -> int:
     onto = scenarios.load_world(args.ontology)
     closure = reason(onto)
     print("consistent" if closure.consistent else "inconsistent")
-    counts = Counter(a.tag.value for a in closure.inferred)
+    counts = Counter()
+    for tag, _, tails in closure.inferred_groups():
+        counts[tag.value] += len(tails)
     for tag, count in sorted(counts.items()):
         print(f"inferred {tag} {count}")
     for violation in closure.violations:

@@ -1,10 +1,11 @@
 """Forward-chaining saturation reasoner.
 
-reason() computes the deductive closure of the asserted axioms, keeps
+reason() computes the deductive closure of the asserted axioms and keeps
 each derived fact once, in the maps of the Closure it installs and
-returns, and builds the inferred axioms from those maps on the first
-read of Closure.inferred.  Derived axioms never repeat asserted ones and
-the asserted set is never touched.
+returns.  Closure.inferred_groups lists the derived facts from those
+maps, and Closure.inferred builds them into axioms on its first read.
+Derived axioms never repeat asserted ones and the asserted set is never
+touched.
 
 Rule set
 --------
@@ -159,8 +160,11 @@ class Closure:
     and kept for the life of the Closure; the run's data never changes
     (a later run copies an entry before it changes it), and a later
     mutation (declare, assert_axiom, retract_axiom) makes the whole
-    Closure stale rather than its indexes.  `inferred`, the store's
-    inferred partition, is built from the same maps on first read.
+    Closure stale rather than its indexes.  `inferred_groups` lists the
+    derived facts not asserted, grouped by the map that holds them, and
+    is what the entailed text and the `reason` counts read.  `inferred`,
+    the store's inferred partition as a set of axioms, is built from the
+    same groups on first read, by the entailed view's readers only.
     """
 
     ontology: Ontology
@@ -190,25 +194,59 @@ class Closure:
         its kinds, so the factories' checks are skipped (a test holds
         every inferred axiom to its factory).
         """
+        return frozenset(
+            Axiom(tag, (*head, tail))
+            for tag, head, tails in self.inferred_groups()
+            for tail in tails
+        )
+
+    def inferred_groups(self):
+        """The inferred axioms, grouped by the map that holds them.
+
+        Yields (tag, head, tails): one inferred Axiom(tag, (*head, tail))
+        per tail, where head holds the fixed leading arguments and tails
+        the values the last argument ranges over.  This is the one place
+        that knows which map holds which axiom shape:
+
+        * class_reach: SubClassOf(cls ·)
+        * prop_reach: SubPropertyOf(prop ·)
+        * identity groups: SameIndividual(a ·), each pair once, in
+          canonical (IRI) order
+        * links: PropertyAssertion(s p ·)
+        * memberships: ClassAssertion(ind ·)
+
+        Asserted axioms are skipped by argument equality against the
+        run's asserted snapshot, which is Axiom equality: Literal(0.0)
+        and Literal(-0.0) are one filler, though they render apart.
+        Groups come in map order, not sorted, and no group is empty.
+        Tails may be the maps' own collections and must not be mutated.
+        """
         schema = self._schema
-        derived: set[Axiom] = set()
-        for cls, sups in schema.class_reach.items():
-            for sup in sups:
-                derived.add(Axiom(AxiomTag.SUB_CLASS, (cls, sup)))
-        for prop, sups in schema.prop_reach.items():
-            for sup in sups:
-                derived.add(Axiom(AxiomTag.SUB_PROPERTY, (prop, sup)))
-        for members in schema.groups.values():
-            for a, b in combinations(members, 2):
-                derived.add(same_individual(a, b))
-        for s, by_prop in self._links.items():
-            for p, fillers in by_prop.items():
-                for f in fillers:
-                    derived.add(Axiom(AxiomTag.PROPERTY_ASSERTION, (s, p, f)))
-        for ind, types in self._types.items():
-            for cls in types:
-                derived.add(Axiom(AxiomTag.CLASS_ASSERTION, (ind, cls)))
-        return frozenset(derived - self._asserted)
+        identity = [sorted(g, key=lambda e: e.iri) for g in schema.groups.values() if len(g) > 1]
+        shapes = (
+            (AxiomTag.SUB_CLASS, (((c,), sups) for c, sups in schema.class_reach.items())),
+            (AxiomTag.SUB_PROPERTY, (((p,), sups) for p, sups in schema.prop_reach.items())),
+            (
+                AxiomTag.SAME_INDIVIDUAL,
+                (((g[i],), g[i + 1 :]) for g in identity for i in range(len(g) - 1)),
+            ),
+            (
+                AxiomTag.PROPERTY_ASSERTION,
+                (((s, p), fs) for s, by_prop in self._links.items() for p, fs in by_prop.items()),
+            ),
+            (AxiomTag.CLASS_ASSERTION, (((ind,), types) for ind, types in self._types.items())),
+        )
+        asserted: dict = {}  # tag -> leading arguments -> last arguments
+        for a in self._asserted:
+            asserted.setdefault(a.tag, {}).setdefault(a.args[:-1], set()).add(a.args[-1])
+        for tag, groups in shapes:
+            held_by_head = asserted.get(tag, _EMPTY)
+            for head, tails in groups:
+                held = held_by_head.get(head)
+                if held:
+                    tails = [t for t in tails if t not in held]
+                if tails:
+                    yield tag, head, tails
 
     # -- entailment
 

@@ -41,7 +41,11 @@ properties, data properties, individuals, each sorted by IRI), then
 RBox, TBox and ABox axioms, each sorted by their rendered line.
 Re-serializing a parsed document is byte-stable.  Inferred axioms are
 emitted only on request, rendered as `# inferred:` comment lines so the
-output stays parseable.
+output stays parseable, after the asserted axioms and in the same order:
+by box, then by line.  They are rendered from the installed Closure's
+inferred_groups, not from its set of inferred axioms: each group's fixed
+arguments are rendered once, around the last argument's text position,
+and one term per last argument completes a line.
 """
 
 from __future__ import annotations
@@ -414,6 +418,43 @@ def render_axiom(axiom: Axiom) -> str:
 _BOX_ORDER = {Box.RBOX: 0, Box.TBOX: 1, Box.ABOX: 2}
 
 
+def _inferred_template(tag: AxiomTag) -> tuple[str, str, int]:
+    """Format strings for the text before and after an inferred axiom's
+    last argument, and the index of its box in _BOX_ORDER.
+
+    Placeholder i stands for the rendered head argument i; the rendered
+    names are substituted, never parsed as a template.
+    """
+    arity = _ARITY[model.AXIOM_FACTORIES[tag]]
+    order = tuple(_TEXT_ORDER.get(tag, range(arity)))
+    at = order.index(arity - 1)
+    before = "".join(f"{{{i}}} " for i in order[:at])
+    after = "".join(f" {{{i}}}" for i in order[at + 1 :])
+    return f"# inferred: {tag.value}({before}", f"{after})", _BOX_ORDER[tag.box]
+
+
+_INFERRED_TEMPLATES = {tag: _inferred_template(tag) for tag in model.AXIOM_FACTORIES}
+
+
+def _inferred_lines(closure) -> list[str]:
+    """The `# inferred:` lines, box by box, each box sorted by line.
+
+    Rendered from Closure.inferred_groups: each group's head text once,
+    then one term per tail.
+    """
+    boxes: list[list[str]] = [[] for _ in _BOX_ORDER]
+    for tag, head, tails in closure.inferred_groups():
+        before, after, box = _INFERRED_TEMPLATES[tag]
+        texts = [*map(render_term, head)]
+        prefix, suffix = before.format(*texts), after.format(*texts)
+        boxes[box].extend([
+            prefix + (t.iri if type(t) is Entity else render_literal(t)) + suffix for t in tails
+        ])
+    for lines in boxes:
+        lines.sort()
+    return [line for lines in boxes for line in lines]
+
+
 def serialize(onto: Ontology, include_inferred: bool = False) -> str:
     lines: list[str] = []
     builtin = set(model.BUILTINS)
@@ -424,8 +465,5 @@ def serialize(onto: Ontology, include_inferred: bool = False) -> str:
     rendered = sorted((_BOX_ORDER[a.tag.box], render_axiom(a)) for a in asserted)
     lines.extend(text for _, text in rendered)
     if include_inferred:
-        inferred = sorted(
-            (_BOX_ORDER[a.tag.box], render_axiom(a)) for a in onto.inferred_axioms()
-        )
-        lines.extend(f"# inferred: {text}" for _, text in inferred)
+        lines.extend(_inferred_lines(onto.current_closure()))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -17,6 +17,8 @@ The *_scan functions are the linear scans that the store's and the
 Closure's query indexes replaced, kept as references for them.  They
 read the entailed view, not the Closure's private maps.  read_reference
 is the axiom round trip that descriptor reads replaced.
+entailed_text_reference is the per-axiom rendering of the inferred set
+that the entailed serializer replaced.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from ontodesc.descriptor import (
 from ontodesc.model import (
     And,
     AxiomTag,
+    Box,
     DATATYPES,
     Entity,
     Kind,
@@ -58,6 +61,7 @@ from ontodesc.model import (
     sub_class,
     sub_property,
 )
+from ontodesc.syntax import render_axiom, serialize
 
 
 def _tagged(onto: Ontology, tag: AxiomTag):
@@ -465,3 +469,18 @@ def read_reference(onto: Ontology, entailed, tag: DescriptorTag, ground, old_ite
         if i not in old_items
     ]
     return items, intents
+
+
+# ---------------------------------------------------------------------------
+# entailed text
+
+
+def entailed_text_reference(onto: Ontology) -> str:
+    """serialize(onto, include_inferred=True) by rendering every axiom of
+    Closure.inferred: the asserted text, then one `# inferred:` line per
+    axiom, sorted by box (RBox, TBox, ABox) and then by line."""
+    boxes = (Box.RBOX, Box.TBOX, Box.ABOX)
+    inferred = sorted(
+        (boxes.index(a.tag.box), render_axiom(a)) for a in onto.current_closure().inferred
+    )
+    return serialize(onto) + "".join(f"# inferred: {text}\n" for _, text in inferred)

@@ -1,7 +1,10 @@
 import os
+import random
+from collections import Counter
 
 import pytest
 
+from generators import random_ontology
 from ontodesc import model
 from ontodesc.cli import (
     EXIT_INCONSISTENT,
@@ -11,6 +14,7 @@ from ontodesc.cli import (
     EXIT_UNKNOWN,
     main,
 )
+from ontodesc.reasoner import reason
 from ontodesc.scenarios import load_seed, seed_path
 from ontodesc.syntax import parse, serialize
 
@@ -36,6 +40,21 @@ class TestReason:
         assert lines[0] == "consistent"
         assert any(line.startswith("inferred ClassAssertion ") for line in lines)
         assert not any(line.startswith("violation") for line in lines)
+
+    @pytest.mark.parametrize("seed", [None, 3, 4, 12])
+    def test_inferred_counts_are_those_of_the_inferred_axioms(self, capsys, tmp_path, seed):
+        """None is the seed world; the random worlds between them infer
+        every shape (12 a SameIndividual pair, 4 SubPropertyOf)."""
+        if seed is None:
+            onto, argv = load_seed(), []
+        else:
+            path = tmp_path / "world.onto"
+            path.write_text(serialize(random_ontology(random.Random(seed))), encoding="utf-8")
+            onto, argv = parse(path.read_text(encoding="utf-8")), ["--ontology", str(path)]
+        _, out, _ = run(capsys, "reason", *argv)
+        counts = Counter(a.tag.value for a in reason(onto).inferred)
+        expected = [f"inferred {tag} {count}" for tag, count in sorted(counts.items())]
+        assert [line for line in out.splitlines() if line.startswith("inferred ")] == expected
 
     def test_inconsistent_world_reports_violation(self, capsys, tmp_path):
         path = tmp_path / "broken.onto"

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from generators import random_ontology
 from oracles import naive_reason, naive_violations, subsumption_reachability, transitive_fillers
-from ontodesc import model, scenarios
+from ontodesc import cli, model, scenarios
 from ontodesc.model import Kind, Literal, NOTHING, Ontology, StaleClosure, THING
 from ontodesc.reasoner import reason
 from ontodesc.syntax import parse
@@ -402,9 +402,10 @@ def test_inferred_axioms_are_what_their_factories_build(seed):
         assert model.AXIOM_FACTORIES[axiom.tag](*axiom.args) == axiom
 
 
-def test_flows_never_build_the_inferred_axioms(monkeypatch):
-    """Descriptor reads, Closure queries and patrol steps read the maps;
-    no Closure they see builds its inferred axioms."""
+def test_flows_never_build_the_inferred_axioms(monkeypatch, capsys):
+    """Descriptor reads, Closure queries, patrol steps, `serialize
+    --entailed` and the `reason` counts read the maps; no Closure they see
+    builds its inferred axioms."""
     closures = []
 
     def recorded(onto):
@@ -412,11 +413,15 @@ def test_flows_never_build_the_inferred_axioms(monkeypatch):
         return closures[-1]
 
     monkeypatch.setattr(scenarios, "reason", recorded)
+    monkeypatch.setattr(cli, "reason", recorded)
     onto = scenarios.load_seed()
     recorded(onto)
     scenarios.reachable_leaf_places(onto)
     scenarios.patrol(onto, scenarios.PatrolConfig(steps=1, seed=3))
-    assert len(closures) >= 2
+    assert cli.main(["serialize", "--entailed"]) == 0
+    assert cli.main(["reason"]) == 0
+    assert "# inferred: " in capsys.readouterr().out
+    assert len(closures) >= 4
     assert not any("inferred" in closure.__dict__ for closure in closures)
 
 

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import random_document
+from generators import random_document, random_ontology
+from oracles import entailed_text_reference, naive_reason
+from test_incremental import edit
 from ontodesc import model
 from ontodesc.model import AxiomTag, Kind, Literal, UnknownEntity
 from ontodesc.reasoner import reason
@@ -179,6 +181,77 @@ class TestSerializer:
     def test_golden_seed_file_is_canonical(self):
         text = seed_path().read_text(encoding="utf-8")
         assert serialize(parse(text)) == text
+
+
+def _inferred_lines(text: str) -> list[str]:
+    return [line for line in text.splitlines() if line.startswith("# inferred: ")]
+
+
+class TestEntailedText:
+    """serialize(..., include_inferred=True) renders from the Closure's maps;
+    entailed_text_reference renders every inferred axiom instead."""
+
+    def test_equal_literals_shared_through_same_individual(self):
+        # b's filler 0.0 is derived before the equal -0.0 is asserted, so the
+        # map keeps 0.0 while the snapshot holds -0.0: one axiom, two texts
+        onto = parse(
+            "DataProperty(d) Individual(a) Individual(b)"
+            " SameIndividual(a b) PropertyAssertion(d a 0.0)"
+        )
+        reason(onto)
+        assert "# inferred: PropertyAssertion(d b 0.0)" in _inferred_lines(
+            serialize(onto, include_inferred=True)
+        )
+        onto.assert_axiom(
+            model.property_assertion(onto.lookup("b"), onto.lookup("d"), Literal(-0.0))
+        )
+        closure = reason(onto)
+        assert [repr(f.value) for f in closure.fillers(onto.lookup("b"), onto.lookup("d"))] == ["0.0"]
+        assert closure.inferred == naive_reason(onto)[0]
+        text = serialize(onto, include_inferred=True)
+        assert text == entailed_text_reference(onto)
+        assert "PropertyAssertion(d b -0.0)" in text.splitlines()
+        assert not any("PropertyAssertion" in line for line in _inferred_lines(text))
+
+    def test_a_same_individual_group_of_three(self):
+        onto = parse(
+            "Individual(c) Individual(b) Individual(a)"
+            " SameIndividual(c b) SameIndividual(b a)"
+        )
+        reason(onto)
+        text = serialize(onto, include_inferred=True)
+        assert text == entailed_text_reference(onto)
+        same = [line for line in _inferred_lines(text) if "SameIndividual" in line]
+        assert same == ["# inferred: SameIndividual(a c)"]
+
+    def test_an_axiom_both_asserted_and_derived_is_not_inferred(self):
+        onto = parse(
+            "Class(A) Class(B) Class(C) Individual(x)"
+            " SubClassOf(A B) SubClassOf(B C) SubClassOf(A C)"
+            " ClassAssertion(A x) ClassAssertion(B x)"
+        )
+        reason(onto)
+        text = serialize(onto, include_inferred=True)
+        assert text == entailed_text_reference(onto)
+        assert {"SubClassOf(A C)", "ClassAssertion(B x)"} <= set(text.splitlines())
+        inferred = _inferred_lines(text)
+        assert "# inferred: ClassAssertion(C x)" in inferred
+        assert not any("SubClassOf(A C)" in line or "(B x)" in line for line in inferred)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), monotone=st.booleans())
+def test_entailed_text_matches_the_axiom_rendering(seed, monotone):
+    """On a random world, and after each resumed run over random edits."""
+    rng = random.Random(seed)
+    onto = random_ontology(rng, monotone=monotone)
+    reason(onto)
+    assert serialize(onto, include_inferred=True) == entailed_text_reference(onto)
+    for step in range(rng.randint(1, 5)):
+        for _ in range(rng.randint(1, 4)):
+            edit(rng, onto, monotone, step)
+        reason(onto)
+        assert serialize(onto, include_inferred=True) == entailed_text_reference(onto)
 
 
 @settings(max_examples=60, deadline=None)
