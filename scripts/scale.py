@@ -2,7 +2,7 @@
 """Measure how parsing, reason(), the entailed text, reachable places and a
 patrol step grow with world size.
 
-    python scripts/scale.py --label change              # n = 25, 100, 400
+    python scripts/scale.py --label change              # n = 25, 400, 1600
     python scripts/scale.py --sizes 10,25 --repeat 3 --label quick --out /tmp
 
 For each n the world is perfbench's corridor chain (worlds.generate with
@@ -97,7 +97,7 @@ def _sizes(text: str) -> list[int]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output file")
-    parser.add_argument("--sizes", type=_sizes, default=[25, 100, 400], help="corridor counts")
+    parser.add_argument("--sizes", type=_sizes, default=[25, 400, 1600], help="corridor counts")
     parser.add_argument("--repeat", type=int, default=30, help="timed calls per measurement")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory for the JSON file")
     args = parser.parse_args(argv)

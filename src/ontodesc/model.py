@@ -666,12 +666,14 @@ class Ontology:
 
     The store also keeps a journal for the reasoner: the net
     ClassAssertion and PropertyAssertion asserts and retracts since the
-    installed Closure's generation, which reason() resumes from.  Any
-    other change (another tag, a new declaration) drops the journal, and
-    the next run starts afresh.
+    installed Closure's generation.  reason() resumes from that Closure
+    by changing its maps in place, and reads this store's asserted set
+    rather than a copy; the Closure it supersedes is stale and refuses
+    reads.  Any other change (another tag, a new declaration) drops the
+    journal, and the next run starts afresh.
 
-    axioms() copies a whole view and is meant for bulk work (reasoning,
-    serializing).  contains() and axioms_about() are lookups.
+    axioms() copies a whole view and is meant for bulk work
+    (serializing).  contains() and axioms_about() are lookups.
     axioms_about() reads the asserted partition's ground index, keyed by
     (tag, argument position, entity) - or (tag, entity) for unordered
     pair tags.  Each (tag, position) slot is built on the first query
@@ -787,11 +789,17 @@ class Ontology:
         self._closure = closure
         self._journal = {}
 
-    def _edits_since_closure(self):
-        """(installed Closure, journal), or (None, None) when a run must start afresh."""
-        if self._journal is None:
+    def _take_journal(self):
+        """(installed Closure, journal), or (None, None) when a run must start afresh.
+
+        Called by the reasoner as a run starts; the journal stays dropped
+        until the run installs its Closure, so a run that raises part way
+        leaves the next one to start afresh.
+        """
+        journal, self._journal = self._journal, None
+        if journal is None:
             return None, None
-        return self._closure, self._journal
+        return self._closure, journal
 
     def current_closure(self):
         if self.stale:

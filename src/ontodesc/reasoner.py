@@ -69,11 +69,11 @@ A run is four phases over one saturation state: _schema (phase one and
 the rule tables), _property_assertions, _memberships and _violations.
 The state is what the installed Closure holds: the links map and its
 filler -> property -> subjects mirror (`back`), every membership with
-the snapshot round in which it entered (its stamp), the number of
-memberships per round, and the violations per individual.  A run
-resumes from that state, fed by the journal the Ontology keeps of the
-net ClassAssertion and PropertyAssertion asserts and retracts since that
-Closure's generation:
+the snapshot round in which it entered (its stamp), the individuals
+that entered a class in each round, and the violations per individual.
+A run takes that state over and changes it in place, fed by the journal
+the Ontology keeps of the net ClassAssertion and PropertyAssertion
+asserts and retracts since that Closure's generation:
 
 * phase two is maintained by DRed (Gupta, Mumick, Subrahmanian,
   *Maintaining Views Incrementally*, SIGMOD 1993): every fact with a
@@ -88,6 +88,8 @@ Closure's generation:
   differs from the last run's.  Every other individual keeps its
   stamps, which give its snapshot in every round, so the outcome is
   exactly that of the rounds run from scratch, under Only and Max too.
+  A re-evaluated individual gets a new stamp map; the one it replaces
+  is the "before" its later snapshots are compared with.
 * violations are recomputed for the individuals phase three
   re-evaluated and the subjects whose links changed.
 
@@ -95,8 +97,11 @@ Reset rule: any other edit (TBox, RBox, SameIndividual,
 DifferentIndividuals, a new declaration) drops the journal, and the next
 run starts from an empty state.  A first run is the same engine on the
 empty state, with every fact inserted and every individual affected.
-A run copies an entry of the state before it changes it, so an earlier
-Closure keeps its own results.
+A run takes the journal when it starts and the store gets a new one
+only when the run installs its Closure, so a run that raises part way
+leaves the next run to start afresh.  The Closure a run supersedes is
+stale (its generation is behind the store's) and refuses every read but
+`consistent` and `violations`, which it stores.
 """
 
 from __future__ import annotations
@@ -143,10 +148,14 @@ class Violation:
 class Closure:
     """Entailment interface over one saturation run.
 
-    All query methods re-check that the underlying ontology has not been
-    mutated since the run; if it has, they raise StaleClosure.
+    All query methods, `inferred` and `inferred_groups` included,
+    re-check that the underlying ontology has not been mutated since the
+    run; if it has, they raise StaleClosure.  The next run takes these
+    maps over and changes them in place, so a superseded Closure has
+    nothing left to answer from; only `consistent` and `violations` are
+    stored values and stay readable.
 
-    Every query is a lookup in the maps the run built for itself:
+    Every query is a lookup in the maps the run left:
     `fillers` and `links_of` read the subject -> property -> fillers map,
     `subjects` its mirror, `types_of` the membership map,
     `super_properties` the property reach and `same_individuals` the
@@ -157,14 +166,14 @@ class Closure:
     each answer - the items and add intents of one (tag, ground) pair -
     the first time it is read (see DescriptorState.read).  Each index
     and each `_reads` entry is built on the first query that needs it
-    and kept for the life of the Closure; the run's data never changes
-    (a later run copies an entry before it changes it), and a later
-    mutation (declare, assert_axiom, retract_axiom) makes the whole
-    Closure stale rather than its indexes.  `inferred_groups` lists the
-    derived facts not asserted, grouped by the map that holds them, and
-    is what the entailed text and the `reason` counts read.  `inferred`,
-    the store's inferred partition as a set of axioms, is built from the
-    same groups on first read, by the entailed view's readers only.
+    and kept for the life of the Closure; the maps change only in a
+    later run, which first needs a mutation (declare, assert_axiom,
+    retract_axiom), and that makes the whole Closure stale rather than
+    its indexes.  `inferred_groups` lists the derived facts not
+    asserted, grouped by the map that holds them, and is what the
+    entailed text and the `reason` counts read.  `inferred`, the store's
+    inferred partition as a set of axioms, is built from the same groups
+    on first read, by the entailed view's readers only.
     """
 
     ontology: Ontology
@@ -177,7 +186,6 @@ class Closure:
     _types: dict = field(default_factory=dict, repr=False)  # individual -> class -> round
     _entered: list = field(default_factory=list, repr=False)  # round -> individuals
     _violations_by: dict = field(default_factory=dict, repr=False)
-    _asserted: frozenset = field(default_factory=frozenset, repr=False)
     _reads: dict = field(default_factory=dict, repr=False)  # (tag, ground) -> (items, add intents)
 
     # -- guards
@@ -186,14 +194,17 @@ class Closure:
         if self.ontology.generation != self.generation:
             raise StaleClosure("the ontology changed after this closure was computed")
 
-    @cached_property
+    @property
     def inferred(self) -> frozenset:
-        """The run's derived axioms minus its asserted snapshot.
+        """The run's derived axioms minus the asserted ones."""
+        self._check_fresh()
+        return self._inferred
 
-        Arguments come from checked asserted axioms and each rule keeps
-        its kinds, so the factories' checks are skipped (a test holds
-        every inferred axiom to its factory).
-        """
+    @cached_property
+    def _inferred(self) -> frozenset:
+        # Arguments come from checked asserted axioms and each rule keeps
+        # its kinds, so the factories' checks are skipped (a test holds
+        # every inferred axiom to its factory).
         return frozenset(
             Axiom(tag, (*head, tail))
             for tag, head, tails in self.inferred_groups()
@@ -216,11 +227,13 @@ class Closure:
         * memberships: ClassAssertion(ind ·)
 
         Asserted axioms are skipped by argument equality against the
-        run's asserted snapshot, which is Axiom equality: Literal(0.0)
-        and Literal(-0.0) are one filler, though they render apart.
-        Groups come in map order, not sorted, and no group is empty.
-        Tails may be the maps' own collections and must not be mutated.
+        store's asserted set, which is Axiom equality: Literal(0.0) and
+        Literal(-0.0) are one filler, though they render apart.  Groups
+        come in map order, not sorted, and no group is empty.  Tails may
+        be the maps' own collections and must not be mutated.  A stale
+        Closure raises StaleClosure on the first step.
         """
+        self._check_fresh()
         schema = self._schema
         identity = [sorted(g, key=lambda e: e.iri) for g in schema.groups.values() if len(g) > 1]
         shapes = (
@@ -237,7 +250,7 @@ class Closure:
             (AxiomTag.CLASS_ASSERTION, (((ind,), types) for ind, types in self._types.items())),
         )
         asserted: dict = {}  # tag -> leading arguments -> last arguments
-        for a in self._asserted:
+        for a in self.ontology._asserted:
             asserted.setdefault(a.tag, {}).setdefault(a.args[:-1], set()).add(a.args[-1])
         for tag, groups in shapes:
             held_by_head = asserted.get(tag, _EMPTY)
@@ -547,48 +560,25 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
 # phase two: property assertions
 
 
-class _Nested:
-    """key -> property -> set, starting as the previous run's map.
-
-    Reads go to `map`.  entry() copies a key's entry from the previous
-    run's before its first change, so the previous Closure keeps its own;
-    `copied` holds the keys whose entries in `map` are this run's.
-    """
-
-    __slots__ = ("map", "copied")
-
-    def __init__(self, previous: dict):
-        self.map = dict(previous)
-        self.copied = set()
-
-    def entry(self, key) -> dict:
-        """key's property map, safe to change."""
-        if key in self.copied:
-            return self.map[key]
-        self.copied.add(key)
-        prior = self.map.get(key)
-        entry = self.map[key] = {p: set(vs) for p, vs in prior.items()} if prior else {}
-        return entry
-
-    def discard(self, key, prop, value) -> None:
-        entry = self.entry(key)
-        values = entry[prop]
-        values.discard(value)
-        if not values:
-            del entry[prop]
-            if not entry:
-                del self.map[key]
-                self.copied.discard(key)
+def _discard(nested: dict, key, prop, value) -> None:
+    """Remove value from nested[key][prop], dropping emptied entries."""
+    entry = nested[key]
+    values = entry[prop]
+    values.discard(value)
+    if not values:
+        del entry[prop]
+        if not entry:
+            del nested[key]
 
 
-def _property_assertions(schema: _Schema, links: _Nested, back: _Nested, edits, asserted, seeds):
+def _property_assertions(schema: _Schema, links: dict, back: dict, edits, asserted, seeds):
     """Phase two: bring the links and their mirror up to date with the edits.
 
-    `edits` maps PropertyAssertion axioms to True (asserted) or False
-    (retracted); `seeds` are premise-free facts to insert.  Returns the
-    facts that entered or left the maps.
+    Both key -> property -> set maps are changed in place.  `edits` maps
+    PropertyAssertion axioms to True (asserted) or False (retracted);
+    `seeds` are premise-free facts to insert.  Returns the facts that
+    entered or left the maps.
     """
-    fresh, mirror = links.map, back.map
     prop_reach, inverses, chains = schema.prop_reach, schema.inverses, schema.chains
     symmetric, transitive, irreflexive = schema.symmetric, schema.transitive, schema.irreflexive
     rep, groups = schema.rep, schema.groups
@@ -603,16 +593,16 @@ def _property_assertions(schema: _Schema, links: _Nested, back: _Nested, edits, 
             if p in symmetric:
                 emit(f, p, s)
             if p in transitive:
-                for f2 in fresh.get(f, _EMPTY).get(p, ()):
+                for f2 in links.get(f, _EMPTY).get(p, ()):
                     emit(s, p, f2)
-                for s0 in mirror.get(s, _EMPTY).get(p, ()):
+                for s0 in back.get(s, _EMPTY).get(p, ()):
                     emit(s0, p, f)
             for sup, p1, p2 in chains:
                 if p == p1:
-                    for f2 in fresh.get(f, _EMPTY).get(p2, ()):
+                    for f2 in links.get(f, _EMPTY).get(p2, ()):
                         emit(s, sup, f2)
                 if p == p2:
-                    for s0 in mirror.get(s, _EMPTY).get(p1, ()):
+                    for s0 in back.get(s, _EMPTY).get(p1, ()):
                         emit(s0, sup, f)
             for other in groups[rep[f]]:
                 if other is not f:
@@ -628,7 +618,7 @@ def _property_assertions(schema: _Schema, links: _Nested, back: _Nested, edits, 
 
     def overdelete(s, p, f):
         fact = (s, p, f)
-        if fact not in gone and f in fresh.get(s, _EMPTY).get(p, ()):
+        if fact not in gone and f in links.get(s, _EMPTY).get(p, ()):
             gone.add(fact)
             stack.append(fact)
 
@@ -638,24 +628,20 @@ def _property_assertions(schema: _Schema, links: _Nested, back: _Nested, edits, 
     while stack:
         consequences(*stack.pop(), overdelete)
     for s, p, f in gone:
-        links.discard(s, p, f)
+        _discard(links, s, p, f)
         if isinstance(f, Entity):
-            back.discard(f, p, s)
+            _discard(back, f, p, s)
 
     pending: list[tuple] = []
     put_facts: list[tuple] = []
 
     def put(s, p, f):
         # a fact is pending once, when it enters both maps
-        by_prop = fresh.get(s, _EMPTY)
-        if f in by_prop.get(p, ()):
+        if f in links.get(s, _EMPTY).get(p, ()):
             return
-        if s not in links.copied:
-            by_prop = links.entry(s)
-        by_prop.setdefault(p, set()).add(f)
+        links.setdefault(s, {}).setdefault(p, set()).add(f)
         if isinstance(f, Entity):
-            into = mirror[f] if f in back.copied else back.entry(f)
-            into.setdefault(p, set()).add(s)
+            back.setdefault(f, {}).setdefault(p, set()).add(s)
         fact = (s, p, f)
         pending.append(fact)
         put_facts.append(fact)
@@ -666,7 +652,7 @@ def _property_assertions(schema: _Schema, links: _Nested, back: _Nested, edits, 
 
     # second step: put back what one rule still derives from the rest ...
     for fact in gone:
-        if _derivable(schema, fresh, mirror, asserted, *fact):
+        if _derivable(schema, links, back, asserted, *fact):
             put(*fact)
     # ... third: insert, asserted facts even on an irreflexive property,
     # and run the worklist to fixpoint
@@ -678,7 +664,7 @@ def _property_assertions(schema: _Schema, links: _Nested, back: _Nested, edits, 
     # The joins iterate live sets.  derive() grows only links[subject][prop]
     # and back[filler][prop]; a join derives into the set it iterates only
     # from a self-loop (s is f), and then a fact that set already holds
-    # (the maps mirror each other), so none grows or is copied.
+    # (the maps mirror each other), so none grows.
     while pending:
         consequences(*pending.pop(), derive)
     return gone.symmetric_difference(put_facts)
@@ -759,13 +745,13 @@ def _readers(schema: _Schema, back, ind) -> set:
     return found
 
 
-def _memberships(schema, onto, links, back, previous, types, entered, touched, relinked) -> set:
+def _memberships(schema, onto, links, back, types, entered, touched, relinked):
     """Phase three: replay the snapshot rounds from the last run's stamps.
 
-    `previous` is the last run's individual -> class -> round map and
-    `types` starts as a copy of it; entered[r] holds the individuals that
-    entered a class in round r (r >= 1).  `touched` individuals get their
-    initial types recomputed; `relinked` ones changed links that a
+    `types` is the last run's individual -> class -> round map and
+    entered[r] holds the individuals that entered a class in round r
+    (r >= 1); both are changed in place.  `touched` individuals get
+    their initial types recomputed; `relinked` ones changed links that a
     definition reads.  Returns the individuals whose stamps were
     recomputed.
 
@@ -780,27 +766,18 @@ def _memberships(schema, onto, links, back, previous, types, entered, touched, r
     last = len(entered) - 1  # the last run's last round that added a membership
     if not entered:
         entered.append(set())  # round 0 is every individual's; not tracked
-    owned: set = set()
-    copied: set = set()  # rounds whose sets in `entered` are this run's
-
-    def entered_in(r) -> set:
-        if r == len(entered):
-            entered.append(set())
-        elif r not in copied:
-            entered[r] = set(entered[r])
-        copied.add(r)
-        return entered[r]
+    owned: dict = {}  # individual -> the last run's stamp map, None for a new one
 
     def own(ind, r):
         # ind's stamps before round r are the last run's; later ones are recomputed
+        before = owned[ind] = types.get(ind)
         kept = {}
-        for cls, stamp in previous.get(ind, _EMPTY).items():
+        for cls, stamp in (before or _EMPTY).items():
             if stamp < r:
                 kept[cls] = stamp
             elif stamp:
-                entered_in(stamp).discard(ind)
+                entered[stamp].discard(ind)
         types[ind] = kept
-        owned.add(ind)
         return kept
 
     differs = set()
@@ -811,13 +788,13 @@ def _memberships(schema, onto, links, back, previous, types, entered, touched, r
             start.update(schema.domains.get(p, ()))
         for p in back.get(ind, _EMPTY):
             start.update(schema.ranges.get(p, ()))
-        before = previous.get(ind)
+        before = types.get(ind)
         if before is not None and start == {c for c, stamp in before.items() if not stamp}:
             continue
         own(ind, 0).update(dict.fromkeys(start, 0))
         differs.add(ind)
 
-    dirty = owned | relinked
+    dirty = owned.keys() | relinked
     r = 0
     while dirty:
         r += 1
@@ -825,7 +802,7 @@ def _memberships(schema, onto, links, back, previous, types, entered, touched, r
         if len(dirty) < len(types):
             for ind in differs:
                 dirty |= _readers(schema, back, ind)
-        for ind in dirty - owned:
+        for ind in dirty - owned.keys():
             own(ind, r)
         prior = r - 1
         moved = entered[prior] if 1 < r <= len(entered) else None
@@ -851,14 +828,16 @@ def _memberships(schema, onto, links, back, previous, types, entered, touched, r
                         gained.add(cls)
             if gained:
                 ts.update(dict.fromkeys(gained, r))
-                entered_in(r).add(ind)
+                if r == len(entered):
+                    entered.append(set())
+                entered[r].add(ind)
                 grew = True
         if r > last and not grew:
             break
-        differs = {ind for ind in dirty if not _agrees(types[ind], previous.get(ind), r)}
+        differs = {ind for ind in dirty if not _agrees(types[ind], owned[ind], r)}
     while len(entered) > 1 and not entered[-1]:
         entered.pop()
-    return owned
+    return owned.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -868,8 +847,8 @@ def _memberships(schema, onto, links, back, previous, types, entered, touched, r
 def _violations(schema: _Schema, types, links, violations_by: dict, checked) -> tuple:
     """Recheck the `checked` individuals; returns every violation, sorted.
 
-    violations_by maps an individual to the violations about it; a
-    rechecked individual's set is a new one, so an earlier run's stays.
+    violations_by maps an individual to the violations about it and is
+    changed in place.
     """
     for ind in checked:
         violations_by.pop(ind, None)
@@ -916,8 +895,8 @@ def _violation_key(v: Violation):
 def reason(onto: Ontology) -> Closure:
     """Saturate the store, resuming from its installed Closure when the
     journal carries every edit since (see the module docstring)."""
-    previous, edits = onto._edits_since_closure()
-    asserted = onto.axioms("asserted")
+    previous, edits = onto._take_journal()
+    asserted = onto._asserted
     if previous is None:
         # an empty state, with every fact inserted and every individual affected
         by_tag: dict[AxiomTag, list[Axiom]] = {}
@@ -936,7 +915,7 @@ def reason(onto: Ontology) -> Closure:
         seeds = ()
         touched = {a.args[0] for a in edits if a.tag is AxiomTag.CLASS_ASSERTION}
 
-    links, back = _Nested(previous._links), _Nested(previous._back)
+    links, back = previous._links, previous._back
     link_edits = {a: added for a, added in edits.items() if a.tag is AxiomTag.PROPERTY_ASSERTION}
     changed = _property_assertions(schema, links, back, link_edits, asserted, seeds)
     relinked = set()
@@ -947,13 +926,11 @@ def reason(onto: Ontology) -> Closure:
         if p in schema.read_by_definitions:
             relinked.add(s)
 
-    types, entered = dict(previous._types), list(previous._entered)
-    owned = _memberships(
-        schema, onto, links.map, back.map, previous._types, types, entered, touched, relinked
-    )
-    violations_by = dict(previous._violations_by)
+    types, entered = previous._types, previous._entered
+    owned = _memberships(schema, onto, links, back, types, entered, touched, relinked)
+    violations_by = previous._violations_by
     violations = _violations(
-        schema, types, links.map, violations_by, owned.union(s for s, _, _ in changed)
+        schema, types, links, violations_by, owned | {s for s, _, _ in changed}
     )
 
     closure = Closure(
@@ -962,12 +939,11 @@ def reason(onto: Ontology) -> Closure:
         consistent=not violations,
         violations=violations,
         _schema=schema,
-        _links=links.map,
-        _back=back.map,
+        _links=links,
+        _back=back,
         _types=types,
         _entered=entered,
         _violations_by=violations_by,
-        _asserted=asserted,
     )
     onto._install_closure(closure)
     return closure

@@ -7,7 +7,10 @@ run the resumed Closure must answer exactly what a from-scratch run on a
 copy of the store answers, and what the naive oracle derives.
 """
 
+import gc
 import random
+import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from generators import random_axiom, random_ontology
 from oracles import naive_reason, naive_violations
 from ontodesc import model, reasoner, scenarios
-from ontodesc.model import AxiomTag, Kind, Ontology
+from ontodesc.model import AxiomTag, Kind, Ontology, StaleClosure
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import PatrolConfig, patrol, seed_path
 from ontodesc.syntax import parse
@@ -32,32 +35,37 @@ def copy_store(onto: Ontology) -> Ontology:
     return copy
 
 
-def answers(onto: Ontology, closure) -> dict:
-    """Every Closure query over the store's vocabulary."""
+def queries(onto: Ontology, closure):
+    """(key, call) for every Closure query over the store's vocabulary."""
     classes = onto.entities_of_kind(Kind.CLASS)
     props = onto.entities_of_kind(Kind.OBJECT_PROPERTY) + onto.entities_of_kind(
         Kind.DATA_PROPERTY
     )
     individuals = onto.individuals()
-    out = {"consistent": closure.consistent, "violations": closure.violations}
     for ind in individuals:
-        out["types", ind] = closure.types_of(ind)
-        out["leaf types", ind] = closure.types_of(ind, most_specific_only=True)
-        out["links", ind] = closure.links_of(ind)
-        out["same", ind] = closure.same_individuals(ind)
+        yield ("types", ind), partial(closure.types_of, ind)
+        yield ("leaf types", ind), partial(closure.types_of, ind, most_specific_only=True)
+        yield ("links", ind), partial(closure.links_of, ind)
+        yield ("same", ind), partial(closure.same_individuals, ind)
         for prop in props:
-            out["fillers", ind, prop] = closure.fillers(ind, prop)
-            out["subjects", ind, prop] = closure.subjects(ind, prop)
+            yield ("fillers", ind, prop), partial(closure.fillers, ind, prop)
+            yield ("subjects", ind, prop), partial(closure.subjects, ind, prop)
         for other in individuals:
-            out["same as", ind, other] = closure.same_as(ind, other)
+            yield ("same as", ind, other), partial(closure.same_as, ind, other)
     for cls in classes:
-        out["instances", cls] = closure.instances_of(cls)
-        out["below", cls] = closure.direct_subclasses(cls)
-        out["above", cls] = closure.direct_superclasses(cls)
+        yield ("instances", cls), partial(closure.instances_of, cls)
+        yield ("below", cls), partial(closure.direct_subclasses, cls)
+        yield ("above", cls), partial(closure.direct_superclasses, cls)
         for other in classes:
-            out["subsumed", cls, other] = closure.subsumed_by(cls, other)
+            yield ("subsumed", cls, other), partial(closure.subsumed_by, cls, other)
     for prop in props:
-        out["super", prop] = closure.super_properties(prop)
+        yield ("super", prop), partial(closure.super_properties, prop)
+
+
+def answers(onto: Ontology, closure) -> dict:
+    """Every Closure query over the store's vocabulary, answered."""
+    out = {"consistent": closure.consistent, "violations": closure.violations}
+    out.update((key, call()) for key, call in queries(onto, closure))
     return out
 
 
@@ -105,19 +113,56 @@ def test_resumed_runs_match_scratch_runs_and_the_oracle(seed, monotone):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_an_earlier_closure_keeps_its_results(seed):
-    """A resumed run copies what it changes: the Closure before it still
-    builds its own world's inferred axioms, first read after the run."""
+    """A resumed run changes the maps in place: the Closure before it keeps
+    only its stored results, `consistent` and `violations`, and every
+    other read raises StaleClosure."""
     rng = random.Random(7000 + seed)
     onto = random_ontology(rng, axioms=rng.randint(10, 40))
     earlier = reason(onto)
     before = copy_store(onto)
-    expected, _ = naive_reason(before)
     for _ in range(rng.randint(1, 6)):
         edit(rng, onto, monotone=False, step=0)
+    assert onto.generation != earlier.generation
     reason(onto)
-    assert "inferred" not in earlier.__dict__
-    assert earlier.inferred == expected
     assert earlier.violations == reason(before).violations
+    assert earlier.consistent == (not earlier.violations)
+    for key, call in queries(onto, earlier):
+        with pytest.raises(StaleClosure):
+            call()
+    with pytest.raises(StaleClosure):
+        earlier.inferred
+    with pytest.raises(StaleClosure):
+        next(earlier.inferred_groups())
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("phase", ["_memberships", "_violations"])
+@pytest.mark.parametrize("seed", range(20))
+def test_a_run_that_raises_leaves_the_next_to_start_afresh(monkeypatch, seed, phase):
+    """A run that raises after phase two changed the maps in place has
+    taken the journal: the next run starts from an empty state."""
+    rng = random.Random(9000 + seed)
+    onto = random_ontology(rng, axioms=rng.randint(10, 40))
+    reason(onto)
+    for _ in range(rng.randint(1, 6)):
+        edit(rng, onto, monotone=False, step=0)
+
+    def interrupted(*args):
+        raise Interrupted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reasoner, phase, interrupted)
+        with pytest.raises(Interrupted):
+            reason(onto)
+    resumed = reason(onto)
+    copy = copy_store(onto)
+    assert answers(onto, resumed) == answers(copy, reason(copy))
+    inferred, consistent = naive_reason(onto)
+    assert resumed.inferred == inferred
+    assert resumed.consistent == consistent
 
 
 class TestJournal:
@@ -130,7 +175,8 @@ class TestJournal:
         onto.assert_axiom(typed)
         onto.assert_axiom(linked)
         onto.retract_axiom(linked)
-        assert onto._edits_since_closure() == (closure, {typed: True})
+        assert onto._take_journal() == (closure, {typed: True})
+        assert onto._take_journal() == (None, None)  # taken until the next run installs
 
     @pytest.mark.parametrize(
         "change",
@@ -148,7 +194,7 @@ class TestJournal:
         reason(onto)
         onto.assert_axiom(model.class_assertion(onto.lookup("x"), onto.lookup("A")))
         change(onto)
-        assert onto._edits_since_closure() == (None, None)
+        assert onto._take_journal() == (None, None)
 
 
 def corridor_chain(n: int) -> Ontology:
@@ -231,3 +277,26 @@ def test_a_late_round_still_reaches_a_re_evaluated_individual():
     onto.assert_axiom(model.class_assertion(y, onto.lookup("Z")))
     assert cls_y in reason(onto).types_of(y)
     assert onto.current_closure()._types == reason(copy_store(onto))._types
+
+
+def _peak_bytes_of_a_step(n: int) -> tuple[int, str]:
+    onto = corridor_chain(n)
+    reason(onto)
+    patrol(onto, PatrolConfig(steps=1, seed=0))  # declares the door states: a full run
+    gc.collect()
+    tracemalloc.start()
+    try:
+        [step] = patrol(onto, PatrolConfig(steps=1, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, step.line()
+
+
+def test_a_patrol_step_allocates_for_the_edit_not_the_world():
+    """The peak memory a step allocates stays flat from n=32 to n=512: a
+    resumed run copies no map of the world."""
+    small, small_line = _peak_bytes_of_a_step(32)
+    large, large_line = _peak_bytes_of_a_step(512)
+    assert small_line == large_line
+    assert large <= 1.5 * small
