@@ -8,22 +8,25 @@ patrol step grow with world size.
 For each n the world is perfbench's corridor chain (worlds.generate with
 k=0 classes and m=1 robot, seed 0).  syntax.parse of the world text is
 timed, and reason() on the copy it returns, so it runs from an empty
-state.  Right after each such run, syntax.serialize(world,
-include_inferred=True) is timed once (the `serialize --entailed` text),
-and then scenarios.reachable_leaf_places(world) for Robot1: the first
-call reads every descriptor afresh.  Warm calls repeat it on the last
-of those worlds, unchanged, so their reads come from the Closure's
-memo.  The patrol step is
+state; parse_kb_per_s is the text's UTF-8 size in KB (1024 bytes) over
+the median parse time.  Right after each such run,
+syntax.serialize(world, include_inferred=True) is timed once (the
+`serialize --entailed` text), and then scenarios.reachable_leaf_places(world)
+for Robot1: the first call reads every descriptor afresh.  Warm calls
+repeat it on the last of those worlds, unchanged, so their reads come
+from the Closure's memo.  The patrol step is
 scenarios.patrol(world, PatrolConfig(steps=1, seed=s_i)) on one world
-carried from step to step, after one untimed step that declares the door
-state classes; seeds s_i come from random.Random(n).  The garbage
+carried from step to step, after one untimed warm-up step that also
+declares the door state classes; the seeds s_i come from random.Random(0)
+at every n, so every size times the same coin flips.  The garbage
 collector runs before every timed call, outside the timer.
 
 Writes BENCH_scale_<label>.json: the Python version, the repeat count,
-per n the asserted axiom count and the median milliseconds of each
+per n the asserted axiom count, the median milliseconds of each
 measurement (patrol_step_ms, parse_ms, reason_ms, serialize_entailed_ms,
-reachable_first_ms, reachable_warm_ms), and the patrol step's ratio between the largest and
-the smallest n.  Times are wall times on whatever machine runs it.
+reachable_first_ms, reachable_warm_ms) and parse_kb_per_s, and the patrol
+step's ratio between the largest and the smallest n.  Times are wall
+times on whatever machine runs it.
 """
 
 from __future__ import annotations
@@ -66,17 +69,19 @@ def measure(n: int, repeat: int) -> dict:
 
     onto = syntax.parse(world.text)
     reasoner.reason(onto)
-    scenarios.patrol(onto, scenarios.PatrolConfig(steps=1, seed=0))
-    seeds = random.Random(n)
+    seeds = random.Random(0)
+    scenarios.patrol(onto, scenarios.PatrolConfig(steps=1, seed=seeds.getrandbits(63)))
     step_ms = []
     for _ in range(repeat):
         config = scenarios.PatrolConfig(steps=1, seed=seeds.getrandbits(63))
         step_ms.append(_timed_ms(lambda: scenarios.patrol(onto, config)))
+    kb = len(world.text.encode("utf-8")) / 1024
     return {
         "n": n,
         "asserted": world.asserted,
         "patrol_step_ms": statistics.median(step_ms),
         "parse_ms": statistics.median(parse_ms),
+        "parse_kb_per_s": kb / (statistics.median(parse_ms) / 1000),
         "reason_ms": statistics.median(reason_ms),
         "serialize_entailed_ms": statistics.median(serialize_ms),
         "reachable_first_ms": statistics.median(first_ms),
@@ -109,7 +114,8 @@ def main(argv=None) -> int:
         row = measure(n, args.repeat)
         rows.append(row)
         print(
-            f"n={n} patrol step {row['patrol_step_ms']:.2f} ms, parse {row['parse_ms']:.2f} ms,"
+            f"n={n} patrol step {row['patrol_step_ms']:.2f} ms,"
+            f" parse {row['parse_ms']:.2f} ms ({row['parse_kb_per_s']:.0f} KB/s),"
             f" reason {row['reason_ms']:.2f} ms, serialize --entailed {row['serialize_entailed_ms']:.2f} ms,"
             f" reachable first {row['reachable_first_ms']:.2f} ms, warm {row['reachable_warm_ms']:.3f} ms"
         )

@@ -106,6 +106,7 @@ stale (its generation is behind the store's) and refuses every read but
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -127,6 +128,7 @@ from .model import (
     Or,
     Some,
     StaleClosure,
+    canonical,
     class_assertion,
     expression_entities,
     property_assertion,
@@ -174,9 +176,15 @@ class Closure:
     entailed text and the `reason` counts read.  `inferred`, the store's
     inferred partition as a set of axioms, is built from the same groups
     on first read, by the entailed view's readers only.
+
+    The store holds its installed Closure, and the Closure holds the
+    store only weakly, so a dropped store is freed by reference counting
+    rather than left to the cycle collector.  A Closure whose store is
+    gone stays fresh, since nothing can edit that store any more, and
+    reads the store's asserted set through its own reference to it.
     """
 
-    ontology: Ontology
+    _store: weakref.ref
     generation: int
     consistent: bool = True
     violations: tuple = ()
@@ -187,11 +195,18 @@ class Closure:
     _entered: list = field(default_factory=list, repr=False)  # round -> individuals
     _violations_by: dict = field(default_factory=dict, repr=False)
     _reads: dict = field(default_factory=dict, repr=False)  # (tag, ground) -> (items, add intents)
+    _asserted: set = field(default_factory=set, repr=False)  # the store's live asserted set
+
+    @property
+    def ontology(self) -> Ontology | None:
+        """The store this Closure was computed over, or None once it is freed."""
+        return self._store()
 
     # -- guards
 
     def _check_fresh(self):
-        if self.ontology.generation != self.generation:
+        onto = self._store()
+        if onto is not None and onto.generation != self.generation:
             raise StaleClosure("the ontology changed after this closure was computed")
 
     @property
@@ -250,7 +265,7 @@ class Closure:
             (AxiomTag.CLASS_ASSERTION, (((ind,), types) for ind, types in self._types.items())),
         )
         asserted: dict = {}  # tag -> leading arguments -> last arguments
-        for a in self.ontology._asserted:
+        for a in self._asserted:
             asserted.setdefault(a.tag, {}).setdefault(a.args[:-1], set()).add(a.args[-1])
         for tag, groups in shapes:
             held_by_head = asserted.get(tag, _EMPTY)
@@ -265,7 +280,8 @@ class Closure:
 
     def is_entailed(self, axiom: Axiom) -> bool:
         self._check_fresh()
-        if self.ontology.contains(axiom, "entailed"):
+        axiom = canonical(axiom)
+        if axiom in self._asserted or axiom in self._inferred:
             return True
         # tautologies hold everywhere; the reflexive ones are never
         # materialised, nor are the bounds of entities not declared here
@@ -903,7 +919,7 @@ def reason(onto: Ontology) -> Closure:
         for a in asserted:
             by_tag.setdefault(a.tag, []).append(a)
         schema = _schema(onto, by_tag)
-        previous = Closure(ontology=onto, generation=-1, _schema=schema)
+        previous = Closure(weakref.ref(onto), generation=-1, _schema=schema)
         edits = dict.fromkeys(
             by_tag.get(AxiomTag.CLASS_ASSERTION, []) + by_tag.get(AxiomTag.PROPERTY_ASSERTION, []),
             True,
@@ -934,7 +950,7 @@ def reason(onto: Ontology) -> Closure:
     )
 
     closure = Closure(
-        ontology=onto,
+        weakref.ref(onto),
         generation=onto.generation,
         consistent=not violations,
         violations=violations,
@@ -944,6 +960,7 @@ def reason(onto: Ontology) -> Closure:
         _types=types,
         _entered=entered,
         _violations_by=violations_by,
+        _asserted=asserted,
     )
     onto._install_closure(closure)
     return closure

@@ -22,7 +22,7 @@ from importlib import resources
 
 from .compound import CompoundDescriptor, full_class, full_individual
 from .descriptor import DescriptorTag, Link, Ref
-from .model import Entity, Kind, Ontology, OntologyError
+from .model import AxiomTag, Entity, Kind, Ontology, OntologyError, disjoint_classes, sub_class
 from .reasoner import Closure, reason
 from .syntax import parse, parse_file
 
@@ -198,20 +198,29 @@ def setup_door_state_classes(onto: Ontology) -> None:
     One class descriptor does all three writes: grounded on CLOSE it
     writes the superclass, then it is re-grounded on OPEN, keeps DOOR in
     its superclass part, gains CLOSE as a disjoint, and writes both.
-    Reasons only when the writes (or earlier edits) changed the world: on
-    a world set up before they change nothing, and the closure stands.
+    Each write makes the asserted axioms of its (tag, ground) exactly its
+    items, so when all three already match, as after an earlier call,
+    the writes are skipped.  Reasons only when the writes (or earlier
+    edits) changed the world: on a world set up before, the closure
+    stands.
     """
     door = onto.lookup(DOOR_CLASS)
     close = onto.declare(Kind.CLASS, CLOSE_CLASS)
     opened = onto.declare(Kind.CLASS, OPEN_CLASS)
 
-    descriptor = full_class(onto, close)
-    descriptor.part(DescriptorTag.SUPER_CLASSES).add(Ref(door))
-    descriptor.part(DescriptorTag.SUPER_CLASSES).write()
-    descriptor.set_ground(opened)
-    descriptor.part(DescriptorTag.DISJOINT_CLASSES).add(Ref(close))
-    descriptor.part(DescriptorTag.SUPER_CLASSES).write()
-    descriptor.part(DescriptorTag.DISJOINT_CLASSES).write()
+    written = (
+        (AxiomTag.SUB_CLASS, close, sub_class(close, door)),
+        (AxiomTag.SUB_CLASS, opened, sub_class(opened, door)),
+        (AxiomTag.DISJOINT_CLASSES, opened, disjoint_classes(opened, close)),
+    )
+    if any(onto.axioms_about(tag, ground) != {axiom} for tag, ground, axiom in written):
+        descriptor = full_class(onto, close)
+        descriptor.part(DescriptorTag.SUPER_CLASSES).add(Ref(door))
+        descriptor.part(DescriptorTag.SUPER_CLASSES).write()
+        descriptor.set_ground(opened)
+        descriptor.part(DescriptorTag.DISJOINT_CLASSES).add(Ref(close))
+        descriptor.part(DescriptorTag.SUPER_CLASSES).write()
+        descriptor.part(DescriptorTag.DISJOINT_CLASSES).write()
     _fresh_closure(onto)
 
 

@@ -8,12 +8,11 @@ A document is a sequence of functional-style statements::
     PropertyAssertion(hasDoor Room1 Door1)
 
 Statements may sit one per line or whitespace-separated; any whitespace
-separates tokens, and only a newline starts a new line for error
-positions.  `#` starts a comment running to end of line.  Names must
-start with a letter or underscore and may then use any character except
-whitespace, parentheses, quotes and `#`.  Literals are written `"text"`
+separates tokens, and `#` starts a comment running to end of line.
+Names start with a letter or underscore and may then use any character
+except whitespace, parentheses, quotes and `#`.  Literals are `"text"`
 (with \\" \\\\ \\n \\t \\r escapes; a string may not span lines),
-`true`, `false`, integers and doubles.  Numbers use ASCII digits only:
+`true`, `false`, integers and doubles, in ASCII digits only:
 
     integer  [+-]? [0-9]+
     double   [+-]? ( [0-9]+ ( . [0-9]* )? | . [0-9]+ ) ( [eE] [+-]? [0-9]+ )?
@@ -30,11 +29,17 @@ therefore nest at most three deep below a statement (statement > Or >
 And > quantifier); a deeper call is a parse error at its head.  The
 count of Min and Max must be an integer token.
 
-References may appear before their declaration: names are resolved only
-after the whole document has been scanned.  An undeclared name is an
-UnknownEntity error at the name.  Argument kinds are checked by the
-model's axiom and expression constructors alone; a wrong kind anywhere
-in a statement is a ParseError at the statement's head.
+Parsing builds no tokens.  A flat statement (a known head with only
+names for arguments) is matched whole and split by str.split(); any
+other is parsed from its start by recursive descent over the token
+pattern's matches.  Names are resolved only after the whole document
+has been read, so a reference may precede its declaration; an
+undeclared name is an UnknownEntity error at the name.  Argument kinds
+are checked by the model's axiom and expression constructors alone; a
+wrong kind anywhere in a statement is a ParseError at its head.  Errors
+come as if the whole text were tokenized first (a malformed token
+anywhere, the first bad statement, then declarations and axioms), with
+a line (only a newline starts one) and column counted only then.
 
 Serialization is canonical: declarations first (classes, object
 properties, data properties, individuals, each sorted by IRI), then
@@ -54,6 +59,7 @@ import inspect
 import math
 import re
 from dataclasses import dataclass, fields
+from itertools import pairwise
 
 from . import model
 from .model import (
@@ -103,12 +109,15 @@ _TOKEN = re.compile(
     |(?P<word>[^\s()"\#]+)""",
     re.VERBOSE,
 )
+_SKIP = ("blank", "newline")
 _OPEN_STRING = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 
 
-# not frozen: a frozen __init__ sets each field through object.__setattr__,
-# and building tokens was half of tokenize
+def _is_name(word: str) -> bool:
+    return (word[0].isalpha() or word[0] == "_") and word != "true" and word != "false"
+
+
 @dataclass(slots=True)
 class Token:
     typ: str  # ( ) name string int double bool eof
@@ -118,62 +127,52 @@ class Token:
     col: int
 
 
+def _error(text: str, at: int, message: str) -> ParseError:
+    """An error at offset `at`: lines and columns are counted only here."""
+    return ParseError(text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at), message)
+
+
+def _lex(text: str, m: re.Match) -> tuple[str, str, object]:
+    """A non-blank match's Token type, text and value, or a ParseError."""
+    kind, word = m.lastgroup, m.group()
+    if kind == "paren":
+        return word, word, word
+    if kind == "string":
+        value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], word[1:-1])
+        return "string", value, value
+    if kind == "quote":
+        # the string pattern stopped short: at a bad escape, or at the end of the line or input
+        stop = _OPEN_STRING.match(text, m.start()).end()
+        if text.startswith("\\", stop):
+            raise _error(text, stop + 1, "bad escape in string literal")
+        raise _error(text, m.start(), "unterminated string literal")
+    if kind == "word":
+        if _is_name(word):
+            return "name", word, word
+        if word == "true" or word == "false":
+            return "bool", word, word == "true"
+        if not (word[0].isdigit() or word[0] in "+-."):
+            raise _error(text, m.start(), f"names must start with a letter or underscore: {word!r}")
+    else:  # int() refuses very long digit strings; too large a double reads as infinity
+        try:
+            value = int(word) if kind == "int" else float(word)
+            if kind == "int" or math.isfinite(value):
+                return kind, word, value
+        except ValueError:
+            pass
+    raise _error(text, m.start(), f"malformed number: {word!r}")
+
+
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    line, line_start = 1, 0
+    """Every token of the text, for diagnostics and tests; parse builds none."""
+    tokens, line, line_start = [], 1, 0
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "blank":
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        word = m.group()
-        col = m.start() - line_start + 1
-        if kind == "paren":
-            append(Token(word, word, word, line, col))
-        elif kind == "word":
-            append(_classify(word, line, col))
-        elif kind == "string":
-            value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], word[1:-1])
-            append(Token("string", value, value, line, col))
-        elif kind == "quote":
-            # the string pattern stopped short: at a bad escape, or at the
-            # end of the line or input
-            stop = _OPEN_STRING.match(text, m.start()).end()
-            if text.startswith("\\", stop):
-                raise ParseError(line, stop + 1 - line_start + 1, "bad escape in string literal")
-            raise ParseError(line, col, "unterminated string literal")
-        else:
-            append(_number(kind, word, line, col))
+        if m.lastgroup == "newline":
+            line, line_start = line + 1, m.end()
+        elif m.lastgroup != "blank":
+            tokens.append(Token(*_lex(text, m), line, m.start() - line_start + 1))
     tokens.append(Token("eof", "", None, line, len(text) - line_start + 1))
     return tokens
-
-
-def _number(kind: str, word: str, line: int, col: int) -> Token:
-    try:
-        value = int(word) if kind == "int" else float(word)
-    except ValueError:  # int() refuses very long digit strings
-        value = None
-    # a double too large for a float reads as infinity
-    if value is None or kind == "double" and not math.isfinite(value):
-        raise ParseError(line, col, f"malformed number: {word!r}")
-    return Token(kind, word, value, line, col)
-
-
-def _classify(word: str, line: int, col: int) -> Token:
-    if word == "true":
-        return Token("bool", word, True, line, col)
-    if word == "false":
-        return Token("bool", word, False, line, col)
-    head = word[0]
-    if head.isdigit() or head in "+-.":
-        raise ParseError(line, col, f"malformed number: {word!r}")
-    if not (head.isalpha() or head == "_"):
-        raise ParseError(line, col, f"names must start with a letter or underscore: {word!r}")
-    return Token("name", word, word, line, col)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +187,8 @@ _DECLARATIONS = {
 }
 # the expression classes are named after their text heads
 _EXPRESSIONS = {cls.__name__: cls for cls in (And, Or, Some, Only, Min, Max)}
-_AXIOM_HEADS = {t.value for t in AxiomTag}
+_AXIOM_HEADS = {t.value: t for t in AxiomTag}
+_HEADS = _DECLARATIONS.keys() | _AXIOM_HEADS.keys()
 # Text argument j is axiom argument _TEXT_ORDER[tag][j]; other tags write
 # their arguments in axiom order.
 _TEXT_ORDER = {
@@ -201,150 +201,152 @@ _ARITY = {
     factory: len(inspect.signature(factory).parameters)
     for factory in (*model.AXIOM_FACTORIES.values(), Some, Only, Min, Max)
 }
+# a flat statement: its arguments are split on \s by str.split()
+_FLAT = re.compile(r'\s*([^\s()"#]+)\s*\(([^()"#]*)\)')
 
 
-@dataclass
+@dataclass(slots=True)
 class _Call:
-    head: Token
-    args: list  # Token | _Call
+    head: str
+    at: int  # the head's offset
+    args: list  # names (str), Literals and _Calls
 
 
 class _Parser:
+    """Flat statements matched whole, others parsed over _TOKEN matches."""
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
+        self.text, self.pos = text, 0  # pos: where the next match starts
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def next(self) -> tuple[str, str, object, int]:
+        """The next token's type, text, value and offset."""
+        while (m := _TOKEN.match(self.text, self.pos)) is not None:
+            self.pos = m.end()
+            if m.lastgroup not in _SKIP:
+                return *_lex(self.text, m), m.start()
+        return "eof", "", None, self.pos
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, typ: str) -> Token:
-        tok = self.next()
-        if tok.typ != typ:
-            raise ParseError(tok.line, tok.col, f"expected {typ!r}, found {tok.text!r}")
-        return tok
+    def fail(self, at: int, message: str):
+        while self.next()[0] != "eof":  # a malformed token anywhere comes first
+            pass
+        raise _error(self.text, at, message)
 
     def parse_document(self) -> list[_Call]:
-        statements = []
-        while self.peek().typ != "eof":
-            tok = self.next()
-            if tok.typ != "name":
-                raise ParseError(tok.line, tok.col, f"expected a statement, found {tok.text!r}")
-            if tok.text not in _DECLARATIONS and tok.text not in _AXIOM_HEADS:
-                raise ParseError(tok.line, tok.col, f"unknown statement: {tok.text!r}")
-            statements.append(self.parse_call(tok, 0))
-        return statements
-
-    def parse_call(self, head: Token, depth: int) -> _Call:
-        self.expect("(")
-        args: list = []
+        text, statements, flat = self.text, [], _FLAT.match
         while True:
-            tok = self.next()
-            if tok.typ == ")":
-                return _Call(head, args)
-            if tok.typ == "eof":
-                raise ParseError(tok.line, tok.col, "unexpected end of input inside statement")
-            if tok.typ == "(":
-                raise ParseError(tok.line, tok.col, "unexpected '('")
-            if tok.typ == "name" and self.peek().typ == "(":
-                if tok.text not in _EXPRESSIONS:
-                    raise ParseError(
-                        tok.line, tok.col, f"unknown expression constructor: {tok.text!r}"
-                    )
+            m = flat(text, self.pos)
+            if m and m[1] in _HEADS and all(map(_is_name, args := m[2].split())):
+                statements.append(_Call(m[1], m.start(1), args))
+                self.pos = m.end()
+                continue
+            typ, head, _, at = self.next()
+            if typ == "eof":
+                return statements
+            if typ != "name":
+                self.fail(at, f"expected a statement, found {head!r}")
+            if head not in _HEADS:
+                self.fail(at, f"unknown statement: {head!r}")
+            typ, found, _, paren = self.next()
+            if typ != "(":
+                self.fail(paren, f"expected '(', found {found!r}")
+            statements.append(self.parse_call(head, at, 0))
+
+    def parse_call(self, head: str, at: int, depth: int) -> _Call:
+        """The call whose head and '(' have been read."""
+        args: list = []
+        token = self.next()
+        while True:
+            typ, word, value, start = token
+            if typ == ")":
+                return _Call(head, at, args)
+            if typ == "eof":
+                self.fail(start, "unexpected end of input inside statement")
+            if typ == "(":
+                self.fail(start, "unexpected '('")
+            token = self.next()
+            if typ == "name" and token[0] == "(":
+                if word not in _EXPRESSIONS:
+                    self.fail(start, f"unknown expression constructor: {word!r}")
                 if depth == _MAX_DEPTH:
-                    raise ParseError(
-                        tok.line, tok.col, f"{tok.text} nests deeper than statement > Or > And > quantifier"
-                    )
-                args.append(self.parse_call(tok, depth + 1))
+                    self.fail(start, f"{word} nests deeper than statement > Or > And > quantifier")
+                args.append(self.parse_call(word, start, depth + 1))
+                token = self.next()
             else:
-                args.append(tok)
+                args.append(word if typ == "name" else Literal(value))
 
 
-def _check_arity(head: Token, factory, args: list) -> None:
-    arity = _ARITY[factory]
-    if len(args) != arity:
-        raise ParseError(head.line, head.col, f"{head.text} takes {arity} arguments")
+def _argument_at(text: str, at: int, name: str) -> int:
+    """The offset of the first token `name` after `at` that no '(' follows."""
+    tokens = (m for m in _TOKEN.finditer(text, at) if m.lastgroup not in _SKIP)
+    return next(a.start() for a, b in pairwise(tokens) if a.group() == name and b.group() != "(")
 
 
 class _Builder:
     """Second pass: turn statement trees into declarations and axioms."""
 
-    def __init__(self, statements: list[_Call]):
-        self.statements = statements
-        self.onto = Ontology()
+    def __init__(self, text: str):
+        self.text, self.onto = text, Ontology()
+        self.at = 0  # the statement being built: its unknown names are looked for from here
 
-    def build(self) -> Ontology:
-        for st in self.statements:
-            kind = _DECLARATIONS.get(st.head.text)
-            if kind is None:
+    def build(self, statements: list[_Call]) -> Ontology:
+        for st in statements:
+            if (kind := _DECLARATIONS.get(st.head)) is None:
                 continue
-            if len(st.args) != 1 or not isinstance(st.args[0], Token) or st.args[0].typ != "name":
-                raise ParseError(st.head.line, st.head.col, f"{st.head.text} takes one name")
-            tok = st.args[0]
+            if len(st.args) != 1 or type(st.args[0]) is not str:
+                raise _error(self.text, st.at, f"{st.head} takes one name")
             try:
-                self.onto.declare(kind, tok.text)
+                self.onto.declare(kind, st.args[0])
             except model.KindClash as e:
-                raise ParseError(tok.line, tok.col, str(e)) from None
-        for st in self.statements:
-            if st.head.text not in _DECLARATIONS:
+                raise _error(self.text, _argument_at(self.text, st.at, st.args[0]), str(e)) from None
+        for st in statements:
+            if st.head not in _DECLARATIONS:
+                self.at = st.at
                 self.onto.assert_axiom(self._axiom(st))
         return self.onto
 
     def _arg(self, node) -> object:
-        """A name's entity, a literal token's Literal, or a call's expression."""
-        if isinstance(node, _Call):
+        """A name's entity, a Literal, or a call's expression."""
+        if type(node) is str:
+            entity = self.onto.maybe_lookup(node)
+            if entity is None:
+                e = _error(self.text, _argument_at(self.text, self.at, node), f"unknown entity {node!r}")
+                raise model.UnknownEntity(str(e), e.line, e.col)
+            return entity
+        if type(node) is _Call:
             return self._expression(node, "top")
-        if node.typ != "name":
-            return Literal(node.value)
-        entity = self.onto.maybe_lookup(node.text)
-        if entity is None:
-            raise model.UnknownEntity(
-                f"line {node.line}, column {node.col}: unknown entity {node.text!r}",
-                node.line,
-                node.col,
-            )
-        return entity
+        return node
 
     def _expression(self, node, mode: str) -> ClassExpression:
         # mode limits nesting: a body is an atom, an intersection of atoms,
         # or a union whose members are atoms or intersections of atoms
-        if isinstance(node, Token):
+        if type(node) is not _Call:
             return Named(self._arg(node))
-        head = node.head
-        cls = _EXPRESSIONS[head.text]
+        cls = _EXPRESSIONS[node.head]
         if cls is And or cls is Or:
             if cls is And and mode == "and" or cls is Or and mode != "top":
-                raise ParseError(
-                    head.line, head.col, "expression nesting is limited to a union of intersections"
-                )
-            inner_mode = "and" if cls is And else "or"
-            return cls(tuple(self._expression(a, inner_mode) for a in node.args))
+                raise _error(self.text, node.at, "expression nesting is limited to a union of intersections")
+            return cls(tuple(self._expression(a, "and" if cls is And else "or") for a in node.args))
         args = [self._arg(a) for a in node.args]
-        _check_arity(head, cls, args)
+        if len(args) != _ARITY[cls]:
+            raise _error(self.text, node.at, f"{node.head} takes {_ARITY[cls]} arguments")
         if cls is Min or cls is Max:
-            count = node.args[0]
-            if not isinstance(count, Token) or count.typ != "int":
-                raise ParseError(head.line, head.col, f"{head.text} takes an integer count first")
+            if type(count := node.args[0]) is not Literal or type(count.value) is not int:
+                raise _error(self.text, node.at, f"{node.head} takes an integer count first")
             args[0] = count.value
         return cls(*args)
 
     def _axiom(self, st: _Call) -> Axiom:
-        head = st.head
         try:
             args = [self._arg(a) for a in st.args]
-            tag = AxiomTag(head.text)
-            # a composite second class makes a definition; a named body is
-            # the named class expression
-            if tag is AxiomTag.EQUIVALENT_CLASSES and len(args) == 2 and isinstance(st.args[1], _Call):
+            tag = _AXIOM_HEADS[st.head]
+            # a composite second class makes a definition; a named body is Named
+            if tag is AxiomTag.EQUIVALENT_CLASSES and len(args) == 2 and type(st.args[1]) is _Call:
                 tag = AxiomTag.CLASS_DEFINITION
             if tag is AxiomTag.CLASS_DEFINITION and len(args) == 2 and isinstance(args[1], Entity):
                 args[1] = Named(args[1])
             factory = model.AXIOM_FACTORIES[tag]
-            _check_arity(head, factory, args)
+            if len(args) != _ARITY[factory]:
+                raise _error(self.text, st.at, f"{st.head} takes {_ARITY[factory]} arguments")
             order = _TEXT_ORDER.get(tag)
             if order:
                 args = [arg for _, arg in sorted(zip(order, args))]
@@ -353,11 +355,11 @@ class _Builder:
             raise
         except model.OntologyError as e:
             # the factories and expression classes are the kind checks
-            raise ParseError(head.line, head.col, str(e)) from None
+            raise _error(self.text, st.at, str(e)) from None
 
 
 def parse(text: str) -> Ontology:
-    return _Builder(_Parser(text).parse_document()).build()
+    return _Builder(text).build(_Parser(text).parse_document())
 
 
 def parse_file(path) -> Ontology:
@@ -386,10 +388,8 @@ def render_term(term) -> str:
 
 
 def _render_arg(arg) -> str:
-    if isinstance(arg, Entity):
-        return arg.iri
-    if isinstance(arg, Literal):
-        return render_literal(arg)
+    if isinstance(arg, (Entity, Literal)):
+        return render_term(arg)
     if isinstance(arg, int):  # a Min / Max count
         return str(arg)
     return render_expression(arg)

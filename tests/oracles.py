@@ -18,15 +18,20 @@ Closure's query indexes replaced, kept as references for them.  They
 read the entailed view, not the Closure's private maps.  read_reference
 is the axiom round trip that descriptor reads replaced.
 entailed_text_reference is the per-axiom rendering of the inferred set
-that the entailed serializer replaced.
+that the entailed serializer replaced.  parse_reference is the parser
+that flat-statement matching replaced: it builds a Token for every
+lexeme of the text, then parses the token list.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import networkx as nx
 
+from ontodesc import model
 from ontodesc.descriptor import (
     TAG_SPECS,
     DescriptorTag,
@@ -41,6 +46,7 @@ from ontodesc.model import (
     And,
     AxiomTag,
     Box,
+    ClassExpression,
     DATATYPES,
     Entity,
     Kind,
@@ -61,7 +67,22 @@ from ontodesc.model import (
     sub_class,
     sub_property,
 )
-from ontodesc.syntax import render_axiom, serialize
+from ontodesc.syntax import (
+    _ARITY,
+    _AXIOM_HEADS,
+    _DECLARATIONS,
+    _ESCAPE,
+    _ESCAPES,
+    _EXPRESSIONS,
+    _MAX_DEPTH,
+    _OPEN_STRING,
+    _TEXT_ORDER,
+    _TOKEN,
+    ParseError,
+    Token,
+    render_axiom,
+    serialize,
+)
 
 
 def _tagged(onto: Ontology, tag: AxiomTag):
@@ -484,3 +505,224 @@ def entailed_text_reference(onto: Ontology) -> str:
         (boxes.index(a.tag.box), render_axiom(a)) for a in onto.current_closure().inferred
     )
     return serialize(onto) + "".join(f"# inferred: {text}\n" for _, text in inferred)
+
+
+# ---------------------------------------------------------------------------
+# parsing
+
+
+def tokenize_reference(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "blank":
+            continue
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
+            continue
+        word = m.group()
+        col = m.start() - line_start + 1
+        if kind == "paren":
+            append(Token(word, word, word, line, col))
+        elif kind == "word":
+            append(_classify(word, line, col))
+        elif kind == "string":
+            value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], word[1:-1])
+            append(Token("string", value, value, line, col))
+        elif kind == "quote":
+            # the string pattern stopped short: at a bad escape, or at the
+            # end of the line or input
+            stop = _OPEN_STRING.match(text, m.start()).end()
+            if text.startswith("\\", stop):
+                raise ParseError(line, stop + 1 - line_start + 1, "bad escape in string literal")
+            raise ParseError(line, col, "unterminated string literal")
+        else:
+            append(_number(kind, word, line, col))
+    tokens.append(Token("eof", "", None, line, len(text) - line_start + 1))
+    return tokens
+
+
+def _number(kind: str, word: str, line: int, col: int) -> Token:
+    try:
+        value = int(word) if kind == "int" else float(word)
+    except ValueError:  # int() refuses very long digit strings
+        value = None
+    # a double too large for a float reads as infinity
+    if value is None or kind == "double" and not math.isfinite(value):
+        raise ParseError(line, col, f"malformed number: {word!r}")
+    return Token(kind, word, value, line, col)
+
+
+def _classify(word: str, line: int, col: int) -> Token:
+    if word == "true":
+        return Token("bool", word, True, line, col)
+    if word == "false":
+        return Token("bool", word, False, line, col)
+    head = word[0]
+    if head.isdigit() or head in "+-.":
+        raise ParseError(line, col, f"malformed number: {word!r}")
+    if not (head.isalpha() or head == "_"):
+        raise ParseError(line, col, f"names must start with a letter or underscore: {word!r}")
+    return Token("name", word, word, line, col)
+
+
+@dataclass
+class _Call:
+    head: Token
+    args: list  # Token | _Call
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = tokenize_reference(text)
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, typ: str) -> Token:
+        tok = self.next()
+        if tok.typ != typ:
+            raise ParseError(tok.line, tok.col, f"expected {typ!r}, found {tok.text!r}")
+        return tok
+
+    def parse_document(self) -> list[_Call]:
+        statements = []
+        while self.peek().typ != "eof":
+            tok = self.next()
+            if tok.typ != "name":
+                raise ParseError(tok.line, tok.col, f"expected a statement, found {tok.text!r}")
+            if tok.text not in _DECLARATIONS and tok.text not in _AXIOM_HEADS:
+                raise ParseError(tok.line, tok.col, f"unknown statement: {tok.text!r}")
+            statements.append(self.parse_call(tok, 0))
+        return statements
+
+    def parse_call(self, head: Token, depth: int) -> _Call:
+        self.expect("(")
+        args: list = []
+        while True:
+            tok = self.next()
+            if tok.typ == ")":
+                return _Call(head, args)
+            if tok.typ == "eof":
+                raise ParseError(tok.line, tok.col, "unexpected end of input inside statement")
+            if tok.typ == "(":
+                raise ParseError(tok.line, tok.col, "unexpected '('")
+            if tok.typ == "name" and self.peek().typ == "(":
+                if tok.text not in _EXPRESSIONS:
+                    raise ParseError(
+                        tok.line, tok.col, f"unknown expression constructor: {tok.text!r}"
+                    )
+                if depth == _MAX_DEPTH:
+                    raise ParseError(
+                        tok.line, tok.col, f"{tok.text} nests deeper than statement > Or > And > quantifier"
+                    )
+                args.append(self.parse_call(tok, depth + 1))
+            else:
+                args.append(tok)
+
+
+def _check_arity(head: Token, factory, args: list) -> None:
+    arity = _ARITY[factory]
+    if len(args) != arity:
+        raise ParseError(head.line, head.col, f"{head.text} takes {arity} arguments")
+
+
+class _Builder:
+    """Second pass: turn statement trees into declarations and axioms."""
+
+    def __init__(self, statements: list[_Call]):
+        self.statements = statements
+        self.onto = Ontology()
+
+    def build(self) -> Ontology:
+        for st in self.statements:
+            kind = _DECLARATIONS.get(st.head.text)
+            if kind is None:
+                continue
+            if len(st.args) != 1 or not isinstance(st.args[0], Token) or st.args[0].typ != "name":
+                raise ParseError(st.head.line, st.head.col, f"{st.head.text} takes one name")
+            tok = st.args[0]
+            try:
+                self.onto.declare(kind, tok.text)
+            except model.KindClash as e:
+                raise ParseError(tok.line, tok.col, str(e)) from None
+        for st in self.statements:
+            if st.head.text not in _DECLARATIONS:
+                self.onto.assert_axiom(self._axiom(st))
+        return self.onto
+
+    def _arg(self, node) -> object:
+        """A name's entity, a literal token's Literal, or a call's expression."""
+        if isinstance(node, _Call):
+            return self._expression(node, "top")
+        if node.typ != "name":
+            return Literal(node.value)
+        entity = self.onto.maybe_lookup(node.text)
+        if entity is None:
+            raise model.UnknownEntity(
+                f"line {node.line}, column {node.col}: unknown entity {node.text!r}",
+                node.line,
+                node.col,
+            )
+        return entity
+
+    def _expression(self, node, mode: str) -> ClassExpression:
+        # mode limits nesting: a body is an atom, an intersection of atoms,
+        # or a union whose members are atoms or intersections of atoms
+        if isinstance(node, Token):
+            return Named(self._arg(node))
+        head = node.head
+        cls = _EXPRESSIONS[head.text]
+        if cls is And or cls is Or:
+            if cls is And and mode == "and" or cls is Or and mode != "top":
+                raise ParseError(
+                    head.line, head.col, "expression nesting is limited to a union of intersections"
+                )
+            inner_mode = "and" if cls is And else "or"
+            return cls(tuple(self._expression(a, inner_mode) for a in node.args))
+        args = [self._arg(a) for a in node.args]
+        _check_arity(head, cls, args)
+        if cls is Min or cls is Max:
+            count = node.args[0]
+            if not isinstance(count, Token) or count.typ != "int":
+                raise ParseError(head.line, head.col, f"{head.text} takes an integer count first")
+            args[0] = count.value
+        return cls(*args)
+
+    def _axiom(self, st: _Call) -> Axiom:
+        head = st.head
+        try:
+            args = [self._arg(a) for a in st.args]
+            tag = AxiomTag(head.text)
+            # a composite second class makes a definition; a named body is
+            # the named class expression
+            if tag is AxiomTag.EQUIVALENT_CLASSES and len(args) == 2 and isinstance(st.args[1], _Call):
+                tag = AxiomTag.CLASS_DEFINITION
+            if tag is AxiomTag.CLASS_DEFINITION and len(args) == 2 and isinstance(args[1], Entity):
+                args[1] = Named(args[1])
+            factory = model.AXIOM_FACTORIES[tag]
+            _check_arity(head, factory, args)
+            order = _TEXT_ORDER.get(tag)
+            if order:
+                args = [arg for _, arg in sorted(zip(order, args))]
+            return factory(*args)
+        except (ParseError, model.UnknownEntity):
+            raise
+        except model.OntologyError as e:
+            # the factories and expression classes are the kind checks
+            raise ParseError(head.line, head.col, str(e)) from None
+
+
+def parse_reference(text: str) -> Ontology:
+    """syntax.parse by tokenizing the whole text first, then parsing the
+    token list."""
+    return _Builder(_Parser(text).parse_document()).build()

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -301,6 +303,30 @@ class TestClosureInterface:
         corridor = reasoned_seed.lookup("Corridor1")
         links = {(p.iri, f.iri) for p, f in closure.links_of(corridor)}
         assert ("hasDoor", "Door1") in links and ("isConnectedTo", "Room1") in links
+
+    def test_a_dropped_store_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            onto = scenarios.load_seed()
+            closure = reason(onto)
+            refs = weakref.ref(onto), weakref.ref(closure)
+            del onto, closure
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_a_closure_outlives_its_store(self):
+        text = scenarios.seed_path().read_text(encoding="utf-8")
+        kept = parse(text)
+        expected = reason(kept)
+        closure = reason(parse(text))
+        assert closure.ontology is None and expected.ontology is kept
+        assert closure.inferred == expected.inferred
+        assert list(closure.inferred_groups()) == list(expected.inferred_groups())
+        for axiom in kept.axioms("entailed"):
+            assert closure.is_entailed(axiom)
+        corridor, has_door = kept.lookup("Corridor1"), kept.lookup("hasDoor")
+        assert closure.fillers(corridor, has_door) == expected.fillers(corridor, has_door)
 
 
 class TestOracleEquivalence:

@@ -2,7 +2,7 @@ import pytest
 
 from ontodesc import model, scenarios
 from ontodesc.compound import full_individual
-from ontodesc.descriptor import DescriptorTag
+from ontodesc.descriptor import DescriptorState, DescriptorTag
 from ontodesc.model import Kind
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import (
@@ -135,6 +135,34 @@ class TestDoorSetup:
         setup_door_state_classes(onto)
         assert not onto.stale
         assert onto.current_closure().consistent
+
+    def test_a_set_up_world_is_not_rewritten(self, monkeypatch):
+        onto = load_seed()
+        setup_door_state_classes(onto)
+        closure, generation = onto.current_closure(), onto.generation
+        writes = []
+        monkeypatch.setattr(DescriptorState, "write", lambda part: writes.append(part))
+        setup_door_state_classes(onto)
+        assert writes == []
+        assert onto.generation == generation and onto.current_closure() is closure
+
+    def test_other_axioms_about_the_state_classes_are_still_retracted(self):
+        # each write makes its (tag, ground) exactly its items, so an extra
+        # superclass or disjoint of OPEN or CLOSE goes, as on a first call
+        onto = load_seed()
+        setup_door_state_classes(onto)
+        opened, close = onto.lookup("OPEN"), onto.lookup("CLOSE")
+        extra = [
+            model.sub_class(opened, onto.lookup("LOCATION")),
+            model.sub_class(close, onto.lookup("LOCATION")),
+            model.disjoint_classes(opened, onto.lookup("ROOM")),
+        ]
+        for axiom in extra:
+            onto.assert_axiom(axiom)
+        setup_door_state_classes(onto)
+        assert not any(onto.contains(axiom) for axiom in extra)
+        assert onto.contains(model.sub_class(opened, onto.lookup("DOOR")))
+        assert not onto.stale
 
     def test_door_factory_dispatch(self):
         onto = load_seed()

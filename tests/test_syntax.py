@@ -1,16 +1,18 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from generators import random_document, random_ontology
-from oracles import entailed_text_reference, naive_reason
+from oracles import entailed_text_reference, naive_reason, parse_reference, tokenize_reference
 from test_incremental import edit
 from ontodesc import model
 from ontodesc.model import AxiomTag, Kind, Literal, UnknownEntity
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import seed_path
 from ontodesc.syntax import (
+    _TOKEN,
     ParseError,
     parse,
     render_axiom,
@@ -147,6 +149,38 @@ class TestParser:
         with pytest.raises(ParseError):
             parse("Class(A))")
 
+    # ClassAssertion and PropertyAssertion write their arguments in another
+    # order than the axiom keeps them; the first unknown name in the text is
+    # the one reported
+    @pytest.mark.parametrize(
+        "text, name, position",
+        [
+            ("Class(A)\nClassAssertion(A  nobody)", "nobody", (2, 19)),
+            ("Individual(x)\nClassAssertion(Nope Gone)", "Nope", (2, 16)),
+            ("ObjectProperty(p) Individual(x)\n  PropertyAssertion(p ghost x)", "ghost", (2, 23)),
+            ("ObjectProperty(p)\nPropertyAssertion(p\n s o)", "s", (3, 2)),
+            # a name that is also a call head is reported where it is a name
+            ("Class(A) ObjectProperty(p)\nDefineClass(A And(Some(p A) Some))", "Some", (2, 29)),
+        ],
+    )
+    def test_unknown_entity_in_an_assertion_is_pinned(self, text, name, position):
+        with pytest.raises(UnknownEntity) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == position
+        assert str(err.value) == f"line {position[0]}, column {position[1]}: unknown entity {name!r}"
+
+    def test_kind_clash_in_a_flat_declaration_is_at_the_name(self):
+        with pytest.raises(ParseError) as err:
+            parse("Class(A)\n Individual(  A)")
+        assert (err.value.line, err.value.col) == (2, 15)
+        assert "already a class" in str(err.value)
+
+    def test_wrong_arity_at_a_flat_head(self):
+        with pytest.raises(ParseError) as err:
+            parse("Class(A)\n  SubClassOf(A)")
+        assert (err.value.line, err.value.col) == (2, 3)
+        assert str(err.value) == "line 2, column 3: SubClassOf takes 2 arguments"
+
     def test_empty_document(self):
         onto = parse("")
         assert not set(onto.axioms("asserted"))
@@ -263,6 +297,39 @@ def test_generated_documents_roundtrip(seed):
     assert set(parse(serialize(onto)).axioms("asserted")) == set(onto.axioms("asserted"))
 
 
+def test_str_split_and_the_token_pattern_agree_on_whitespace():
+    """A flat statement's arguments are split by str.split(); every other
+    statement by _TOKEN, whose blanks are re's \\s."""
+    chars = "".join(chr(c) for c in range(sys.maxunicode + 1) if chr(c) not in '"#')
+    blanks = "".join(m.group() for m in _TOKEN.finditer(chars) if m.lastgroup in ("blank", "newline"))
+    assert set(blanks) == {c for c in chars if not c.split()}
+
+
+def _outcome(parser, text: str):
+    """The vocabulary and asserted axioms, or the error and its position."""
+    try:
+        onto = parser(text)
+    except (ParseError, UnknownEntity) as e:
+        return type(e), str(e), e.line, e.col
+    return set(onto.vocabulary()), set(onto.axioms("asserted"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9), drop=st.booleans())
+def test_parse_matches_the_reference_on_generated_documents(seed, drop):
+    """Flat statements, statements with literals, and with one line dropped
+    an unknown name; a comment on every line sends every statement down
+    the general path."""
+    rng = random.Random(seed)
+    lines = random_document(rng).splitlines()
+    if drop:
+        del lines[rng.randrange(len(lines))]
+    text = "".join(f"{line}\n" for line in lines)
+    outcome = _outcome(parse, text)
+    assert outcome == _outcome(parse_reference, text)
+    assert _outcome(parse, text.replace("\n", " # c\n")) == outcome
+
+
 @settings(max_examples=60, deadline=None)
 @given(value=st.text(max_size=40))
 def test_arbitrary_string_literals_roundtrip(value):
@@ -295,3 +362,18 @@ def test_adversarial_input_parses_or_raises_a_parse_error(parts):
         parse(_DECLARED + " ".join(parts))
     except (ParseError, UnknownEntity):
         pass
+
+
+def _tokens(text: str, tokenizer):
+    try:
+        return tokenizer(text)
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(_SOUP_PARTS, max_size=24), sep=st.sampled_from([" ", "\n"]))
+def test_adversarial_input_parses_as_the_reference_does(parts, sep):
+    text = _DECLARED + sep.join(parts)
+    assert _outcome(parse, text) == _outcome(parse_reference, text)
+    assert _tokens(text, tokenize) == _tokens(text, tokenize_reference)
