@@ -18,15 +18,18 @@ from the Closure's memo.  The patrol step is
 scenarios.patrol(world, PatrolConfig(steps=1, seed=s_i)) on one world
 carried from step to step, after one untimed warm-up step that also
 declares the door state classes; the seeds s_i come from random.Random(0)
-at every n, so every size times the same coin flips.  The garbage
-collector runs before every timed call, outside the timer.
+at every n, so every size times the same coin flips.  patrol_fresh_reads
+counts the DescriptorState._entailed_items calls of those timed steps,
+per step: the descriptor reads the step's reason() runs did not carry
+over.  The garbage collector runs before every timed call, outside the
+timer.
 
 Writes BENCH_scale_<label>.json: the Python version, the repeat count,
 per n the asserted axiom count, the median milliseconds of each
 measurement (patrol_step_ms, parse_ms, reason_ms, serialize_entailed_ms,
-reachable_first_ms, reachable_warm_ms) and parse_kb_per_s, and the patrol
-step's ratio between the largest and the smallest n.  Times are wall
-times on whatever machine runs it.
+reachable_first_ms, reachable_warm_ms), parse_kb_per_s and
+patrol_fresh_reads, and the patrol step's ratio between the largest and
+the smallest n.  Times are wall times on whatever machine runs it.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import worlds  # noqa: E402  (perfbench/worlds.py: standard library only)
 from ontodesc import reasoner, scenarios, syntax  # noqa: E402
+from ontodesc.descriptor import DescriptorState  # noqa: E402
 
 
 def _timed_ms(call) -> float:
@@ -72,14 +76,27 @@ def measure(n: int, repeat: int) -> dict:
     seeds = random.Random(0)
     scenarios.patrol(onto, scenarios.PatrolConfig(steps=1, seed=seeds.getrandbits(63)))
     step_ms = []
-    for _ in range(repeat):
-        config = scenarios.PatrolConfig(steps=1, seed=seeds.getrandbits(63))
-        step_ms.append(_timed_ms(lambda: scenarios.patrol(onto, config)))
+    fresh_reads = 0
+    entailed_items = DescriptorState._entailed_items
+
+    def counted(self, closure):
+        nonlocal fresh_reads
+        fresh_reads += 1
+        return entailed_items(self, closure)
+
+    DescriptorState._entailed_items = counted
+    try:
+        for _ in range(repeat):
+            config = scenarios.PatrolConfig(steps=1, seed=seeds.getrandbits(63))
+            step_ms.append(_timed_ms(lambda: scenarios.patrol(onto, config)))
+    finally:
+        DescriptorState._entailed_items = entailed_items
     kb = len(world.text.encode("utf-8")) / 1024
     return {
         "n": n,
         "asserted": world.asserted,
         "patrol_step_ms": statistics.median(step_ms),
+        "patrol_fresh_reads": fresh_reads / repeat,
         "parse_ms": statistics.median(parse_ms),
         "parse_kb_per_s": kb / (statistics.median(parse_ms) / 1000),
         "reason_ms": statistics.median(reason_ms),
@@ -114,7 +131,7 @@ def main(argv=None) -> int:
         row = measure(n, args.repeat)
         rows.append(row)
         print(
-            f"n={n} patrol step {row['patrol_step_ms']:.2f} ms,"
+            f"n={n} patrol step {row['patrol_step_ms']:.2f} ms ({row['patrol_fresh_reads']:.2f} fresh reads),"
             f" parse {row['parse_ms']:.2f} ms ({row['parse_kb_per_s']:.0f} KB/s),"
             f" reason {row['reason_ms']:.2f} ms, serialize --entailed {row['serialize_entailed_ms']:.2f} ms,"
             f" reachable first {row['reachable_first_ms']:.2f} ms, warm {row['reachable_warm_ms']:.3f} ms"

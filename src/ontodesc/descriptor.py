@@ -27,8 +27,8 @@ Operations:
 read and write return Intent records, one per changed element; they give
 the operation's observable effect and are never rolled back.  write only
 touches the asserted partition and leaves the closure stale; read
-requires a current closure, which keeps each (tag, x) answer after its
-first read.
+requires a current closure, which keeps each (tag, x) answer from its
+first read on, and a resumed run carries it unless it is stale.
 
 Reading SUB_CLASSES / SUPER_CLASSES lists the direct taxonomy neighbours
 (so a leaf class reads {NOTHING} and a root reads {THING}), from the
@@ -274,6 +274,23 @@ TAG_SPECS = {
     DescriptorTag.SAME_AS: TagSpec(_I, AxiomTag.SAME_INDIVIDUAL, _IND, Ref, derived="same_individuals"),
     DescriptorTag.DIFFERENT_FROM: TagSpec(_I, AxiomTag.DIFFERENT_INDIVIDUALS, _IND, Ref),
 }
+
+
+# axiom tag -> (descriptor tag, ground_at) of each tag that maps to it
+_READ_BY = {a: [(t, s.ground_at) for t, s in TAG_SPECS.items() if s.axiom_tag is a] for a in AxiomTag}
+
+
+def stale_reads(changes):
+    """The (tag, ground) reads a resumed run's Changes make stale.
+
+    A TYPES, INSTANCES or LINKS read lists its ground's `axiom_tag` facts,
+    so a changed or edited fact stales the read on its `ground_at`
+    argument (LINKS: the subject, not a filler).  No other tag's facts
+    change in a resumed run; their edits start the next run afresh.
+    """
+    for axiom_tag, args in changes.facts():
+        for tag, at in _READ_BY[axiom_tag]:
+            yield tag, args[at]
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +552,9 @@ class DescriptorState:
 
         Kept in the current Closure's `_reads` on the first read: any
         mutation makes that Closure stale, so the answer cannot change
-        while it is current.  A read that raises stores nothing.  The
-        lists are never handed out; read() copies them.
+        while it is current; a resumed run carries it unless stale_reads
+        names it.  A read that raises stores nothing.  The lists are never
+        handed out; read() copies them.
         """
         closure = self.ontology.current_closure()  # every tag reads a fresh one
         key = (self.tag, self.ground)

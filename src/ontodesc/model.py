@@ -93,7 +93,7 @@ class Entity:
         entity = _ENTITIES.get(key)
         if entity is not None:
             return entity
-        if any(ch.isspace() for ch in iri):
+        if iri.split() != [iri]:  # str.split() splits where str.isspace() holds
             raise OntologyError(f"IRI may not contain whitespace: {iri!r}")
         with _ENTITIES_LOCK:
             entity = _ENTITIES.get(key)

@@ -90,8 +90,10 @@ asserts and retracts since that Closure's generation:
   exactly that of the rounds run from scratch, under Only and Max too.
   A re-evaluated individual gets a new stamp map; the one it replaces
   is the "before" its later snapshots are compared with.
-* violations are recomputed for the individuals phase three
-  re-evaluated and the subjects whose links changed.
+* violations are recomputed for the individuals whose memberships
+  changed and the subjects whose links changed.
+* descriptor reads are kept but for those the run's Changes make stale
+  (see Closure.changes and descriptor.stale_reads).
 
 Reset rule: any other edit (TBox, RBox, SameIndividual,
 DifferentIndividuals, a new declaration) drops the journal, and the next
@@ -135,6 +137,7 @@ from .model import (
     same_individual,
     tautological,
 )
+from .descriptor import stale_reads
 
 _EMPTY: dict = {}  # stands in for a missing map entry; never written
 _NONE: frozenset = frozenset()
@@ -144,6 +147,33 @@ _NONE: frozenset = frozenset()
 class Violation:
     rule: str
     axioms: frozenset
+
+
+@dataclass(frozen=True)
+class Changes:
+    """What a resumed run changed against the Closure it resumed from: the
+    (subject, property, filler) facts that entered or left the links,
+    individual -> (classes gained, classes lost) for each individual whose
+    memberships changed, and the journal it took (axiom -> asserted)."""
+
+    links: set
+    memberships: dict
+    edits: dict
+
+    @property
+    def relinked(self) -> set:
+        """The subjects whose forward links changed."""
+        return {s for s, _, _ in self.links}
+
+    def facts(self):
+        """(axiom tag, arguments) of each fact that changed or was edited."""
+        for axiom in self.edits:
+            yield axiom.tag, axiom.args
+        for args in self.links:
+            yield AxiomTag.PROPERTY_ASSERTION, args
+        for ind, (gained, lost) in self.memberships.items():
+            for cls in gained | lost:
+                yield AxiomTag.CLASS_ASSERTION, (ind, cls)
 
 
 @dataclass
@@ -166,16 +196,16 @@ class Closure:
     inversion and the transitive reduction of the subsumption reach.
     Descriptor reads are answered by these queries, and `_reads` keeps
     each answer - the items and add intents of one (tag, ground) pair -
-    the first time it is read (see DescriptorState.read).  Each index
-    and each `_reads` entry is built on the first query that needs it
-    and kept for the life of the Closure; the maps change only in a
-    later run, which first needs a mutation (declare, assert_axiom,
-    retract_axiom), and that makes the whole Closure stale rather than
-    its indexes.  `inferred_groups` lists the derived facts not
-    asserted, grouped by the map that holds them, and is what the
-    entailed text and the `reason` counts read.  `inferred`, the store's
-    inferred partition as a set of axioms, is built from the same groups
-    on first read, by the entailed view's readers only.
+    the first time it is read (see DescriptorState.read).  Indexes and
+    `_reads` entries are built on the first query that needs them.  The
+    maps change only in a later run, after a mutation (declare,
+    assert_axiom, retract_axiom) made this Closure stale; a resumed run
+    keeps the `_reads` entries its `changes()` leave true.
+    `inferred_groups` lists the derived facts not asserted, grouped by
+    the map that holds them, and is what the entailed text and the
+    `reason` counts read.  `inferred`, the store's inferred partition as
+    a set of axioms, is built from the same groups on first read, by the
+    entailed view's readers only.
 
     The store holds its installed Closure, and the Closure holds the
     store only weakly, so a dropped store is freed by reference counting
@@ -196,6 +226,7 @@ class Closure:
     _violations_by: dict = field(default_factory=dict, repr=False)
     _reads: dict = field(default_factory=dict, repr=False)  # (tag, ground) -> (items, add intents)
     _asserted: set = field(default_factory=set, repr=False)  # the store's live asserted set
+    _changes: Changes | None = field(default=None, repr=False)
 
     @property
     def ontology(self) -> Ontology | None:
@@ -208,6 +239,11 @@ class Closure:
         onto = self._store()
         if onto is not None and onto.generation != self.generation:
             raise StaleClosure("the ontology changed after this closure was computed")
+
+    def changes(self) -> Changes | None:
+        """What this run changed against the Closure it resumed from; None after a full run."""
+        self._check_fresh()
+        return self._changes
 
     @property
     def inferred(self) -> frozenset:
@@ -768,8 +804,8 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
     entered[r] holds the individuals that entered a class in round r
     (r >= 1); both are changed in place.  `touched` individuals get
     their initial types recomputed; `relinked` ones changed links that a
-    definition reads.  Returns the individuals whose stamps were
-    recomputed.
+    definition reads.  Returns individual -> (classes gained, classes
+    lost) for each individual whose memberships changed (all, at first).
 
     Within one run the rounds are semi-naive: inheritance and sharing
     need only the classes that entered in the round before (earlier ones
@@ -853,7 +889,12 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
         differs = {ind for ind in dirty if not _agrees(types[ind], owned[ind], r)}
     while len(entered) > 1 and not entered[-1]:
         entered.pop()
-    return owned.keys()
+    changed = {}
+    for ind, before in owned.items():
+        now, was = types[ind].keys(), (before or _EMPTY).keys()
+        if now != was:
+            changed[ind] = (now - was, was - now)
+    return changed
 
 
 # ---------------------------------------------------------------------------
@@ -913,7 +954,8 @@ def reason(onto: Ontology) -> Closure:
     journal carries every edit since (see the module docstring)."""
     previous, edits = onto._take_journal()
     asserted = onto._asserted
-    if previous is None:
+    resumed = previous is not None
+    if not resumed:
         # an empty state, with every fact inserted and every individual affected
         by_tag: dict[AxiomTag, list[Axiom]] = {}
         for a in asserted:
@@ -943,11 +985,13 @@ def reason(onto: Ontology) -> Closure:
             relinked.add(s)
 
     types, entered = previous._types, previous._entered
-    owned = _memberships(schema, onto, links, back, types, entered, touched, relinked)
+    memberships = _memberships(schema, onto, links, back, types, entered, touched, relinked)
     violations_by = previous._violations_by
-    violations = _violations(
-        schema, types, links, violations_by, owned | {s for s, _, _ in changed}
-    )
+    changes = Changes(changed, memberships, edits)
+    violations = _violations(schema, types, links, violations_by, memberships.keys() | changes.relinked)
+    if resumed:  # a full run starts with no reads
+        for key in stale_reads(changes):
+            previous._reads.pop(key, None)
 
     closure = Closure(
         weakref.ref(onto),
@@ -960,7 +1004,9 @@ def reason(onto: Ontology) -> Closure:
         _types=types,
         _entered=entered,
         _violations_by=violations_by,
+        _reads=previous._reads,
         _asserted=asserted,
+        _changes=changes if resumed else None,
     )
     onto._install_closure(closure)
     return closure

@@ -18,11 +18,12 @@ generator, so identical (seed, steps) always yield identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 from .compound import CompoundDescriptor, full_class, full_individual
-from .descriptor import DescriptorTag, Link, Ref
-from .model import AxiomTag, Entity, Kind, Ontology, OntologyError, disjoint_classes, sub_class
+from .descriptor import DescriptorState, DescriptorTag, Link, Ref
+from .model import NOTHING, AxiomTag, Entity, Kind, Ontology, OntologyError, disjoint_classes, sub_class
 from .reasoner import Closure, reason
 from .syntax import parse, parse_file
 
@@ -135,8 +136,9 @@ def reachable_leaf_places(onto: Ontology, robot: str = ROBOT) -> list[tuple[str,
     """Locations connected to the robot's own, tagged by leaf class.
 
     Follows the robot's isIn filler, builds descriptors for every
-    isConnectedTo neighbour, and keeps the (individual, class) pairs
-    whose class has no subclass but NOTHING.
+    isConnectedTo neighbour and a SUB_CLASSES one for each of its types,
+    and keeps the (individual, class) pairs whose class has no subclass
+    but NOTHING.
     """
     robot_entity = onto.lookup(robot)
     is_in = onto.lookup(IS_IN)
@@ -153,11 +155,10 @@ def reachable_leaf_places(onto: Ontology, robot: str = ROBOT) -> list[tuple[str,
     here = positions[0]
     neighbours = here.part(DescriptorTag.LINKS).build_individuals_by_property(is_connected)
     pairs = []
+    sub_classes = partial(DescriptorState, DescriptorTag.SUB_CLASSES, ontology=onto)
     for neighbour in neighbours:
-        classes = neighbour.part(DescriptorTag.TYPES).build()
-        for cls in classes:
-            subs = [r.entity.iri for r in cls.part(DescriptorTag.SUB_CLASSES).items]
-            if subs == ["NOTHING"]:
+        for cls in neighbour.part(DescriptorTag.TYPES).build(sub_classes):
+            if cls.items == [Ref(NOTHING)]:
                 pairs.append((neighbour.ground.iri, cls.ground.iri))
     return sorted(pairs)
 

@@ -195,6 +195,8 @@ _TEXT_ORDER = {
     AxiomTag.CLASS_ASSERTION: (1, 0),
     AxiomTag.PROPERTY_ASSERTION: (1, 0, 2),
 }
+# Axiom argument i is text argument _FROM_TEXT[tag][i]: the inverse order.
+_FROM_TEXT = {tag: tuple(map(order.index, range(len(order)))) for tag, order in _TEXT_ORDER.items()}
 # statement > Or > And > quantifier: no valid document nests deeper
 _MAX_DEPTH = 3
 _ARITY = {
@@ -347,9 +349,9 @@ class _Builder:
             factory = model.AXIOM_FACTORIES[tag]
             if len(args) != _ARITY[factory]:
                 raise _error(self.text, st.at, f"{st.head} takes {_ARITY[factory]} arguments")
-            order = _TEXT_ORDER.get(tag)
+            order = _FROM_TEXT.get(tag)
             if order:
-                args = [arg for _, arg in sorted(zip(order, args))]
+                args = [args[j] for j in order]
             return factory(*args)
         except (ParseError, model.UnknownEntity):
             raise

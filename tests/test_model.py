@@ -2,6 +2,7 @@ import copy
 import gc
 import math
 import pickle
+import sys
 import weakref
 
 import pytest
@@ -52,6 +53,18 @@ class TestEntity:
             Entity(Kind.CLASS, "")
         with pytest.raises(OntologyError):
             Entity(Kind.CLASS, "two words")
+
+    def test_the_whitespace_check_rejects_what_isspace_finds(self):
+        """Entity rejects an IRI that str.split() changes; that must be
+        exactly an IRI holding a character for which str.isspace() holds,
+        the character alone or inside a name."""
+        chars = [chr(c) for c in range(sys.maxunicode + 1)]
+        spaces = [c for c in chars if c.isspace()]
+        assert [c for c in chars if c.split() != [c]] == spaces
+        assert [c for c in chars if f"a{c}b".split() != [f"a{c}b"]] == spaces
+        for c in spaces:
+            with pytest.raises(OntologyError):
+                Entity(Kind.CLASS, f"a{c}b")
 
     def test_literal_kind_is_not_an_entity(self):
         with pytest.raises(KindMismatch):

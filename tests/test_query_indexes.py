@@ -26,6 +26,7 @@ from oracles import (
     links_of_scan,
     read_reference,
 )
+from test_incremental import edit
 from ontodesc import model, scenarios
 from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag, MappingError
 from ontodesc.model import AxiomTag, Kind, Ontology, OntologyError, StaleClosure
@@ -216,6 +217,25 @@ def test_memoized_reads_match_the_round_trip(seed):
             DescriptorState(tag, ground, onto).read()
     reason(onto)
     _check_memoized_reads(onto, rng, _legal_pairs(onto))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9), monotone=st.booleans())
+def test_carried_reads_match_the_round_trip(seed, monotone):
+    """A resumed run carries the reads its changes leave standing.  After
+    every run of an edit sequence each (tag, ground) read, carried or
+    fresh, equals the round trip; every read fills the memo the next run
+    carries from."""
+    rng = random.Random(seed)
+    onto = random_ontology(rng, monotone=monotone)
+    for step in range(rng.randint(2, 6)):
+        reason(onto)
+        entailed = onto.axioms("entailed")
+        for tag, ground in _legal_pairs(onto):
+            got = _outcome(lambda: _read(DescriptorState(tag, ground, onto)))
+            assert got == _outcome(lambda: read_reference(onto, entailed, tag, ground, [])), (step, tag, ground)
+        for _ in range(rng.randint(1, 4)):
+            edit(rng, onto, monotone, step)
 
 
 def test_two_definitions_raise_on_every_read():
