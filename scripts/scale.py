@@ -14,7 +14,10 @@ syntax.serialize(world, include_inferred=True) is timed once (the
 `serialize --entailed` text), and then scenarios.reachable_leaf_places(world)
 for Robot1: the first call reads every descriptor afresh.  Warm calls
 repeat it on the last of those worlds, unchanged, so their reads come
-from the Closure's memo.  The patrol step is
+from the Closure's memo.  example1 is then timed on that same world,
+once per repeat: scenarios.categorize_new_location joins a location
+with a fresh name to C0 through a door with a fresh name, the paper's
+Example 1, so each call declares two individuals.  The patrol step is
 scenarios.patrol(world, PatrolConfig(steps=1, seed=s_i)) on one world
 carried from step to step, after one untimed warm-up step that also
 declares the door state classes; the seeds s_i come from random.Random(0)
@@ -27,7 +30,7 @@ timer.
 Writes BENCH_scale_<label>.json: the Python version, the repeat count,
 per n the asserted axiom count, the median milliseconds of each
 measurement (patrol_step_ms, parse_ms, reason_ms, serialize_entailed_ms,
-reachable_first_ms, reachable_warm_ms), parse_kb_per_s and
+reachable_first_ms, reachable_warm_ms, example1_ms), parse_kb_per_s and
 patrol_fresh_reads, and the patrol step's ratio between the largest and
 the smallest n.  Times are wall times on whatever machine runs it.
 """
@@ -70,6 +73,10 @@ def measure(n: int, repeat: int) -> dict:
         serialize_ms.append(_timed_ms(lambda: syntax.serialize(fresh, include_inferred=True)))
         first_ms.append(_timed_ms(lambda: scenarios.reachable_leaf_places(fresh)))
     warm_ms = [_timed_ms(lambda: scenarios.reachable_leaf_places(fresh)) for _ in range(repeat)]
+    example1_ms = [
+        _timed_ms(lambda: scenarios.categorize_new_location(fresh, f"NewPlace{i}", "C0", f"NewDoor{i}"))
+        for i in range(repeat)
+    ]
 
     onto = syntax.parse(world.text)
     reasoner.reason(onto)
@@ -103,6 +110,7 @@ def measure(n: int, repeat: int) -> dict:
         "serialize_entailed_ms": statistics.median(serialize_ms),
         "reachable_first_ms": statistics.median(first_ms),
         "reachable_warm_ms": statistics.median(warm_ms),
+        "example1_ms": statistics.median(example1_ms),
     }
 
 
@@ -134,7 +142,8 @@ def main(argv=None) -> int:
             f"n={n} patrol step {row['patrol_step_ms']:.2f} ms ({row['patrol_fresh_reads']:.2f} fresh reads),"
             f" parse {row['parse_ms']:.2f} ms ({row['parse_kb_per_s']:.0f} KB/s),"
             f" reason {row['reason_ms']:.2f} ms, serialize --entailed {row['serialize_entailed_ms']:.2f} ms,"
-            f" reachable first {row['reachable_first_ms']:.2f} ms, warm {row['reachable_warm_ms']:.3f} ms"
+            f" reachable first {row['reachable_first_ms']:.2f} ms, warm {row['reachable_warm_ms']:.3f} ms,"
+            f" example1 {row['example1_ms']:.2f} ms"
         )
     report = {
         "label": args.label,

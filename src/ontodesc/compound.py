@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .descriptor import TAG_SPECS, DescriptorState, DescriptorTag, Intent, Partition
+from .descriptor import PARTITION_TAGS, TAG_SPECS, DescriptorState, DescriptorTag, Intent, Partition
 from .model import Entity, Kind, Ontology, OntologyError
 
 
@@ -98,28 +98,24 @@ class CompoundDescriptor:
         return self._run("write")
 
 
-def _tags(partition: Partition) -> list[DescriptorTag]:
-    return [tag for tag, spec in TAG_SPECS.items() if spec.partition is partition]
-
-
 def full_property(ontology: Ontology, ground: Entity) -> CompoundDescriptor:
     """Every property tag legal for the ground's kind (data properties
     skip the object-only characteristics)."""
     parts = [
         DescriptorState(tag, ground, ontology)
-        for tag in _tags(Partition.PROPERTY)
+        for tag in PARTITION_TAGS[Partition.PROPERTY]
         if ground.kind in TAG_SPECS[tag].ground_kinds
     ]
     return CompoundDescriptor(ontology, ground, parts)
 
 
 def full_class(ontology: Ontology, ground: Entity) -> CompoundDescriptor:
-    parts = [DescriptorState(tag, ground, ontology) for tag in _tags(Partition.CLASS)]
+    parts = [DescriptorState(tag, ground, ontology) for tag in PARTITION_TAGS[Partition.CLASS]]
     return CompoundDescriptor(ontology, ground, parts)
 
 
 def full_individual(ontology: Ontology, ground: Entity) -> CompoundDescriptor:
-    parts = [DescriptorState(tag, ground, ontology) for tag in _tags(Partition.INDIVIDUAL)]
+    parts = [DescriptorState(tag, ground, ontology) for tag in PARTITION_TAGS[Partition.INDIVIDUAL]]
     return CompoundDescriptor(ontology, ground, parts)
 
 

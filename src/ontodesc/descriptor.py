@@ -275,6 +275,8 @@ TAG_SPECS = {
     DescriptorTag.DIFFERENT_FROM: TagSpec(_I, AxiomTag.DIFFERENT_INDIVIDUALS, _IND, Ref),
 }
 
+# partition -> its tags, in compound part order
+PARTITION_TAGS = {p: tuple(t for t, s in TAG_SPECS.items() if s.partition is p) for p in Partition}
 
 # axiom tag -> (descriptor tag, ground_at) of each tag that maps to it
 _READ_BY = {a: [(t, s.ground_at) for t, s in TAG_SPECS.items() if s.axiom_tag is a] for a in AxiomTag}

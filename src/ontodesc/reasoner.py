@@ -83,9 +83,12 @@ asserts and retracts since that Closure's generation:
 * phase three replays the rounds.  An individual is re-evaluated from
   the first round in which its snapshot can differ from the last
   run's: its initial types changed, its links through a property some
-  definition reads changed, or a snapshot it reads (its own, one of its
-  SameIndividual group's, or a filler's through such a property)
-  differs from the last run's.  Every other individual keeps its
+  definition restricts changed, or a snapshot it reads differs from the
+  last run's.  A reader wakes when a class it tests through that link
+  changed, or on any change in an identity-group mate: it reads every
+  class of its SameIndividual group's snapshots, and of a filler's only
+  the classes that some definition tests on that property's fillers
+  (the schema's filler_reads).  Every other individual keeps its
   stamps, which give its snapshot in every round, so the outcome is
   exactly that of the rounds run from scratch, under Only and Max too.
   A re-evaluated individual gets a new stamp map; the one it replaces
@@ -132,7 +135,6 @@ from .model import (
     StaleClosure,
     canonical,
     class_assertion,
-    expression_entities,
     property_assertion,
     same_individual,
     tautological,
@@ -463,7 +465,7 @@ class _Schema:
     domains: dict
     ranges: dict
     definitions: list
-    read_by_definitions: frozenset  # properties some definition body restricts
+    filler_reads: dict  # property -> the filler classes definition bodies restrict it to
     disjoint_classes: list
     disjoint_properties: list
     functional: list
@@ -493,6 +495,16 @@ def _reach_map(nodes, edges) -> dict:
 
 def _definition_conjuncts(expr):
     return expr.members if isinstance(expr, And) else (expr,)
+
+
+def _add_filler_reads(expr, reads: dict) -> None:
+    """Add the filler class of each restriction in expr, at any depth under
+    And and Or, to reads[its property]."""
+    if isinstance(expr, (And, Or)):
+        for member in expr.members:
+            _add_filler_reads(member, reads)
+    elif not isinstance(expr, Named):
+        reads.setdefault(expr.prop, set()).add(expr.filler)
 
 
 def _union_find(pairs, items):
@@ -572,6 +584,9 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         if c not in DATATYPES:
             ranges.setdefault(p, set()).add(c)
     definitions = [tuple(a.args) for a in tagged(AxiomTag.CLASS_DEFINITION)]
+    filler_reads: dict[Entity, set[Entity]] = {}
+    for _, expr in definitions:
+        _add_filler_reads(expr, filler_reads)
 
     violations = set()
     for a in tagged(AxiomTag.DIFFERENT_INDIVIDUALS):
@@ -595,12 +610,7 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         domains=domains,
         ranges=ranges,
         definitions=definitions,
-        read_by_definitions=frozenset(
-            e
-            for _, expr in definitions
-            for e in expression_entities(expr)
-            if e.kind is Kind.OBJECT_PROPERTY
-        ),
+        filler_reads=filler_reads,
         disjoint_classes=tagged(AxiomTag.DISJOINT_CLASSES),
         disjoint_properties=tagged(AxiomTag.DISJOINT_PROPERTIES),
         functional=tagged(AxiomTag.FUNCTIONAL_PROPERTY),
@@ -783,17 +793,26 @@ def _satisfies(expr, ind, types, links, rep, r) -> bool:
     return len(matching) <= expr.count  # Max
 
 
-def _agrees(now: dict, before: dict | None, r: int) -> bool:
-    """Whether the two stamp maps give the same snapshot after round r."""
-    return before is not None and now.keys() == {c for c, stamp in before.items() if stamp <= r}
+def _delta(now, before: dict | None, r: int) -> set:
+    """The classes in which the set `now` differs from the snapshot the
+    stamp map `before` gives after round r: all of `now` for a new
+    individual (before is None), which is every one in a first run."""
+    if before is None:
+        return now
+    return now ^ {c for c, stamp in before.items() if stamp <= r}
 
 
-def _readers(schema: _Schema, back, ind) -> set:
-    """The individuals whose next snapshot reads `ind`'s."""
+def _readers(schema: _Schema, back, ind, delta) -> set:
+    """The individuals whose next snapshot can differ once `ind`'s
+    memberships of the classes in `delta` changed: its whole identity
+    group, since sharing copies every class, and each subject linked to
+    it through a property p with a definition testing p's fillers for a
+    class in `delta`."""
     found = set(schema.groups[schema.rep[ind]])
     into = back.get(ind, _EMPTY)
-    for p in schema.read_by_definitions:
-        found.update(into.get(p, ()))
+    for p, reads in schema.filler_reads.items():
+        if not reads.isdisjoint(delta):
+            found.update(into.get(p, ()))
     return found
 
 
@@ -814,7 +833,7 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
     or a filler's) changed in the round before.
     """
     class_reach, rep, groups = schema.class_reach, schema.rep, schema.groups
-    definitions, read = schema.definitions, schema.read_by_definitions
+    definitions, read = schema.definitions, schema.filler_reads
     last = len(entered) - 1  # the last run's last round that added a membership
     if not entered:
         entered.append(set())  # round 0 is every individual's; not tracked
@@ -832,7 +851,7 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
         types[ind] = kept
         return kept
 
-    differs = set()
+    differs = {}  # individual -> the classes its snapshot changed in, against the last run's
     for ind in touched:
         start = {THING}
         start.update(a.args[1] for a in onto.axioms_about(AxiomTag.CLASS_ASSERTION, ind))
@@ -840,11 +859,10 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
             start.update(schema.domains.get(p, ()))
         for p in back.get(ind, _EMPTY):
             start.update(schema.ranges.get(p, ()))
-        before = types.get(ind)
-        if before is not None and start == {c for c, stamp in before.items() if not stamp}:
-            continue
-        own(ind, 0).update(dict.fromkeys(start, 0))
-        differs.add(ind)
+        delta = _delta(start, types.get(ind), 0)
+        if delta:
+            own(ind, 0).update(dict.fromkeys(start, 0))
+            differs[ind] = delta
 
     dirty = owned.keys() | relinked
     r = 0
@@ -852,8 +870,8 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
         r += 1
         # in a first run every individual is dirty from round 0 on
         if len(dirty) < len(types):
-            for ind in differs:
-                dirty |= _readers(schema, back, ind)
+            for ind, delta in differs.items():
+                dirty |= _readers(schema, back, ind, delta)
         for ind in dirty - owned.keys():
             own(ind, r)
         prior = r - 1
@@ -886,7 +904,10 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
                 grew = True
         if r > last and not grew:
             break
-        differs = {ind for ind in dirty if not _agrees(types[ind], owned[ind], r)}
+        if len(dirty) < len(types):
+            differs = {
+                ind: delta for ind in dirty if (delta := _delta(types[ind].keys(), owned[ind], r))
+            }
     while len(entered) > 1 and not entered[-1]:
         entered.pop()
     changed = {}
@@ -981,7 +1002,7 @@ def reason(onto: Ontology) -> Closure:
         touched.add(s)
         if isinstance(f, Entity):
             touched.add(f)
-        if p in schema.read_by_definitions:
+        if p in schema.filler_reads:
             relinked.add(s)
 
     types, entered = previous._types, previous._entered

@@ -358,3 +358,81 @@ def test_changes_name_what_a_run_changed():
             {opened, close} == {*gained, *lost} for gained, lost in changes.memberships.values()
         )
     assert flips
+
+
+RELEVANCE_WORLDS = {
+    # a filler class read only inside an Or, under an And
+    "or": "DefineClass(Y Or(Z And(B Some(p A)))) ClassAssertion(B a) PropertyAssertion(p a c)",
+    # a filler class read only through Only; p's Some reads another class
+    "only": (
+        "DefineClass(Y Only(p A)) DefineClass(W Some(p B))"
+        " PropertyAssertion(p a b) PropertyAssertion(p a c) ClassAssertion(A b)"
+    ),
+    # a filler class read only through Max; p's Some reads another class
+    "max": (
+        "DefineClass(Y Max(1 p A)) DefineClass(W Some(p B))"
+        " PropertyAssertion(p a b) PropertyAssertion(p a c) ClassAssertion(A b)"
+    ),
+    # an identity-group mate of c gains a class no definition reads
+    "same": "DefineClass(Y Some(p A)) SameIndividual(a c) PropertyAssertion(p b a)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELEVANCE_WORLDS))
+def test_a_changed_class_wakes_every_individual_that_reads_it(case):
+    """c gains a class, then loses it.  The run must reach every individual
+    whose memberships read that class of c: a subject whose definitions
+    test it on c, at any depth and under every restriction, and each
+    member of c's identity group.  Each case fails for a rule that misses
+    one of them (a restriction under Or, an Only or Max filler, a group
+    mate)."""
+    onto = parse(
+        "Class(A) Class(B) Class(W) Class(Y) Class(Z) ObjectProperty(p)"
+        " Individual(a) Individual(b) Individual(c) " + RELEVANCE_WORLDS[case]
+    )
+    reason(onto)
+    cls = onto.lookup("Z" if case == "same" else "A")
+    fact = model.class_assertion(onto.lookup("c"), cls)
+    results = []
+    for change in (onto.assert_axiom, onto.retract_axiom):
+        change(fact)
+        resumed = reason(onto)
+        assert resumed.changes() is not None  # the run resumed
+        copy = copy_store(onto)
+        assert answers(onto, resumed) == answers(copy, reason(copy))
+        inferred, consistent = naive_reason(onto)
+        assert resumed.inferred == inferred and resumed.consistent == consistent
+        results.append(resumed.types_of(onto.lookup("a")))
+    assert results[0] != results[1]  # the edit does reach a
+
+
+def test_a_patrol_step_re_evaluates_only_the_doors_it_flipped(monkeypatch):
+    """The definitions test a location's doors for DOOR alone, so a door
+    whose state flips between OPEN and CLOSE wakes no corridor or room
+    that holds it: only the flipped doors reach the definitions."""
+    onto = corridor_chain(8)
+    scenarios.setup_door_state_classes(onto)  # declares the door states: a full run
+    states = {onto.lookup("OPEN"): "open", onto.lookup("CLOSE"): "closed"}
+    evaluated = set()
+    satisfies = reasoner._satisfies
+
+    def recorded(expr, ind, *rest):
+        evaluated.add(ind)
+        return satisfies(expr, ind, *rest)
+
+    monkeypatch.setattr(reasoner, "_satisfies", recorded)
+    evaluated_doors = 0
+    for seed in range(12):
+        closure = onto.current_closure()
+        was = {
+            ind: {states[cls] for cls in closure.types_of(ind) if cls in states}
+            for ind in onto.individuals()
+        }
+        evaluated.clear()
+        [step] = patrol(onto, PatrolConfig(steps=1, seed=seed))
+        flipped = {
+            onto.lookup(iri) for iri, state in step.door_states if was[onto.lookup(iri)] != {state}
+        }
+        assert evaluated <= flipped, (step.line(), sorted(i.iri for i in evaluated - flipped))
+        evaluated_doors += len(evaluated)
+    assert evaluated_doors

@@ -23,3 +23,14 @@ def test_scale_script_writes_its_report(tmp_path, capsys):
     assert row["reachable_first_ms"] > 0 and row["reachable_warm_ms"] > 0
     assert report["patrol_step_ratio"] == 1.0
     assert "wrote" in capsys.readouterr().out
+
+
+def test_scale_script_times_example1(tmp_path):
+    """example1_ms times the paper's Example 1 on the scaled world: each
+    repeat joins a location with a fresh name, so none of them clash."""
+    spec = importlib.util.spec_from_file_location("scale", SCRIPT)
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)
+    assert scale.main(["--sizes", "10", "--repeat", "3", "--label", "ex1", "--out", str(tmp_path)]) == 0
+    [row] = json.loads((tmp_path / "BENCH_scale_ex1.json").read_text(encoding="utf-8"))["sizes"]
+    assert row["example1_ms"] > 0
