@@ -21,18 +21,24 @@ Example 1, so each call declares two individuals.  The patrol step is
 scenarios.patrol(world, PatrolConfig(steps=1, seed=s_i)) on one world
 carried from step to step, after one untimed warm-up step that also
 declares the door state classes; the seeds s_i come from random.Random(0)
-at every n, so every size times the same coin flips.  patrol_fresh_reads
-counts the DescriptorState._entailed_items calls of those timed steps,
-per step: the descriptor reads the step's reason() runs did not carry
-over.  The garbage collector runs before every timed call, outside the
-timer.
+at every n, so every size times the same coin flips.  Per timed step,
+patrol_part_reads counts the DescriptorState.read calls (the descriptor
+parts the step reads) and patrol_fresh_reads the _entailed_items calls
+among them: the reads the step's reason() runs did not carry over.  The
+garbage collector runs before every timed call, outside the timer.
+
+Machine speed drifts while the script runs, so each timed call is scaled
+the way perfbench scales an op: perfbench/run.py's calibrate() kernel is
+timed just before and just after the call, and scaled() turns the wall
+time into milliseconds at the speed where the kernel takes
+run.CAL_REF_S.  cal_ms is the median kernel time of the size, unscaled.
 
 Writes BENCH_scale_<label>.json: the Python version, the repeat count,
-per n the asserted axiom count, the median milliseconds of each
+per n the asserted axiom count, the median scaled milliseconds of each
 measurement (patrol_step_ms, parse_ms, reason_ms, serialize_entailed_ms,
-reachable_first_ms, reachable_warm_ms, example1_ms), parse_kb_per_s and
-patrol_fresh_reads, and the patrol step's ratio between the largest and
-the smallest n.  Times are wall times on whatever machine runs it.
+reachable_first_ms, reachable_warm_ms, example1_ms), parse_kb_per_s,
+patrol_part_reads, patrol_fresh_reads and cal_ms, and the patrol step's
+ratio between the largest and the smallest n.
 """
 
 from __future__ import annotations
@@ -51,30 +57,36 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import worlds  # noqa: E402  (perfbench/worlds.py: standard library only)
+from run import calibrate, scaled  # noqa: E402  (perfbench/run.py)
 from ontodesc import reasoner, scenarios, syntax  # noqa: E402
 from ontodesc.descriptor import DescriptorState  # noqa: E402
 
 
-def _timed_ms(call) -> float:
-    gc.collect()
-    start = time.perf_counter()
-    call()
-    return (time.perf_counter() - start) * 1000
-
-
 def measure(n: int, repeat: int) -> dict:
+    cals = []
+
+    def timed_ms(call) -> float:
+        gc.collect()
+        around = [calibrate()]
+        start = time.perf_counter()
+        call()
+        elapsed = time.perf_counter() - start
+        around.append(calibrate())
+        cals.extend(around)
+        return scaled(elapsed, around) * 1000
+
     world = worlds.generate(n, k=0, m=1, seed=0)
     parse_ms, reason_ms, serialize_ms, first_ms = [], [], [], []
     for _ in range(repeat):
         parsed = []
-        parse_ms.append(_timed_ms(lambda: parsed.append(syntax.parse(world.text))))
+        parse_ms.append(timed_ms(lambda: parsed.append(syntax.parse(world.text))))
         [fresh] = parsed
-        reason_ms.append(_timed_ms(lambda: reasoner.reason(fresh)))
-        serialize_ms.append(_timed_ms(lambda: syntax.serialize(fresh, include_inferred=True)))
-        first_ms.append(_timed_ms(lambda: scenarios.reachable_leaf_places(fresh)))
-    warm_ms = [_timed_ms(lambda: scenarios.reachable_leaf_places(fresh)) for _ in range(repeat)]
+        reason_ms.append(timed_ms(lambda: reasoner.reason(fresh)))
+        serialize_ms.append(timed_ms(lambda: syntax.serialize(fresh, include_inferred=True)))
+        first_ms.append(timed_ms(lambda: scenarios.reachable_leaf_places(fresh)))
+    warm_ms = [timed_ms(lambda: scenarios.reachable_leaf_places(fresh)) for _ in range(repeat)]
     example1_ms = [
-        _timed_ms(lambda: scenarios.categorize_new_location(fresh, f"NewPlace{i}", "C0", f"NewDoor{i}"))
+        timed_ms(lambda: scenarios.categorize_new_location(fresh, f"NewPlace{i}", "C0", f"NewDoor{i}"))
         for i in range(repeat)
     ]
 
@@ -83,26 +95,32 @@ def measure(n: int, repeat: int) -> dict:
     seeds = random.Random(0)
     scenarios.patrol(onto, scenarios.PatrolConfig(steps=1, seed=seeds.getrandbits(63)))
     step_ms = []
-    fresh_reads = 0
-    entailed_items = DescriptorState._entailed_items
+    part_reads = fresh_reads = 0
+    read, entailed_items = DescriptorState.read, DescriptorState._entailed_items
+
+    def counted_read(self):
+        nonlocal part_reads
+        part_reads += 1
+        return read(self)
 
     def counted(self, closure):
         nonlocal fresh_reads
         fresh_reads += 1
         return entailed_items(self, closure)
 
-    DescriptorState._entailed_items = counted
+    DescriptorState.read, DescriptorState._entailed_items = counted_read, counted
     try:
         for _ in range(repeat):
             config = scenarios.PatrolConfig(steps=1, seed=seeds.getrandbits(63))
-            step_ms.append(_timed_ms(lambda: scenarios.patrol(onto, config)))
+            step_ms.append(timed_ms(lambda: scenarios.patrol(onto, config)))
     finally:
-        DescriptorState._entailed_items = entailed_items
+        DescriptorState.read, DescriptorState._entailed_items = read, entailed_items
     kb = len(world.text.encode("utf-8")) / 1024
     return {
         "n": n,
         "asserted": world.asserted,
         "patrol_step_ms": statistics.median(step_ms),
+        "patrol_part_reads": part_reads / repeat,
         "patrol_fresh_reads": fresh_reads / repeat,
         "parse_ms": statistics.median(parse_ms),
         "parse_kb_per_s": kb / (statistics.median(parse_ms) / 1000),
@@ -111,6 +129,7 @@ def measure(n: int, repeat: int) -> dict:
         "reachable_first_ms": statistics.median(first_ms),
         "reachable_warm_ms": statistics.median(warm_ms),
         "example1_ms": statistics.median(example1_ms),
+        "cal_ms": statistics.median(cals) * 1000,
     }
 
 
@@ -139,11 +158,12 @@ def main(argv=None) -> int:
         row = measure(n, args.repeat)
         rows.append(row)
         print(
-            f"n={n} patrol step {row['patrol_step_ms']:.2f} ms ({row['patrol_fresh_reads']:.2f} fresh reads),"
+            f"n={n} patrol step {row['patrol_step_ms']:.2f} ms ({row['patrol_part_reads']:.2f} part reads,"
+            f" {row['patrol_fresh_reads']:.2f} fresh),"
             f" parse {row['parse_ms']:.2f} ms ({row['parse_kb_per_s']:.0f} KB/s),"
             f" reason {row['reason_ms']:.2f} ms, serialize --entailed {row['serialize_entailed_ms']:.2f} ms,"
             f" reachable first {row['reachable_first_ms']:.2f} ms, warm {row['reachable_warm_ms']:.3f} ms,"
-            f" example1 {row['example1_ms']:.2f} ms"
+            f" example1 {row['example1_ms']:.2f} ms (kernel {row['cal_ms']:.2f} ms)"
         )
     report = {
         "label": args.label,

@@ -603,11 +603,12 @@ class DescriptorState:
                 self.ontology.ensure(entity)
         target = set(to_axioms(self.tag, self.ground, self.items))
         current = self._asserted()
-        intents = []
-        for axiom in sorted(target - current, key=repr):
+        added, removed = target - current, current - target
+        intents = []  # in repr order; one axiom needs no sort, so no repr
+        for axiom in sorted(added, key=repr) if len(added) > 1 else added:
             self.ontology.assert_axiom(axiom)
             intents.append(Intent("write", "add", axiom, "ontology"))
-        for axiom in sorted(current - target, key=repr):
+        for axiom in sorted(removed, key=repr) if len(removed) > 1 else removed:
             self.ontology.retract_axiom(axiom)
             intents.append(Intent("write", "remove", axiom, "ontology"))
         return intents

@@ -82,9 +82,10 @@ asserts and retracts since that Closure's generation:
   on them and on the inserted facts.
 * phase three replays the rounds.  An individual is re-evaluated from
   the first round in which its snapshot can differ from the last
-  run's: its initial types changed, its links through a property some
-  definition restricts changed, or a snapshot it reads differs from the
-  last run's.  A reader wakes when a class it tests through that link
+  run's: its initial types changed (a ClassAssertion edit, or a changed
+  link through a property with a declared domain or range), its links
+  through a property some definition restricts changed, or a snapshot
+  it reads differs from the last run's.  A reader wakes when a class it tests through that link
   changed, or on any change in an identity-group mate: it reads every
   class of its SameIndividual group's snapshots, and of a filler's only
   the classes that some definition tests on that property's fillers
@@ -998,9 +999,10 @@ def reason(onto: Ontology) -> Closure:
     link_edits = {a: added for a, added in edits.items() if a.tag is AxiomTag.PROPERTY_ASSERTION}
     changed = _property_assertions(schema, links, back, link_edits, asserted, seeds)
     relinked = set()
-    for s, p, f in changed:
-        touched.add(s)
-        if isinstance(f, Entity):
+    for s, p, f in changed:  # a link sets initial types through a domain or range only
+        if p in schema.domains:
+            touched.add(s)
+        if p in schema.ranges and isinstance(f, Entity):
             touched.add(f)
         if p in schema.filler_reads:
             relinked.add(s)

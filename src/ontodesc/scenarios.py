@@ -11,6 +11,10 @@ corridor.  Three flows run on top of it:
 * patrol                  - a seeded random walk: perceive door states,
   write them, cross an open door, re-reason, repeat.
 
+Each flow builds descriptors from only the parts (tags) it reads or
+writes, through the build(factory=...) hook: every part costs a read
+and a memo entry in the Closure, so a part no flow looks at is waste.
+
 All randomness comes from PatrolRng, a fixed 64-bit linear congruential
 generator, so identical (seed, steps) always yield identical traces.
 """
@@ -108,7 +112,9 @@ def categorize_new_location(
 
     Both locations receive a hasDoor link to the door (the known one by
     read-edit-write, so its existing links survive), the reasoner runs,
-    and the new location's entailed types come back sorted.
+    and the new location's entailed types come back sorted.  The known
+    location is built with a LINKS part alone, the new one with TYPES
+    and LINKS.
     """
     known = onto.lookup(connected_location)
     has_door = onto.lookup(HAS_DOOR)
@@ -116,14 +122,15 @@ def categorize_new_location(
     door = onto.declare(Kind.INDIVIDUAL, shared_door)
 
     _fresh_closure(onto)
-    here = full_individual(onto, fresh)
-    there = full_individual(onto, known)
+    new_links = DescriptorState(DescriptorTag.LINKS, fresh, onto)
+    here = CompoundDescriptor(onto, fresh, [DescriptorState(DescriptorTag.TYPES, fresh, onto), new_links])
+    there = DescriptorState(DescriptorTag.LINKS, known, onto)
     here.read()
     there.read()
-    here.part(DescriptorTag.LINKS).add(Link(has_door, door))
-    there.part(DescriptorTag.LINKS).add(Link(has_door, door))
-    here.part(DescriptorTag.LINKS).write()
-    there.part(DescriptorTag.LINKS).write()
+    new_links.add(Link(has_door, door))
+    there.add(Link(has_door, door))
+    new_links.write()
+    there.write()
 
     closure = reason(onto)
     if not closure.consistent:
@@ -138,7 +145,8 @@ def reachable_leaf_places(onto: Ontology, robot: str = ROBOT) -> list[tuple[str,
     Follows the robot's isIn filler, builds descriptors for every
     isConnectedTo neighbour and a SUB_CLASSES one for each of its types,
     and keeps the (individual, class) pairs whose class has no subclass
-    but NOTHING.
+    but NOTHING.  The robot and its position are bare LINKS descriptors
+    and each neighbour a bare TYPES one, the only parts the walk reads.
     """
     robot_entity = onto.lookup(robot)
     is_in = onto.lookup(IS_IN)
@@ -147,17 +155,19 @@ def reachable_leaf_places(onto: Ontology, robot: str = ROBOT) -> list[tuple[str,
     closure = _fresh_closure(onto)
     if not closure.consistent:
         raise ScenarioError("the world is inconsistent")
-    whoami = full_individual(onto, robot_entity)
+    links = partial(DescriptorState, DescriptorTag.LINKS, ontology=onto)
+    whoami = links(robot_entity)
     whoami.read()
-    positions = whoami.part(DescriptorTag.LINKS).build_individuals_by_property(is_in)
+    positions = whoami.build_individuals_by_property(is_in, factory=links)
     if not positions:
         raise NoFiller(f"{robot} has no {IS_IN} filler")
     here = positions[0]
-    neighbours = here.part(DescriptorTag.LINKS).build_individuals_by_property(is_connected)
+    types = partial(DescriptorState, DescriptorTag.TYPES, ontology=onto)
+    neighbours = here.build_individuals_by_property(is_connected, factory=types)
     pairs = []
     sub_classes = partial(DescriptorState, DescriptorTag.SUB_CLASSES, ontology=onto)
     for neighbour in neighbours:
-        for cls in neighbour.part(DescriptorTag.TYPES).build(sub_classes):
+        for cls in neighbour.build(sub_classes):
             if cls.items == [Ref(NOTHING)]:
                 pairs.append((neighbour.ground.iri, cls.ground.iri))
     return sorted(pairs)
@@ -169,7 +179,8 @@ def reachable_leaf_places(onto: Ontology, robot: str = ROBOT) -> list[tuple[str,
 
 class DoorDescriptor(CompoundDescriptor):
     """Individual descriptor specialised for doors: swaps the open or
-    closed state class in its types part (the caller writes)."""
+    closed state class in its types part (the caller writes), the only
+    part a patrol reads or writes, so door_factory builds it alone."""
 
     def set_state(self, state: Entity, alternatives: tuple[Entity, ...]):
         types = self.part(DescriptorTag.TYPES)
@@ -180,15 +191,14 @@ class DoorDescriptor(CompoundDescriptor):
 
 
 def door_factory(onto: Ontology, door_class: Entity):
-    """Build DoorDescriptor for DOOR-typed grounds, plain descriptors
-    otherwise (dispatch by entailed type)."""
+    """Build a DoorDescriptor over the one TYPES part a door's state lives
+    in for DOOR-typed grounds, a full_individual compound otherwise
+    (dispatch by entailed type)."""
 
     def make(entity: Entity) -> CompoundDescriptor:
-        closure = onto.current_closure()
-        plain = full_individual(onto, entity)
-        if door_class in closure.types_of(entity):
-            return DoorDescriptor(onto, entity, plain.parts)
-        return plain
+        if door_class in onto.current_closure().types_of(entity):
+            return DoorDescriptor(onto, entity, [DescriptorState(DescriptorTag.TYPES, entity, onto)])
+        return full_individual(onto, entity)
 
     return make
 
@@ -264,6 +274,9 @@ def patrol(onto: Ontology, config: PatrolConfig = PatrolConfig()) -> list[Patrol
     until at least one door is open), writes the states, picks an open
     door uniformly, moves the robot to the lexicographically first other
     location at that door, and re-runs the reasoner.
+
+    The robot and its position are LINKS descriptors (the robot's is
+    also the one written to move it) and each door a TYPES one.
     """
     setup_door_state_classes(onto)
     door_class = onto.lookup(DOOR_CLASS)
@@ -274,19 +287,18 @@ def patrol(onto: Ontology, config: PatrolConfig = PatrolConfig()) -> list[Patrol
     robot = onto.lookup(config.robot)
     rng = PatrolRng(config.seed)
     make_door = door_factory(onto, door_class)
+    links = partial(DescriptorState, DescriptorTag.LINKS, ontology=onto)
 
     trace: list[PatrolStep] = []
     for index in range(1, config.steps + 1):
         closure = _fresh_closure(onto)
-        whoami = full_individual(onto, robot)
-        whoami.read()
-        positions = whoami.part(DescriptorTag.LINKS).build_individuals_by_property(is_in)
+        moving = links(robot)
+        moving.read()
+        positions = moving.build_individuals_by_property(is_in, factory=links)
         if not positions:
             raise NoFiller(f"{config.robot} has no {IS_IN} filler")
         here = positions[0]
-        doors = here.part(DescriptorTag.LINKS).build_individuals_by_property(
-            has_door, factory=make_door
-        )
+        doors = here.build_individuals_by_property(has_door, factory=make_door)
         doors = sorted(
             (d for d in doors if isinstance(d, DoorDescriptor)),
             key=lambda d: d.ground.iri,
@@ -309,7 +321,6 @@ def patrol(onto: Ontology, config: PatrolConfig = PatrolConfig()) -> list[Patrol
         crossed = open_doors[rng.below(len(open_doors))]
         destination = across[crossed.ground]
 
-        moving = whoami.part(DescriptorTag.LINKS)
         moving.remove(Link(is_in, here.ground))
         moving.add(Link(is_in, destination))
         moving.write()

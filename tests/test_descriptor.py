@@ -343,6 +343,27 @@ class TestReadWrite:
         assert model.class_assertion(x, a) not in asserted
         assert d.write() == []  # idempotent
 
+    def test_write_returns_its_intents_in_repr_order(self):
+        """Adds, then removes, each in the order of the axioms' repr,
+        whatever the order of the items."""
+        onto = parse("Class(A) Class(B) Class(C) Class(D) Class(E) Individual(x)")
+        x = onto.lookup("x")
+        a, b, c, d, e = (onto.lookup(iri) for iri in "ABCDE")
+        for cls in (e, d):
+            onto.assert_axiom(model.class_assertion(x, cls))
+        descriptor = DescriptorState(DescriptorTag.TYPES, x, onto, items=[Ref(c), Ref(a), Ref(b)])
+        intents = descriptor.write()
+        assert [(i.change, i.axiom) for i in intents] == [
+            ("add", model.class_assertion(x, a)),
+            ("add", model.class_assertion(x, b)),
+            ("add", model.class_assertion(x, c)),
+            ("remove", model.class_assertion(x, d)),
+            ("remove", model.class_assertion(x, e)),
+        ]
+        for change in ("add", "remove"):
+            axioms = [i.axiom for i in intents if i.change == change]
+            assert axioms == sorted(axioms, key=repr)
+
     def test_write_only_touches_its_own_projection(self):
         onto = small_world()
         a, x, y = onto.lookup("A"), onto.lookup("x"), onto.lookup("y")

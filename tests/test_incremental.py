@@ -10,6 +10,7 @@ copy of the store answers, and what the naive oracle derives.
 import gc
 import random
 import tracemalloc
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from generators import random_axiom, random_ontology
 from oracles import naive_reason, naive_violations
 from ontodesc import model, reasoner, scenarios
-from ontodesc.descriptor import DescriptorState
+from ontodesc.descriptor import DescriptorState, DescriptorTag
 from ontodesc.model import AxiomTag, Kind, Ontology, StaleClosure
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import PatrolConfig, patrol, seed_path
@@ -436,3 +437,109 @@ def test_a_patrol_step_re_evaluates_only_the_doors_it_flipped(monkeypatch):
         assert evaluated <= flipped, (step.line(), sorted(i.iri for i in evaluated - flipped))
         evaluated_doors += len(evaluated)
     assert evaluated_doors
+
+
+LINK_SCHEMAS = {
+    # (schema, the property the link is asserted on)
+    "domain": ("PropertyDomain(p A)", "p"),
+    "range": ("PropertyRange(p B)", "p"),
+    "both": ("PropertyDomain(p A) PropertyRange(p B)", "p"),
+    "neither": ("", "p"),
+    # the link's super-property carries the domain
+    "inherited domain": ("SubPropertyOf(q p) PropertyDomain(p A)", "q"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINK_SCHEMAS))
+def test_a_changed_link_retypes_its_ends_through_a_domain_or_range(case):
+    """A link (a p b) gives a its property's domains and b its ranges.
+    Asserting, then retracting it must retype a exactly when p (or a
+    super-property) has a domain, and b exactly when it has a range;
+    each case fails for a run that skips that side."""
+    schema, prop = LINK_SCHEMAS[case]
+    onto = parse(
+        "Class(A) Class(B) ObjectProperty(p) ObjectProperty(q)"
+        " Individual(a) Individual(b) " + schema
+    )
+    reason(onto)
+    fact = model.property_assertion(onto.lookup("a"), onto.lookup(prop), onto.lookup("b"))
+    for change in (onto.assert_axiom, onto.retract_axiom):
+        change(fact)
+        resumed = reason(onto)
+        assert resumed.changes() is not None  # the run resumed
+        copy = copy_store(onto)
+        assert answers(onto, resumed) == answers(copy, reason(copy))
+        inferred, consistent = naive_reason(onto)
+        assert resumed.inferred == inferred and resumed.consistent == consistent
+
+
+def test_a_patrol_step_rebuilds_no_robot_or_location_types(monkeypatch):
+    """isIn and hasDoor have neither a domain nor a range in the seed
+    schema, so the robot's move rebuilds the initial types of no robot
+    or location: a step recomputes only the doors whose ClassAssertions
+    it wrote."""
+    onto = corridor_chain(8)
+    scenarios.setup_door_state_classes(onto)  # declares the door states: a full run
+    doors = onto.current_closure().instances_of(onto.lookup("DOOR"))
+    rebuilt = set()
+    memberships = reasoner._memberships
+
+    def recorded(schema, onto, links, back, types, entered, touched, relinked):
+        rebuilt.update(touched)
+        return memberships(schema, onto, links, back, types, entered, touched, relinked)
+
+    monkeypatch.setattr(reasoner, "_memberships", recorded)
+    for seed in range(12):
+        patrol(onto, PatrolConfig(steps=1, seed=seed))
+    assert rebuilt and rebuilt <= doors, sorted(ind.iri for ind in rebuilt - doors)
+
+
+IDENTITY_TAGS = (DescriptorTag.SAME_AS, DescriptorTag.DIFFERENT_FROM)
+
+
+def _part_reads(monkeypatch, flow) -> Counter:
+    """The descriptor parts flow() reads, counted by tag."""
+    reads = Counter()
+    read = DescriptorState.read
+
+    def counted(self):
+        reads[self.tag] += 1
+        return read(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DescriptorState, "read", counted)
+        flow()
+    return reads
+
+
+def test_a_patrol_step_reads_only_the_parts_it_uses(monkeypatch):
+    """A step reads the robot's links, its position's links and each
+    door's types: about 4.5 parts, where whole individual compounds
+    read about 18, SameAs and DifferentFrom among them."""
+    onto = corridor_chain(32)
+    reason(onto)
+    patrol(onto, PatrolConfig(steps=1, seed=0))  # declares the door states: a full run
+    reads = _part_reads(monkeypatch, lambda: patrol(onto, PatrolConfig(steps=300, seed=1)))
+    assert sum(reads.values()) <= 5 * 300
+    assert not any(reads[tag] for tag in IDENTITY_TAGS)
+
+
+def test_reachable_places_read_only_the_parts_they_use(monkeypatch):
+    """The robot and its position are read for their links alone and each
+    neighbour for its types alone."""
+    onto = corridor_chain(8)
+    reason(onto)
+    reads = _part_reads(monkeypatch, lambda: scenarios.reachable_leaf_places(onto))
+    assert reads[DescriptorTag.LINKS] <= 2
+    assert not any(reads[tag] for tag in IDENTITY_TAGS)
+
+
+def test_the_carried_memo_holds_only_what_the_flow_reads():
+    """A resumed run carries the descriptor reads it leaves standing, so
+    the memo holds what the walk has read and its changes left alone:
+    26 entries after 300 steps at n=32, against 134 when every step read
+    whole individual compounds."""
+    onto = corridor_chain(32)
+    reason(onto)
+    patrol(onto, PatrolConfig(steps=300, seed=0))
+    assert len(onto.current_closure()._reads) <= 60

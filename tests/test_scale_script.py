@@ -18,6 +18,8 @@ def test_scale_script_writes_its_report(tmp_path, capsys):
     assert row["n"] == 10 and row["asserted"] > 0
     assert row["patrol_step_ms"] > 0 and row["reason_ms"] > 0
     assert row["patrol_fresh_reads"] > 0  # every step moves the robot: its links are read afresh
+    assert row["patrol_part_reads"] >= row["patrol_fresh_reads"]
+    assert row["cal_ms"] > 0  # the calibration kernel timed around each call
     assert row["parse_ms"] > 0 and row["serialize_entailed_ms"] > 0
     assert row["parse_kb_per_s"] > 0
     assert row["reachable_first_ms"] > 0 and row["reachable_warm_ms"] > 0
