@@ -425,14 +425,12 @@ def _read_axiom(tag: DescriptorTag, ground: Entity, item: Item) -> Axiom:
     """to_axiom for an item a read found, built without the factory's checks.
 
     Read items come from checked asserted axioms or from Closure maps
-    built out of them, so their kinds hold.  DEFINITION atoms and
-    unordered pairs (whose factories order the arguments) still go
-    through to_axiom.
+    built out of them, so their kinds hold.  DEFINITION atoms still go
+    through to_axiom; unordered pairs are put in canonical order.
     """
-    axiom_tag = TAG_SPECS[tag].axiom_tag
-    if tag is DescriptorTag.DEFINITION or axiom_tag in model.ORDERLESS_TAGS:
+    if tag is DescriptorTag.DEFINITION:
         return to_axiom(tag, ground, item)
-    return Axiom(axiom_tag, tuple(_args(tag, ground, item)))
+    return model.canonical(Axiom(TAG_SPECS[tag].axiom_tag, tuple(_args(tag, ground, item))))
 
 
 def to_axioms(tag: DescriptorTag, ground: Entity, items: list) -> list[Axiom]:
@@ -594,18 +592,20 @@ class DescriptorState:
     def write(self) -> list[Intent]:
         """Make the asserted axioms for (tag, ground) exactly match Y.
 
-        Entities mentioned by Y are declared on the fly; the inferred
-        partition is never touched.
+        Y is rendered and diffed first, so a write that raises there
+        declares nothing; then the entities the added axioms mention are
+        declared on the fly.  The inferred partition is never touched.
         """
-        self.ontology.ensure(self.ground)
-        for item in self.items:
-            for entity in _item_entities(item):
-                self.ontology.ensure(entity)
         target = set(to_axioms(self.tag, self.ground, self.items))
         current = self._asserted()
         added, removed = target - current, current - target
-        intents = []  # in repr order; one axiom needs no sort, so no repr
-        for axiom in sorted(added, key=repr) if len(added) > 1 else added:
+        if len(added) > 1:  # intents in repr order; one axiom needs no sort, so no repr
+            added = sorted(added, key=repr)
+        for axiom in added:
+            for entity in model.axiom_entities(axiom):
+                self.ontology.ensure(entity)
+        intents = []
+        for axiom in added:
             self.ontology.assert_axiom(axiom)
             intents.append(Intent("write", "add", axiom, "ontology"))
         for axiom in sorted(removed, key=repr) if len(removed) > 1 else removed:
@@ -663,15 +663,3 @@ class DescriptorState:
         )
         return self._build_each(fillers, factory)
 
-
-def _item_entities(item: Item):
-    if isinstance(item, Ref):
-        yield item.entity
-    elif isinstance(item, Link):
-        yield item.prop
-        if isinstance(item.filler, Entity):
-            yield item.filler
-    elif isinstance(item, Restriction):
-        for e in (item.cls, item.prop, item.filler):
-            if e is not None:
-                yield e

@@ -379,8 +379,7 @@ class Axiom:
 
 
 def _pair(tag: AxiomTag, a: Entity, b: Entity) -> Axiom:
-    first, second = sorted((a, b), key=lambda e: e.iri)
-    return Axiom(tag, (first, second))
+    return canonical(Axiom(tag, (a, b)))
 
 
 def _same_property_kind(a: Entity, b: Entity, label: str) -> None:

@@ -77,9 +77,14 @@ asserts and retracts since that Closure's generation:
 
 * phase two is maintained by DRed (Gupta, Mumick, Subrahmanian,
   *Maintaining Views Incrementally*, SIGMOD 1993): every fact with a
-  derivation through a retracted one is deleted, those that one rule
-  still derives from what is left are put back, and the worklist runs
-  on them and on the inserted facts.
+  derivation through a retracted one is deleted; those still asserted,
+  the reflexive self-links and those the rules derive from the facts
+  left to the deleted facts' subjects are put back; and the worklist
+  runs on them and on the inserted facts.  The subjects' facts are
+  enough: a one-way rule (super-property, transitive, chain) derives a
+  fact from a premise with the same subject, and a two-way rule's
+  premise (inverse, symmetric, identity sharing) was deleted with the
+  fact, so the worklist derives the fact again if the premise comes back.
 * phase three replays the rounds.  An individual is re-evaluated from
   the first round in which its snapshot can differ from the last
   run's: its initial types changed (a ClassAssertion edit, or a changed
@@ -454,7 +459,6 @@ class _Schema:
     individuals: list
     class_reach: dict
     prop_reach: dict
-    props_below: dict  # property -> the properties it is a strict super-property of
     rep: dict
     groups: dict
     inverses: dict
@@ -560,10 +564,6 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         x, y = a.args
         prop_edges += [(x, y), (y, x)]
     prop_reach = _reach_map(properties, prop_edges)
-    props_below: dict[Entity, set[Entity]] = {}
-    for p, sups in prop_reach.items():
-        for sup in sups:
-            props_below.setdefault(sup, set()).add(p)
 
     rep = _union_find([tuple(a.args) for a in tagged(AxiomTag.SAME_INDIVIDUAL)], individuals)
     groups: dict[Entity, list[Entity]] = {}
@@ -599,7 +599,6 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         individuals=individuals,
         class_reach=_reach_map(classes, class_edges),
         prop_reach=prop_reach,
-        props_below=props_below,
         rep=rep,
         groups=groups,
         inverses=inverses,
@@ -640,7 +639,8 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
     Both key -> property -> set maps are changed in place.  `edits` maps
     PropertyAssertion axioms to True (asserted) or False (retracted);
     `seeds` are premise-free facts to insert.  Returns the facts that
-    entered or left the maps.
+    entered or left the maps.  `consequences` is the one encoding of the
+    rules, and all three DRed steps (see the module docstring) run it.
     """
     prop_reach, inverses, chains = schema.prop_reach, schema.inverses, schema.chains
     symmetric, transitive, irreflexive = schema.symmetric, schema.transitive, schema.irreflexive
@@ -713,10 +713,25 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
         if not (p in irreflexive and s is f):
             put(s, p, f)
 
-    # second step: put back what one rule still derives from the rest ...
-    for fact in gone:
-        if _derivable(schema, links, back, asserted, *fact):
-            put(*fact)
+    # second step: put back what is asserted, a reflexive self-link, and
+    # what a rule derives from the facts the gone facts' subjects kept ...
+    subjects = set()
+    for s, p, f in gone:
+        if Axiom(AxiomTag.PROPERTY_ASSERTION, (s, p, f)) in asserted:
+            put(s, p, f)
+        elif s is f and p in schema.reflexive:
+            derive(s, p, f)
+        else:
+            subjects.add(s)
+
+    def restore(s, p, f):
+        if (s, p, f) in gone:
+            derive(s, p, f)
+
+    # a snapshot, since restore() grows these subjects' maps
+    kept = [(s, p, f) for s in subjects for p, fs in links.get(s, _EMPTY).items() for f in fs]
+    for fact in kept:
+        consequences(*fact, restore)
     # ... third: insert, asserted facts even on an irreflexive property,
     # and run the worklist to fixpoint
     for axiom, added in edits.items():
@@ -731,37 +746,6 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
     while pending:
         consequences(*pending.pop(), derive)
     return gone.symmetric_difference(put_facts)
-
-
-def _derivable(schema: _Schema, links, back, asserted, s, q, g) -> bool:
-    """True when (s, q, g) is asserted or one rule derives it from the maps."""
-    if Axiom(AxiomTag.PROPERTY_ASSERTION, (s, q, g)) in asserted:
-        return True
-    if s is g and q in schema.irreflexive:
-        return False
-    if s is g and q in schema.reflexive:
-        return True
-    by_prop = links.get(s, _EMPTY)
-    if any(g in by_prop.get(p, ()) for p in schema.props_below.get(q, ())):
-        return True
-    for other in schema.groups[schema.rep[s]]:
-        if other is not s and g in links.get(other, _EMPTY).get(q, ()):
-            return True
-    if not isinstance(g, Entity):
-        return False
-    from_g = links.get(g, _EMPTY)
-    into_g = back.get(g, _EMPTY)
-    if any(s in from_g.get(p, ()) for p in schema.inverses.get(q, ())):
-        return True
-    if q in schema.symmetric and s in from_g.get(q, ()):
-        return True
-    if q in schema.transitive and not by_prop.get(q, _NONE).isdisjoint(into_g.get(q, ())):
-        return True
-    for sup, p1, p2 in schema.chains:
-        if sup == q and not by_prop.get(p1, _NONE).isdisjoint(into_g.get(p2, ())):
-            return True
-    held = by_prop.get(q, ())
-    return any(other is not g and other in held for other in schema.groups[schema.rep[g]])
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,18 @@ class TestReadWrite:
         assert onto.lookup("Fresh").kind is Kind.CLASS
         assert onto.lookup("newcomer").kind is Kind.INDIVIDUAL
 
+    def test_a_write_that_does_not_render_declares_nothing(self):
+        """An individual is no type: the write raises before it declares
+        zz, so the store and its Closure stay as they were."""
+        onto = small_world()
+        reason(onto)
+        zz = model.Entity(Kind.INDIVIDUAL, "zz")
+        d = DescriptorState(DescriptorTag.TYPES, onto.lookup("x"), onto, items=[Ref(zz)])
+        with pytest.raises(model.KindMismatch):
+            d.write()
+        assert onto.maybe_lookup("zz") is None
+        assert not onto.stale
+
     def test_write_marks_closure_stale(self):
         onto = small_world()
         reason(onto)
