@@ -23,9 +23,11 @@ carried from step to step, after one untimed warm-up step that also
 declares the door state classes; the seeds s_i come from random.Random(0)
 at every n, so every size times the same coin flips.  Per timed step,
 patrol_part_reads counts the DescriptorState.read calls (the descriptor
-parts the step reads) and patrol_fresh_reads the _entailed_items calls
-among them: the reads the step's reason() runs did not carry over.  The
-garbage collector runs before every timed call, outside the timer.
+parts the step reads), patrol_fresh_reads the _entailed_items calls
+among them (the reads the step's reason() runs did not carry over) and
+patrol_renders the checked descriptor.to_axiom calls (the written items
+no read had rendered).  The garbage collector runs before every timed
+call, outside the timer.
 
 Machine speed drifts while the script runs, so each timed call is scaled
 the way perfbench scales an op: perfbench/run.py's calibrate() kernel is
@@ -37,8 +39,8 @@ Writes BENCH_scale_<label>.json: the Python version, the repeat count,
 per n the asserted axiom count, the median scaled milliseconds of each
 measurement (patrol_step_ms, parse_ms, reason_ms, serialize_entailed_ms,
 reachable_first_ms, reachable_warm_ms, example1_ms), parse_kb_per_s,
-patrol_part_reads, patrol_fresh_reads and cal_ms, and the patrol step's
-ratio between the largest and the smallest n.
+patrol_part_reads, patrol_fresh_reads, patrol_renders and cal_ms, and
+the patrol step's ratio between the largest and the smallest n.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import worlds  # noqa: E402  (perfbench/worlds.py: standard library only)
 from run import calibrate, scaled  # noqa: E402  (perfbench/run.py)
-from ontodesc import reasoner, scenarios, syntax  # noqa: E402
+from ontodesc import descriptor, reasoner, scenarios, syntax  # noqa: E402
 from ontodesc.descriptor import DescriptorState  # noqa: E402
 
 
@@ -95,8 +97,9 @@ def measure(n: int, repeat: int) -> dict:
     seeds = random.Random(0)
     scenarios.patrol(onto, scenarios.PatrolConfig(steps=1, seed=seeds.getrandbits(63)))
     step_ms = []
-    part_reads = fresh_reads = 0
+    part_reads = fresh_reads = renders = 0
     read, entailed_items = DescriptorState.read, DescriptorState._entailed_items
+    to_axiom = descriptor.to_axiom
 
     def counted_read(self):
         nonlocal part_reads
@@ -108,13 +111,20 @@ def measure(n: int, repeat: int) -> dict:
         fresh_reads += 1
         return entailed_items(self, closure)
 
+    def counted_render(*args):
+        nonlocal renders
+        renders += 1
+        return to_axiom(*args)
+
     DescriptorState.read, DescriptorState._entailed_items = counted_read, counted
+    descriptor.to_axiom = counted_render
     try:
         for _ in range(repeat):
             config = scenarios.PatrolConfig(steps=1, seed=seeds.getrandbits(63))
             step_ms.append(timed_ms(lambda: scenarios.patrol(onto, config)))
     finally:
         DescriptorState.read, DescriptorState._entailed_items = read, entailed_items
+        descriptor.to_axiom = to_axiom
     kb = len(world.text.encode("utf-8")) / 1024
     return {
         "n": n,
@@ -122,6 +132,7 @@ def measure(n: int, repeat: int) -> dict:
         "patrol_step_ms": statistics.median(step_ms),
         "patrol_part_reads": part_reads / repeat,
         "patrol_fresh_reads": fresh_reads / repeat,
+        "patrol_renders": renders / repeat,
         "parse_ms": statistics.median(parse_ms),
         "parse_kb_per_s": kb / (statistics.median(parse_ms) / 1000),
         "reason_ms": statistics.median(reason_ms),
@@ -159,7 +170,7 @@ def main(argv=None) -> int:
         rows.append(row)
         print(
             f"n={n} patrol step {row['patrol_step_ms']:.2f} ms ({row['patrol_part_reads']:.2f} part reads,"
-            f" {row['patrol_fresh_reads']:.2f} fresh),"
+            f" {row['patrol_fresh_reads']:.2f} fresh, {row['patrol_renders']:.2f} renders),"
             f" parse {row['parse_ms']:.2f} ms ({row['parse_kb_per_s']:.0f} KB/s),"
             f" reason {row['reason_ms']:.2f} ms, serialize --entailed {row['serialize_entailed_ms']:.2f} ms,"
             f" reachable first {row['reachable_first_ms']:.2f} ms, warm {row['reachable_warm_ms']:.3f} ms,"

@@ -21,6 +21,7 @@ Operations:
 
 * read    - replace Y with the entailed items of (tag, x) (see TagSpec),
 * write   - make the asserted axioms for (tag, x) exactly to_axioms(Y),
+            reusing the last read's axiom for each item that read found,
 * build   - for every item, create a descriptor grounded on the item's
             entity via a factory and read it.
 
@@ -490,14 +491,17 @@ class DescriptorState:
     tag: DescriptorTag
     ground: Entity
     ontology: Ontology
-    items: list = field(default_factory=list)
+    items: list = ()
+    _read: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Check the ground, then check and copy the items passed in, if any."""
         self._check_ground(self.ground)
-        for item in self.items:
-            _check_item(self.tag, item)
-        if self.tag is not DescriptorTag.DEFINITION:  # one expression may repeat an atom
-            self.items = list(dict.fromkeys(self.items))
+        items, self.items = self.items, []
+        if items:
+            for item in items:
+                _check_item(self.tag, item)
+            self.items = list(items if self.tag is DescriptorTag.DEFINITION else dict.fromkeys(items))
 
     def _check_ground(self, entity: Entity) -> None:
         kinds = TAG_SPECS[self.tag].ground_kinds
@@ -508,6 +512,7 @@ class DescriptorState:
     def set_ground(self, entity: Entity) -> None:
         self._check_ground(entity)
         self.ground = entity
+        self._read = None  # the last read was about the old ground
 
     # -- item edits
 
@@ -575,7 +580,7 @@ class DescriptorState:
         Y and the returned list are new lists, so editing either leaves
         the memo as it was.
         """
-        new_items, adds = self._memoized()
+        new_items, adds = self._read = self._memoized()
         if not self.items:
             self.items = list(new_items)
             return list(adds)
@@ -592,18 +597,25 @@ class DescriptorState:
     def write(self) -> list[Intent]:
         """Make the asserted axioms for (tag, ground) exactly match Y.
 
-        Y is rendered and diffed first, so a write that raises there
-        declares nothing; then the entities the added axioms mention are
-        declared on the fly.  The inferred partition is never touched.
+        An item that is one the last read found, not merely equal to one,
+        takes that read's axiom (set_ground forgets the read); any other,
+        one appended straight to Y too, goes through the checked to_axiom.
+        Y is rendered, diffed and its new entities checked against the
+        vocabulary before any is declared, so a raising write declares nothing.
         """
-        target = set(to_axioms(self.tag, self.ground, self.items))
+        read = {id(i): add.axiom for i, add in zip(*self._read)} if self._read else {}  # hashes no item
+        target = (
+            set(to_axioms(self.tag, self.ground, self.items)) if self.tag is DescriptorTag.DEFINITION
+            else {read.get(id(i)) or to_axiom(self.tag, self.ground, i) for i in self.items}
+        )
         current = self._asserted()
         added, removed = target - current, current - target
         if len(added) > 1:  # intents in repr order; one axiom needs no sort, so no repr
             added = sorted(added, key=repr)
-        for axiom in added:
-            for entity in model.axiom_entities(axiom):
-                self.ontology.ensure(entity)
+        entities = [entity for axiom in added for entity in model.axiom_entities(axiom)]
+        clashes = [entity for entity in entities if self.ontology.maybe_lookup(entity.iri) not in (None, entity)]
+        for entity in clashes + entities:  # a clash raises KindClash before anything is declared
+            self.ontology.ensure(entity)
         intents = []
         for axiom in added:
             self.ontology.assert_axiom(axiom)
@@ -628,16 +640,13 @@ class DescriptorState:
 
     def _build_each(self, grounds, factory: Callable | None) -> list:
         """One read-initialised descriptor per distinct ground, in order."""
-        grounds = list(dict.fromkeys(grounds))
         if factory is None:
             from . import compound
 
             factory = compound.default_factory(self.ontology)
-        built = []
-        for ground in grounds:
-            descriptor = factory(ground)
+        built = [factory(ground) for ground in dict.fromkeys(grounds)]
+        for descriptor in built:
             descriptor.read()
-            built.append(descriptor)
         return built
 
     def build(self, factory: Callable | None = None) -> list:

@@ -166,9 +166,10 @@ def reachable_leaf_places(onto: Ontology, robot: str = ROBOT) -> list[tuple[str,
     neighbours = here.build_individuals_by_property(is_connected, factory=types)
     pairs = []
     sub_classes = partial(DescriptorState, DescriptorTag.SUB_CLASSES, ontology=onto)
+    leaf = [Ref(NOTHING)]
     for neighbour in neighbours:
         for cls in neighbour.build(sub_classes):
-            if cls.items == [Ref(NOTHING)]:
+            if cls.items == leaf:
                 pairs.append((neighbour.ground.iri, cls.ground.iri))
     return sorted(pairs)
 

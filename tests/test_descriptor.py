@@ -394,6 +394,55 @@ class TestReadWrite:
         assert onto.maybe_lookup("zz") is None
         assert not onto.stale
 
+    def test_a_write_that_clashes_declares_nothing(self):
+        """x is an individual, so Ref(Class x) clashes with the vocabulary.
+        Every entity the write adds is checked before the first is
+        declared, so NewC, whose axiom comes first, stays undeclared."""
+        onto = small_world()
+        reason(onto)
+        new_c, x_as_class = model.Entity(Kind.CLASS, "NewC"), model.Entity(Kind.CLASS, "x")
+        d = DescriptorState(DescriptorTag.TYPES, onto.lookup("y"), onto, items=[Ref(new_c), Ref(x_as_class)])
+        with pytest.raises(model.KindClash):
+            d.write()
+        assert onto.maybe_lookup("NewC") is None
+        assert not onto.stale
+
+    def test_an_item_appended_after_a_read_is_still_checked(self):
+        """Only an item the read found takes the read's axiom; any other
+        appended straight to Y meets every check on write, an unhashable
+        non-item too."""
+        onto = small_world()
+        x, y, p = onto.lookup("x"), onto.lookup("y"), onto.lookup("p")
+        onto.assert_axiom(model.class_assertion(x, onto.lookup("A")))
+        reason(onto)
+        before = set(onto.axioms("asserted"))
+        for illegal, error in ((Link(p, y), IllegalItem), (Ref(y), model.KindMismatch), ({}, IllegalItem)):
+            d = DescriptorState(DescriptorTag.TYPES, x, onto)
+            d.read()
+            d.items.append(illegal)
+            with pytest.raises(error):
+                d.write()
+            assert set(onto.axioms("asserted")) == before
+            assert not onto.stale
+
+    def test_a_write_after_set_ground_renders_for_the_new_ground(self):
+        """set_ground forgets the last read: read on x, re-grounded on y,
+        the write asserts y's axioms and none of x's."""
+        onto = small_world()
+        a, x, y = onto.lookup("A"), onto.lookup("x"), onto.lookup("y")
+        onto.assert_axiom(model.class_assertion(x, a))
+        reason(onto)
+        d = DescriptorState(DescriptorTag.TYPES, x, onto)
+        d.read()
+        assert d.items == [Ref(a), Ref(model.THING)]
+        d.set_ground(y)
+        intents = d.write()
+        assert [(i.change, i.axiom) for i in intents] == [
+            ("add", model.class_assertion(y, a)),
+            ("add", model.class_assertion(y, model.THING)),
+        ]
+        assert onto.axioms_about(model.AxiomTag.CLASS_ASSERTION, x) == {model.class_assertion(x, a)}
+
     def test_write_marks_closure_stale(self):
         onto = small_world()
         reason(onto)
@@ -453,6 +502,25 @@ class TestReadWrite:
         assert d.add(Ref(a)) is False
         assert d.remove(Ref(a)) is True
         assert d.remove(Ref(a)) is False
+
+    @pytest.mark.parametrize("tag", [DescriptorTag.TYPES, DescriptorTag.DEFINITION])
+    @pytest.mark.parametrize("given", [0, 1])
+    def test_a_state_does_not_alias_the_callers_items(self, tag, given):
+        """The state copies the list it is given, empty or not: editing
+        either leaves the other as it was."""
+        onto = small_world()
+        a, b, c = onto.lookup("A"), onto.lookup("B"), onto.lookup("C")
+        if tag is DescriptorTag.TYPES:
+            ground, item, other = onto.lookup("x"), Ref(a), Ref(b)
+        else:
+            ground, item, other = c, named_restriction(a), named_restriction(b)
+        items = [item] * given
+        d = DescriptorState(tag, ground, onto, items=items)
+        assert d.items == items and d.items is not items
+        d.add(other)
+        assert items == [item] * given
+        items.append(other)
+        assert d.items == [item] * given + [other]
 
     def test_definition_items_keep_repeats(self):
         onto = small_world()

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from generators import random_axiom, random_ontology
 from oracles import naive_reason, naive_violations
-from ontodesc import model, reasoner, scenarios
+from ontodesc import descriptor, model, reasoner, scenarios
 from ontodesc.descriptor import DescriptorState, DescriptorTag
 from ontodesc.model import AxiomTag, Kind, Ontology, StaleClosure
 from ontodesc.reasoner import reason
@@ -570,6 +570,28 @@ def test_a_patrol_step_reads_only_the_parts_it_uses(monkeypatch):
     reads = _part_reads(monkeypatch, lambda: patrol(onto, PatrolConfig(steps=300, seed=1)))
     assert sum(reads.values()) <= 5 * 300
     assert not any(reads[tag] for tag in IDENTITY_TAGS)
+
+
+def test_a_patrol_step_renders_only_the_items_it_adds(monkeypatch):
+    """A write takes the read's axiom for each item its read found, so a
+    step renders through the checked to_axiom only the robot's new
+    position and each flipped door's new state: about 2.1 items per step
+    at n=32, against 8.4 when every written item was rendered."""
+    onto = corridor_chain(32)
+    reason(onto)
+    patrol(onto, PatrolConfig(steps=1, seed=0))  # declares the door states: a full run
+    calls = 0
+    to_axiom = descriptor.to_axiom
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return to_axiom(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(descriptor, "to_axiom", counted)
+        patrol(onto, PatrolConfig(steps=300, seed=1))
+    assert calls <= 3 * 300
 
 
 def test_reachable_places_read_only_the_parts_they_use(monkeypatch):

@@ -19,6 +19,9 @@ def test_scale_script_writes_its_report(tmp_path, capsys):
     assert row["patrol_step_ms"] > 0 and row["reason_ms"] > 0
     assert row["patrol_fresh_reads"] > 0  # every step moves the robot: its links are read afresh
     assert row["patrol_part_reads"] >= row["patrol_fresh_reads"]
+    # a step renders the robot's new position and a new state for each door
+    # it flipped, at most the three a corridor holds
+    assert 1 <= row["patrol_renders"] <= 4
     assert row["cal_ms"] > 0  # the calibration kernel timed around each call
     assert row["parse_ms"] > 0 and row["serialize_entailed_ms"] > 0
     assert row["parse_kb_per_s"] > 0
