@@ -38,7 +38,7 @@ Closure alone; TYPES, INSTANCES and LINKS list everything entailed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import starmap
 from typing import Callable, Union
@@ -130,14 +130,17 @@ class Restriction:
     filler: Entity | None = None
 
     def __post_init__(self):
-        if self.form is Form.NAMED:
-            ok = self.cls is not None and self.count is None and self.prop is None and self.filler is None
-        elif self.form in (Form.SOME, Form.ONLY):
-            ok = self.cls is None and self.count is None and self.prop is not None and self.filler is not None
-        else:
-            ok = self.cls is None and self.count is not None and self.prop is not None and self.filler is not None
-        if not ok:
+        """Exactly the fields of the form's atom class are set."""
+        payload = _PAYLOADS[self.form]
+        if any((getattr(self, name) is None) == (name in payload) for name in _SLOTS):
             raise MappingError(f"malformed restriction payload for form {self.form.value}")
+
+
+# form <-> the model's atom class, whose fields name the form's payload
+_ATOMS = {Form.NAMED: Named, Form.SOME: Some, Form.ONLY: Only, Form.AT_LEAST: Min, Form.AT_MOST: Max}
+_FORMS = {atom: form for form, atom in _ATOMS.items()}
+_PAYLOADS = {form: tuple(f.name for f in fields(atom)) for form, atom in _ATOMS.items()}
+_SLOTS = tuple(f.name for f in fields(Restriction))[2:]  # cls, count, prop, filler
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,29 +312,14 @@ def _check_item(tag: DescriptorTag, item: Item) -> None:
 
 
 def restriction_to_atom(r: Restriction) -> ClassExpression:
-    if r.form is Form.NAMED:
-        return Named(r.cls)
-    if r.form is Form.SOME:
-        return Some(r.prop, r.filler)
-    if r.form is Form.ONLY:
-        return Only(r.prop, r.filler)
-    if r.form is Form.AT_LEAST:
-        return Min(r.count, r.prop, r.filler)
-    return Max(r.count, r.prop, r.filler)
+    return _ATOMS[r.form](*(getattr(r, name) for name in _PAYLOADS[r.form]))
 
 
 def atom_to_restriction(expr: ClassExpression, connective: Connective) -> Restriction:
-    if isinstance(expr, Named):
-        return Restriction(connective, Form.NAMED, cls=expr.cls)
-    if isinstance(expr, Some):
-        return Restriction(connective, Form.SOME, prop=expr.prop, filler=expr.filler)
-    if isinstance(expr, Only):
-        return Restriction(connective, Form.ONLY, prop=expr.prop, filler=expr.filler)
-    if isinstance(expr, Min):
-        return Restriction(connective, Form.AT_LEAST, count=expr.count, prop=expr.prop, filler=expr.filler)
-    if isinstance(expr, Max):
-        return Restriction(connective, Form.AT_MOST, count=expr.count, prop=expr.prop, filler=expr.filler)
-    raise UnsupportedRestriction(f"not an atomic restriction: {expr!r}")
+    form = _FORMS.get(type(expr))
+    if form is None:
+        raise UnsupportedRestriction(f"not an atomic restriction: {expr!r}")
+    return Restriction(connective, form, **{name: getattr(expr, name) for name in _PAYLOADS[form]})
 
 
 def restrictions_to_expression(items: list[Restriction]) -> ClassExpression:

@@ -21,6 +21,10 @@ Schema rules (phase one):
   EquivalentProperties; there is no builtin top property.
 * SameIndividual is closed as an equivalence relation.
 
+The schema holds what the TBox, RBox and identity axioms name, plus each
+declared class's THING and NOTHING bounds; a missing identity group or
+property reach reads as empty, so no other declaration changes it.
+
 Property-assertion rules (phase two, run to fixpoint over the links map
 and its filler-keyed mirror):
 
@@ -294,7 +298,7 @@ class Closure:
         """
         self._check_fresh()
         schema = self._schema
-        identity = [sorted(g, key=lambda e: e.iri) for g in schema.groups.values() if len(g) > 1]
+        identity = [sorted(g, key=lambda e: e.iri) for g in schema.groups.values()]
         shapes = (
             (AxiomTag.SUB_CLASS, (((c,), sups) for c, sups in schema.class_reach.items())),
             (AxiomTag.SUB_PROPERTY, (((p,), sups) for p, sups in schema.prop_reach.items())),
@@ -452,11 +456,11 @@ class Closure:
 class _Schema:
     """Phase one's closures and the rule tables the later phases read.
 
-    It depends on the TBox, the RBox, the identity axioms and the
-    vocabulary only, so every run shares it until one of those changes.
+    It holds what the TBox, RBox and identity axioms name, plus each
+    declared class's THING and NOTHING bounds, so every run shares it
+    until one of those changes.
     """
 
-    individuals: list
     class_reach: dict
     prop_reach: dict
     rep: dict
@@ -478,11 +482,10 @@ class _Schema:
 
 
 def _reach_map(nodes, edges) -> dict:
-    """Strict reachability per node over an edge dict, self excluded."""
+    """Strict reachability, self excluded, from each node and each edge's source."""
     adjacency = {n: set() for n in nodes}
     for src, dst in edges:
         adjacency.setdefault(src, set()).add(dst)
-        adjacency.setdefault(dst, set())
     reach = {}
     for start in adjacency:
         seen = set()
@@ -492,7 +495,7 @@ def _reach_map(nodes, edges) -> dict:
             if node in seen:
                 continue
             seen.add(node)
-            stack.extend(adjacency[node])
+            stack.extend(adjacency.get(node, ()))
         seen.discard(start)
         reach[start] = seen
     return reach
@@ -512,8 +515,8 @@ def _add_filler_reads(expr, reads: dict) -> None:
         reads.setdefault(expr.prop, set()).add(expr.filler)
 
 
-def _union_find(pairs, items):
-    rep = {i: i for i in items}
+def _union_find(pairs):
+    rep = {i: i for pair in pairs for i in pair}
 
     def find(x):
         while rep[x] != x:
@@ -528,7 +531,7 @@ def _union_find(pairs, items):
             if rb.iri < ra.iri:
                 ra, rb = rb, ra
             rep[rb] = ra
-    return {i: find(i) for i in items}
+    return {i: find(i) for i in rep}
 
 
 def _schema(onto: Ontology, by_tag: dict) -> _Schema:
@@ -539,10 +542,6 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         return frozenset(a.args[0] for a in tagged(tag))
 
     classes = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in DATATYPES]
-    individuals = onto.individuals()
-    properties = onto.entities_of_kind(Kind.OBJECT_PROPERTY) + onto.entities_of_kind(
-        Kind.DATA_PROPERTY
-    )
 
     class_edges = [tuple(a.args) for a in tagged(AxiomTag.SUB_CLASS)]
     for a in tagged(AxiomTag.EQUIVALENT_CLASSES):
@@ -563,12 +562,11 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
     for a in tagged(AxiomTag.EQUIVALENT_PROPERTIES):
         x, y = a.args
         prop_edges += [(x, y), (y, x)]
-    prop_reach = _reach_map(properties, prop_edges)
 
-    rep = _union_find([tuple(a.args) for a in tagged(AxiomTag.SAME_INDIVIDUAL)], individuals)
+    rep = _union_find([tuple(a.args) for a in tagged(AxiomTag.SAME_INDIVIDUAL)])
     groups: dict[Entity, list[Entity]] = {}
-    for ind in individuals:
-        groups.setdefault(rep[ind], []).append(ind)
+    for ind, r in rep.items():
+        groups.setdefault(r, []).append(ind)
 
     inverses: dict[Entity, set[Entity]] = {}
     for a in tagged(AxiomTag.INVERSE_PROPERTIES):
@@ -596,9 +594,8 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
             violations.add(Violation("same-and-different", frozenset({a, same_individual(x, y)})))
 
     return _Schema(
-        individuals=individuals,
         class_reach=_reach_map(classes, class_edges),
-        prop_reach=prop_reach,
+        prop_reach=_reach_map((), prop_edges),
         rep=rep,
         groups=groups,
         inverses=inverses,
@@ -667,10 +664,10 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
                 if p == p2:
                     for s0 in back.get(s, _EMPTY).get(p1, ()):
                         emit(s0, sup, f)
-            for other in groups[rep[f]]:
+            for other in groups.get(rep.get(f, f), ()):
                 if other is not f:
                     emit(s, p, other)
-        for other in groups[rep[s]]:
+        for other in groups.get(rep.get(s, s), ()):
             if other is not s:
                 emit(other, p, f)
 
@@ -793,7 +790,7 @@ def _readers(schema: _Schema, back, ind, delta) -> set:
     group, since sharing copies every class, and each subject linked to
     it through a property p with a definition testing p's fillers for a
     class in `delta`."""
-    found = set(schema.groups[schema.rep[ind]])
+    found = {ind, *schema.groups.get(schema.rep.get(ind, ind), ())}
     into = back.get(ind, _EMPTY)
     for p, reads in schema.filler_reads.items():
         if not reads.isdisjoint(delta):
@@ -868,10 +865,8 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
             for cls, stamp in ts.items():
                 if stamp == prior:
                     gained.update(class_reach.get(cls, ()))
-            group = groups[rep[ind]]
-            if len(group) > 1:
-                for other in group:
-                    gained.update(c for c, stamp in types[other].items() if stamp == prior)
+            for other in groups.get(rep.get(ind, ind), ()):
+                gained.update(c for c, stamp in types[other].items() if stamp == prior)
             gained.difference_update(ts)
             evaluate = moved is None or ind in moved
             if not evaluate:
@@ -972,8 +967,9 @@ def reason(onto: Ontology) -> Closure:
             by_tag.get(AxiomTag.CLASS_ASSERTION, []) + by_tag.get(AxiomTag.PROPERTY_ASSERTION, []),
             True,
         )
-        seeds = [(ind, p, ind) for p in schema.reflexive for ind in schema.individuals]
-        touched = set(schema.individuals)
+        individuals = onto.individuals()
+        seeds = [(ind, p, ind) for p in schema.reflexive for ind in individuals]
+        touched = set(individuals)
     else:
         schema = previous._schema
         seeds = ()

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 
-from .compound import CompoundDescriptor, full_class, full_individual
+from .compound import CompoundDescriptor
 from .descriptor import DescriptorState, DescriptorTag, Link, Ref
-from .model import NOTHING, AxiomTag, Entity, Kind, Ontology, OntologyError, disjoint_classes, sub_class
+from .model import NOTHING, Entity, Kind, Ontology, OntologyError, disjoint_classes, sub_class
 from .reasoner import Closure, reason
 from .syntax import parse, parse_file
 
@@ -178,28 +178,24 @@ def reachable_leaf_places(onto: Ontology, robot: str = ROBOT) -> list[tuple[str,
 # patrol
 
 
-class DoorDescriptor(CompoundDescriptor):
-    """Individual descriptor specialised for doors: swaps the open or
-    closed state class in its types part (the caller writes), the only
-    part a patrol reads or writes, so door_factory builds it alone."""
+class DoorDescriptor(DescriptorState):
+    """TYPES descriptor specialised for doors: swaps the open or closed
+    state class in its items (the caller writes)."""
 
     def set_state(self, state: Entity, alternatives: tuple[Entity, ...]):
-        types = self.part(DescriptorTag.TYPES)
         for alternative in alternatives:
             if alternative != state:
-                types.remove(Ref(alternative))
-        types.add(Ref(state))
+                self.remove(Ref(alternative))
+        self.add(Ref(state))
 
 
 def door_factory(onto: Ontology, door_class: Entity):
-    """Build a DoorDescriptor over the one TYPES part a door's state lives
-    in for DOOR-typed grounds, a full_individual compound otherwise
-    (dispatch by entailed type)."""
+    """Build a TYPES descriptor, a DoorDescriptor for DOOR-typed grounds
+    and a plain one otherwise (dispatch by entailed type)."""
 
-    def make(entity: Entity) -> CompoundDescriptor:
-        if door_class in onto.current_closure().types_of(entity):
-            return DoorDescriptor(onto, entity, [DescriptorState(DescriptorTag.TYPES, entity, onto)])
-        return full_individual(onto, entity)
+    def make(entity: Entity) -> DescriptorState:
+        door = door_class in onto.current_closure().types_of(entity)
+        return (DoorDescriptor if door else DescriptorState)(DescriptorTag.TYPES, entity, onto)
 
     return make
 
@@ -207,32 +203,25 @@ def door_factory(onto: Ontology, door_class: Entity):
 def setup_door_state_classes(onto: Ontology) -> None:
     """Introduce OPEN and CLOSE as disjoint subclasses of DOOR.
 
-    One class descriptor does all three writes: grounded on CLOSE it
-    writes the superclass, then it is re-grounded on OPEN, keeps DOOR in
-    its superclass part, gains CLOSE as a disjoint, and writes both.
-    Each write makes the asserted axioms of its (tag, ground) exactly its
-    items, so when all three already match, as after an earlier call,
-    the writes are skipped.  Reasons only when the writes (or earlier
-    edits) changed the world: on a world set up before, the closure
-    stands.
+    Three class descriptors write DOOR as the superclass of CLOSE and of
+    OPEN, and CLOSE as the disjoint of OPEN.  Each write makes the
+    asserted axioms of its (tag, ground) exactly its items, so when all
+    three already match, as after an earlier call, the writes are
+    skipped.  Reasons only when the writes (or earlier edits) changed
+    the world: on a world set up before, the closure stands.
     """
     door = onto.lookup(DOOR_CLASS)
     close = onto.declare(Kind.CLASS, CLOSE_CLASS)
     opened = onto.declare(Kind.CLASS, OPEN_CLASS)
 
     written = (
-        (AxiomTag.SUB_CLASS, close, sub_class(close, door)),
-        (AxiomTag.SUB_CLASS, opened, sub_class(opened, door)),
-        (AxiomTag.DISJOINT_CLASSES, opened, disjoint_classes(opened, close)),
+        (DescriptorTag.SUPER_CLASSES, close, door, sub_class(close, door)),
+        (DescriptorTag.SUPER_CLASSES, opened, door, sub_class(opened, door)),
+        (DescriptorTag.DISJOINT_CLASSES, opened, close, disjoint_classes(opened, close)),
     )
-    if any(onto.axioms_about(tag, ground) != {axiom} for tag, ground, axiom in written):
-        descriptor = full_class(onto, close)
-        descriptor.part(DescriptorTag.SUPER_CLASSES).add(Ref(door))
-        descriptor.part(DescriptorTag.SUPER_CLASSES).write()
-        descriptor.set_ground(opened)
-        descriptor.part(DescriptorTag.DISJOINT_CLASSES).add(Ref(close))
-        descriptor.part(DescriptorTag.SUPER_CLASSES).write()
-        descriptor.part(DescriptorTag.DISJOINT_CLASSES).write()
+    if any(onto.axioms_about(axiom.tag, ground) != {axiom} for _, ground, _, axiom in written):
+        for tag, ground, cls, _ in written:
+            DescriptorState(tag, ground, onto, [Ref(cls)]).write()
     _fresh_closure(onto)
 
 
@@ -316,7 +305,7 @@ def patrol(onto: Ontology, config: PatrolConfig = PatrolConfig()) -> list[Patrol
                 break
         for door, is_open in zip(doors, drawn):
             door.set_state(opened if is_open else close, (opened, close))
-            door.part(DescriptorTag.TYPES).write()
+            door.write()
 
         open_doors = [door for door, is_open in zip(doors, drawn) if is_open]
         crossed = open_doors[rng.below(len(open_doors))]

@@ -296,6 +296,29 @@ class TestClosureInterface:
         onto.assert_axiom(model.sub_class(onto.lookup("A"), onto.lookup("B")))
         closure.subsumed_by(onto.lookup("A"), onto.lookup("B"))
 
+    def test_the_schema_holds_only_what_its_axioms_name(self):
+        onto, closure = closure_of(
+            "ObjectProperty(p) ObjectProperty(q) ObjectProperty(r) SubPropertyOf(p q) "
+            "ReflexiveProperty(r) Individual(a) Individual(b) Individual(c) SameIndividual(a b)"
+        )
+        a, b, c, p, q, r = map(onto.lookup, "abcpqr")
+        schema = closure._schema
+        assert schema.rep.keys() == {a, b}
+        assert {x for group in schema.groups.values() for x in group} == {a, b}
+        assert schema.prop_reach == {p: {q}}
+        assert closure.same_individuals(c) == set() and closure.same_individuals(a) == {b}
+        assert closure.fillers(c, r) == {c}
+
+        # a declaration changes no schema map
+        d = onto.declare(Kind.INDIVIDUAL, "d")
+        onto.declare(Kind.OBJECT_PROPERTY, "s")
+        closure = reason(onto)
+        assert closure._schema is not schema
+        assert closure._schema.rep == schema.rep
+        assert closure._schema.groups == schema.groups
+        assert closure._schema.prop_reach == schema.prop_reach
+        assert closure.types_of(d) == {THING} and closure.fillers(d, r) == {d}
+
     def test_instances_and_links_listing(self, reasoned_seed):
         closure = reasoned_seed.current_closure()
         room = reasoned_seed.lookup("ROOM")

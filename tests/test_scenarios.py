@@ -181,16 +181,16 @@ class TestDoorSetup:
         door = make(onto.lookup("Door1"))
         door.read()
         door.set_state(opened, (opened, close))
-        door.part(DescriptorTag.TYPES).write()
+        door.write()
         reason(onto)
         door.read()
-        types = {r.entity.iri for r in door.part(DescriptorTag.TYPES).items}
+        types = {r.entity.iri for r in door.items}
         assert "OPEN" in types and "CLOSE" not in types
         door.set_state(close, (opened, close))
-        door.part(DescriptorTag.TYPES).write()
+        door.write()
         reason(onto)
         door.read()
-        types = {r.entity.iri for r in door.part(DescriptorTag.TYPES).items}
+        types = {r.entity.iri for r in door.items}
         assert "CLOSE" in types and "OPEN" not in types
 
 
