@@ -5,9 +5,10 @@ duplicate-free item list Y (a DEFINITION list spells one expression, so
 it keeps a repeated atom).  The tag fixes which axiom shape the items
 map to; the ground is the entity the axioms are about.  TAG_SPECS holds
 one TagSpec row per tag: the axiom tag, the argument that holds the
-ground, the item type, the partition and the legal ground kinds; the
-axiom tag's entry in model.AXIOM_FACTORIES builds the axioms.  Mapping
-is driven by that table alone, and is bidirectional and lossless:
+ground, the item type and the partition; the legal ground kinds are
+that argument's kinds in model.SHAPES, and the axiom tag's entry in
+model.AXIOM_FACTORIES builds the axioms.  Mapping is driven by that
+table alone, and is bidirectional and lossless:
 
 * to_axioms(tag, x, Y) renders the items as axioms,
 * from_axiom(tag, x, a) recovers the item encoded by one axiom,
@@ -50,7 +51,6 @@ from .model import (
     AxiomTag,
     ClassExpression,
     Entity,
-    Kind,
     Literal,
     Max,
     Min,
@@ -130,7 +130,9 @@ class Restriction:
     filler: Entity | None = None
 
     def __post_init__(self):
-        """Exactly the fields of the form's atom class are set."""
+        """The enums are members, and exactly the fields of the form's atom class are set."""
+        if not isinstance(self.connective, Connective) or not isinstance(self.form, Form):
+            raise MappingError(f"not a connective and form: {self.connective!r}, {self.form!r}")
         payload = _PAYLOADS[self.form]
         if any((getattr(self, name) is None) == (name in payload) for name in _SLOTS):
             raise MappingError(f"malformed restriction payload for form {self.form.value}")
@@ -227,15 +229,22 @@ class TagSpec:
     the Closure query named `derived` returns about the ground: entities
     for Ref items, (property, filler) pairs for Link items.  For
     `closure_only` tags that query alone is the answer.
+
+    `ground_kinds` are the kinds of the role at `ground_at` in the axiom
+    tag's model.SHAPES row.
     """
 
     partition: Partition
     axiom_tag: AxiomTag
-    ground_kinds: tuple
     item_type: type
     ground_at: int = 0
     derived: str | None = None
     closure_only: bool = False
+    ground_kinds: tuple = field(init=False)
+
+    def __post_init__(self):
+        kinds = model.SHAPES[self.axiom_tag].roles[self.ground_at].kinds
+        object.__setattr__(self, "ground_kinds", kinds)
 
     @property
     def buildable(self) -> bool:
@@ -243,40 +252,34 @@ class TagSpec:
         return self.item_type is not Void
 
 
-_PROP = (Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY)
-_OBJ = (Kind.OBJECT_PROPERTY,)
-_CLS = (Kind.CLASS,)
-_IND = (Kind.INDIVIDUAL,)
 _P, _C, _I = Partition.PROPERTY, Partition.CLASS, Partition.INDIVIDUAL
 
 # One row per tag, each partition's rows in compound part order.
 TAG_SPECS = {
-    DescriptorTag.SUPER_PROPERTIES: TagSpec(_P, AxiomTag.SUB_PROPERTY, _PROP, Ref, derived="super_properties"),
-    DescriptorTag.EQUIVALENT_PROPERTIES: TagSpec(_P, AxiomTag.EQUIVALENT_PROPERTIES, _PROP, Ref),
-    DescriptorTag.DISJOINT_PROPERTIES: TagSpec(_P, AxiomTag.DISJOINT_PROPERTIES, _PROP, Ref),
-    DescriptorTag.INVERSE_PROPERTIES: TagSpec(_P, AxiomTag.INVERSE_PROPERTIES, _OBJ, Ref),
-    DescriptorTag.DOMAIN: TagSpec(_P, AxiomTag.PROPERTY_DOMAIN, _PROP, Restriction),
-    DescriptorTag.RANGE: TagSpec(_P, AxiomTag.PROPERTY_RANGE, _PROP, Restriction),
-    DescriptorTag.FUNCTIONAL: TagSpec(_P, AxiomTag.FUNCTIONAL_PROPERTY, _PROP, Void),
-    DescriptorTag.REFLEXIVE: TagSpec(_P, AxiomTag.REFLEXIVE_PROPERTY, _OBJ, Void),
-    DescriptorTag.SYMMETRIC: TagSpec(_P, AxiomTag.SYMMETRIC_PROPERTY, _OBJ, Void),
-    DescriptorTag.TRANSITIVE: TagSpec(_P, AxiomTag.TRANSITIVE_PROPERTY, _OBJ, Void),
-    DescriptorTag.DEFINITION: TagSpec(_C, AxiomTag.CLASS_DEFINITION, _CLS, Restriction),
+    DescriptorTag.SUPER_PROPERTIES: TagSpec(_P, AxiomTag.SUB_PROPERTY, Ref, derived="super_properties"),
+    DescriptorTag.EQUIVALENT_PROPERTIES: TagSpec(_P, AxiomTag.EQUIVALENT_PROPERTIES, Ref),
+    DescriptorTag.DISJOINT_PROPERTIES: TagSpec(_P, AxiomTag.DISJOINT_PROPERTIES, Ref),
+    DescriptorTag.INVERSE_PROPERTIES: TagSpec(_P, AxiomTag.INVERSE_PROPERTIES, Ref),
+    DescriptorTag.DOMAIN: TagSpec(_P, AxiomTag.PROPERTY_DOMAIN, Restriction),
+    DescriptorTag.RANGE: TagSpec(_P, AxiomTag.PROPERTY_RANGE, Restriction),
+    DescriptorTag.FUNCTIONAL: TagSpec(_P, AxiomTag.FUNCTIONAL_PROPERTY, Void),
+    DescriptorTag.REFLEXIVE: TagSpec(_P, AxiomTag.REFLEXIVE_PROPERTY, Void),
+    DescriptorTag.SYMMETRIC: TagSpec(_P, AxiomTag.SYMMETRIC_PROPERTY, Void),
+    DescriptorTag.TRANSITIVE: TagSpec(_P, AxiomTag.TRANSITIVE_PROPERTY, Void),
+    DescriptorTag.DEFINITION: TagSpec(_C, AxiomTag.CLASS_DEFINITION, Restriction),
     DescriptorTag.SUB_CLASSES: TagSpec(
-        _C, AxiomTag.SUB_CLASS, _CLS, Ref, ground_at=1, derived="direct_subclasses", closure_only=True
+        _C, AxiomTag.SUB_CLASS, Ref, ground_at=1, derived="direct_subclasses", closure_only=True
     ),
     DescriptorTag.SUPER_CLASSES: TagSpec(
-        _C, AxiomTag.SUB_CLASS, _CLS, Ref, derived="direct_superclasses", closure_only=True
+        _C, AxiomTag.SUB_CLASS, Ref, derived="direct_superclasses", closure_only=True
     ),
-    DescriptorTag.EQUIVALENT_CLASSES: TagSpec(_C, AxiomTag.EQUIVALENT_CLASSES, _CLS, Ref),
-    DescriptorTag.DISJOINT_CLASSES: TagSpec(_C, AxiomTag.DISJOINT_CLASSES, _CLS, Ref),
-    DescriptorTag.INSTANCES: TagSpec(
-        _C, AxiomTag.CLASS_ASSERTION, _CLS, Ref, ground_at=1, derived="instances_of"
-    ),
-    DescriptorTag.TYPES: TagSpec(_I, AxiomTag.CLASS_ASSERTION, _IND, Ref, derived="types_of"),
-    DescriptorTag.LINKS: TagSpec(_I, AxiomTag.PROPERTY_ASSERTION, _IND, Link, derived="links_of"),
-    DescriptorTag.SAME_AS: TagSpec(_I, AxiomTag.SAME_INDIVIDUAL, _IND, Ref, derived="same_individuals"),
-    DescriptorTag.DIFFERENT_FROM: TagSpec(_I, AxiomTag.DIFFERENT_INDIVIDUALS, _IND, Ref),
+    DescriptorTag.EQUIVALENT_CLASSES: TagSpec(_C, AxiomTag.EQUIVALENT_CLASSES, Ref),
+    DescriptorTag.DISJOINT_CLASSES: TagSpec(_C, AxiomTag.DISJOINT_CLASSES, Ref),
+    DescriptorTag.INSTANCES: TagSpec(_C, AxiomTag.CLASS_ASSERTION, Ref, ground_at=1, derived="instances_of"),
+    DescriptorTag.TYPES: TagSpec(_I, AxiomTag.CLASS_ASSERTION, Ref, derived="types_of"),
+    DescriptorTag.LINKS: TagSpec(_I, AxiomTag.PROPERTY_ASSERTION, Link, derived="links_of"),
+    DescriptorTag.SAME_AS: TagSpec(_I, AxiomTag.SAME_INDIVIDUAL, Ref, derived="same_individuals"),
+    DescriptorTag.DIFFERENT_FROM: TagSpec(_I, AxiomTag.DIFFERENT_INDIVIDUALS, Ref),
 }
 
 # partition -> its tags, in compound part order

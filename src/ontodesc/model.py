@@ -1,11 +1,13 @@
 """Core ontology data model.
 
 Entities (classes, properties, individuals), typed literals, class
-expressions, axioms, and the in-memory axiom store.  The store keeps a
-vocabulary (IRI -> entity), an asserted axiom set partitioned into RBox,
-TBox and ABox, and the reasoner's last Closure, which holds the inferred
-partition.  Any mutation bumps a generation counter; entailed-view reads
-made against an outdated closure raise StaleClosure.
+expressions, axioms, and the in-memory axiom store.  SHAPES, one row per
+axiom tag, is the one statement of each tag's box, argument kinds and
+unordered pair; the axiom factories are built from it.  The store keeps
+a vocabulary (IRI -> entity), an asserted axiom set partitioned into
+RBox, TBox and ABox, and the reasoner's last Closure, which holds the
+inferred partition.  Any mutation bumps a generation counter;
+entailed-view reads made against an outdated closure raise StaleClosure.
 
 Entities are interned: one live object per (kind, IRI) in the process, so
 equality is identity and hashing is the C-level object hash.  The
@@ -20,7 +22,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -166,24 +168,51 @@ DATATYPES = frozenset({DT_STRING, DT_INTEGER, DT_BOOLEAN, DT_DOUBLE})
 BUILTINS = (THING, NOTHING, DT_STRING, DT_INTEGER, DT_BOOLEAN, DT_DOUBLE)
 
 
-def _require(entity, kind: Kind, role: str) -> None:
-    if not isinstance(entity, Entity) or entity.kind is not kind:
-        raise KindMismatch(f"{role} must be a {kind.value}, got {entity!r}")
+_OP, _DP = Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY
 
 
-def _require_class(entity, role: str) -> None:
-    # datatype builtins are range markers, not members of the class taxonomy
-    _require(entity, Kind.CLASS, role)
-    if entity in DATATYPES:
-        raise KindMismatch(f"{role} may not be a datatype: {entity.iri}")
+@dataclass(frozen=True, slots=True)
+class Role:
+    """What one argument of an axiom or class expression may be.
+
+    `kinds` are the kinds it may have; a datatype is a class-kind entity,
+    so they alone do not tell a class from a datatype.  `fits(arg, before)`
+    is the whole test; `before` is the argument ahead of this one, which
+    the roles that depend on an earlier argument read.
+    """
+
+    noun: str
+    kinds: tuple
+    fits: Callable  # (argument, argument before it) -> bool
+
+    def check(self, arg, before, label: str) -> None:
+        if not self.fits(arg, before):
+            raise KindMismatch(f"{label} must be {self.noun}, got {arg!r}")
 
 
-def _require_property(entity, role: str) -> None:
-    if not isinstance(entity, Entity) or entity.kind not in (
-        Kind.OBJECT_PROPERTY,
-        Kind.DATA_PROPERTY,
-    ):
-        raise KindMismatch(f"{role} must be a property, got {entity!r}")
+def _entity_role(noun: str, *kinds: Kind, also=None) -> Role:
+    if also is None:
+        return Role(noun, kinds, lambda a, _: isinstance(a, Entity) and a.kind in kinds)
+    return Role(noun, kinds, lambda a, b: isinstance(a, Entity) and a.kind in kinds and also(a, b))
+
+
+# datatype builtins are range markers, not members of the class taxonomy
+CLASS = _entity_role("a class, not a datatype", Kind.CLASS, also=lambda a, _: a not in DATATYPES)
+PROPERTY = _entity_role("a property", _OP, _DP)
+OBJECT_PROPERTY = _entity_role("an object property", _OP)
+INDIVIDUAL = _entity_role("an individual", Kind.INDIVIDUAL)
+# the three roles that read the argument before them, a checked property
+LIKE_PROPERTY = _entity_role("a property of the first one's kind", _OP, _DP, also=lambda a, b: a.kind is b.kind)
+RANGE = _entity_role(
+    "a datatype for a data property, a class for an object property",
+    Kind.CLASS,
+    also=lambda a, b: (a in DATATYPES) is (b.kind is _DP),
+)
+FILLER = Role(
+    "an individual for an object property, a literal for a data property",
+    (Kind.INDIVIDUAL, Kind.LITERAL),
+    lambda a, b: isinstance(a, Literal) if b.kind is _DP else isinstance(a, Entity) and a.kind is Kind.INDIVIDUAL,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +224,7 @@ class Named:
     cls: Entity
 
     def __post_init__(self):
-        _require_class(self.cls, "named expression")
+        CLASS.check(self.cls, None, "named expression")
 
 
 @dataclass(frozen=True)
@@ -256,21 +285,22 @@ class Max:
             raise OntologyError("Max cardinality must be an integer >= 0")
 
 
-ClassExpression = Union[Named, And, Or, Some, Only, Min, Max]
+EXPRESSION_CLASSES = (Named, And, Or, Some, Only, Min, Max)
+ClassExpression = Union[EXPRESSION_CLASSES]
+EXPRESSION = Role("a class expression", (), lambda a, _: isinstance(a, EXPRESSION_CLASSES))
 
 
 def _check_members(members, label: str) -> None:
     if not isinstance(members, tuple) or len(members) < 2:
         raise OntologyError(f"{label} needs a tuple of at least two members")
     for m in members:
-        if not isinstance(m, (Named, And, Or, Some, Only, Min, Max)):
+        if not isinstance(m, EXPRESSION_CLASSES):
             raise KindMismatch(f"{label} member is not a class expression: {m!r}")
 
 
 def _check_quantifier(prop, filler) -> None:
-    # quantified restrictions range over object properties and named fillers
-    _require(prop, Kind.OBJECT_PROPERTY, "restriction property")
-    _require_class(filler, "restriction filler")
+    OBJECT_PROPERTY.check(prop, None, "restriction property")
+    CLASS.check(filler, None, "restriction filler")
 
 
 def expression_entities(expr: ClassExpression) -> Iterator[Entity]:
@@ -321,51 +351,44 @@ class AxiomTag(Enum):
 
     @property
     def box(self) -> Box:
-        return _BOX_OF[self]
+        return SHAPES[self].box
 
 
-_RBOX_TAGS = {
-    AxiomTag.SUB_PROPERTY,
-    AxiomTag.EQUIVALENT_PROPERTIES,
-    AxiomTag.DISJOINT_PROPERTIES,
-    AxiomTag.INVERSE_PROPERTIES,
-    AxiomTag.PROPERTY_DOMAIN,
-    AxiomTag.PROPERTY_RANGE,
-    AxiomTag.FUNCTIONAL_PROPERTY,
-    AxiomTag.REFLEXIVE_PROPERTY,
-    AxiomTag.SYMMETRIC_PROPERTY,
-    AxiomTag.TRANSITIVE_PROPERTY,
-    AxiomTag.IRREFLEXIVE_PROPERTY,
-    AxiomTag.PROPERTY_CHAIN,
+class Shape(NamedTuple):
+    box: Box
+    roles: tuple  # the Role of each argument, in order
+    # the two arguments form an unordered pair: the axiom with swapped
+    # arguments is the same axiom, canonicalised at construction time
+    pair: bool = False
+
+
+# The one statement of each tag's box, argument kinds and pair: the
+# factories check against it, and AxiomTag.box, ORDERLESS_TAGS, the
+# parser's arities and the descriptors' ground kinds are read from it.
+SHAPES = {
+    AxiomTag.SUB_PROPERTY: Shape(Box.RBOX, (PROPERTY, LIKE_PROPERTY)),
+    AxiomTag.EQUIVALENT_PROPERTIES: Shape(Box.RBOX, (PROPERTY, LIKE_PROPERTY), pair=True),
+    AxiomTag.DISJOINT_PROPERTIES: Shape(Box.RBOX, (PROPERTY, LIKE_PROPERTY), pair=True),
+    AxiomTag.INVERSE_PROPERTIES: Shape(Box.RBOX, (OBJECT_PROPERTY, OBJECT_PROPERTY), pair=True),
+    AxiomTag.PROPERTY_DOMAIN: Shape(Box.RBOX, (PROPERTY, CLASS)),
+    AxiomTag.PROPERTY_RANGE: Shape(Box.RBOX, (PROPERTY, RANGE)),
+    AxiomTag.FUNCTIONAL_PROPERTY: Shape(Box.RBOX, (PROPERTY,)),
+    AxiomTag.REFLEXIVE_PROPERTY: Shape(Box.RBOX, (OBJECT_PROPERTY,)),
+    AxiomTag.SYMMETRIC_PROPERTY: Shape(Box.RBOX, (OBJECT_PROPERTY,)),
+    AxiomTag.TRANSITIVE_PROPERTY: Shape(Box.RBOX, (OBJECT_PROPERTY,)),
+    AxiomTag.IRREFLEXIVE_PROPERTY: Shape(Box.RBOX, (OBJECT_PROPERTY,)),
+    AxiomTag.PROPERTY_CHAIN: Shape(Box.RBOX, (OBJECT_PROPERTY, OBJECT_PROPERTY, OBJECT_PROPERTY)),
+    AxiomTag.SUB_CLASS: Shape(Box.TBOX, (CLASS, CLASS)),
+    AxiomTag.EQUIVALENT_CLASSES: Shape(Box.TBOX, (CLASS, CLASS), pair=True),
+    AxiomTag.DISJOINT_CLASSES: Shape(Box.TBOX, (CLASS, CLASS), pair=True),
+    AxiomTag.CLASS_DEFINITION: Shape(Box.TBOX, (CLASS, EXPRESSION)),
+    AxiomTag.CLASS_ASSERTION: Shape(Box.ABOX, (INDIVIDUAL, CLASS)),
+    AxiomTag.PROPERTY_ASSERTION: Shape(Box.ABOX, (INDIVIDUAL, PROPERTY, FILLER)),
+    AxiomTag.SAME_INDIVIDUAL: Shape(Box.ABOX, (INDIVIDUAL, INDIVIDUAL), pair=True),
+    AxiomTag.DIFFERENT_INDIVIDUALS: Shape(Box.ABOX, (INDIVIDUAL, INDIVIDUAL), pair=True),
 }
-_TBOX_TAGS = {
-    AxiomTag.SUB_CLASS,
-    AxiomTag.EQUIVALENT_CLASSES,
-    AxiomTag.DISJOINT_CLASSES,
-    AxiomTag.CLASS_DEFINITION,
-}
-_BOX_OF = {}
-for _tag in AxiomTag:
-    if _tag in _RBOX_TAGS:
-        _BOX_OF[_tag] = Box.RBOX
-    elif _tag in _TBOX_TAGS:
-        _BOX_OF[_tag] = Box.TBOX
-    else:
-        _BOX_OF[_tag] = Box.ABOX
 
-# Tags whose two arguments form an unordered pair: the axiom with swapped
-# arguments is the same axiom.  Canonicalised at construction time.
-ORDERLESS_TAGS = frozenset(
-    {
-        AxiomTag.EQUIVALENT_PROPERTIES,
-        AxiomTag.DISJOINT_PROPERTIES,
-        AxiomTag.INVERSE_PROPERTIES,
-        AxiomTag.EQUIVALENT_CLASSES,
-        AxiomTag.DISJOINT_CLASSES,
-        AxiomTag.SAME_INDIVIDUAL,
-        AxiomTag.DIFFERENT_INDIVIDUALS,
-    }
-)
+ORDERLESS_TAGS = frozenset(tag for tag, shape in SHAPES.items() if shape.pair)
 
 
 @dataclass(frozen=True, slots=True)
@@ -378,165 +401,50 @@ class Axiom:
         return f"{self.tag.value}({inner})"
 
 
-def _pair(tag: AxiomTag, a: Entity, b: Entity) -> Axiom:
-    return canonical(Axiom(tag, (a, b)))
+def _factory(tag: AxiomTag):
+    """The constructor of `tag` axioms: checks each argument's role."""
+    _, roles, pair = SHAPES[tag]
+    label = f"{tag.value} argument"
 
+    def build(*args) -> Axiom:
+        if len(args) != len(roles):
+            raise TypeError(f"{tag.value} takes {len(roles)} arguments, got {len(args)}")
+        before = None
+        for role, arg in zip(roles, args):
+            if not role.fits(arg, before):  # a call saved on every legal argument
+                role.check(arg, before, label)
+            before = arg
+        axiom = Axiom(tag, args)
+        return canonical(axiom) if pair else axiom
 
-def _same_property_kind(a: Entity, b: Entity, label: str) -> None:
-    _require_property(a, label)
-    _require_property(b, label)
-    if a.kind is not b.kind:
-        raise KindMismatch(f"{label} may not mix object and data properties")
-
-
-def sub_property(sub: Entity, sup: Entity) -> Axiom:
-    _same_property_kind(sub, sup, "SubPropertyOf")
-    return Axiom(AxiomTag.SUB_PROPERTY, (sub, sup))
-
-
-def equivalent_properties(a: Entity, b: Entity) -> Axiom:
-    _same_property_kind(a, b, "EquivalentProperties")
-    return _pair(AxiomTag.EQUIVALENT_PROPERTIES, a, b)
-
-
-def disjoint_properties(a: Entity, b: Entity) -> Axiom:
-    _same_property_kind(a, b, "DisjointProperties")
-    return _pair(AxiomTag.DISJOINT_PROPERTIES, a, b)
-
-
-def inverse_properties(a: Entity, b: Entity) -> Axiom:
-    _require(a, Kind.OBJECT_PROPERTY, "InverseProperties argument")
-    _require(b, Kind.OBJECT_PROPERTY, "InverseProperties argument")
-    return _pair(AxiomTag.INVERSE_PROPERTIES, a, b)
-
-
-def property_domain(prop: Entity, cls: Entity) -> Axiom:
-    _require_property(prop, "PropertyDomain property")
-    _require_class(cls, "PropertyDomain class")
-    return Axiom(AxiomTag.PROPERTY_DOMAIN, (prop, cls))
-
-
-def property_range(prop: Entity, cls: Entity) -> Axiom:
-    _require_property(prop, "PropertyRange property")
-    _require(cls, Kind.CLASS, "PropertyRange class")
-    if prop.kind is Kind.DATA_PROPERTY and cls not in DATATYPES:
-        raise KindMismatch("the range of a data property must be a datatype")
-    if prop.kind is Kind.OBJECT_PROPERTY and cls in DATATYPES:
-        raise KindMismatch("the range of an object property must be a class")
-    return Axiom(AxiomTag.PROPERTY_RANGE, (prop, cls))
-
-
-def functional(prop: Entity) -> Axiom:
-    _require_property(prop, "FunctionalProperty argument")
-    return Axiom(AxiomTag.FUNCTIONAL_PROPERTY, (prop,))
-
-
-def _object_unary(tag: AxiomTag, prop: Entity) -> Axiom:
-    _require(prop, Kind.OBJECT_PROPERTY, f"{tag.value} argument")
-    return Axiom(tag, (prop,))
-
-
-def reflexive(prop: Entity) -> Axiom:
-    return _object_unary(AxiomTag.REFLEXIVE_PROPERTY, prop)
-
-
-def symmetric(prop: Entity) -> Axiom:
-    return _object_unary(AxiomTag.SYMMETRIC_PROPERTY, prop)
-
-
-def transitive(prop: Entity) -> Axiom:
-    return _object_unary(AxiomTag.TRANSITIVE_PROPERTY, prop)
-
-
-def irreflexive(prop: Entity) -> Axiom:
-    return _object_unary(AxiomTag.IRREFLEXIVE_PROPERTY, prop)
-
-
-def property_chain(sup: Entity, first: Entity, second: Entity) -> Axiom:
-    for e in (sup, first, second):
-        _require(e, Kind.OBJECT_PROPERTY, "SubPropertyChain argument")
-    return Axiom(AxiomTag.PROPERTY_CHAIN, (sup, first, second))
-
-
-def sub_class(sub: Entity, sup: Entity) -> Axiom:
-    _require_class(sub, "SubClassOf argument")
-    _require_class(sup, "SubClassOf argument")
-    return Axiom(AxiomTag.SUB_CLASS, (sub, sup))
-
-
-def equivalent_classes(a: Entity, b: Entity) -> Axiom:
-    _require_class(a, "EquivalentClasses argument")
-    _require_class(b, "EquivalentClasses argument")
-    return _pair(AxiomTag.EQUIVALENT_CLASSES, a, b)
-
-
-def disjoint_classes(a: Entity, b: Entity) -> Axiom:
-    _require_class(a, "DisjointClasses argument")
-    _require_class(b, "DisjointClasses argument")
-    return _pair(AxiomTag.DISJOINT_CLASSES, a, b)
-
-
-def class_definition(cls: Entity, expr: ClassExpression) -> Axiom:
-    _require_class(cls, "DefineClass subject")
-    if not isinstance(expr, (Named, And, Or, Some, Only, Min, Max)):
-        raise KindMismatch(f"DefineClass body is not a class expression: {expr!r}")
-    return Axiom(AxiomTag.CLASS_DEFINITION, (cls, expr))
-
-
-def class_assertion(individual: Entity, cls: Entity) -> Axiom:
-    _require(individual, Kind.INDIVIDUAL, "ClassAssertion individual")
-    _require_class(cls, "ClassAssertion class")
-    return Axiom(AxiomTag.CLASS_ASSERTION, (individual, cls))
-
-
-def property_assertion(subject: Entity, prop: Entity, filler: Term) -> Axiom:
-    _require(subject, Kind.INDIVIDUAL, "PropertyAssertion subject")
-    _require_property(prop, "PropertyAssertion property")
-    if prop.kind is Kind.OBJECT_PROPERTY:
-        _require(filler, Kind.INDIVIDUAL, "object property filler")
-    elif not isinstance(filler, Literal):
-        raise KindMismatch(f"data property filler must be a literal, got {filler!r}")
-    return Axiom(AxiomTag.PROPERTY_ASSERTION, (subject, prop, filler))
-
-
-def same_individual(a: Entity, b: Entity) -> Axiom:
-    _require(a, Kind.INDIVIDUAL, "SameIndividual argument")
-    _require(b, Kind.INDIVIDUAL, "SameIndividual argument")
-    return _pair(AxiomTag.SAME_INDIVIDUAL, a, b)
-
-
-def different_individuals(a: Entity, b: Entity) -> Axiom:
-    _require(a, Kind.INDIVIDUAL, "DifferentIndividuals argument")
-    _require(b, Kind.INDIVIDUAL, "DifferentIndividuals argument")
-    return _pair(AxiomTag.DIFFERENT_INDIVIDUALS, a, b)
+    return build
 
 
 # The one constructor per tag.  They are the only kind checks on axiom
 # arguments; the parser and the descriptor mapping both build through them.
 # The reasoner builds its derived axioms as plain Axiom(tag, args) from the
 # arguments of checked asserted axioms, so they pass these checks too.
-AXIOM_FACTORIES = {
-    AxiomTag.SUB_PROPERTY: sub_property,
-    AxiomTag.EQUIVALENT_PROPERTIES: equivalent_properties,
-    AxiomTag.DISJOINT_PROPERTIES: disjoint_properties,
-    AxiomTag.INVERSE_PROPERTIES: inverse_properties,
-    AxiomTag.PROPERTY_DOMAIN: property_domain,
-    AxiomTag.PROPERTY_RANGE: property_range,
-    AxiomTag.FUNCTIONAL_PROPERTY: functional,
-    AxiomTag.REFLEXIVE_PROPERTY: reflexive,
-    AxiomTag.SYMMETRIC_PROPERTY: symmetric,
-    AxiomTag.TRANSITIVE_PROPERTY: transitive,
-    AxiomTag.IRREFLEXIVE_PROPERTY: irreflexive,
-    AxiomTag.PROPERTY_CHAIN: property_chain,
-    AxiomTag.SUB_CLASS: sub_class,
-    AxiomTag.EQUIVALENT_CLASSES: equivalent_classes,
-    AxiomTag.DISJOINT_CLASSES: disjoint_classes,
-    AxiomTag.CLASS_DEFINITION: class_definition,
-    AxiomTag.CLASS_ASSERTION: class_assertion,
-    AxiomTag.PROPERTY_ASSERTION: property_assertion,
-    AxiomTag.SAME_INDIVIDUAL: same_individual,
-    AxiomTag.DIFFERENT_INDIVIDUALS: different_individuals,
-}
+AXIOM_FACTORIES = {tag: _factory(tag) for tag in AxiomTag}
+sub_property = AXIOM_FACTORIES[AxiomTag.SUB_PROPERTY]
+equivalent_properties = AXIOM_FACTORIES[AxiomTag.EQUIVALENT_PROPERTIES]
+disjoint_properties = AXIOM_FACTORIES[AxiomTag.DISJOINT_PROPERTIES]
+inverse_properties = AXIOM_FACTORIES[AxiomTag.INVERSE_PROPERTIES]
+property_domain = AXIOM_FACTORIES[AxiomTag.PROPERTY_DOMAIN]
+property_range = AXIOM_FACTORIES[AxiomTag.PROPERTY_RANGE]
+functional = AXIOM_FACTORIES[AxiomTag.FUNCTIONAL_PROPERTY]
+reflexive = AXIOM_FACTORIES[AxiomTag.REFLEXIVE_PROPERTY]
+symmetric = AXIOM_FACTORIES[AxiomTag.SYMMETRIC_PROPERTY]
+transitive = AXIOM_FACTORIES[AxiomTag.TRANSITIVE_PROPERTY]
+irreflexive = AXIOM_FACTORIES[AxiomTag.IRREFLEXIVE_PROPERTY]
+property_chain = AXIOM_FACTORIES[AxiomTag.PROPERTY_CHAIN]
+sub_class = AXIOM_FACTORIES[AxiomTag.SUB_CLASS]
+equivalent_classes = AXIOM_FACTORIES[AxiomTag.EQUIVALENT_CLASSES]
+disjoint_classes = AXIOM_FACTORIES[AxiomTag.DISJOINT_CLASSES]
+class_definition = AXIOM_FACTORIES[AxiomTag.CLASS_DEFINITION]
+class_assertion = AXIOM_FACTORIES[AxiomTag.CLASS_ASSERTION]
+property_assertion = AXIOM_FACTORIES[AxiomTag.PROPERTY_ASSERTION]
+same_individual = AXIOM_FACTORIES[AxiomTag.SAME_INDIVIDUAL]
+different_individuals = AXIOM_FACTORIES[AxiomTag.DIFFERENT_INDIVIDUALS]
 
 
 def axiom_entities(axiom: Axiom) -> Iterator[Entity]:
@@ -544,7 +452,7 @@ def axiom_entities(axiom: Axiom) -> Iterator[Entity]:
     for arg in axiom.args:
         if isinstance(arg, Entity):
             yield arg
-        elif isinstance(arg, (Named, And, Or, Some, Only, Min, Max)):
+        elif isinstance(arg, EXPRESSION_CLASSES):
             yield from expression_entities(arg)
 
 

@@ -55,7 +55,6 @@ and one term per last argument completes a line.
 
 from __future__ import annotations
 
-import inspect
 import math
 import re
 from dataclasses import dataclass, fields
@@ -199,9 +198,9 @@ _TEXT_ORDER = {
 _FROM_TEXT = {tag: tuple(map(order.index, range(len(order)))) for tag, order in _TEXT_ORDER.items()}
 # statement > Or > And > quantifier: no valid document nests deeper
 _MAX_DEPTH = 3
-_ARITY = {
-    factory: len(inspect.signature(factory).parameters)
-    for factory in (*model.AXIOM_FACTORIES.values(), Some, Only, Min, Max)
+# arguments per axiom tag and per quantifier class
+_ARITY = {tag: len(shape.roles) for tag, shape in model.SHAPES.items()} | {
+    cls: len(fields(cls)) for cls in (Some, Only, Min, Max)
 }
 # a flat statement: its arguments are split on \s by str.split()
 _FLAT = re.compile(r'\s*([^\s()"#]+)\s*\(([^()"#]*)\)')
@@ -346,13 +345,12 @@ class _Builder:
                 tag = AxiomTag.CLASS_DEFINITION
             if tag is AxiomTag.CLASS_DEFINITION and len(args) == 2 and isinstance(args[1], Entity):
                 args[1] = Named(args[1])
-            factory = model.AXIOM_FACTORIES[tag]
-            if len(args) != _ARITY[factory]:
-                raise _error(self.text, st.at, f"{st.head} takes {_ARITY[factory]} arguments")
+            if len(args) != _ARITY[tag]:
+                raise _error(self.text, st.at, f"{st.head} takes {_ARITY[tag]} arguments")
             order = _FROM_TEXT.get(tag)
             if order:
                 args = [args[j] for j in order]
-            return factory(*args)
+            return model.AXIOM_FACTORIES[tag](*args)
         except (ParseError, model.UnknownEntity):
             raise
         except model.OntologyError as e:
@@ -417,7 +415,7 @@ def render_axiom(axiom: Axiom) -> str:
     return f"{axiom.tag.value}({text})"
 
 
-_BOX_ORDER = {Box.RBOX: 0, Box.TBOX: 1, Box.ABOX: 2}
+_BOX_ORDER = {box: i for i, box in enumerate(Box)}
 
 
 def _inferred_template(tag: AxiomTag) -> tuple[str, str, int]:
@@ -427,7 +425,7 @@ def _inferred_template(tag: AxiomTag) -> tuple[str, str, int]:
     Placeholder i stands for the rendered head argument i; the rendered
     names are substituted, never parsed as a template.
     """
-    arity = _ARITY[model.AXIOM_FACTORIES[tag]]
+    arity = _ARITY[tag]
     order = tuple(_TEXT_ORDER.get(tag, range(arity)))
     at = order.index(arity - 1)
     before = "".join(f"{{{i}}} " for i in order[:at])

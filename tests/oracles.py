@@ -630,8 +630,9 @@ class _Parser:
                 args.append(tok)
 
 
-def _check_arity(head: Token, factory, args: list) -> None:
-    arity = _ARITY[factory]
+def _check_arity(head: Token, key, args: list) -> None:
+    """`key` is an axiom tag or a quantifier class."""
+    arity = _ARITY[key]
     if len(args) != arity:
         raise ParseError(head.line, head.col, f"{head.text} takes {arity} arguments")
 
@@ -709,12 +710,11 @@ class _Builder:
                 tag = AxiomTag.CLASS_DEFINITION
             if tag is AxiomTag.CLASS_DEFINITION and len(args) == 2 and isinstance(args[1], Entity):
                 args[1] = Named(args[1])
-            factory = model.AXIOM_FACTORIES[tag]
-            _check_arity(head, factory, args)
+            _check_arity(head, tag, args)
             order = _TEXT_ORDER.get(tag)
             if order:
                 args = [arg for _, arg in sorted(zip(order, args))]
-            return factory(*args)
+            return model.AXIOM_FACTORIES[tag](*args)
         except (ParseError, model.UnknownEntity):
             raise
         except model.OntologyError as e:

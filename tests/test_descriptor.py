@@ -20,6 +20,7 @@ from ontodesc.descriptor import (
     Partition,
     Ref,
     Restriction,
+    TAG_SPECS,
     TagMismatch,
     UndefinedBuild,
     UnsupportedRestriction,
@@ -248,6 +249,14 @@ class TestDefinitionMapping:
             Restriction(Connective.END, Form.NAMED)
         with pytest.raises(MappingError):
             Restriction(Connective.END, Form.SOME, cls=onto.lookup("A"))
+
+    def test_restriction_enums_checked(self):
+        onto = small_world()
+        a, p = onto.lookup("A"), onto.lookup("p")
+        with pytest.raises(MappingError):
+            Restriction(Connective.END, "some", prop=p, filler=a)
+        with pytest.raises(MappingError):
+            Restriction("end", Form.NAMED, cls=a)
 
     def test_single_atom_definition(self):
         onto = small_world()
@@ -493,6 +502,35 @@ class TestReadWrite:
             DescriptorState(DescriptorTag.TYPES, onto.lookup("A"), onto)
         with pytest.raises(model.KindMismatch):
             DescriptorState(DescriptorTag.INVERSE_PROPERTIES, onto.lookup("d"), onto)
+
+    def test_ground_kinds_per_tag(self):
+        props = (Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY)
+        objects, classes, individuals = (Kind.OBJECT_PROPERTY,), (Kind.CLASS,), (Kind.INDIVIDUAL,)
+        expected = {
+            DescriptorTag.SUPER_PROPERTIES: props,
+            DescriptorTag.EQUIVALENT_PROPERTIES: props,
+            DescriptorTag.DISJOINT_PROPERTIES: props,
+            DescriptorTag.INVERSE_PROPERTIES: objects,
+            DescriptorTag.DOMAIN: props,
+            DescriptorTag.RANGE: props,
+            DescriptorTag.FUNCTIONAL: props,
+            DescriptorTag.REFLEXIVE: objects,
+            DescriptorTag.SYMMETRIC: objects,
+            DescriptorTag.TRANSITIVE: objects,
+            DescriptorTag.DEFINITION: classes,
+            DescriptorTag.SUB_CLASSES: classes,
+            DescriptorTag.SUPER_CLASSES: classes,
+            DescriptorTag.EQUIVALENT_CLASSES: classes,
+            DescriptorTag.DISJOINT_CLASSES: classes,
+            DescriptorTag.INSTANCES: classes,
+            DescriptorTag.TYPES: individuals,
+            DescriptorTag.LINKS: individuals,
+            DescriptorTag.SAME_AS: individuals,
+            DescriptorTag.DIFFERENT_FROM: individuals,
+        }
+        assert {tag: spec.ground_kinds for tag, spec in TAG_SPECS.items()} == expected
+        # a kind check only: a datatype is a class-kind ground
+        DescriptorState(DescriptorTag.SUB_CLASSES, model.DT_STRING, small_world())
 
     def test_items_deduplicate_preserving_order(self):
         onto = small_world()

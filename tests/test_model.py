@@ -1,9 +1,12 @@
 import copy
 import gc
+import itertools
 import math
 import pickle
 import sys
 import weakref
+from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +48,35 @@ def make_vocab():
     x = onto.declare(Kind.INDIVIDUAL, "x")
     y = onto.declare(Kind.INDIVIDUAL, "y")
     return onto, a, b, p, d, x, y
+
+
+# one term of each kind an axiom argument may be offered, by name
+GRID_POOL = {
+    "A": Entity(Kind.CLASS, "A"),
+    "B": Entity(Kind.CLASS, "B"),
+    "THING": THING,
+    "NOTHING": NOTHING,
+    "integer": DT_INTEGER,
+    "p": Entity(Kind.OBJECT_PROPERTY, "p"),
+    "q": Entity(Kind.OBJECT_PROPERTY, "q"),
+    "d": Entity(Kind.DATA_PROPERTY, "d"),
+    "x": Entity(Kind.INDIVIDUAL, "x"),
+    "y": Entity(Kind.INDIVIDUAL, "y"),
+    "1": Literal(1),
+    "Named(A)": Named(Entity(Kind.CLASS, "A")),
+    "Some(p,A)": Some(Entity(Kind.OBJECT_PROPERTY, "p"), Entity(Kind.CLASS, "A")),
+    "'A'": "A",
+    "None": None,
+}
+GRID_MAKERS = {
+    **{tag.value: factory for tag, factory in model.AXIOM_FACTORIES.items()},
+    "Named": Named,
+    "Some": Some,
+    "Only": Only,
+    "Min": partial(Min, 1),
+    "Max": partial(Max, 0),
+}
+GRID_FILE = Path(__file__).with_name("factory_grid.txt")
 
 
 class TestEntity:
@@ -229,6 +261,47 @@ class TestAxiomFactories:
         assert model.sub_class(a, b).tag.box is Box.TBOX
         assert model.sub_property(p, p).tag.box is Box.RBOX
         assert model.class_assertion(x, a).tag.box is Box.ABOX
+        tbox = {
+            AxiomTag.SUB_CLASS,
+            AxiomTag.EQUIVALENT_CLASSES,
+            AxiomTag.DISJOINT_CLASSES,
+            AxiomTag.CLASS_DEFINITION,
+        }
+        abox = {
+            AxiomTag.CLASS_ASSERTION,
+            AxiomTag.PROPERTY_ASSERTION,
+            AxiomTag.SAME_INDIVIDUAL,
+            AxiomTag.DIFFERENT_INDIVIDUALS,
+        }
+        for tag in AxiomTag:
+            assert tag.box is (Box.TBOX if tag in tbox else Box.ABOX if tag in abox else Box.RBOX), tag
+        assert [sum(tag.box is box for tag in AxiomTag) for box in Box] == [12, 4, 4]
+
+    def test_factory_grid(self):
+        """Every factory and checked expression class against every argument
+        tuple of one to three pool terms: factory_grid.txt lists each tuple
+        accepted and what it builds; any other tuple of that arity raises
+        KindMismatch, and a tuple of another length TypeError."""
+        built = {}
+        for line in GRID_FILE.read_text().splitlines():
+            if line and not line.startswith("#"):
+                call, text = line.split(" = ")
+                head, *names = call.split()
+                built[head, tuple(names)] = text
+        arity = {head: len(names) for head, names in built}
+        assert arity.keys() == GRID_MAKERS.keys()
+        wrong = []
+        for head, maker in GRID_MAKERS.items():
+            for n in (1, 2, 3):
+                for names in itertools.product(GRID_POOL, repeat=n):
+                    try:
+                        got = repr(maker(*(GRID_POOL[k] for k in names)))
+                    except (KindMismatch, TypeError) as e:
+                        got = type(e).__name__
+                    failure = "KindMismatch" if n == arity[head] else "TypeError"
+                    if got != built.get((head, names), failure):
+                        wrong.append((head, names, got))
+        assert wrong == []
 
 
 class TestExpressions:

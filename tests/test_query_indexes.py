@@ -8,7 +8,6 @@ Closure, so both the read that fills the memo and the one it answers
 are held to that round trip.
 """
 
-import inspect
 import random
 
 import pytest
@@ -33,10 +32,19 @@ from ontodesc.model import AxiomTag, Kind, Ontology, OntologyError, StaleClosure
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import PatrolConfig, load_seed
 
-ARITY = {
-    tag: len(inspect.signature(factory).parameters)
-    for tag, factory in model.AXIOM_FACTORIES.items()
-}
+ARITY = {tag: len(shape.roles) for tag, shape in model.SHAPES.items()}
+
+
+def test_arity_covers_every_argument_position():
+    unary = {
+        AxiomTag.FUNCTIONAL_PROPERTY,
+        AxiomTag.REFLEXIVE_PROPERTY,
+        AxiomTag.SYMMETRIC_PROPERTY,
+        AxiomTag.TRANSITIVE_PROPERTY,
+        AxiomTag.IRREFLEXIVE_PROPERTY,
+    }
+    ternary = {AxiomTag.PROPERTY_CHAIN, AxiomTag.PROPERTY_ASSERTION}
+    assert ARITY == {tag: 1 if tag in unary else 3 if tag in ternary else 2 for tag in AxiomTag}
 
 
 def _check_axioms_about(onto: Ontology) -> None:
