@@ -494,15 +494,21 @@ def tautological(axiom: Axiom) -> bool:
     return False
 
 
-def mentions_at_ground(axiom: Axiom, ground: Entity, at: int = 0) -> bool:
-    """True when `ground` sits in the axiom's ground position.
+def _ground_position(tag: AxiomTag, at: int) -> int | None:
+    """The pair rule: the ground of an unordered pair tag is either
+    argument (None); that of any other tag is argument `at`."""
+    return None if tag in ORDERLESS_TAGS else at
 
-    The ground position is argument `at`; for unordered pair tags either
-    argument counts.
-    """
-    if axiom.tag in ORDERLESS_TAGS:
-        return ground in axiom.args[:2]
-    return axiom.args[at] == ground
+
+def _grounds(axiom: Axiom, position: int | None) -> tuple:
+    """The arguments in a _ground_position."""
+    return axiom.args if position is None else (axiom.args[position],)
+
+
+def mentions_at_ground(axiom: Axiom, ground: Entity, at: int = 0) -> bool:
+    """True when `ground` sits in the axiom's ground position: argument
+    `at`, or either argument of an unordered pair tag."""
+    return ground in _grounds(axiom, _ground_position(axiom.tag, at))
 
 
 # the tags whose edits the journal carries; any other edit drops it
@@ -522,19 +528,14 @@ class _GroundIndex:
         self._axioms = axioms
         self._slots: dict[AxiomTag, dict] = {}  # tag -> position -> entity -> axioms
 
-    @staticmethod
-    def _grounds(axiom: Axiom, at):
-        return axiom.args if at is None else (axiom.args[at],)
-
     def lookup(self, tag: AxiomTag, ground, at: int):
-        if tag in ORDERLESS_TAGS:
-            at = None
+        at = _ground_position(tag, at)
         slot = self._slots.get(tag, {}).get(at)
         if slot is None:
             slot = {}
             for axiom in self._axioms:
                 if axiom.tag is tag:
-                    for g in self._grounds(axiom, at):
+                    for g in _grounds(axiom, at):
                         slot.setdefault(g, set()).add(axiom)
             self._slots.setdefault(tag, {})[at] = slot
         return slot.get(ground, ())
@@ -545,12 +546,12 @@ class _GroundIndex:
 
     def add(self, axiom: Axiom) -> None:
         for at, slot in self._built_slots(axiom):
-            for g in self._grounds(axiom, at):
+            for g in _grounds(axiom, at):
                 slot.setdefault(g, set()).add(axiom)
 
     def remove(self, axiom: Axiom) -> None:
         for at, slot in self._built_slots(axiom):
-            for g in self._grounds(axiom, at):
+            for g in _grounds(axiom, at):
                 bucket = slot.get(g)  # a pair of equal arguments empties it once
                 if bucket is not None:
                     bucket.discard(axiom)

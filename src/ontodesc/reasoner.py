@@ -21,6 +21,10 @@ Schema rules (phase one):
   EquivalentProperties; there is no builtin top property.
 * SameIndividual is closed as an equivalence relation.
 
+The three closures share one depth-first walk, `_reach`: the two reaches
+run it from every class or property, and identity from one member of
+each group, over its pairs taken both ways round.
+
 The schema holds what the TBox, RBox and identity axioms name, plus each
 declared class's THING and NOTHING bounds; a missing identity group or
 property reach reads as empty, so no other declaration changes it.
@@ -129,6 +133,7 @@ from itertools import combinations
 from .model import (
     DATATYPES,
     NOTHING,
+    SHAPES,
     THING,
     And,
     Axiom,
@@ -203,7 +208,7 @@ class Closure:
     `fillers` and `links_of` read the subject -> property -> fillers map,
     `subjects` its mirror, `types_of` the membership map,
     `super_properties` the property reach and `same_individuals` the
-    identity groups.  `instances_of` and the two `direct_*` taxonomy
+    identity map.  `instances_of` and the two `direct_*` taxonomy
     queries read indexes derived from those maps: the class -> instances
     inversion and the transitive reduction of the subsumption reach.
     Descriptor reads are answered by these queries, and `_reads` keeps
@@ -298,7 +303,7 @@ class Closure:
         """
         self._check_fresh()
         schema = self._schema
-        identity = [sorted(g, key=lambda e: e.iri) for g in schema.groups.values()]
+        identity = [sorted(g, key=lambda e: e.iri) for g in set(schema.same.values())]
         shapes = (
             (AxiomTag.SUB_CLASS, (((c,), sups) for c, sups in schema.class_reach.items())),
             (AxiomTag.SUB_PROPERTY, (((p,), sups) for p, sups in schema.prop_reach.items())),
@@ -376,15 +381,11 @@ class Closure:
         strictly_above = {
             lo: {hi for hi in his if lo not in reach[hi]} for lo, his in reach.items()
         }
-        above = {}
-        below = {}
-        for lo, his in strictly_above.items():
-            between = set().union(*(strictly_above[m] for m in his))
-            direct = his - between
-            above[lo] = direct
-            for hi in direct:
-                below.setdefault(hi, set()).add(lo)
-        return above, below
+        above = {
+            lo: his - set().union(*(strictly_above[m] for m in his))
+            for lo, his in strictly_above.items()
+        }
+        return above, _multimap((hi, lo) for lo, his in above.items() for hi in his)
 
     # -- individuals
 
@@ -393,14 +394,10 @@ class Closure:
         types = set(self._types.get(individual, ()))
         if not most_specific_only:
             return types
-        return {
-            t
-            for t in types
-            if not any(
-                o != t and self.subsumed_by(o, t) and not self.equivalent(o, t)
-                for o in types
-            )
-        }
+        # types are closed upward, so a strict subclass among them puts a
+        # direct one there too
+        _, below = self._taxonomy
+        return {t for t in types if below.get(t, _NONE).isdisjoint(types)}
 
     def instances_of(self, cls: Entity) -> set[Entity]:
         self._check_fresh()
@@ -409,11 +406,7 @@ class Closure:
     @cached_property
     def _instances(self) -> dict:
         """class -> its instances, the inversion of the membership map."""
-        instances = {}
-        for ind, types in self._types.items():
-            for cls in types:
-                instances.setdefault(cls, set()).add(ind)
-        return instances
+        return _multimap((cls, ind) for ind, types in self._types.items() for cls in types)
 
     def fillers(self, individual: Entity, prop: Entity) -> set:
         self._check_fresh()
@@ -432,15 +425,12 @@ class Closure:
 
     def same_as(self, a: Entity, b: Entity) -> bool:
         self._check_fresh()
-        rep = self._schema.rep
-        return a == b or rep.get(a, a) == rep.get(b, b)
+        return a == b or b in self._schema.same.get(a, ())
 
     def same_individuals(self, individual: Entity) -> set[Entity]:
         """The other individuals SameIndividual relates `individual` to."""
         self._check_fresh()
-        schema = self._schema
-        group = schema.groups.get(schema.rep.get(individual, individual), ())
-        return {other for other in group if other != individual}
+        return {other for other in self._schema.same.get(individual, ()) if other != individual}
 
     def super_properties(self, prop: Entity) -> set[Entity]:
         """Strict entailed super-properties, equivalents included."""
@@ -459,12 +449,15 @@ class _Schema:
     It holds what the TBox, RBox and identity axioms name, plus each
     declared class's THING and NOTHING bounds, so every run shares it
     until one of those changes.
+
+    `same` is the one identity map: every member of a SameIndividual
+    group maps to one shared frozenset of them all, and an individual
+    with no entry is alone.
     """
 
     class_reach: dict
     prop_reach: dict
-    rep: dict
-    groups: dict
+    same: dict
     inverses: dict
     symmetric: frozenset
     transitive: frozenset
@@ -481,57 +474,41 @@ class _Schema:
     violations: frozenset  # same-and-different: no ABox fact bears on them
 
 
-def _reach_map(nodes, edges) -> dict:
-    """Strict reachability, self excluded, from each node and each edge's source."""
-    adjacency = {n: set() for n in nodes}
-    for src, dst in edges:
-        adjacency.setdefault(src, set()).add(dst)
-    reach = {}
-    for start in adjacency:
-        seen = set()
-        stack = list(adjacency[start])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
+def _multimap(pairs) -> dict:
+    """key -> the set of values paired with it, for each (key, value) pair."""
+    out = {}
+    for key, value in pairs:
+        out.setdefault(key, set()).add(value)
+    return out
+
+
+def _reach(adjacency: dict, start) -> set:
+    """The nodes a walk of one or more edges reaches from start; start
+    itself only when a cycle leads back to it."""
+    seen = set()
+    stack = list(adjacency.get(start, ()))
+    while stack:
+        node = stack.pop()
+        if node not in seen:
             seen.add(node)
             stack.extend(adjacency.get(node, ()))
-        seen.discard(start)
-        reach[start] = seen
-    return reach
+    return seen
 
 
-def _definition_conjuncts(expr):
-    return expr.members if isinstance(expr, And) else (expr,)
+def _reach_map(nodes, edges) -> dict:
+    """Strict reachability, self excluded, from each node and each edge's source."""
+    adjacency = dict.fromkeys(nodes, _NONE) | _multimap(edges)
+    return {start: _reach(adjacency, start) - {start} for start in adjacency}
 
 
-def _add_filler_reads(expr, reads: dict) -> None:
-    """Add the filler class of each restriction in expr, at any depth under
-    And and Or, to reads[its property]."""
+def _restrictions(expr):
+    """(property, filler class) of each restriction in expr, at any depth
+    under And and Or."""
     if isinstance(expr, (And, Or)):
         for member in expr.members:
-            _add_filler_reads(member, reads)
+            yield from _restrictions(member)
     elif not isinstance(expr, Named):
-        reads.setdefault(expr.prop, set()).add(expr.filler)
-
-
-def _union_find(pairs):
-    rep = {i: i for pair in pairs for i in pair}
-
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # keep the lexicographically smaller representative for determinism
-            if rb.iri < ra.iri:
-                ra, rb = rb, ra
-            rep[rb] = ra
-    return {i: find(i) for i in rep}
+        yield expr.prop, expr.filler
 
 
 def _schema(onto: Ontology, by_tag: dict) -> _Schema:
@@ -541,15 +518,19 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
     def unary(tag):
         return frozenset(a.args[0] for a in tagged(tag))
 
-    classes = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in DATATYPES]
+    def edges(tag):
+        # an unordered pair relates its arguments both ways round
+        pairs = [a.args for a in tagged(tag)]
+        if SHAPES[tag].pair:
+            pairs += [(y, x) for x, y in pairs]
+        return pairs
 
-    class_edges = [tuple(a.args) for a in tagged(AxiomTag.SUB_CLASS)]
-    for a in tagged(AxiomTag.EQUIVALENT_CLASSES):
-        x, y = a.args
-        class_edges += [(x, y), (y, x)]
-    for a in tagged(AxiomTag.CLASS_DEFINITION):
-        cls, expr = a.args
-        for conjunct in _definition_conjuncts(expr):
+    classes = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in DATATYPES]
+    definitions = [tuple(a.args) for a in tagged(AxiomTag.CLASS_DEFINITION)]
+
+    class_edges = edges(AxiomTag.SUB_CLASS) + edges(AxiomTag.EQUIVALENT_CLASSES)
+    for cls, expr in definitions:
+        for conjunct in expr.members if isinstance(expr, And) else (expr,):
             if isinstance(conjunct, Named):
                 class_edges.append((cls, conjunct.cls))
     for c in classes:
@@ -558,56 +539,34 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         if c != NOTHING:
             class_edges.append((NOTHING, c))
 
-    prop_edges = [tuple(a.args) for a in tagged(AxiomTag.SUB_PROPERTY)]
-    for a in tagged(AxiomTag.EQUIVALENT_PROPERTIES):
-        x, y = a.args
-        prop_edges += [(x, y), (y, x)]
-
-    rep = _union_find([tuple(a.args) for a in tagged(AxiomTag.SAME_INDIVIDUAL)])
-    groups: dict[Entity, list[Entity]] = {}
-    for ind, r in rep.items():
-        groups.setdefault(r, []).append(ind)
-
-    inverses: dict[Entity, set[Entity]] = {}
-    for a in tagged(AxiomTag.INVERSE_PROPERTIES):
-        p, r = a.args
-        inverses.setdefault(p, set()).add(r)
-        inverses.setdefault(r, set()).add(p)
-    domains: dict[Entity, set[Entity]] = {}
-    for a in tagged(AxiomTag.PROPERTY_DOMAIN):
-        p, c = a.args
-        domains.setdefault(p, set()).add(c)
-    ranges: dict[Entity, set[Entity]] = {}
-    for a in tagged(AxiomTag.PROPERTY_RANGE):
-        p, c = a.args
-        if c not in DATATYPES:
-            ranges.setdefault(p, set()).add(c)
-    definitions = [tuple(a.args) for a in tagged(AxiomTag.CLASS_DEFINITION)]
-    filler_reads: dict[Entity, set[Entity]] = {}
-    for _, expr in definitions:
-        _add_filler_reads(expr, filler_reads)
+    # one walk per identity group, whose members all share its frozenset
+    same: dict[Entity, frozenset] = {}
+    identity = _multimap(edges(AxiomTag.SAME_INDIVIDUAL))
+    for ind in identity:
+        if ind not in same:
+            group = frozenset(_reach(identity, ind))
+            same.update(dict.fromkeys(group, group))
 
     violations = set()
     for a in tagged(AxiomTag.DIFFERENT_INDIVIDUALS):
         x, y = a.args
-        if rep.get(x, x) == rep.get(y, y):
+        if x is y or y in same.get(x, ()):
             violations.add(Violation("same-and-different", frozenset({a, same_individual(x, y)})))
 
     return _Schema(
         class_reach=_reach_map(classes, class_edges),
-        prop_reach=_reach_map((), prop_edges),
-        rep=rep,
-        groups=groups,
-        inverses=inverses,
+        prop_reach=_reach_map((), edges(AxiomTag.SUB_PROPERTY) + edges(AxiomTag.EQUIVALENT_PROPERTIES)),
+        same=same,
+        inverses=_multimap(edges(AxiomTag.INVERSE_PROPERTIES)),
         symmetric=unary(AxiomTag.SYMMETRIC_PROPERTY),
         transitive=unary(AxiomTag.TRANSITIVE_PROPERTY),
         reflexive=unary(AxiomTag.REFLEXIVE_PROPERTY),
         irreflexive=unary(AxiomTag.IRREFLEXIVE_PROPERTY),
         chains=[tuple(a.args) for a in tagged(AxiomTag.PROPERTY_CHAIN)],
-        domains=domains,
-        ranges=ranges,
+        domains=_multimap(edges(AxiomTag.PROPERTY_DOMAIN)),
+        ranges=_multimap((p, c) for p, c in edges(AxiomTag.PROPERTY_RANGE) if c not in DATATYPES),
         definitions=definitions,
-        filler_reads=filler_reads,
+        filler_reads=_multimap(pair for _, expr in definitions for pair in _restrictions(expr)),
         disjoint_classes=tagged(AxiomTag.DISJOINT_CLASSES),
         disjoint_properties=tagged(AxiomTag.DISJOINT_PROPERTIES),
         functional=tagged(AxiomTag.FUNCTIONAL_PROPERTY),
@@ -641,7 +600,7 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
     """
     prop_reach, inverses, chains = schema.prop_reach, schema.inverses, schema.chains
     symmetric, transitive, irreflexive = schema.symmetric, schema.transitive, schema.irreflexive
-    rep, groups = schema.rep, schema.groups
+    same = schema.same
 
     def consequences(s, p, f, emit):
         # emit every fact one rule derives from (s, p, f) and the maps
@@ -664,10 +623,10 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
                 if p == p2:
                     for s0 in back.get(s, _EMPTY).get(p1, ()):
                         emit(s0, sup, f)
-            for other in groups.get(rep.get(f, f), ()):
+            for other in same.get(f, ()):
                 if other is not f:
                     emit(s, p, other)
-        for other in groups.get(rep.get(s, s), ()):
+        for other in same.get(s, ()):
             if other is not s:
                 emit(other, p, f)
 
@@ -749,18 +708,18 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
 # phase three: memberships in snapshot rounds
 
 
-def _satisfies(expr, ind, types, links, rep, r) -> bool:
+def _satisfies(expr, ind, types, links, same, r) -> bool:
     """Whether `ind` is an instance of `expr` in the snapshot before round r."""
     if isinstance(expr, Named):
         return types[ind].get(expr.cls, r) < r
     if isinstance(expr, And):
         for member in expr.members:
-            if not _satisfies(member, ind, types, links, rep, r):
+            if not _satisfies(member, ind, types, links, same, r):
                 return False
         return True
     if isinstance(expr, Or):
         for member in expr.members:
-            if _satisfies(member, ind, types, links, rep, r):
+            if _satisfies(member, ind, types, links, same, r):
                 return True
         return False
     fillers = links.get(ind, _EMPTY).get(expr.prop, ())
@@ -769,7 +728,7 @@ def _satisfies(expr, ind, types, links, rep, r) -> bool:
         return any(types[f].get(expr.filler, r) < r for f in named)
     if isinstance(expr, Only):
         return all(types[f].get(expr.filler, r) < r for f in named)
-    matching = {rep.get(f, f) for f in named if types[f].get(expr.filler, r) < r}
+    matching = {same.get(f, f) for f in named if types[f].get(expr.filler, r) < r}
     if isinstance(expr, Min):
         return len(matching) >= expr.count
     return len(matching) <= expr.count  # Max
@@ -790,7 +749,7 @@ def _readers(schema: _Schema, back, ind, delta) -> set:
     group, since sharing copies every class, and each subject linked to
     it through a property p with a definition testing p's fillers for a
     class in `delta`."""
-    found = {ind, *schema.groups.get(schema.rep.get(ind, ind), ())}
+    found = {ind, *schema.same.get(ind, ())}
     into = back.get(ind, _EMPTY)
     for p, reads in schema.filler_reads.items():
         if not reads.isdisjoint(delta):
@@ -814,7 +773,7 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
     something new only in round 1 or after a snapshot they read (its own
     or a filler's) changed in the round before.
     """
-    class_reach, rep, groups = schema.class_reach, schema.rep, schema.groups
+    class_reach, same = schema.class_reach, schema.same
     definitions, read = schema.definitions, schema.filler_reads
     last = len(entered) - 1  # the last run's last round that added a membership
     if not entered:
@@ -865,7 +824,7 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
             for cls, stamp in ts.items():
                 if stamp == prior:
                     gained.update(class_reach.get(cls, ()))
-            for other in groups.get(rep.get(ind, ind), ()):
+            for other in same.get(ind, ()):
                 gained.update(c for c, stamp in types[other].items() if stamp == prior)
             gained.difference_update(ts)
             evaluate = moved is None or ind in moved
@@ -874,7 +833,7 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
                 evaluate = any(not moved.isdisjoint(by_prop.get(p, ())) for p in read)
             if evaluate:
                 for cls, expr in definitions:
-                    if cls not in ts and cls not in gained and _satisfies(expr, ind, types, links, rep, r):
+                    if cls not in ts and cls not in gained and _satisfies(expr, ind, types, links, same, r):
                         gained.add(cls)
             if gained:
                 ts.update(dict.fromkeys(gained, r))
@@ -926,13 +885,13 @@ def _violations(schema: _Schema, types, links, violations_by: dict, checked) -> 
             by_prop = links.get(ind, _EMPTY)
             for f in by_prop.get(p, _NONE) & by_prop.get(r, _NONE):
                 found(ind, "disjoint-properties", {a, property_assertion(ind, p, f), property_assertion(ind, r, f)})
-    rep = schema.rep
+    same = schema.same
     for a in schema.functional:
         p = a.args[0]
         for ind in checked:
-            # a literal is its own representative
+            # a literal is in no group
             for f1, f2 in combinations(links.get(ind, _EMPTY).get(p, ()), 2):
-                if rep.get(f1, f1) != rep.get(f2, f2):
+                if f2 not in same.get(f1, ()):
                     found(
                         ind,
                         "functional-property",

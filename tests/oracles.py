@@ -68,7 +68,6 @@ from ontodesc.model import (
     sub_property,
 )
 from ontodesc.syntax import (
-    _ARITY,
     _AXIOM_HEADS,
     _DECLARATIONS,
     _ESCAPE,
@@ -451,6 +450,17 @@ def direct_scan(onto: Ontology, reach: dict, cls: Entity, below: bool) -> set:
     return direct
 
 
+def most_specific_scan(reach: dict, types: set) -> set:
+    """The classes in `types` with no strict subclass among them, by a
+    double loop: o is strictly below t when t is in o's reach and o is not
+    in t's."""
+    return {
+        t
+        for t in types
+        if not any(t in reach.get(o, ()) and o not in reach.get(t, ()) for o in types)
+    }
+
+
 # ---------------------------------------------------------------------------
 # descriptor reads
 
@@ -630,9 +640,39 @@ class _Parser:
                 args.append(tok)
 
 
-def _check_arity(head: Token, key, args: list) -> None:
-    """`key` is an axiom tag or a quantifier class."""
-    arity = _ARITY[key]
+# Arguments per statement head and per quantifier, written out here rather
+# than read from model.SHAPES as the parser under test does, so that an
+# arity slip there makes the two parsers disagree.
+_ARITY = {
+    "SubPropertyOf": 2,
+    "EquivalentProperties": 2,
+    "DisjointProperties": 2,
+    "InverseProperties": 2,
+    "PropertyDomain": 2,
+    "PropertyRange": 2,
+    "FunctionalProperty": 1,
+    "ReflexiveProperty": 1,
+    "SymmetricProperty": 1,
+    "TransitiveProperty": 1,
+    "IrreflexiveProperty": 1,
+    "SubPropertyChain": 3,
+    "SubClassOf": 2,
+    "EquivalentClasses": 2,
+    "DisjointClasses": 2,
+    "DefineClass": 2,
+    "ClassAssertion": 2,
+    "PropertyAssertion": 3,
+    "SameIndividual": 2,
+    "DifferentIndividuals": 2,
+    "Some": 2,
+    "Only": 2,
+    "Min": 3,
+    "Max": 3,
+}
+
+
+def _check_arity(head: Token, args: list) -> None:
+    arity = _ARITY[head.text]
     if len(args) != arity:
         raise ParseError(head.line, head.col, f"{head.text} takes {arity} arguments")
 
@@ -691,7 +731,7 @@ class _Builder:
             inner_mode = "and" if cls is And else "or"
             return cls(tuple(self._expression(a, inner_mode) for a in node.args))
         args = [self._arg(a) for a in node.args]
-        _check_arity(head, cls, args)
+        _check_arity(head, args)
         if cls is Min or cls is Max:
             count = node.args[0]
             if not isinstance(count, Token) or count.typ != "int":
@@ -710,7 +750,7 @@ class _Builder:
                 tag = AxiomTag.CLASS_DEFINITION
             if tag is AxiomTag.CLASS_DEFINITION and len(args) == 2 and isinstance(args[1], Entity):
                 args[1] = Named(args[1])
-            _check_arity(head, tag, args)
+            _check_arity(head, args)
             order = _TEXT_ORDER.get(tag)
             if order:
                 args = [arg for _, arg in sorted(zip(order, args))]

@@ -23,6 +23,7 @@ from oracles import (
     fillers_scan,
     instances_of_scan,
     links_of_scan,
+    most_specific_scan,
     read_reference,
 )
 from test_incremental import edit
@@ -92,6 +93,18 @@ def test_indexes_match_the_scans_through_edit_sequences(seed):
         else:
             _check_closure(onto, reason(onto))
         _check_axioms_about(onto)
+
+
+def test_most_specific_types_match_the_scan():
+    """types_of(most_specific_only=True) reads the taxonomy's direct
+    subclasses; the scan compares every pair of an individual's types."""
+    for seed in range(200):
+        onto = random_ontology(random.Random(seed))
+        closure = reason(onto)
+        reach = entailed_reach(onto)
+        for ind, types in entailed_types(onto).items():
+            expected = most_specific_scan(reach, types)
+            assert closure.types_of(ind, most_specific_only=True) == expected, (seed, ind)
 
 
 def _outcome(read):

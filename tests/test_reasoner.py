@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from generators import random_ontology
 from oracles import naive_reason, naive_violations, subsumption_reachability, transitive_fillers
-from ontodesc import cli, model, scenarios
+from ontodesc import cli, model, reasoner, scenarios
 from ontodesc.model import Kind, Literal, NOTHING, Ontology, StaleClosure, THING
 from ontodesc.reasoner import reason
 from ontodesc.syntax import parse
@@ -303,8 +303,7 @@ class TestClosureInterface:
         )
         a, b, c, p, q, r = map(onto.lookup, "abcpqr")
         schema = closure._schema
-        assert schema.rep.keys() == {a, b}
-        assert {x for group in schema.groups.values() for x in group} == {a, b}
+        assert schema.same == {a: {a, b}, b: {a, b}}
         assert schema.prop_reach == {p: {q}}
         assert closure.same_individuals(c) == set() and closure.same_individuals(a) == {b}
         assert closure.fillers(c, r) == {c}
@@ -314,10 +313,33 @@ class TestClosureInterface:
         onto.declare(Kind.OBJECT_PROPERTY, "s")
         closure = reason(onto)
         assert closure._schema is not schema
-        assert closure._schema.rep == schema.rep
-        assert closure._schema.groups == schema.groups
+        assert closure._schema.same == schema.same
         assert closure._schema.prop_reach == schema.prop_reach
         assert closure.types_of(d) == {THING} and closure.fillers(d, r) == {d}
+
+    def test_the_identity_walk_runs_once_per_group(self, monkeypatch):
+        def reach_calls(n):
+            onto = parse(
+                "Class(A) Class(B) SubClassOf(A B) "
+                + " ".join(f"Individual(i{k})" for k in range(n))
+                + " "
+                + " ".join(f"SameIndividual(i{k} i{k + 1})" for k in range(n - 1))
+            )
+            walk = reasoner._reach
+            calls = 0
+
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return walk(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(reasoner, "_reach", counted)
+                closure = reason(onto)
+            assert len(closure.same_individuals(onto.lookup("i0"))) == n - 1
+            return calls
+
+        assert reach_calls(10) == reach_calls(300)
 
     def test_instances_and_links_listing(self, reasoned_seed):
         closure = reasoned_seed.current_closure()

@@ -2,7 +2,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from generators import random_document, random_ontology
 from oracles import entailed_text_reference, naive_reason, parse_reference, tokenize_reference
@@ -371,8 +371,35 @@ def _tokens(text: str, tokenizer):
         return str(e), e.line, e.col
 
 
+# every statement head and quantifier at its arity, which the reference
+# parser states apart from model.SHAPES
+_EVERY_HEAD = [
+    "SubPropertyOf(p p)",
+    "EquivalentProperties(p p)",
+    "DisjointProperties(p p)",
+    "InverseProperties(p p)",
+    "PropertyDomain(p A)",
+    "PropertyRange(p A)",
+    "FunctionalProperty(p)",
+    "ReflexiveProperty(p)",
+    "SymmetricProperty(p)",
+    "TransitiveProperty(p)",
+    "IrreflexiveProperty(p)",
+    "SubPropertyChain(p p p)",
+    "SubClassOf(A A)",
+    "EquivalentClasses(A A)",
+    "DisjointClasses(A A)",
+    "DefineClass(A Or(Some(p A) Only(p A) Min(1 p A) Max(2 p A)))",
+    "ClassAssertion(A x)",
+    "PropertyAssertion(p x x)",
+    "SameIndividual(x x)",
+    "DifferentIndividuals(x x)",
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(parts=st.lists(_SOUP_PARTS, max_size=24), sep=st.sampled_from([" ", "\n"]))
+@example(parts=_EVERY_HEAD, sep=" ")
 def test_adversarial_input_parses_as_the_reference_does(parts, sep):
     text = _DECLARED + sep.join(parts)
     assert _outcome(parse, text) == _outcome(parse_reference, text)
