@@ -585,9 +585,10 @@ class Ontology:
     axioms_about() reads the asserted partition's ground index, keyed by
     (tag, argument position, entity) - or (tag, entity) for unordered
     pair tags.  Each (tag, position) slot is built on the first query
-    that needs it (reason() reads the ClassAssertion one), and
-    assert_axiom / retract_axiom keep built slots current.  Entailed
-    facts about one entity are Closure queries.
+    that needs it (a resumed reason() reads the ClassAssertion one; a
+    from-scratch run reads none), and assert_axiom / retract_axiom keep
+    built slots current.  Entailed facts about one entity are Closure
+    queries.
     """
 
     def __init__(self):

@@ -115,7 +115,12 @@ asserts and retracts since that Closure's generation:
 Reset rule: any other edit (TBox, RBox, SameIndividual,
 DifferentIndividuals, a new declaration) drops the journal, and the next
 run starts from an empty state.  A first run is the same engine on the
-empty state, with every fact inserted and every individual affected.
+empty state, with every fact inserted and every individual typed afresh
+from one grouping of the asserted axioms by tag, but it keeps no change
+record: phase two returns no changed facts, phase three sets the round-0
+stamps directly and, after round 1, re-evaluates only the readers of the
+individuals that entered a class in the round before, and the violation
+check reads every individual.
 A run takes the journal when it starts and the store gets a new one
 only when the run installs its Closure, so a run that raises part way
 leaves the next run to start afresh.  The Closure a run supersedes is
@@ -589,14 +594,16 @@ def _discard(nested: dict, key, prop, value) -> None:
             del nested[key]
 
 
-def _property_assertions(schema: _Schema, links: dict, back: dict, edits, asserted, seeds):
+def _property_assertions(schema: _Schema, links: dict, back: dict, edits, asserted, seeds, record):
     """Phase two: bring the links and their mirror up to date with the edits.
 
     Both key -> property -> set maps are changed in place.  `edits` maps
     PropertyAssertion axioms to True (asserted) or False (retracted);
-    `seeds` are premise-free facts to insert.  Returns the facts that
-    entered or left the maps.  `consequences` is the one encoding of the
-    rules, and all three DRed steps (see the module docstring) run it.
+    `seeds` are premise-free facts to insert.  With `record` set (a
+    resumed run), returns the facts that entered or left the maps; a
+    first run fills empty maps and returns None.  `consequences` is the
+    one encoding of the rules, and all three DRed steps (see the module
+    docstring) run it.
     """
     prop_reach, inverses, chains = schema.prop_reach, schema.inverses, schema.chains
     symmetric, transitive, irreflexive = schema.symmetric, schema.transitive, schema.irreflexive
@@ -663,7 +670,8 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
             back.setdefault(f, {}).setdefault(p, set()).add(s)
         fact = (s, p, f)
         pending.append(fact)
-        put_facts.append(fact)
+        if record:
+            put_facts.append(fact)
 
     def derive(s, p, f):
         if not (p in irreflexive and s is f):
@@ -701,7 +709,7 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
     # (the maps mirror each other), so none grows.
     while pending:
         consequences(*pending.pop(), derive)
-    return gone.symmetric_difference(put_facts)
+    return gone.symmetric_difference(put_facts) if record else None
 
 
 # ---------------------------------------------------------------------------
@@ -734,12 +742,9 @@ def _satisfies(expr, ind, types, links, same, r) -> bool:
     return len(matching) <= expr.count  # Max
 
 
-def _delta(now, before: dict | None, r: int) -> set:
+def _delta(now, before: dict, r: int) -> set:
     """The classes in which the set `now` differs from the snapshot the
-    stamp map `before` gives after round r: all of `now` for a new
-    individual (before is None), which is every one in a first run."""
-    if before is None:
-        return now
+    stamp map `before` gives after round r."""
     return now ^ {c for c, stamp in before.items() if stamp <= r}
 
 
@@ -757,34 +762,41 @@ def _readers(schema: _Schema, back, ind, delta) -> set:
     return found
 
 
-def _memberships(schema, onto, links, back, types, entered, touched, relinked):
+def _memberships(schema, classed, links, back, types, entered, touched, relinked):
     """Phase three: replay the snapshot rounds from the last run's stamps.
 
     `types` is the last run's individual -> class -> round map and
     entered[r] holds the individuals that entered a class in round r
-    (r >= 1); both are changed in place.  `touched` individuals get
-    their initial types recomputed; `relinked` ones changed links that a
-    definition reads.  Returns individual -> (classes gained, classes
-    lost) for each individual whose memberships changed (all, at first).
+    (r >= 1); both are changed in place, and both are empty before a
+    first run.  `touched` individuals get their initial types
+    recomputed (every individual, in a first run), from the asserted
+    classes `classed` maps them to; `relinked` ones changed links that a
+    definition reads.  A resumed run returns individual -> (classes
+    gained, classes lost) for each individual whose memberships changed;
+    a first run sets its stamps with no last run to compare them with,
+    and returns an empty map.
 
     Within one run the rounds are semi-naive: inheritance and sharing
     need only the classes that entered in the round before (earlier ones
     were propagated already), and an individual's definitions can give
     something new only in round 1 or after a snapshot they read (its own
-    or a filler's) changed in the round before.
+    or a filler's) changed in the round before.  So after round 1 a
+    first run re-evaluates only the readers of the individuals that
+    entered a class in the round before.
     """
     class_reach, same = schema.class_reach, schema.same
     definitions, read = schema.definitions, schema.filler_reads
     last = len(entered) - 1  # the last run's last round that added a membership
-    if not entered:
+    first = last < 0
+    if first:
         entered.append(set())  # round 0 is every individual's; not tracked
-    owned: dict = {}  # individual -> the last run's stamp map, None for a new one
+    owned: dict = {}  # individual -> the last run's stamp map
 
     def own(ind, r):
         # ind's stamps before round r are the last run's; later ones are recomputed
-        before = owned[ind] = types.get(ind)
+        before = owned[ind] = types[ind]
         kept = {}
-        for cls, stamp in (before or _EMPTY).items():
+        for cls, stamp in before.items():
             if stamp < r:
                 kept[cls] = stamp
             elif stamp:
@@ -794,30 +806,29 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
 
     differs = {}  # individual -> the classes its snapshot changed in, against the last run's
     for ind in touched:
-        start = {THING}
-        start.update(a.args[1] for a in onto.axioms_about(AxiomTag.CLASS_ASSERTION, ind))
+        start = {THING, *classed.get(ind, ())}
         for p in links.get(ind, _EMPTY):
             start.update(schema.domains.get(p, ()))
         for p in back.get(ind, _EMPTY):
             start.update(schema.ranges.get(p, ()))
-        delta = _delta(start, types.get(ind), 0)
-        if delta:
+        if first:
+            types[ind] = dict.fromkeys(start, 0)
+        elif delta := _delta(start, types[ind], 0):
             own(ind, 0).update(dict.fromkeys(start, 0))
             differs[ind] = delta
 
-    dirty = owned.keys() | relinked
+    dirty = set(types) if first else owned.keys() | relinked
     r = 0
     while dirty:
         r += 1
-        # in a first run every individual is dirty from round 0 on
-        if len(dirty) < len(types):
-            for ind, delta in differs.items():
-                dirty |= _readers(schema, back, ind, delta)
-        for ind in dirty - owned.keys():
-            own(ind, r)
+        for ind, delta in differs.items():
+            dirty |= _readers(schema, back, ind, delta)
+        if not first:
+            for ind in dirty - owned.keys():
+                own(ind, r)
         prior = r - 1
         moved = entered[prior] if 1 < r <= len(entered) else None
-        grew = False
+        grown = {}  # individual -> the classes it entered in round r
         for ind in dirty:
             ts = types[ind]
             gained = set()
@@ -840,10 +851,12 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
                 if r == len(entered):
                     entered.append(set())
                 entered[r].add(ind)
-                grew = True
-        if r > last and not grew:
+                grown[ind] = gained
+        if r > last and not grown:
             break
-        if len(dirty) < len(types):
+        if first:  # no stamp was set before this run, so only what grew can wake a reader
+            dirty, differs = set(grown), grown
+        else:
             differs = {
                 ind: delta for ind in dirty if (delta := _delta(types[ind].keys(), owned[ind], r))
             }
@@ -851,7 +864,7 @@ def _memberships(schema, onto, links, back, types, entered, touched, relinked):
         entered.pop()
     changed = {}
     for ind, before in owned.items():
-        now, was = types[ind].keys(), (before or _EMPTY).keys()
+        now, was = types[ind].keys(), before.keys()
         if now != was:
             changed[ind] = (now - was, was - now)
     return changed
@@ -915,45 +928,48 @@ def reason(onto: Ontology) -> Closure:
     previous, edits = onto._take_journal()
     asserted = onto._asserted
     resumed = previous is not None
-    if not resumed:
-        # an empty state, with every fact inserted and every individual affected
+    if resumed:
+        schema = previous._schema
+        link_edits = {a: added for a, added in edits.items() if a.tag is AxiomTag.PROPERTY_ASSERTION}
+        seeds = ()
+    else:
+        # an empty state, with every fact inserted and every individual typed afresh
         by_tag: dict[AxiomTag, list[Axiom]] = {}
         for a in asserted:
             by_tag.setdefault(a.tag, []).append(a)
         schema = _schema(onto, by_tag)
         previous = Closure(weakref.ref(onto), generation=-1, _schema=schema)
-        edits = dict.fromkeys(
-            by_tag.get(AxiomTag.CLASS_ASSERTION, []) + by_tag.get(AxiomTag.PROPERTY_ASSERTION, []),
-            True,
-        )
+        link_edits = dict.fromkeys(by_tag.get(AxiomTag.PROPERTY_ASSERTION, ()), True)
         individuals = onto.individuals()
         seeds = [(ind, p, ind) for p in schema.reflexive for ind in individuals]
-        touched = set(individuals)
-    else:
-        schema = previous._schema
-        seeds = ()
-        touched = {a.args[0] for a in edits if a.tag is AxiomTag.CLASS_ASSERTION}
 
     links, back = previous._links, previous._back
-    link_edits = {a: added for a, added in edits.items() if a.tag is AxiomTag.PROPERTY_ASSERTION}
-    changed = _property_assertions(schema, links, back, link_edits, asserted, seeds)
-    relinked = set()
-    for s, p, f in changed:  # a link sets initial types through a domain or range only
-        if p in schema.domains:
-            touched.add(s)
-        if p in schema.ranges and isinstance(f, Entity):
-            touched.add(f)
-        if p in schema.filler_reads:
-            relinked.add(s)
-
-    types, entered = previous._types, previous._entered
-    memberships = _memberships(schema, onto, links, back, types, entered, touched, relinked)
-    violations_by = previous._violations_by
-    changes = Changes(changed, memberships, edits)
-    violations = _violations(schema, types, links, violations_by, memberships.keys() | changes.relinked)
-    if resumed:  # a full run starts with no reads
+    changed = _property_assertions(schema, links, back, link_edits, asserted, seeds, resumed)
+    types, entered, violations_by = previous._types, previous._entered, previous._violations_by
+    if resumed:
+        touched = {a.args[0] for a in edits if a.tag is AxiomTag.CLASS_ASSERTION}
+        relinked = set()
+        for s, p, f in changed:  # a link sets initial types through a domain or range only
+            if p in schema.domains:
+                touched.add(s)
+            if p in schema.ranges and isinstance(f, Entity):
+                touched.add(f)
+            if p in schema.filler_reads:
+                relinked.add(s)
+        classed = {
+            ind: [a.args[1] for a in onto.axioms_about(AxiomTag.CLASS_ASSERTION, ind)]
+            for ind in touched
+        }
+        memberships = _memberships(schema, classed, links, back, types, entered, touched, relinked)
+        changes = Changes(changed, memberships, edits)
+        checked = memberships.keys() | changes.relinked
         for key in stale_reads(changes):
             previous._reads.pop(key, None)
+    else:  # a first run changes nothing it could report, and starts with no reads
+        classed = _multimap(a.args for a in by_tag.get(AxiomTag.CLASS_ASSERTION, ()))
+        _memberships(schema, classed, links, back, types, entered, individuals, ())
+        changes, checked = None, types
+    violations = _violations(schema, types, links, violations_by, checked)
 
     closure = Closure(
         weakref.ref(onto),
@@ -968,7 +984,7 @@ def reason(onto: Ontology) -> Closure:
         _violations_by=violations_by,
         _reads=previous._reads,
         _asserted=asserted,
-        _changes=changes if resumed else None,
+        _changes=changes,
     )
     onto._install_closure(closure)
     return closure

@@ -11,7 +11,8 @@ subsumption_reachability and transitive_fillers express two laws as
 plain graph problems on networkx.
 
 naive_violations runs the consistency checks as full scans over the same
-saturation.
+saturation, and naive_stamps reports the round in which its membership
+rounds add each class to each individual.
 
 The *_scan functions are the linear scans that the store's and the
 Closure's query indexes replaced, kept as references for them.  They
@@ -149,7 +150,12 @@ def _rep(groups: dict, ind: Entity) -> Entity:
 
 
 def _naive_saturate(onto: Ontology):
-    """The three phases; returns (class_pairs, prop_pairs, groups, facts, types)."""
+    """The three phases; returns (class_pairs, prop_pairs, groups, facts, types).
+
+    types maps each individual to class -> the snapshot round that added
+    the class: 0 for its initial types, r for the additions made from the
+    snapshot taken before round r.
+    """
     # phase one: schema
     class_pairs = _pair_closure(_class_edges(onto))
     prop_edges = set()
@@ -215,18 +221,18 @@ def _naive_saturate(onto: Ontology):
         if a.args[1] not in DATATYPES:
             ranges.setdefault(a.args[0], set()).add(a.args[1])
 
-    types = {ind: {THING} for ind in onto.individuals()}
+    types = {ind: {THING: 0} for ind in onto.individuals()}
     for a in _tagged(onto, AxiomTag.CLASS_ASSERTION):
-        types[a.args[0]].add(a.args[1])
+        types[a.args[0]][a.args[1]] = 0
     for s, p, f in facts:
         for cls in domains.get(p, ()):
-            types[s].add(cls)
+            types[s][cls] = 0
         if isinstance(f, Entity):
             for cls in ranges.get(p, ()):
-                types[f].add(cls)
+                types[f][cls] = 0
 
     definitions = [(a.args[0], a.args[1]) for a in _tagged(onto, AxiomTag.CLASS_DEFINITION)]
-    while True:
+    for r in itertools.count(1):
         snapshot = {ind: frozenset(ts) for ind, ts in types.items()}
         additions = set()
         for ind, ts in snapshot.items():
@@ -245,8 +251,24 @@ def _naive_saturate(onto: Ontology):
         if not additions:
             break
         for ind, cls in additions:
-            types[ind].add(cls)
+            types[ind][cls] = r
     return class_pairs, prop_pairs, groups, facts, types
+
+
+def naive_stamps(onto: Ontology) -> tuple[dict, list]:
+    """(individual -> class -> round, round -> individuals): the round in
+    which the naive membership rounds add each class (0 for an initial
+    type), and for each round r >= 1 up to the last that adds one, the
+    individuals that entered a class in it; round 0 lists nobody."""
+    types = _naive_saturate(onto)[4]
+    entered = [set()]
+    for ind, ts in types.items():
+        for r in ts.values():
+            while len(entered) <= r:
+                entered.append(set())
+            if r:
+                entered[r].add(ind)
+    return types, entered
 
 
 def naive_reason(onto: Ontology):

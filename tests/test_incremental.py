@@ -107,6 +107,9 @@ def test_resumed_runs_match_scratch_runs_and_the_oracle(seed, monotone):
         scratch = reason(copy)
         assert resumed.inferred == scratch.inferred
         assert answers(onto, resumed) == answers(copy, scratch)
+        # the next run replays from these stamps, and no answer shows them
+        assert resumed._types == scratch._types
+        assert resumed._entered == scratch._entered
         inferred, consistent = naive_reason(onto)
         assert resumed.inferred == inferred
         assert resumed.consistent == consistent
@@ -241,6 +244,39 @@ def test_a_patrol_step_costs_the_edit_not_the_world(monkeypatch):
     large, large_line = _satisfies_calls_in_a_step(monkeypatch, 128)
     assert small_line == large_line  # the same local step in both worlds
     assert 0 < small and large <= 1.5 * small
+
+
+def test_a_first_run_records_no_changes(monkeypatch):
+    """A from-scratch run types every individual from its own pass over the
+    asserted axioms and builds no change record: it makes no ground
+    lookup, so the ClassAssertion ground slot is built by the first
+    resumed run that needs it."""
+    onto = scenarios.load_seed()
+    calls = Counter()
+    axioms_about, changes = Ontology.axioms_about, reasoner.Changes
+
+    def counted_axioms_about(*args, **kwargs):
+        calls["axioms_about"] += 1
+        return axioms_about(*args, **kwargs)
+
+    def counted_changes(*args):
+        calls["Changes"] += 1
+        return changes(*args)
+
+    slots = onto._asserted_index._slots
+    with monkeypatch.context() as patch:
+        patch.setattr(Ontology, "axioms_about", counted_axioms_about)
+        patch.setattr(reasoner, "Changes", counted_changes)
+        assert reason(onto).changes() is None
+        assert not calls and AxiomTag.CLASS_ASSERTION not in slots
+        onto.assert_axiom(model.class_assertion(onto.lookup("Room1"), onto.lookup("ROBOT")))
+        resumed = reason(onto)
+    assert calls["Changes"] == 1 and calls["axioms_about"] >= 1
+    assert AxiomTag.CLASS_ASSERTION in slots
+    copy = copy_store(onto)
+    scratch = reason(copy)
+    assert answers(onto, resumed) == answers(copy, scratch)
+    assert (resumed._types, resumed._entered) == (scratch._types, scratch._entered)
 
 
 def test_a_patrol_step_matches_a_scratch_run():

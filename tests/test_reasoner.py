@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from generators import random_ontology
-from oracles import naive_reason, naive_violations, subsumption_reachability, transitive_fillers
+from oracles import (
+    naive_reason,
+    naive_stamps,
+    naive_violations,
+    subsumption_reachability,
+    transitive_fillers,
+)
 from ontodesc import cli, model, reasoner, scenarios
 from ontodesc.model import Kind, Literal, NOTHING, Ontology, StaleClosure, THING
 from ontodesc.reasoner import reason
@@ -388,6 +394,16 @@ class TestOracleEquivalence:
         onto = random_ontology(random.Random(seed))
         closure = reason(onto)
         assert {(v.rule, v.axioms) for v in closure.violations} == naive_violations(onto)
+
+    @pytest.mark.parametrize("monotone", [False, True])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_stamps_match_naive_rounds(self, seed, monotone):
+        """Each membership's stamp is the naive round that adds it, and each
+        round lists the individuals that entered a class in it.  No answer
+        shows a wrong stamp, but a resumed run replays from them."""
+        onto = random_ontology(random.Random(6000 + seed), monotone=monotone)
+        closure = reason(onto)
+        assert (closure._types, closure._entered) == naive_stamps(onto)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_inferred_reads_the_run_not_the_store(self, seed):
