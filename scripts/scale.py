@@ -26,8 +26,10 @@ patrol_part_reads counts the DescriptorState.read calls (the descriptor
 parts the step reads), patrol_fresh_reads the _entailed_items calls
 among them (the reads the step's reason() runs did not carry over) and
 patrol_renders the checked descriptor.to_axiom calls (the written items
-no read had rendered).  The garbage collector runs before every timed
-call, outside the timer.
+no read had rendered); patrol_memo_entries is the number of descriptor
+reads the installed Closure keeps (len(Closure._reads)) after the timed
+steps.  The garbage collector runs before every timed call, outside the
+timer.
 
 Machine speed drifts while the script runs, so each timed call is scaled
 the way perfbench scales an op: perfbench/run.py's calibrate() kernel is
@@ -39,8 +41,9 @@ Writes BENCH_scale_<label>.json: the Python version, the repeat count,
 per n the asserted axiom count, the median scaled milliseconds of each
 measurement (patrol_step_ms, parse_ms, reason_ms, serialize_entailed_ms,
 reachable_first_ms, reachable_warm_ms, example1_ms), parse_kb_per_s,
-patrol_part_reads, patrol_fresh_reads, patrol_renders and cal_ms, and
-the patrol step's ratio between the largest and the smallest n.
+patrol_part_reads, patrol_fresh_reads, patrol_renders,
+patrol_memo_entries and cal_ms, and the patrol step's ratio between the
+largest and the smallest n.
 """
 
 from __future__ import annotations
@@ -133,6 +136,7 @@ def measure(n: int, repeat: int) -> dict:
         "patrol_part_reads": part_reads / repeat,
         "patrol_fresh_reads": fresh_reads / repeat,
         "patrol_renders": renders / repeat,
+        "patrol_memo_entries": len(onto.current_closure()._reads),
         "parse_ms": statistics.median(parse_ms),
         "parse_kb_per_s": kb / (statistics.median(parse_ms) / 1000),
         "reason_ms": statistics.median(reason_ms),
@@ -170,7 +174,8 @@ def main(argv=None) -> int:
         rows.append(row)
         print(
             f"n={n} patrol step {row['patrol_step_ms']:.2f} ms ({row['patrol_part_reads']:.2f} part reads,"
-            f" {row['patrol_fresh_reads']:.2f} fresh, {row['patrol_renders']:.2f} renders),"
+            f" {row['patrol_fresh_reads']:.2f} fresh, {row['patrol_renders']:.2f} renders,"
+            f" {row['patrol_memo_entries']} memo entries),"
             f" parse {row['parse_ms']:.2f} ms ({row['parse_kb_per_s']:.0f} KB/s),"
             f" reason {row['reason_ms']:.2f} ms, serialize --entailed {row['serialize_entailed_ms']:.2f} ms,"
             f" reachable first {row['reachable_first_ms']:.2f} ms, warm {row['reachable_warm_ms']:.3f} ms,"

@@ -48,15 +48,11 @@ class CompoundDescriptor:
     def __init__(self, ontology: Ontology, ground: Entity, parts: list[DescriptorState]):
         if not parts:
             raise PartitionClash("a compound needs at least one part")
-        partitions = {p.tag.partition for p in parts}
-        if len(partitions) > 1:
-            names = ", ".join(sorted(p.value for p in partitions))
-            raise PartitionClash(f"parts span partitions {names}")
         tags = [p.tag for p in parts]
         if len(set(tags)) != len(tags):
             raise PartitionClash("duplicate part tags")
         for p in parts:
-            if p.ground != ground:
+            if p.ground != ground:  # so one partition too: a kind grounds one partition's tags
                 raise PartitionClash(f"part {p.tag.value} grounded on {p.ground.iri}, not {ground.iri}")
             if p.ontology is not ontology:
                 raise PartitionClash("parts must share the compound's ontology")

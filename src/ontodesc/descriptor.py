@@ -29,8 +29,9 @@ Operations:
 read and write return Intent records, one per changed element; they give
 the operation's observable effect and are never rolled back.  write only
 touches the asserted partition and leaves the closure stale; read
-requires a current closure, which keeps each (tag, x) answer from its
-first read on, and a resumed run carries it unless it is stale.
+requires a current closure, which keeps each answer from its first read
+on under the fact slot the read lists, (axiom tag, ground_at, x), and a
+resumed run carries it unless a fact the run changed fills that slot.
 
 Reading SUB_CLASSES / SUPER_CLASSES lists the direct taxonomy neighbours
 (so a leaf class reads {NOTHING} and a root reads {THING}), from the
@@ -231,7 +232,7 @@ class TagSpec:
     `closure_only` tags that query alone is the answer.
 
     `ground_kinds` are the kinds of the role at `ground_at` in the axiom
-    tag's model.SHAPES row.
+    tag's model.SHAPES row.  No two rows share (axiom_tag, ground_at).
     """
 
     partition: Partition
@@ -284,22 +285,6 @@ TAG_SPECS = {
 
 # partition -> its tags, in compound part order
 PARTITION_TAGS = {p: tuple(t for t, s in TAG_SPECS.items() if s.partition is p) for p in Partition}
-
-# axiom tag -> (descriptor tag, ground_at) of each tag that maps to it
-_READ_BY = {a: [(t, s.ground_at) for t, s in TAG_SPECS.items() if s.axiom_tag is a] for a in AxiomTag}
-
-
-def stale_reads(changes):
-    """The (tag, ground) reads a resumed run's Changes make stale.
-
-    A TYPES, INSTANCES or LINKS read lists its ground's `axiom_tag` facts,
-    so a changed or edited fact stales the read on its `ground_at`
-    argument (LINKS: the subject, not a filler).  No other tag's facts
-    change in a resumed run; their edits start the next run afresh.
-    """
-    for axiom_tag, args in changes.facts():
-        for tag, at in _READ_BY[axiom_tag]:
-            yield tag, args[at]
 
 
 # ---------------------------------------------------------------------------
@@ -546,14 +531,16 @@ class DescriptorState:
     def _memoized(self) -> tuple[list, list]:
         """The entailed items of (tag, ground) and the add intent of each.
 
-        Kept in the current Closure's `_reads` on the first read: any
-        mutation makes that Closure stale, so the answer cannot change
-        while it is current; a resumed run carries it unless stale_reads
-        names it.  A read that raises stores nothing.  The lists are never
-        handed out; read() copies them.
+        Kept in the current Closure's `_reads` on the first read, under
+        the fact slot _asserted() projects: any mutation makes that
+        Closure stale, so the answer cannot change while it is current; a
+        resumed run carries it unless a fact it changed fills that slot.
+        A read that raises stores nothing.  The lists are never handed
+        out; read() copies them.
         """
         closure = self.ontology.current_closure()  # every tag reads a fresh one
-        key = (self.tag, self.ground)
+        spec = TAG_SPECS[self.tag]
+        key = (spec.axiom_tag, spec.ground_at, self.ground)
         memo = closure._reads.get(key)
         if memo is None:
             items = self._entailed_items(closure)

@@ -109,8 +109,9 @@ asserts and retracts since that Closure's generation:
   is the "before" its later snapshots are compared with.
 * violations are recomputed for the individuals whose memberships
   changed and the subjects whose links changed.
-* descriptor reads are kept but for those the run's Changes make stale
-  (see Closure.changes and descriptor.stale_reads).
+* descriptor reads are kept but for those the run's Changes make stale:
+  a read is keyed by the fact slot it lists, (axiom tag, position,
+  ground), and each changed or edited fact drops the reads of its slots.
 
 Reset rule: any other edit (TBox, RBox, SameIndividual,
 DifferentIndividuals, a new declaration) drops the journal, and the next
@@ -159,7 +160,6 @@ from .model import (
     same_individual,
     tautological,
 )
-from .descriptor import stale_reads
 
 _EMPTY: dict = {}  # stands in for a missing map entry; never written
 _NONE: frozenset = frozenset()
@@ -217,12 +217,13 @@ class Closure:
     queries read indexes derived from those maps: the class -> instances
     inversion and the transitive reduction of the subsumption reach.
     Descriptor reads are answered by these queries, and `_reads` keeps
-    each answer - the items and add intents of one (tag, ground) pair -
-    the first time it is read (see DescriptorState.read).  Indexes and
-    `_reads` entries are built on the first query that needs them.  The
-    maps change only in a later run, after a mutation (declare,
-    assert_axiom, retract_axiom) made this Closure stale; a resumed run
-    keeps the `_reads` entries its `changes()` leave true.
+    each answer - the items and add intents of one read, keyed by the
+    fact slot it lists (axiom tag, position, ground) - the first time it
+    is read (see DescriptorState.read).  Indexes and `_reads` entries
+    are built on the first query that needs them.  The maps change only
+    in a later run, after a mutation (declare, assert_axiom,
+    retract_axiom) made this Closure stale; a resumed run drops the
+    `_reads` entries of the slots its `changes()` facts fill.
     `inferred_groups` lists the derived facts not asserted, grouped by
     the map that holds them, and is what the entailed text and the
     `reason` counts read.  `inferred`, the store's inferred partition as
@@ -246,7 +247,7 @@ class Closure:
     _types: dict = field(default_factory=dict, repr=False)  # individual -> class -> round
     _entered: list = field(default_factory=list, repr=False)  # round -> individuals
     _violations_by: dict = field(default_factory=dict, repr=False)
-    _reads: dict = field(default_factory=dict, repr=False)  # (tag, ground) -> (items, add intents)
+    _reads: dict = field(default_factory=dict, repr=False)  # (axiom tag, at, ground) -> (items, add intents)
     _asserted: set = field(default_factory=set, repr=False)  # the store's live asserted set
     _changes: Changes | None = field(default=None, repr=False)
 
@@ -963,8 +964,9 @@ def reason(onto: Ontology) -> Closure:
         memberships = _memberships(schema, classed, links, back, types, entered, touched, relinked)
         changes = Changes(changed, memberships, edits)
         checked = memberships.keys() | changes.relinked
-        for key in stale_reads(changes):
-            previous._reads.pop(key, None)
+        for tag, args in changes.facts():
+            for at, arg in enumerate(args):
+                previous._reads.pop((tag, at, arg), None)
     else:  # a first run changes nothing it could report, and starts with no reads
         classed = _multimap(a.args for a in by_tag.get(AxiomTag.CLASS_ASSERTION, ()))
         _memberships(schema, classed, links, back, types, entered, individuals, ())

@@ -7,6 +7,7 @@ rechecks each world with a brute-force reasoner.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import networkx as nx
@@ -164,7 +165,52 @@ def random_ontology(rng: random.Random, axioms: int | None = None, monotone: boo
     """
     onto = vocabulary(rng)
     count = axioms if axioms is not None else rng.randint(3, 18)
-    defined: set = set()
+    _add_random_axioms(rng, onto, count, monotone)
+    return onto
+
+
+def chained_ontology(rng: random.Random, depth: int | None = None, monotone: bool = False) -> Ontology:
+    """A world whose definitions chain through fillers, so memberships
+    still grow after round 1.
+
+    Individuals stand in levels 0..depth, one or two to a level, and each
+    has a p0 link to one or both of the next level's; the last level's
+    hold C0.  C(k+1) is defined by Some(p0 Ck) or, from C3 on, sometimes
+    by Min(m p0 Ck) with m 1 or 2, so level depth-k enters Ck in round k
+    at the earliest and the Some links make rounds 1 and 2 always add a
+    membership.  A few random axioms over the same vocabulary follow, as
+    random_ontology adds them (monotone likewise).
+    """
+    onto = Ontology()
+    depth = depth if depth is not None else rng.randint(3, 6)
+    p = onto.declare(Kind.OBJECT_PROPERTY, "p0")
+    onto.declare(Kind.OBJECT_PROPERTY, "p1")
+    classes = [onto.declare(Kind.CLASS, f"C{k}") for k in range(depth + 1)]
+    names = itertools.count()
+    levels = [
+        [onto.declare(Kind.INDIVIDUAL, f"a{next(names)}") for _ in range(rng.randint(1, 2))]
+        for _ in range(depth + 1)
+    ]
+    for here, there in zip(levels, levels[1:]):
+        for ind in here:
+            for filler in there if rng.random() < 0.7 else [rng.choice(there)]:
+                onto.assert_axiom(model.property_assertion(ind, p, filler))
+    for ind in levels[-1]:
+        onto.assert_axiom(model.class_assertion(ind, classes[0]))
+    for k, (below, cls) in enumerate(zip(classes, classes[1:])):
+        if k < 2 or rng.random() < 0.5:
+            body = Some(p, below)
+        else:
+            body = Min(rng.randint(1, 2), p, below)
+        onto.assert_axiom(model.class_definition(cls, body))
+    _add_random_axioms(rng, onto, rng.randint(0, 6), monotone, defined=classes[1:])
+    return onto
+
+
+def _add_random_axioms(rng: random.Random, onto: Ontology, count: int, monotone: bool, defined=()) -> None:
+    """Assert `count` random axioms; monotone ones keep the taxonomy acyclic
+    and define no class twice (`defined` classes have a definition)."""
+    defined = set(defined)
     taxonomy = nx.DiGraph()
     for cls in _classes(onto):
         taxonomy.add_node(cls)
@@ -177,7 +223,6 @@ def random_ontology(rng: random.Random, axioms: int | None = None, monotone: boo
         if monotone and not _keeps_taxonomy_acyclic(taxonomy, defined, axiom):
             continue
         onto.assert_axiom(axiom)
-    return onto
 
 
 def _keeps_taxonomy_acyclic(taxonomy: nx.DiGraph, defined: set, axiom) -> bool:

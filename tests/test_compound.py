@@ -14,7 +14,7 @@ from ontodesc.compound import (
     full_individual,
     full_property,
 )
-from ontodesc.descriptor import DescriptorState, DescriptorTag, Partition, Ref
+from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag, Partition, Ref
 from ontodesc.model import Kind, KindMismatch, Ontology
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import load_seed
@@ -30,6 +30,13 @@ class TestConstruction:
         ]
         with pytest.raises(PartitionClash):
             CompoundDescriptor(onto, onto.lookup("A"), parts)
+
+    def test_a_ground_kind_fixes_the_partition(self):
+        """Parts on one ground share a partition, so the ground check is all
+        that rejects mixed partitions."""
+        for kind in Kind:
+            partitions = {spec.partition for spec in TAG_SPECS.values() if kind in spec.ground_kinds}
+            assert len(partitions) <= 1, kind
 
     def test_rejects_duplicate_tags(self):
         onto = parse("Class(A)")

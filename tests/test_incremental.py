@@ -16,10 +16,10 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import random_axiom, random_ontology
+from generators import chained_ontology, random_axiom, random_ontology
 from oracles import naive_reason, naive_violations
 from ontodesc import descriptor, model, reasoner, scenarios
-from ontodesc.descriptor import DescriptorState, DescriptorTag
+from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag
 from ontodesc.model import AxiomTag, Kind, Ontology, StaleClosure
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import PatrolConfig, patrol, seed_path
@@ -93,11 +93,9 @@ def edit(rng: random.Random, onto: Ontology, monotone: bool, step: int) -> None:
         onto.declare(Kind.INDIVIDUAL, f"fresh{step}")
 
 
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 10**9), monotone=st.booleans())
-def test_resumed_runs_match_scratch_runs_and_the_oracle(seed, monotone):
-    rng = random.Random(seed)
-    onto = random_ontology(rng, monotone=monotone)
+def check_resumed_runs(rng: random.Random, onto: Ontology, monotone: bool) -> None:
+    """Random edits with a resumed run after each batch, held to a scratch
+    run on a copy of the store and to the naive oracle."""
     reason(onto)
     for step in range(rng.randint(2, 8)):
         for _ in range(rng.randint(1, 4)):
@@ -114,6 +112,23 @@ def test_resumed_runs_match_scratch_runs_and_the_oracle(seed, monotone):
         assert resumed.inferred == inferred
         assert resumed.consistent == consistent
         assert {(v.rule, v.axioms) for v in resumed.violations} == naive_violations(onto)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**9), monotone=st.booleans())
+def test_resumed_runs_match_scratch_runs_and_the_oracle(seed, monotone):
+    rng = random.Random(seed)
+    check_resumed_runs(rng, random_ontology(rng, monotone=monotone), monotone)
+
+
+@pytest.mark.parametrize("monotone", [False, True])
+@pytest.mark.parametrize("seed", range(15))
+def test_chained_worlds_resume_as_scratch_runs(seed, monotone):
+    """Edits to worlds whose memberships grow after round 1 (see
+    generators.chained_ontology) change late rounds, which a resumed run
+    replays from the last run's stamps."""
+    rng = random.Random(8000 + seed)
+    check_resumed_runs(rng, chained_ontology(rng, monotone=monotone), monotone)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -395,6 +410,34 @@ def test_changes_name_what_a_run_changed():
             {opened, close} == {*gained, *lost} for gained, lost in changes.memberships.values()
         )
     assert flips
+
+
+def test_a_moved_link_drops_its_subjects_read_and_keeps_its_fillers():
+    """isIn has no inverse, so moving the robot changes the robot's links
+    alone: the resumed run drops the robot's LINKS read and carries its
+    destination's, the same object.  The robot's move leaves its
+    destination's reads alone."""
+    onto = corridor_chain(4)
+    reason(onto)
+    robot, is_in, start, there = (onto.lookup(iri) for iri in ("Robot1", "isIn", "C0", "C1"))
+    spec = TAG_SPECS[DescriptorTag.LINKS]
+    slot = {ind: (spec.axiom_tag, spec.ground_at, ind) for ind in (robot, there)}
+    for ind in slot:
+        DescriptorState(DescriptorTag.LINKS, ind, onto).read()
+    carried = onto.current_closure()._reads[slot[there]]
+    onto.retract_axiom(model.property_assertion(robot, is_in, start))
+    onto.assert_axiom(model.property_assertion(robot, is_in, there))
+    closure = reason(onto)
+    assert closure.changes().relinked == {robot}
+    assert closure._reads[slot[there]] is carried
+    assert slot[robot] not in closure._reads
+    scratch = copy_store(onto)
+    reason(scratch)
+    for ind in slot:  # the carried read answers what a scratch run's does
+        states = [DescriptorState(DescriptorTag.LINKS, ind, store) for store in (onto, scratch)]
+        for state in states:
+            state.read()
+        assert states[0].items == states[1].items
 
 
 RELEVANCE_WORLDS = {

@@ -267,7 +267,24 @@ def test_two_definitions_raise_on_every_read():
     for _ in range(2):
         with pytest.raises(MappingError):
             DescriptorState(DescriptorTag.DEFINITION, room, onto).read()
-    assert (DescriptorTag.DEFINITION, room) not in closure._reads
+    assert (AxiomTag.CLASS_DEFINITION, 0, room) not in closure._reads
+
+
+def test_each_read_has_a_memo_slot_of_its_own():
+    """A read is memoized under the fact slot it lists, (axiom tag,
+    ground_at, ground); two tags sharing a slot would answer each other's
+    reads.  So no two TAG_SPECS rows share one, and reading every legal
+    (tag, ground) pair of the seed world fills one entry per pair."""
+    slots = [(spec.axiom_tag, spec.ground_at) for spec in TAG_SPECS.values()]
+    assert len(set(slots)) == len(slots)
+    onto = load_seed()
+    closure = reason(onto)
+    pairs = _legal_pairs(onto)
+    for tag, ground in pairs:
+        DescriptorState(tag, ground, onto).read()
+        spec = TAG_SPECS[tag]
+        assert (spec.axiom_tag, spec.ground_at, ground) in closure._reads
+    assert len(closure._reads) == len(pairs)
 
 
 def test_a_repeated_flow_reads_from_the_memo(monkeypatch):

@@ -5,7 +5,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import random_ontology
+from generators import chained_ontology, random_ontology
 from oracles import (
     naive_reason,
     naive_stamps,
@@ -402,6 +402,25 @@ class TestOracleEquivalence:
         round lists the individuals that entered a class in it.  No answer
         shows a wrong stamp, but a resumed run replays from them."""
         onto = random_ontology(random.Random(6000 + seed), monotone=monotone)
+        closure = reason(onto)
+        assert (closure._types, closure._entered) == naive_stamps(onto)
+
+    @pytest.mark.parametrize("monotone", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_chained_worlds_match_naive_oracle(self, seed, monotone):
+        """Definitions chained through fillers add memberships after round
+        1, so every later round must wake the readers of what entered in
+        the round before."""
+        onto = chained_ontology(random.Random(7000 + seed), monotone=monotone)
+        closure = reason(onto)
+        assert (closure.inferred, closure.consistent) == naive_reason(onto)
+        assert {(v.rule, v.axioms) for v in closure.violations} == naive_violations(onto)
+        assert len(closure._entered) > 2  # round 2 adds a membership
+
+    @pytest.mark.parametrize("monotone", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_chained_stamps_match_naive_rounds(self, seed, monotone):
+        onto = chained_ontology(random.Random(7000 + seed), monotone=monotone)
         closure = reason(onto)
         assert (closure._types, closure._entered) == naive_stamps(onto)
 

@@ -22,6 +22,9 @@ def test_scale_script_writes_its_report(tmp_path, capsys):
     # a step renders the robot's new position and a new state for each door
     # it flipped, at most the three a corridor holds
     assert 1 <= row["patrol_renders"] <= 4
+    # the last step's run carries the reads it leaves standing, the links of
+    # the robot's start among them
+    assert row["patrol_memo_entries"] >= 1
     assert row["cal_ms"] > 0  # the calibration kernel timed around each call
     assert row["parse_ms"] > 0 and row["serialize_entailed_ms"] > 0
     assert row["parse_kb_per_s"] > 0
