@@ -24,6 +24,7 @@ missing filler (no position or no door).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
@@ -208,8 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s tree, built on the first call in a process and reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Union
@@ -69,8 +70,12 @@ class Kind(Enum):
     __hash__ = object.__hash__
 
 
-# (kind, iri) -> the live Entity; the lock makes a miss create one object
-_ENTITIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# (kind, iri) -> a weak reference to the live Entity; the lock makes a
+# miss create one object.  A plain dict of weakref.ref keeps lookups and
+# inserts in C, where a WeakValueDictionary runs Python code for each.
+# The callback that drops a dead entry takes no lock, since it can run
+# while the lock is held, and removes the entry only if it is still dead.
+_ENTITIES: dict = {}
 _ENTITIES_LOCK = threading.Lock()
 
 
@@ -92,18 +97,20 @@ class Entity:
         if not isinstance(iri, str) or not iri:
             raise OntologyError("IRI must be a non-empty string")
         key = (kind, iri)
-        entity = _ENTITIES.get(key)
+        ref = _ENTITIES.get(key)
+        entity = None if ref is None else ref()
         if entity is not None:
             return entity
         if iri.split() != [iri]:  # str.split() splits where str.isspace() holds
             raise OntologyError(f"IRI may not contain whitespace: {iri!r}")
         with _ENTITIES_LOCK:
-            entity = _ENTITIES.get(key)
+            ref = _ENTITIES.get(key)
+            entity = None if ref is None else ref()
             if entity is None:
                 entity = object.__new__(cls)
                 object.__setattr__(entity, "kind", kind)
                 object.__setattr__(entity, "iri", iri)
-                _ENTITIES[key] = entity
+                _ENTITIES[key] = weakref.ref(entity, lambda _, key=key: _remove_dead_weakref(_ENTITIES, key))
         return entity
 
     def __setattr__(self, name, value):

@@ -61,7 +61,10 @@ order):
   phase-two fillers: Some needs one filler in the filler class, Only
   needs every filler in it, Min/Max count fillers in it that are
   pairwise distinct (two fillers are the same only when SameIndividual
-  relates them).  And/Or are conjunction and disjunction.
+  relates them).  And/Or are conjunction and disjunction.  Phase one
+  compiles each body into its disjunctive normal form, conjunctions of
+  named classes and restriction atoms; a conjunction's named classes are
+  tested before any of its atoms reads a filler.
 
 Consistency checks (reported as violations, never derived from):
 
@@ -102,11 +105,11 @@ asserts and retracts since that Closure's generation:
   changed, or on any change in an identity-group mate: it reads every
   class of its SameIndividual group's snapshots, and of a filler's only
   the classes that some definition tests on that property's fillers
-  (the schema's filler_reads).  Every other individual keeps its
-  stamps, which give its snapshot in every round, so the outcome is
-  exactly that of the rounds run from scratch, under Only and Max too.
-  A re-evaluated individual gets a new stamp map; the one it replaces
-  is the "before" its later snapshots are compared with.
+  (filler_reads, read off the compiled bodies' atoms).  Every other
+  individual keeps its stamps, which give its snapshot in every round,
+  so the outcome is exactly that of the rounds run from scratch, under
+  Only and Max too.  A re-evaluated individual gets a new stamp map; the
+  one it replaces is the "before" its later snapshots are compared with.
 * violations are recomputed for the individuals whose memberships
   changed and the subjects whose links changed.
 * descriptor reads are kept but for those the run's Changes make stale:
@@ -146,7 +149,6 @@ from .model import (
     AxiomTag,
     Entity,
     Kind,
-    Max,
     Min,
     Named,
     Only,
@@ -472,7 +474,7 @@ class _Schema:
     chains: list
     domains: dict
     ranges: dict
-    definitions: list
+    definitions: list  # (class, its body's conjunctions: (named classes, restriction atoms))
     filler_reads: dict  # property -> the filler classes definition bodies restrict it to
     disjoint_classes: list
     disjoint_properties: list
@@ -507,14 +509,17 @@ def _reach_map(nodes, edges) -> dict:
     return {start: _reach(adjacency, start) - {start} for start in adjacency}
 
 
-def _restrictions(expr):
-    """(property, filler class) of each restriction in expr, at any depth
-    under And and Or."""
-    if isinstance(expr, (And, Or)):
-        for member in expr.members:
-            yield from _restrictions(member)
-    elif not isinstance(expr, Named):
-        yield expr.prop, expr.filler
+def _dnf(expr) -> tuple:
+    """expr as a union of conjunctions, each (named classes, restriction
+    atoms) in the order the body states them; And distributes over Or."""
+    if isinstance(expr, Or):
+        return tuple(conjunction for member in expr.members for conjunction in _dnf(member))
+    if isinstance(expr, And):
+        conjunctions = (((), ()),)
+        for options in map(_dnf, expr.members):
+            conjunctions = tuple((n + m, a + b) for n, a in conjunctions for m, b in options)
+        return conjunctions
+    return (((expr.cls,), ()),) if isinstance(expr, Named) else (((), (expr,)),)
 
 
 def _schema(onto: Ontology, by_tag: dict) -> _Schema:
@@ -532,10 +537,10 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         return pairs
 
     classes = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in DATATYPES]
-    definitions = [tuple(a.args) for a in tagged(AxiomTag.CLASS_DEFINITION)]
+    definitions = [(a.args[0], _dnf(a.args[1])) for a in tagged(AxiomTag.CLASS_DEFINITION)]
 
     class_edges = edges(AxiomTag.SUB_CLASS) + edges(AxiomTag.EQUIVALENT_CLASSES)
-    for cls, expr in definitions:
+    for cls, expr in (a.args for a in tagged(AxiomTag.CLASS_DEFINITION)):
         for conjunct in expr.members if isinstance(expr, And) else (expr,):
             if isinstance(conjunct, Named):
                 class_edges.append((cls, conjunct.cls))
@@ -572,7 +577,7 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         domains=_multimap(edges(AxiomTag.PROPERTY_DOMAIN)),
         ranges=_multimap((p, c) for p, c in edges(AxiomTag.PROPERTY_RANGE) if c not in DATATYPES),
         definitions=definitions,
-        filler_reads=_multimap(pair for _, expr in definitions for pair in _restrictions(expr)),
+        filler_reads=_multimap((a.prop, a.filler) for _, body in definitions for _, atoms in body for a in atoms),
         disjoint_classes=tagged(AxiomTag.DISJOINT_CLASSES),
         disjoint_properties=tagged(AxiomTag.DISJOINT_PROPERTIES),
         functional=tagged(AxiomTag.FUNCTIONAL_PROPERTY),
@@ -717,30 +722,42 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
 # phase three: memberships in snapshot rounds
 
 
-def _satisfies(expr, ind, types, links, same, r) -> bool:
-    """Whether `ind` is an instance of `expr` in the snapshot before round r."""
-    if isinstance(expr, Named):
-        return types[ind].get(expr.cls, r) < r
-    if isinstance(expr, And):
-        for member in expr.members:
-            if not _satisfies(member, ind, types, links, same, r):
-                return False
-        return True
-    if isinstance(expr, Or):
-        for member in expr.members:
-            if _satisfies(member, ind, types, links, same, r):
-                return True
-        return False
-    fillers = links.get(ind, _EMPTY).get(expr.prop, ())
-    named = [f for f in fillers if isinstance(f, Entity)]
-    if isinstance(expr, Some):
-        return any(types[f].get(expr.filler, r) < r for f in named)
-    if isinstance(expr, Only):
-        return all(types[f].get(expr.filler, r) < r for f in named)
-    matching = {same.get(f, f) for f in named if types[f].get(expr.filler, r) < r}
-    if isinstance(expr, Min):
-        return len(matching) >= expr.count
-    return len(matching) <= expr.count  # Max
+def _recognise(definitions, ind, ts, gained, types, links, same, r) -> None:
+    """Add to `gained` each defined class `ind` is not in yet whose body it
+    satisfies in the snapshot before round r: one conjunction holds, its
+    named classes tested against ind's stamps before any filler is read.  A
+    restriction's property is an object property: its fillers are individuals."""
+    by_prop = links.get(ind, _EMPTY)
+    for cls, body in definitions:
+        if cls in ts or cls in gained:
+            continue
+        for named, atoms in body:
+            for c in named:
+                if ts.get(c, r) >= r:
+                    break
+            else:
+                for atom in atoms:  # a `break` out of this loop is an atom that fails
+                    fillers, filler, kind = by_prop.get(atom.prop, ()), atom.filler, type(atom)
+                    if kind is Some:
+                        for f in fillers:
+                            if types[f].get(filler, r) < r:
+                                break
+                        else:
+                            break
+                    elif kind is Only:
+                        for f in fillers:
+                            if types[f].get(filler, r) >= r:
+                                break
+                        else:
+                            continue
+                        break
+                    else:  # Min and Max count distinct identity groups
+                        count = len({same.get(f, f) for f in fillers if types[f].get(filler, r) < r})
+                        if count < atom.count if kind is Min else count > atom.count:
+                            break
+                else:
+                    gained.add(cls)
+                    break
 
 
 def _delta(now, before: dict, r: int) -> set:
@@ -844,9 +861,7 @@ def _memberships(schema, classed, links, back, types, entered, touched, relinked
                 by_prop = links.get(ind, _EMPTY)
                 evaluate = any(not moved.isdisjoint(by_prop.get(p, ())) for p in read)
             if evaluate:
-                for cls, expr in definitions:
-                    if cls not in ts and cls not in gained and _satisfies(expr, ind, types, links, same, r):
-                        gained.add(cls)
+                _recognise(definitions, ind, ts, gained, types, links, same, r)
             if gained:
                 ts.update(dict.fromkeys(gained, r))
                 if r == len(entered):

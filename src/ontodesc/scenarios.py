@@ -22,7 +22,6 @@ generator, so identical (seed, steps) always yield identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 
 from .compound import CompoundDescriptor
@@ -139,6 +138,11 @@ def categorize_new_location(
     return sorted(r.entity.iri for r in here.part(DescriptorTag.TYPES).items)
 
 
+def _bare(tag: DescriptorTag, onto: Ontology):
+    """A factory of bare `tag` descriptors over onto, each built by a positional call."""
+    return lambda ground: DescriptorState(tag, ground, onto)
+
+
 def reachable_leaf_places(onto: Ontology, robot: str = ROBOT) -> list[tuple[str, str]]:
     """Locations connected to the robot's own, tagged by leaf class.
 
@@ -155,17 +159,17 @@ def reachable_leaf_places(onto: Ontology, robot: str = ROBOT) -> list[tuple[str,
     closure = _fresh_closure(onto)
     if not closure.consistent:
         raise ScenarioError("the world is inconsistent")
-    links = partial(DescriptorState, DescriptorTag.LINKS, ontology=onto)
+    links = _bare(DescriptorTag.LINKS, onto)
     whoami = links(robot_entity)
     whoami.read()
     positions = whoami.build_individuals_by_property(is_in, factory=links)
     if not positions:
         raise NoFiller(f"{robot} has no {IS_IN} filler")
     here = positions[0]
-    types = partial(DescriptorState, DescriptorTag.TYPES, ontology=onto)
+    types = _bare(DescriptorTag.TYPES, onto)
     neighbours = here.build_individuals_by_property(is_connected, factory=types)
     pairs = []
-    sub_classes = partial(DescriptorState, DescriptorTag.SUB_CLASSES, ontology=onto)
+    sub_classes = _bare(DescriptorTag.SUB_CLASSES, onto)
     leaf = [Ref(NOTHING)]
     for neighbour in neighbours:
         for cls in neighbour.build(sub_classes):
@@ -277,7 +281,7 @@ def patrol(onto: Ontology, config: PatrolConfig = PatrolConfig()) -> list[Patrol
     robot = onto.lookup(config.robot)
     rng = PatrolRng(config.seed)
     make_door = door_factory(onto, door_class)
-    links = partial(DescriptorState, DescriptorTag.LINKS, ontology=onto)
+    links = _bare(DescriptorTag.LINKS, onto)
 
     trace: list[PatrolStep] = []
     for index in range(1, config.steps + 1):

@@ -12,7 +12,9 @@ plain graph problems on networkx.
 
 naive_violations runs the consistency checks as full scans over the same
 saturation, and naive_stamps reports the round in which its membership
-rounds add each class to each individual.
+rounds add each class to each individual.  satisfies_reference is the
+recursive test of one definition body in one snapshot round that the
+reasoner's compiled definitions replaced.
 
 The *_scan functions are the linear scans that the store's and the
 Closure's query indexes replaced, kept as references for them.  They
@@ -83,6 +85,9 @@ from ontodesc.syntax import (
     render_axiom,
     serialize,
 )
+
+
+_EMPTY: dict = {}  # stands in for a missing map entry; never written
 
 
 def _tagged(onto: Ontology, tag: AxiomTag):
@@ -371,6 +376,38 @@ def _holds(expr, ind, types, facts, groups) -> bool:
     if isinstance(expr, Min):
         return len(matching) >= expr.count
     return len(matching) <= expr.count
+
+
+def satisfies_reference(expr, ind, types, links, same, r) -> bool:
+    """Whether `ind` is an instance of `expr` in the snapshot before round r.
+
+    The recursive walk over the body that phase three's compiled
+    definitions (reasoner._dnf, reasoner._recognise) replaced: `types`
+    maps each individual to its class -> round stamps, `links` is the
+    subject -> property -> fillers map and `same` the identity map.
+    """
+    if isinstance(expr, Named):
+        return types[ind].get(expr.cls, r) < r
+    if isinstance(expr, And):
+        for member in expr.members:
+            if not satisfies_reference(member, ind, types, links, same, r):
+                return False
+        return True
+    if isinstance(expr, Or):
+        for member in expr.members:
+            if satisfies_reference(member, ind, types, links, same, r):
+                return True
+        return False
+    fillers = links.get(ind, _EMPTY).get(expr.prop, ())
+    named = [f for f in fillers if isinstance(f, Entity)]
+    if isinstance(expr, Some):
+        return any(types[f].get(expr.filler, r) < r for f in named)
+    if isinstance(expr, Only):
+        return all(types[f].get(expr.filler, r) < r for f in named)
+    matching = {same.get(f, f) for f in named if types[f].get(expr.filler, r) < r}
+    if isinstance(expr, Min):
+        return len(matching) >= expr.count
+    return len(matching) <= expr.count  # Max
 
 
 # ---------------------------------------------------------------------------

@@ -264,3 +264,32 @@ class TestPatrol:
         err = capsys.readouterr().err
         assert exit_info.value.code == 2
         assert "usage:" in err and "--seed" in err and "Traceback" not in err
+
+
+def test_the_parser_is_built_once_and_answers_each_call_as_a_fresh_one(capsys, monkeypatch):
+    """main() reuses one argparse tree per process: after a usage error, a
+    `serialize --entailed` and a `query types Room1` print and exit as the
+    first call of each command in a process does."""
+    from ontodesc import cli
+
+    def call(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    commands = [("patrol", "--steps", "0"), ("serialize", "--entailed"), ("query", "types", "Room1")]
+    first = []
+    for argv in commands:
+        cli._parser.cache_clear()
+        first.append(call(*argv))
+    assert first[0][0] == EXIT_UNKNOWN and "usage:" in first[0][2]
+    assert first[1][0] == first[2][0] == EXIT_OK and "# inferred: " in first[1][1]
+
+    cli._parser.cache_clear()
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda build=cli.build_parser: built.append(1) or build())
+    assert [call(*argv) for argv in commands] == first
+    assert len(built) == 1

@@ -236,27 +236,27 @@ def corridor_chain(n: int) -> Ontology:
     return parse("\n".join(lines))
 
 
-def _satisfies_calls_in_a_step(monkeypatch, n: int) -> tuple[int, str]:
+def _recognise_calls_in_a_step(monkeypatch, n: int) -> tuple[int, str]:
     onto = corridor_chain(n)
     reason(onto)
     patrol(onto, PatrolConfig(steps=1, seed=0))  # declares the door states: a full run
     calls = 0
-    satisfies = reasoner._satisfies
+    recognise = reasoner._recognise
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return satisfies(*args)
+        return recognise(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(reasoner, "_satisfies", counted)
+        patch.setattr(reasoner, "_recognise", counted)
         [step] = patrol(onto, PatrolConfig(steps=1, seed=1))  # from C1, through three doors
     return calls, step.line()
 
 
 def test_a_patrol_step_costs_the_edit_not_the_world(monkeypatch):
-    small, small_line = _satisfies_calls_in_a_step(monkeypatch, 32)
-    large, large_line = _satisfies_calls_in_a_step(monkeypatch, 128)
+    small, small_line = _recognise_calls_in_a_step(monkeypatch, 32)
+    large, large_line = _recognise_calls_in_a_step(monkeypatch, 128)
     assert small_line == large_line  # the same local step in both worlds
     assert 0 < small and large <= 1.5 * small
 
@@ -494,13 +494,13 @@ def test_a_patrol_step_re_evaluates_only_the_doors_it_flipped(monkeypatch):
     scenarios.setup_door_state_classes(onto)  # declares the door states: a full run
     states = {onto.lookup("OPEN"): "open", onto.lookup("CLOSE"): "closed"}
     evaluated = set()
-    satisfies = reasoner._satisfies
+    recognise = reasoner._recognise
 
-    def recorded(expr, ind, *rest):
+    def recorded(definitions, ind, *rest):
         evaluated.add(ind)
-        return satisfies(expr, ind, *rest)
+        return recognise(definitions, ind, *rest)
 
-    monkeypatch.setattr(reasoner, "_satisfies", recorded)
+    monkeypatch.setattr(reasoner, "_recognise", recorded)
     evaluated_doors = 0
     for seed in range(12):
         closure = onto.current_closure()

@@ -121,6 +121,23 @@ class TestEntity:
         gc.collect()
         assert unreferenced() is None
 
+    def test_a_dropped_world_leaves_no_interned_entry(self):
+        """The intern table holds its entities weakly: once nothing holds a
+        parsed world, gc.collect() leaves the table as it was before."""
+        from ontodesc.syntax import parse
+
+        gc.collect()
+        before = len(model._ENTITIES)
+        lines = [f"Individual(Fresh{i})\nClassAssertion(Fresh Fresh{i})" for i in range(1000)]
+        text = "\n".join(["Class(Fresh)", *lines])
+        onto = parse(text)
+        reason(onto)
+        assert len(model._ENTITIES) >= before + 1001
+        del onto
+        gc.collect()
+        assert len(model._ENTITIES) == before
+        assert Entity(Kind.INDIVIDUAL, "Fresh0").iri == "Fresh0"  # a fresh entry once asked for again
+
     def test_entities_are_immutable(self):
         a = Entity(Kind.CLASS, "A")
         with pytest.raises(AttributeError):

@@ -1,20 +1,24 @@
 import gc
+import importlib.util
 import random
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import chained_ontology, random_ontology
+from generators import chained_ontology, random_atom, random_expression, random_ontology, vocabulary
 from oracles import (
     naive_reason,
     naive_stamps,
     naive_violations,
+    satisfies_reference,
     subsumption_reachability,
     transitive_fillers,
 )
 from ontodesc import cli, model, reasoner, scenarios
-from ontodesc.model import Kind, Literal, NOTHING, Ontology, StaleClosure, THING
+from ontodesc.model import And, Kind, Literal, NOTHING, Ontology, Or, StaleClosure, THING
 from ontodesc.reasoner import reason
 from ontodesc.syntax import parse
 
@@ -584,3 +588,95 @@ def test_renaming_iris_renames_the_closure(seed, monotone):
     assert {(v.rule, v.axioms) for v in image.violations} == {
         (v.rule, frozenset(axiom(a) for a in v.axioms)) for v in original.violations
     }
+
+
+# ---------------------------------------------------------------------------
+# phase three's compiled definitions
+
+
+def _nested_expression(rng: random.Random, onto: Ontology, depth: int):
+    """An API-built body: And and Or nested up to `depth` deep."""
+    if depth == 0 or rng.random() < 0.25:
+        return random_atom(rng, onto, monotone=False)
+    members = tuple(_nested_expression(rng, onto, depth - 1) for _ in range(rng.randint(2, 3)))
+    return (And if rng.random() < 0.5 else Or)(members)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_the_compiled_plan_answers_as_the_recursive_walk(seed):
+    """For random bodies, random stamp maps (stamps on both sides of the
+    round), random links and identity groups and a random round, the
+    compiled plan recognises exactly the individuals that
+    oracles.satisfies_reference says satisfy the body."""
+    rng = random.Random(seed)
+    onto = vocabulary(rng, classes=6, object_props=3, individuals=7)
+    defined = onto.declare(Kind.CLASS, "Defined")
+    classes = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in model.DATATYPES and c is not defined]
+    props = onto.entities_of_kind(Kind.OBJECT_PROPERTY)
+    individuals = onto.individuals()
+    for _ in range(5):
+        r = rng.randint(1, 4)
+        types = {ind: {c: rng.randint(0, 5) for c in classes if rng.random() < 0.5} for ind in individuals}
+        links = {}
+        for ind in individuals:
+            for p in props:
+                if rng.random() < 0.6:
+                    links.setdefault(ind, {})[p] = {f for f in individuals if rng.random() < 0.4}
+        same = {}
+        for group in ({i for i in individuals if rng.random() < 0.4} for _ in range(rng.randint(0, 2))):
+            if len(group) > 1 and not group & same.keys():
+                same.update(dict.fromkeys(group, frozenset(group)))
+        for expr in (random_expression(rng, onto), _nested_expression(rng, onto, 3)):
+            plan = [(defined, reasoner._dnf(expr))]
+            for ind in individuals:
+                gained = set()
+                reasoner._recognise(plan, ind, types[ind], gained, types, links, same, r)
+                assert (defined in gained) == satisfies_reference(expr, ind, types, links, same, r), expr
+
+
+def _perfbench_worlds():
+    """perfbench/worlds.py, the benchmark's world generator (standard library only)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "worlds.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worlds", path)
+    worlds = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = worlds  # its dataclasses look their module up there
+    spec.loader.exec_module(worlds)
+    return worlds
+
+
+def test_a_first_run_on_the_load_world_reads_no_filler_of_a_door_or_a_robot(monkeypatch):
+    """Every definition of the seed TBox names LOCATION or INDOOR, which no
+    door or robot holds, so a first run on the benchmark's load world
+    (n=128, k=128, m=64) tests those classes and reads no restriction atom
+    for a door or a robot; a location's atoms are read."""
+    onto = parse(_perfbench_worlds().generate(128, 128, 64, seed=0).text)
+    called, read = set(), set()
+    recognise = reasoner._recognise
+
+    class Watched(tuple):
+        # the atoms of one conjunction, recording whom each one is read for
+        def __iter__(self):
+            for atom in tuple.__iter__(self):
+                read.add(self.ind)
+                yield atom
+
+    def watched(definitions, ind, *rest):
+        called.add(ind)
+        plan = []
+        for cls, body in definitions:
+            conjunctions = []
+            for named, atoms in body:
+                atoms = Watched(atoms)
+                atoms.ind = ind
+                conjunctions.append((named, atoms))
+            plan.append((cls, tuple(conjunctions)))
+        return recognise(plan, ind, *rest)
+
+    monkeypatch.setattr(reasoner, "_recognise", watched)
+    closure = reason(onto)
+    kinds = {name: onto.lookup(name) for name in ("DOOR", "ROBOT", "LOCATION")}
+    of = {name: {i for i in onto.individuals() if cls in closure.types_of(i)} for name, cls in kinds.items()}
+    assert len(of["DOOR"]) == 255 and len(of["ROBOT"]) == 64
+    assert of["DOOR"] | of["ROBOT"] <= called  # tested, by name only
+    assert not read & (of["DOOR"] | of["ROBOT"])
+    assert read and read <= of["LOCATION"]
