@@ -2,7 +2,6 @@
 """Time perfbench's workload ops for a base revision and the working tree, in one process.
 
     python scripts/ab.py --base HEAD~1                    # patrol, reachable, load; 30 rounds
-    python scripts/ab.py --base HEAD --workload load --rounds 10
     python scripts/ab.py --base HEAD --rounds 2 --ops 38 --size 4,3,2  # a quick smoke
 
 perfbench/run.py runs each side in its own process, where the memory
@@ -187,7 +186,6 @@ def _positive(text: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare the working tree with")
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS), help="repeatable; default all")
     parser.add_argument("--rounds", type=_positive, default=30)
     parser.add_argument("--ops", type=_positive, help="ops per side and round (default: per workload)")
     parser.add_argument("--size", type=_size, help="N,K,M world size instead of each workload's")
@@ -196,7 +194,7 @@ def main(argv=None) -> int:
     results = []
     with tempfile.TemporaryDirectory(prefix="ontodesc-ab-") as tmp:
         base_src = extract(args.base, Path(tmp))
-        for workload in args.workload or ["patrol", "reachable", "load"]:
+        for workload in ("patrol", "reachable", "load"):
             result = compare(workload, base_src, args.size, args.rounds, args.ops or OPS[workload])
             results.append(result)
             print(

@@ -62,9 +62,9 @@ order):
   needs every filler in it, Min/Max count fillers in it that are
   pairwise distinct (two fillers are the same only when SameIndividual
   relates them).  And/Or are conjunction and disjunction.  Phase one
-  compiles each body into its disjunctive normal form, conjunctions of
-  named classes and restriction atoms; a conjunction's named classes are
-  tested before any of its atoms reads a filler.
+  compiles each body into a union of conjunctions of named classes and
+  atoms, an atom being a restriction or a union nested in the
+  conjunction; named classes are tested before any atom reads a filler.
 
 Consistency checks (reported as violations, never derived from):
 
@@ -509,17 +509,24 @@ def _reach_map(nodes, edges) -> dict:
     return {start: _reach(adjacency, start) - {start} for start in adjacency}
 
 
-def _dnf(expr) -> tuple:
-    """expr as a union of conjunctions, each (named classes, restriction
-    atoms) in the order the body states them; And distributes over Or."""
+def _compile(expr) -> tuple:
+    """expr as a union of conjunctions, each (named classes, atoms) in body
+    order; an atom is a restriction or a union nested in the conjunction,
+    kept whole so the plan stays linear in the size of the body."""
     if isinstance(expr, Or):
-        return tuple(conjunction for member in expr.members for conjunction in _dnf(member))
+        return tuple(conjunction for member in expr.members for conjunction in _compile(member))
     if isinstance(expr, And):
-        conjunctions = (((), ()),)
-        for options in map(_dnf, expr.members):
-            conjunctions = tuple((n + m, a + b) for n, a in conjunctions for m, b in options)
-        return conjunctions
+        named, atoms = (), ()
+        for union in map(_compile, expr.members):
+            n, a = union[0] if len(union) == 1 else ((), (union,))
+            named, atoms = named + n, atoms + a
+        return ((named, atoms),)
     return (((expr.cls,), ()),) if isinstance(expr, Named) else (((), (expr,)),)
+
+
+def _restrictions(body) -> list:
+    """The restriction atoms of a compiled body, its nested unions' included."""
+    return [r for _, atoms in body for a in atoms for r in (_restrictions(a) if type(a) is tuple else (a,))]
 
 
 def _schema(onto: Ontology, by_tag: dict) -> _Schema:
@@ -537,7 +544,7 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         return pairs
 
     classes = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in DATATYPES]
-    definitions = [(a.args[0], _dnf(a.args[1])) for a in tagged(AxiomTag.CLASS_DEFINITION)]
+    definitions = [(a.args[0], _compile(a.args[1])) for a in tagged(AxiomTag.CLASS_DEFINITION)]
 
     class_edges = edges(AxiomTag.SUB_CLASS) + edges(AxiomTag.EQUIVALENT_CLASSES)
     for cls, expr in (a.args for a in tagged(AxiomTag.CLASS_DEFINITION)):
@@ -577,7 +584,7 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         domains=_multimap(edges(AxiomTag.PROPERTY_DOMAIN)),
         ranges=_multimap((p, c) for p, c in edges(AxiomTag.PROPERTY_RANGE) if c not in DATATYPES),
         definitions=definitions,
-        filler_reads=_multimap((a.prop, a.filler) for _, body in definitions for _, atoms in body for a in atoms),
+        filler_reads=_multimap((a.prop, a.filler) for _, body in definitions for a in _restrictions(body)),
         disjoint_classes=tagged(AxiomTag.DISJOINT_CLASSES),
         disjoint_properties=tagged(AxiomTag.DISJOINT_PROPERTIES),
         functional=tagged(AxiomTag.FUNCTIONAL_PROPERTY),
@@ -724,40 +731,48 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
 
 def _recognise(definitions, ind, ts, gained, types, links, same, r) -> None:
     """Add to `gained` each defined class `ind` is not in yet whose body it
-    satisfies in the snapshot before round r: one conjunction holds, its
-    named classes tested against ind's stamps before any filler is read.  A
-    restriction's property is an object property: its fillers are individuals."""
+    satisfies in the snapshot before round r."""
     by_prop = links.get(ind, _EMPTY)
     for cls, body in definitions:
-        if cls in ts or cls in gained:
-            continue
-        for named, atoms in body:
-            for c in named:
-                if ts.get(c, r) >= r:
-                    break
-            else:
-                for atom in atoms:  # a `break` out of this loop is an atom that fails
-                    fillers, filler, kind = by_prop.get(atom.prop, ()), atom.filler, type(atom)
-                    if kind is Some:
-                        for f in fillers:
-                            if types[f].get(filler, r) < r:
-                                break
-                        else:
-                            break
-                    elif kind is Only:
-                        for f in fillers:
-                            if types[f].get(filler, r) >= r:
-                                break
-                        else:
-                            continue
+        if cls not in ts and cls not in gained and _holds(body, ts, by_prop, types, same, r):
+            gained.add(cls)
+
+
+def _holds(body, ts, by_prop, types, same, r) -> bool:
+    """Whether a conjunction of `body` holds for the individual with stamps
+    `ts` and links `by_prop`, its named classes tested before any atom reads
+    a filler.  A restriction's property is an object property: its fillers are individuals."""
+    for named, atoms in body:
+        for c in named:
+            if ts.get(c, r) >= r:
+                break
+        else:
+            for atom in atoms:  # a `break` out of this loop is an atom that fails
+                if type(atom) is tuple:  # a nested union
+                    if not _holds(atom, ts, by_prop, types, same, r):
                         break
-                    else:  # Min and Max count distinct identity groups
-                        count = len({same.get(f, f) for f in fillers if types[f].get(filler, r) < r})
-                        if count < atom.count if kind is Min else count > atom.count:
+                    continue
+                fillers, filler, kind = by_prop.get(atom.prop, ()), atom.filler, type(atom)
+                if kind is Some:
+                    for f in fillers:
+                        if types[f].get(filler, r) < r:
                             break
-                else:
-                    gained.add(cls)
+                    else:
+                        break
+                elif kind is Only:
+                    for f in fillers:
+                        if types[f].get(filler, r) >= r:
+                            break
+                    else:
+                        continue
                     break
+                else:  # Min and Max count distinct identity groups
+                    count = len({same.get(f, f) for f in fillers if types[f].get(filler, r) < r})
+                    if count < atom.count if kind is Min else count > atom.count:
+                        break
+            else:
+                return True
+    return False
 
 
 def _delta(now, before: dict, r: int) -> set:

@@ -382,7 +382,7 @@ def satisfies_reference(expr, ind, types, links, same, r) -> bool:
     """Whether `ind` is an instance of `expr` in the snapshot before round r.
 
     The recursive walk over the body that phase three's compiled
-    definitions (reasoner._dnf, reasoner._recognise) replaced: `types`
+    definitions (reasoner._compile, reasoner._recognise) replaced: `types`
     maps each individual to its class -> round stamps, `links` is the
     subject -> property -> fillers map and `same` the identity map.
     """

@@ -627,11 +627,39 @@ def test_the_compiled_plan_answers_as_the_recursive_walk(seed):
             if len(group) > 1 and not group & same.keys():
                 same.update(dict.fromkeys(group, frozenset(group)))
         for expr in (random_expression(rng, onto), _nested_expression(rng, onto, 3)):
-            plan = [(defined, reasoner._dnf(expr))]
+            plan = [(defined, reasoner._compile(expr))]
             for ind in individuals:
                 gained = set()
                 reasoner._recognise(plan, ind, types[ind], gained, types, links, same, r)
                 assert (defined in gained) == satisfies_reference(expr, ind, types, links, same, r), expr
+
+
+def test_a_union_in_a_conjunction_stays_one_atom_so_the_plan_is_linear():
+    """An And of 20 two-way Ors compiles to one conjunction of 20 atoms,
+    where distributing And over Or would give 2**20 conjunctions; the
+    nested restrictions' fillers are in filler_reads, and reason() agrees
+    with the naive oracle on a world that holds the definition."""
+    rng = random.Random(7)
+    onto = Ontology()
+    classes = [onto.declare(Kind.CLASS, f"C{i}") for i in range(6)]
+    props = [onto.declare(Kind.OBJECT_PROPERTY, f"p{i}") for i in range(3)]
+    individuals = [onto.declare(Kind.INDIVIDUAL, f"a{i}") for i in range(8)]
+    body = And(tuple(
+        Or((model.Named(classes[i % 2]), model.Some(props[i % 3], classes[2 + i % 4]))) for i in range(20)
+    ))
+    defined = onto.declare(Kind.CLASS, "Defined")
+    onto.assert_axiom(model.class_definition(defined, body))
+    for ind in individuals:
+        for cls in rng.sample(classes, 2):
+            onto.assert_axiom(model.class_assertion(ind, cls))
+        for p in props:
+            onto.assert_axiom(model.property_assertion(ind, p, rng.choice(individuals)))
+    [(named, atoms)] = reasoner._compile(body)
+    assert named == () and len(atoms) == 20
+    closure = reason(onto)
+    assert closure._schema.filler_reads == {p: {classes[2 + i % 4] for i in range(20) if i % 3 == k} for k, p in enumerate(props)}
+    assert 0 < len(closure.instances_of(defined)) < len(individuals)
+    assert (closure.inferred, closure.consistent) == naive_reason(onto)
 
 
 def _perfbench_worlds():
