@@ -409,28 +409,27 @@ class Axiom:
 
 
 def _factory(tag: AxiomTag):
-    """The constructor of `tag` axioms: checks each argument's role."""
+    """The constructor of `tag` axioms, its roles' tests compiled once: an
+    accepted call tests each argument once, a rejected one runs the checks."""
     _, roles, pair = SHAPES[tag]
-    label = f"{tag.value} argument"
+    n, label = len(roles), f"{tag.value} argument"
+    f0, f1, f2 = [role.fits for role in roles] + [None] * (3 - n)
 
     def build(*args) -> Axiom:
-        if len(args) != len(roles):
-            raise TypeError(f"{tag.value} takes {len(roles)} arguments, got {len(args)}")
-        before = None
-        for role, arg in zip(roles, args):
-            if not role.fits(arg, before):  # a call saved on every legal argument
-                role.check(arg, before, label)
-            before = arg
-        axiom = Axiom(tag, args)
-        return canonical(axiom) if pair else axiom
+        if len(args) != n:
+            raise TypeError(f"{tag.value} takes {n} arguments, got {len(args)}")
+        if f0(args[0], None) and (n < 2 or f1(args[1], args[0])) and (n < 3 or f2(args[2], args[1])):
+            return canonical(Axiom(tag, args)) if pair else Axiom(tag, args)
+        for role, arg, before in zip(roles, args, (None, *args)):
+            role.check(arg, before, label)  # raises at the first argument rejected above
 
     return build
 
 
 # The one constructor per tag.  They are the only kind checks on axiom
-# arguments; the parser and the descriptor mapping both build through them.
-# The reasoner builds its derived axioms as plain Axiom(tag, args) from the
-# arguments of checked asserted axioms, so they pass these checks too.
+# arguments; the parser (which inserts what they build unchecked) and the
+# descriptor mapping build through them.  The reasoner builds its derived
+# axioms as plain Axiom(tag, args) from checked asserted axioms' arguments.
 AXIOM_FACTORIES = {tag: _factory(tag) for tag in AxiomTag}
 sub_property = AXIOM_FACTORIES[AxiomTag.SUB_PROPERTY]
 equivalent_properties = AXIOM_FACTORIES[AxiomTag.EQUIVALENT_PROPERTIES]
@@ -574,6 +573,10 @@ class Ontology:
     """Vocabulary plus asserted axioms, and the reasoner's last Closure.
 
     The asserted set is only changed through assert_axiom / retract_axiom.
+    assert_axiom checks an axiom against this store's vocabulary and
+    orders an unordered pair, then _insert updates the set, the ground
+    index, the generation and the journal.  The parser calls _insert
+    directly, as its factory-built axioms hold only entities it looked up.
     The inferred partition is the installed Closure's `inferred`, which
     the Closure builds from its maps on first read; it is read through
     the "entailed" view, which is the union of both partitions and is
@@ -664,6 +667,10 @@ class Ontology:
             raise OntologyError(f"not an axiom: {axiom!r}")
         axiom = canonical(axiom)
         self._check_vocabulary(axiom)
+        return self._insert(axiom)
+
+    def _insert(self, axiom: Axiom) -> bool:
+        """assert_axiom past its checks, for a canonical axiom over this store's entities."""
         if axiom in self._asserted:
             return False
         self._asserted.add(axiom)

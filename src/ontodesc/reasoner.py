@@ -326,8 +326,13 @@ class Closure:
             (AxiomTag.CLASS_ASSERTION, (((ind,), types) for ind, types in self._types.items())),
         )
         asserted: dict = {}  # tag -> leading arguments -> last arguments
-        for a in self._asserted:
-            asserted.setdefault(a.tag, {}).setdefault(a.args[:-1], set()).add(a.args[-1])
+        for a in self._asserted:  # get-then-create: setdefault builds a default per axiom
+            if (by_head := asserted.get(a.tag)) is None:
+                by_head = asserted[a.tag] = {}
+            if (held := by_head.get(head := a.args[:-1])) is None:
+                by_head[head] = {a.args[-1]}
+            else:
+                held.add(a.args[-1])
         for tag, groups in shapes:
             held_by_head = asserted.get(tag, _EMPTY)
             for head, tails in groups:
@@ -476,6 +481,7 @@ class _Schema:
     ranges: dict
     definitions: list  # (class, its body's conjunctions: (named classes, restriction atoms))
     filler_reads: dict  # property -> the filler classes definition bodies restrict it to
+    own_reads: frozenset  # the named classes definition bodies test on the individual itself
     disjoint_classes: list
     disjoint_properties: list
     functional: list
@@ -524,9 +530,10 @@ def _compile(expr) -> tuple:
     return (((expr.cls,), ()),) if isinstance(expr, Named) else (((), (expr,)),)
 
 
-def _restrictions(body) -> list:
-    """The restriction atoms of a compiled body, its nested unions' included."""
-    return [r for _, atoms in body for a in atoms for r in (_restrictions(a) if type(a) is tuple else (a,))]
+def _tests(body) -> list:
+    """The named classes (tested on the individual itself) and restriction
+    atoms of a compiled body, its nested unions' included."""
+    return [t for named, atoms in body for a in named + atoms for t in (_tests(a) if type(a) is tuple else (a,))]
 
 
 def _schema(onto: Ontology, by_tag: dict) -> _Schema:
@@ -545,6 +552,7 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
 
     classes = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in DATATYPES]
     definitions = [(a.args[0], _compile(a.args[1])) for a in tagged(AxiomTag.CLASS_DEFINITION)]
+    tests = [t for _, body in definitions for t in _tests(body)]
 
     class_edges = edges(AxiomTag.SUB_CLASS) + edges(AxiomTag.EQUIVALENT_CLASSES)
     for cls, expr in (a.args for a in tagged(AxiomTag.CLASS_DEFINITION)):
@@ -584,7 +592,8 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         domains=_multimap(edges(AxiomTag.PROPERTY_DOMAIN)),
         ranges=_multimap((p, c) for p, c in edges(AxiomTag.PROPERTY_RANGE) if c not in DATATYPES),
         definitions=definitions,
-        filler_reads=_multimap((a.prop, a.filler) for _, body in definitions for a in _restrictions(body)),
+        filler_reads=_multimap((t.prop, t.filler) for t in tests if type(t) is not Entity),
+        own_reads=frozenset(t for t in tests if type(t) is Entity),
         disjoint_classes=tagged(AxiomTag.DISJOINT_CLASSES),
         disjoint_properties=tagged(AxiomTag.DISJOINT_PROPERTIES),
         functional=tagged(AxiomTag.FUNCTIONAL_PROPERTY),
@@ -812,13 +821,13 @@ def _memberships(schema, classed, links, back, types, entered, touched, relinked
     Within one run the rounds are semi-naive: inheritance and sharing
     need only the classes that entered in the round before (earlier ones
     were propagated already), and an individual's definitions can give
-    something new only in round 1 or after a snapshot they read (its own
-    or a filler's) changed in the round before.  So after round 1 a
-    first run re-evaluates only the readers of the individuals that
-    entered a class in the round before.
+    something new only in round 1 or after a snapshot they read changed
+    in the round before: its own, in a class of own_reads, or a filler's.
+    So after round 1 a first run re-evaluates only the readers of the
+    individuals that entered a class in the round before.
     """
     class_reach, same = schema.class_reach, schema.same
-    definitions, read = schema.definitions, schema.filler_reads
+    definitions, read, own_reads = schema.definitions, schema.filler_reads, schema.own_reads
     last = len(entered) - 1  # the last run's last round that added a membership
     first = last < 0
     if first:
@@ -864,14 +873,14 @@ def _memberships(schema, classed, links, back, types, entered, touched, relinked
         grown = {}  # individual -> the classes it entered in round r
         for ind in dirty:
             ts = types[ind]
-            gained = set()
+            gained, evaluate = set(), moved is None
             for cls, stamp in ts.items():
                 if stamp == prior:
                     gained.update(class_reach.get(cls, ()))
+                    evaluate = evaluate or cls in own_reads
             for other in same.get(ind, ()):
                 gained.update(c for c, stamp in types[other].items() if stamp == prior)
             gained.difference_update(ts)
-            evaluate = moved is None or ind in moved
             if not evaluate:
                 by_prop = links.get(ind, _EMPTY)
                 evaluate = any(not moved.isdisjoint(by_prop.get(p, ())) for p in read)

@@ -34,8 +34,11 @@ names for arguments) is matched whole and split by str.split(); any
 other is parsed from its start by recursive descent over the token
 pattern's matches.  Names are resolved only after the whole document
 has been read, so a reference may precede its declaration; an
-undeclared name is an UnknownEntity error at the name.  Argument kinds
-are checked by the model's axiom and expression constructors alone; a
+undeclared name is an UnknownEntity error at the name.  An axiom of
+names alone is built by its head's plan (tag, argument order, factory),
+one vocabulary probe per name, and inserted unchecked; any other, or a
+plan that fails, is built argument by argument.  Argument kinds are
+checked by the model's axiom and expression constructors alone; a
 wrong kind anywhere in a statement is a ParseError at its head.  Errors
 come as if the whole text were tokenized first (a malformed token
 anywhere, the first bad statement, then declarations and axioms), with
@@ -49,8 +52,8 @@ emitted only on request, rendered as `# inferred:` comment lines so the
 output stays parseable, after the asserted axioms and in the same order:
 by box, then by line.  They are rendered from the installed Closure's
 inferred_groups, not from its set of inferred axioms: each group's fixed
-arguments are rendered once, around the last argument's text position,
-and one term per last argument completes a line.
+arguments are joined once, before and after the last argument's text
+position, and one term per last argument completes a line.
 """
 
 from __future__ import annotations
@@ -202,11 +205,13 @@ _MAX_DEPTH = 3
 _ARITY = {tag: len(shape.roles) for tag, shape in model.SHAPES.items()} | {
     cls: len(fields(cls)) for cls in (Some, Only, Min, Max)
 }
+# head -> its plan: the tag, each axiom argument's text position, the factory
+_PLANS = {h: (t, _FROM_TEXT.get(t, range(_ARITY[t])), model.AXIOM_FACTORIES[t]) for h, t in _AXIOM_HEADS.items()}
 # a flat statement: its arguments are split on \s by str.split()
 _FLAT = re.compile(r'\s*([^\s()"#]+)\s*\(([^()"#]*)\)')
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)  # hashed by identity, so no name matches one
 class _Call:
     head: str
     at: int  # the head's offset
@@ -288,6 +293,7 @@ class _Builder:
     def __init__(self, text: str):
         self.text, self.onto = text, Ontology()
         self.at = 0  # the statement being built: its unknown names are looked for from here
+        self.names = self.onto._vocab.get  # IRI -> the store's entity, or None
 
     def build(self, statements: list[_Call]) -> Ontology:
         for st in statements:
@@ -299,10 +305,11 @@ class _Builder:
                 self.onto.declare(kind, st.args[0])
             except model.KindClash as e:
                 raise _error(self.text, _argument_at(self.text, st.at, st.args[0]), str(e)) from None
+        insert = self.onto._insert  # a factory-built axiom over the store's entities
         for st in statements:
             if st.head not in _DECLARATIONS:
                 self.at = st.at
-                self.onto.assert_axiom(self._axiom(st))
+                insert(self._axiom(st))
         return self.onto
 
     def _arg(self, node) -> object:
@@ -337,20 +344,25 @@ class _Builder:
         return cls(*args)
 
     def _axiom(self, st: _Call) -> Axiom:
+        # the plan takes names alone; anything else, an unknown name or a
+        # rejected kind (a named DefineClass body too) is built below
+        tag, order, build = _PLANS[st.head]
+        if len(st.args) == len(order) and None not in (args := [self.names(st.args[j]) for j in order]):
+            try:
+                return build(*args)
+            except model.KindMismatch:
+                pass
         try:
             args = [self._arg(a) for a in st.args]
-            tag = _AXIOM_HEADS[st.head]
-            # a composite second class makes a definition; a named body is Named
+            # a composite second class makes a definition (of the same arity
+            # and order); a named body is Named
             if tag is AxiomTag.EQUIVALENT_CLASSES and len(args) == 2 and type(st.args[1]) is _Call:
                 tag = AxiomTag.CLASS_DEFINITION
             if tag is AxiomTag.CLASS_DEFINITION and len(args) == 2 and isinstance(args[1], Entity):
                 args[1] = Named(args[1])
-            if len(args) != _ARITY[tag]:
-                raise _error(self.text, st.at, f"{st.head} takes {_ARITY[tag]} arguments")
-            order = _FROM_TEXT.get(tag)
-            if order:
-                args = [args[j] for j in order]
-            return model.AXIOM_FACTORIES[tag](*args)
+            if len(args) != len(order):
+                raise _error(self.text, st.at, f"{st.head} takes {len(order)} arguments")
+            return model.AXIOM_FACTORIES[tag](*[args[j] for j in order])
         except (ParseError, model.UnknownEntity):
             raise
         except model.OntologyError as e:
@@ -405,32 +417,29 @@ def render_expression(expr: ClassExpression) -> str:
     return f"{type(expr).__name__}({' '.join(_render_arg(a) for a in args)})"
 
 
+_BOX_ORDER = {box: i for i, box in enumerate(Box)}
+# tag -> its head and '(', the axiom argument at each text position (None
+# for axiom order), and the index of its box in _BOX_ORDER
+_LINE_TEMPLATES = {t: (f"{t.value}(", _TEXT_ORDER.get(t), _BOX_ORDER[s.box]) for t, s in model.SHAPES.items()}
+
+
 def render_axiom(axiom: Axiom) -> str:
+    start, order, _ = _LINE_TEMPLATES[axiom.tag]
     args = axiom.args
-    order = _TEXT_ORDER.get(axiom.tag)
     if order:
         args = [args[i] for i in order]
     # entities are most arguments; skip the dispatch for them
-    text = " ".join([a.iri if type(a) is Entity else _render_arg(a) for a in args])
-    return f"{axiom.tag.value}({text})"
+    return start + " ".join([a.iri if type(a) is Entity else _render_arg(a) for a in args]) + ")"
 
 
-_BOX_ORDER = {box: i for i, box in enumerate(Box)}
-
-
-def _inferred_template(tag: AxiomTag) -> tuple[str, str, int]:
-    """Format strings for the text before and after an inferred axiom's
-    last argument, and the index of its box in _BOX_ORDER.
-
-    Placeholder i stands for the rendered head argument i; the rendered
-    names are substituted, never parsed as a template.
-    """
+def _inferred_template(tag: AxiomTag) -> tuple[str, tuple, tuple, int]:
+    """The text that opens an inferred axiom's line, the head arguments
+    written before its last argument and those written after it, and
+    the index of its box in _BOX_ORDER."""
     arity = _ARITY[tag]
     order = tuple(_TEXT_ORDER.get(tag, range(arity)))
     at = order.index(arity - 1)
-    before = "".join(f"{{{i}}} " for i in order[:at])
-    after = "".join(f" {{{i}}}" for i in order[at + 1 :])
-    return f"# inferred: {tag.value}({before}", f"{after})", _BOX_ORDER[tag.box]
+    return f"# inferred: {tag.value}(", order[:at], order[at + 1 :], _LINE_TEMPLATES[tag][2]
 
 
 _INFERRED_TEMPLATES = {tag: _inferred_template(tag) for tag in model.AXIOM_FACTORIES}
@@ -440,13 +449,17 @@ def _inferred_lines(closure) -> list[str]:
     """The `# inferred:` lines, box by box, each box sorted by line.
 
     Rendered from Closure.inferred_groups: each group's head text once,
-    then one term per tail.
+    then one term per tail.  A head holds only entities.
     """
     boxes: list[list[str]] = [[] for _ in _BOX_ORDER]
     for tag, head, tails in closure.inferred_groups():
-        before, after, box = _INFERRED_TEMPLATES[tag]
-        texts = [*map(render_term, head)]
-        prefix, suffix = before.format(*texts), after.format(*texts)
+        prefix, before, after, box = _INFERRED_TEMPLATES[tag]
+        suffix = ""
+        for i in before:
+            prefix += head[i].iri + " "
+        for i in after:
+            suffix += " " + head[i].iri
+        suffix += ")"
         boxes[box].extend([
             prefix + (t.iri if type(t) is Entity else render_literal(t)) + suffix for t in tails
         ])
@@ -462,7 +475,7 @@ def serialize(onto: Ontology, include_inferred: bool = False) -> str:
         names = sorted(e.iri for e in onto.entities_of_kind(kind) if e not in builtin)
         lines.extend(f"{keyword}({iri})" for iri in names)
     asserted = onto.axioms("asserted")
-    rendered = sorted((_BOX_ORDER[a.tag.box], render_axiom(a)) for a in asserted)
+    rendered = sorted((_LINE_TEMPLATES[a.tag][2], render_axiom(a)) for a in asserted)
     lines.extend(text for _, text in rendered)
     if include_inferred:
         lines.extend(_inferred_lines(onto.current_closure()))

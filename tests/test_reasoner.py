@@ -708,3 +708,51 @@ def test_a_first_run_on_the_load_world_reads_no_filler_of_a_door_or_a_robot(monk
     assert of["DOOR"] | of["ROBOT"] <= called  # tested, by name only
     assert not read & (of["DOOR"] | of["ROBOT"])
     assert read and read <= of["LOCATION"]
+
+
+def test_a_first_run_on_the_load_world_tests_no_definition_after_a_move_none_reads(monkeypatch):
+    """After round 1 an individual's definitions are tested again only when
+    it entered a class some definition tests on the individual itself, or
+    one of its fillers moved.  On the load world the corridors enter
+    CORRIDOR in round 2, which no body names and none of their fillers
+    sees, so round 3 tests nothing: 575 + 256 calls, where re-testing every
+    individual that entered any class made 959.  The stamps and the
+    closure stay the naive rounds' and the oracle's."""
+    onto = parse(_perfbench_worlds().generate(128, 128, 64, seed=0).text)
+    rounds = {}
+    recognise = reasoner._recognise
+
+    def counted(*args):
+        rounds[args[-1]] = rounds.get(args[-1], 0) + 1
+        return recognise(*args)
+
+    monkeypatch.setattr(reasoner, "_recognise", counted)
+    closure = reason(onto)
+    assert rounds == {1: 575, 2: 256}
+    assert len(closure._entered) == 3  # round 2 still adds memberships
+    assert (closure._types, closure._entered) == naive_stamps(onto)
+    assert (closure.inferred, closure.consistent) == naive_reason(onto)
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_entering_a_class_a_body_names_tests_the_definitions_again(nested):
+    """x enters A in round 1 through its filler, which moves no further, so
+    only x's own entry into A, which B names on x itself (as a conjunct,
+    or inside a union nested in the conjunction), makes B hold in round 2."""
+    onto = Ontology()
+    a, b, c, other = (onto.declare(Kind.CLASS, n) for n in ("A", "B", "C", "X"))
+    p = onto.declare(Kind.OBJECT_PROPERTY, "p")
+    x, y = (onto.declare(Kind.INDIVIDUAL, n) for n in ("x", "y"))
+    has_c = model.Some(p, c)
+    named_a = Or((model.Named(a), model.Named(other))) if nested else model.Named(a)
+    for axiom in (
+        model.class_definition(a, has_c),
+        model.class_definition(b, And((named_a, has_c))),
+        model.property_assertion(x, p, y),
+        model.class_assertion(y, c),
+    ):
+        onto.assert_axiom(axiom)
+    closure = reason(onto)
+    assert closure._types[x][a] == 1 and closure._types[x][b] == 2
+    assert (closure._types, closure._entered) == naive_stamps(onto)
+    assert (closure.inferred, closure.consistent) == naive_reason(onto)

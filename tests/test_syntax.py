@@ -8,9 +8,10 @@ from generators import random_document, random_ontology
 from oracles import entailed_text_reference, naive_reason, parse_reference, tokenize_reference
 from test_incremental import edit
 from ontodesc import model
-from ontodesc.model import AxiomTag, Kind, Literal, UnknownEntity
+from ontodesc.model import AxiomTag, Kind, Literal, Ontology, UnknownEntity
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import seed_path
+from ontodesc import syntax
 from ontodesc.syntax import (
     _TOKEN,
     ParseError,
@@ -295,6 +296,53 @@ def test_generated_documents_roundtrip(seed):
     onto = parse(document)
     assert serialize(onto) == document
     assert set(parse(serialize(onto)).axioms("asserted")) == set(onto.axioms("asserted"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_a_parsed_store_equals_one_built_through_public_calls(seed):
+    """parse inserts its axioms past assert_axiom's checks, so the store it
+    returns must be the one declare and assert_axiom build from the
+    reference parser's output: the same vocabulary in the same order, the
+    same asserted set, generation and journal, and the same closure once
+    reasoned.  The lines come shuffled, some twice, so names are used
+    before their declaration and a repeated axiom inserts nothing."""
+    rng = random.Random(seed)
+    lines = random_document(rng).splitlines()
+    lines += rng.sample(lines, len(lines) // 4)
+    rng.shuffle(lines)
+    text = "\n".join(lines)
+    parsed, reference, built = parse(text), parse_reference(text), Ontology()
+    for entity in reference.vocabulary():
+        built.declare(entity.kind, entity.iri)
+    for axiom in reference.axioms():
+        assert built.assert_axiom(axiom)
+    assert list(parsed.vocabulary()) == list(built.vocabulary())
+    assert parsed.axioms() == built.axioms()
+    assert (parsed.generation, parsed._journal) == (built.generation, built._journal)
+    ours, theirs = reason(parsed), reason(built)
+    assert (ours.inferred, ours.consistent) == (theirs.inferred, theirs.consistent)
+    assert (ours._types, ours._entered) == (theirs._types, theirs._entered)
+
+
+def test_a_statement_of_names_is_built_by_its_head_plan(monkeypatch):
+    """One statement per axiom head, with names only, builds each axiom from
+    its head's plan and never resolves an argument the general way."""
+    text = """Class(A) Class(B) ObjectProperty(p) ObjectProperty(q) ObjectProperty(r)
+    Individual(x) Individual(y)
+    SubPropertyOf(p q) EquivalentProperties(q p) DisjointProperties(p q) InverseProperties(q p)
+    PropertyDomain(p A) PropertyRange(p B) FunctionalProperty(p) ReflexiveProperty(p)
+    SymmetricProperty(p) TransitiveProperty(p) IrreflexiveProperty(p) SubPropertyChain(p q r)
+    SubClassOf(A B) EquivalentClasses(B A) DisjointClasses(A B) ClassAssertion(A x)
+    PropertyAssertion(p x y) SameIndividual(y x) DifferentIndividuals(x y)"""
+    expected = parse_reference(text).axioms()
+    assert {a.tag for a in expected} == set(AxiomTag) - {AxiomTag.CLASS_DEFINITION}
+
+    def general(self, node):
+        raise AssertionError(f"{node!r} resolved outside its statement's plan")
+
+    monkeypatch.setattr(syntax._Builder, "_arg", general)
+    assert parse(text).axioms() == expected
 
 
 def test_str_split_and_the_token_pattern_agree_on_whitespace():
