@@ -40,6 +40,11 @@ median of the per-round ratios (working tree over base) with their
 quartiles, and the rounds the working tree won (ratio below 1); the last
 line of stdout is one JSON object with the same figures.  Exits 1 if any
 op failed its check.
+
+One invocation settles patrol and load to within about 0.005, but not
+reachable: three 30-round invocations on the same two trees read its
+ratio as 1.025, 0.999 and 1.003, so a reachable reading takes the
+median of three invocations.
 """
 
 from __future__ import annotations

@@ -16,9 +16,11 @@ file, so flows can be chained.  Output is plain text, one record per
 line, deterministic for a fixed (file, flags, seed).
 
 Exit codes: 0 ok, 1 parse error or i/o error (an ontology file that
-cannot be read, or a failed example1 save), 2 unknown entity or a usage
-error (such as patrol --steps 0 or --seed -1), 3 inconsistent world, 4
-missing filler (no position or no door).
+cannot be read, or a failed example1 save, which leaves the file as it
+was; a new name the parser would not read back as itself, such as
+New#1, fails the save), 2 unknown entity or a usage error (such as
+patrol --steps 0 or --seed -1), 3 inconsistent world, 4 missing filler
+(no position or no door).
 """
 
 from __future__ import annotations

@@ -337,34 +337,15 @@ def restrictions_to_expression(items: list[Restriction]) -> ClassExpression:
 
 
 def expression_to_restrictions(expr: ClassExpression) -> list[Restriction]:
-    """Flatten a class expression back into an ordered restriction list."""
-    if isinstance(expr, Or):
-        groups = [_group_atoms(m) for m in expr.members]
-    else:
-        groups = [_group_atoms(expr)]
-    items: list[Restriction] = []
-    for gi, atoms in enumerate(groups):
-        last_group = gi == len(groups) - 1
-        for ai, atom in enumerate(atoms):
-            if ai < len(atoms) - 1:
-                connective = Connective.INTERSECT
-            elif last_group:
-                connective = Connective.END
-            else:
-                connective = Connective.UNION
-            items.append(atom_to_restriction(atom, connective))
+    """Flatten a class expression back into an ordered restriction list:
+    each conjunction's atoms (model.conjunctions) joined by INTERSECT, the
+    conjunctions by UNION, and END last."""
+    groups, items = model.conjunctions(expr), []
+    for i, atoms in enumerate(groups, 1):
+        last = Connective.END if i == len(groups) else Connective.UNION
+        items += [atom_to_restriction(a, Connective.INTERSECT) for a in atoms[:-1]]
+        items.append(atom_to_restriction(atoms[-1], last))
     return items
-
-
-def _group_atoms(expr: ClassExpression) -> list[ClassExpression]:
-    if isinstance(expr, And):
-        for m in expr.members:
-            if isinstance(m, (And, Or)):
-                raise UnsupportedRestriction("intersection members must be atomic")
-        return list(expr.members)
-    if isinstance(expr, Or):
-        raise UnsupportedRestriction("a union may not nest inside another expression")
-    return [expr]
 
 
 def _payload(tag: DescriptorTag, item: Item) -> list:

@@ -3,11 +3,16 @@
 Entities (classes, properties, individuals), typed literals, class
 expressions, axioms, and the in-memory axiom store.  SHAPES, one row per
 axiom tag, is the one statement of each tag's box, argument kinds and
-unordered pair; the axiom factories are built from it.  The store keeps
-a vocabulary (IRI -> entity), an asserted axiom set partitioned into
-RBox, TBox and ABox, and the reasoner's last Closure, which holds the
-inferred partition.  Any mutation bumps a generation counter;
-entailed-view reads made against an outdated closure raise StaleClosure.
+unordered pair; the axiom factories are built from it.  _MEMBERS is the
+one statement of the class-expression grammar: And takes atoms (Named
+and the restrictions) and Or takes atoms and Ands, so every expression
+is a union of intersections of atoms, the shape that the .onto text and
+the DEFINITION descriptor hold; any other nesting is a KindMismatch at
+construction, and conjunctions() reads a body's shape.  The store keeps a
+vocabulary (IRI -> entity), an asserted axiom set partitioned into RBox,
+TBox and ABox, and the reasoner's last Closure, which holds the inferred
+partition.  Any mutation bumps a generation counter; entailed-view reads
+made against an outdated closure raise StaleClosure.
 
 Entities are interned: one live object per (kind, IRI) in the process, so
 equality is identity and hashing is the C-level object hash.  The
@@ -239,7 +244,7 @@ class And:
     members: tuple
 
     def __post_init__(self):
-        _check_members(self.members, "And")
+        _check_members(self.members, And)
 
 
 @dataclass(frozen=True)
@@ -247,7 +252,7 @@ class Or:
     members: tuple
 
     def __post_init__(self):
-        _check_members(self.members, "Or")
+        _check_members(self.members, Or)
 
 
 @dataclass(frozen=True)
@@ -297,12 +302,24 @@ ClassExpression = Union[EXPRESSION_CLASSES]
 EXPRESSION = Role("a class expression", (), lambda a, _: isinstance(a, EXPRESSION_CLASSES))
 
 
-def _check_members(members, label: str) -> None:
+# The one statement of the class-expression grammar, a union of
+# intersections of atoms: the classes each connective's members may be.
+_ATOMS = (Named, Some, Only, Min, Max)
+_MEMBERS = {And: _ATOMS, Or: (*_ATOMS, And)}
+
+
+def _check_members(members, connective) -> None:
+    label = connective.__name__
     if not isinstance(members, tuple) or len(members) < 2:
         raise OntologyError(f"{label} needs a tuple of at least two members")
     for m in members:
-        if not isinstance(m, EXPRESSION_CLASSES):
-            raise KindMismatch(f"{label} member is not a class expression: {m!r}")
+        if not isinstance(m, _MEMBERS[connective]):
+            raise KindMismatch(f"{label} members must be atoms{'' if connective is And else ' or Ands'}, got {m!r}")
+
+
+def conjunctions(expr: ClassExpression) -> tuple:
+    """A body's conjunctions in body order, each the tuple of its atoms."""
+    return tuple(m.members if isinstance(m, And) else (m,) for m in (expr.members if isinstance(expr, Or) else (expr,)))
 
 
 def _check_quantifier(prop, filler) -> None:

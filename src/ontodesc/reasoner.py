@@ -13,10 +13,10 @@ Schema rules (phase one):
 
 * class subsumption is closed reflexively and transitively over asserted
   SubClassOf edges, the two directions of every EquivalentClasses axiom,
-  and one edge per named top-level conjunct of a DefineClass body
-  (a definition whose body is a bare name counts as a single conjunct);
-  every class is below THING and above NOTHING.  Self-subsumptions are
-  entailed but not materialized as stored axioms.
+  and, for a DefineClass body of one conjunction (an And or a single
+  atom), one edge to each named class in it; every class is below THING
+  and above NOTHING.  Self-subsumptions are entailed but not
+  materialized as stored axioms.
 * property subsumption is closed the same way over SubPropertyOf and
   EquivalentProperties; there is no builtin top property.
 * SameIndividual is closed as an equivalence relation.
@@ -61,10 +61,11 @@ order):
   phase-two fillers: Some needs one filler in the filler class, Only
   needs every filler in it, Min/Max count fillers in it that are
   pairwise distinct (two fillers are the same only when SameIndividual
-  relates them).  And/Or are conjunction and disjunction.  Phase one
-  compiles each body into a union of conjunctions of named classes and
-  atoms, an atom being a restriction or a union nested in the
-  conjunction; named classes are tested before any atom reads a filler.
+  relates them).  And/Or are conjunction and disjunction.  A body is a
+  union of intersections of atoms (model._MEMBERS), and phase one
+  compiles it into the tuple of its conjunctions, each its named classes
+  and its restrictions; named classes are tested before any restriction
+  reads a filler.
 
 Consistency checks (reported as violations, never derived from):
 
@@ -105,7 +106,7 @@ asserts and retracts since that Closure's generation:
   changed, or on any change in an identity-group mate: it reads every
   class of its SameIndividual group's snapshots, and of a filler's only
   the classes that some definition tests on that property's fillers
-  (filler_reads, read off the compiled bodies' atoms).  Every other
+  (filler_reads, read off the compiled bodies' restrictions).  Every other
   individual keeps its stamps, which give its snapshot in every round,
   so the outcome is exactly that of the rounds run from scratch, under
   Only and Max too.  A re-evaluated individual gets a new stamp map; the
@@ -144,7 +145,6 @@ from .model import (
     NOTHING,
     SHAPES,
     THING,
-    And,
     Axiom,
     AxiomTag,
     Entity,
@@ -153,11 +153,11 @@ from .model import (
     Named,
     Only,
     Ontology,
-    Or,
     Some,
     StaleClosure,
     canonical,
     class_assertion,
+    conjunctions,
     property_assertion,
     same_individual,
     tautological,
@@ -479,9 +479,9 @@ class _Schema:
     chains: list
     domains: dict
     ranges: dict
-    definitions: list  # (class, its body's conjunctions: (named classes, restriction atoms))
+    definitions: list  # (class, its body's conjunctions: (named classes, restrictions))
     filler_reads: dict  # property -> the filler classes definition bodies restrict it to
-    own_reads: frozenset  # the named classes definition bodies test on the individual itself
+    own_reads: frozenset  # the named classes of the bodies' conjunctions, tested on the individual itself
     disjoint_classes: list
     disjoint_properties: list
     functional: list
@@ -516,24 +516,12 @@ def _reach_map(nodes, edges) -> dict:
 
 
 def _compile(expr) -> tuple:
-    """expr as a union of conjunctions, each (named classes, atoms) in body
-    order; an atom is a restriction or a union nested in the conjunction,
-    kept whole so the plan stays linear in the size of the body."""
-    if isinstance(expr, Or):
-        return tuple(conjunction for member in expr.members for conjunction in _compile(member))
-    if isinstance(expr, And):
-        named, atoms = (), ()
-        for union in map(_compile, expr.members):
-            n, a = union[0] if len(union) == 1 else ((), (union,))
-            named, atoms = named + n, atoms + a
-        return ((named, atoms),)
-    return (((expr.cls,), ()),) if isinstance(expr, Named) else (((), (expr,)),)
-
-
-def _tests(body) -> list:
-    """The named classes (tested on the individual itself) and restriction
-    atoms of a compiled body, its nested unions' included."""
-    return [t for named, atoms in body for a in named + atoms for t in (_tests(a) if type(a) is tuple else (a,))]
+    """A body's conjunctions (model.conjunctions), each as (named classes,
+    restrictions) in body order."""
+    return tuple(
+        (tuple(a.cls for a in atoms if type(a) is Named), tuple(a for a in atoms if type(a) is not Named))
+        for atoms in conjunctions(expr)
+    )
 
 
 def _schema(onto: Ontology, by_tag: dict) -> _Schema:
@@ -552,13 +540,10 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
 
     classes = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in DATATYPES]
     definitions = [(a.args[0], _compile(a.args[1])) for a in tagged(AxiomTag.CLASS_DEFINITION)]
-    tests = [t for _, body in definitions for t in _tests(body)]
 
     class_edges = edges(AxiomTag.SUB_CLASS) + edges(AxiomTag.EQUIVALENT_CLASSES)
-    for cls, expr in (a.args for a in tagged(AxiomTag.CLASS_DEFINITION)):
-        for conjunct in expr.members if isinstance(expr, And) else (expr,):
-            if isinstance(conjunct, Named):
-                class_edges.append((cls, conjunct.cls))
+    # a class whose body is one conjunction is below each named class in it
+    class_edges += [(cls, named) for cls, body in definitions if len(body) == 1 for named in body[0][0]]
     for c in classes:
         if c != THING:
             class_edges.append((c, THING))
@@ -592,8 +577,8 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
         domains=_multimap(edges(AxiomTag.PROPERTY_DOMAIN)),
         ranges=_multimap((p, c) for p, c in edges(AxiomTag.PROPERTY_RANGE) if c not in DATATYPES),
         definitions=definitions,
-        filler_reads=_multimap((t.prop, t.filler) for t in tests if type(t) is not Entity),
-        own_reads=frozenset(t for t in tests if type(t) is Entity),
+        filler_reads=_multimap((t.prop, t.filler) for _, body in definitions for _, atoms in body for t in atoms),
+        own_reads=frozenset(c for _, body in definitions for named, _ in body for c in named),
         disjoint_classes=tagged(AxiomTag.DISJOINT_CLASSES),
         disjoint_properties=tagged(AxiomTag.DISJOINT_PROPERTIES),
         functional=tagged(AxiomTag.FUNCTIONAL_PROPERTY),
@@ -749,18 +734,15 @@ def _recognise(definitions, ind, ts, gained, types, links, same, r) -> None:
 
 def _holds(body, ts, by_prop, types, same, r) -> bool:
     """Whether a conjunction of `body` holds for the individual with stamps
-    `ts` and links `by_prop`, its named classes tested before any atom reads
-    a filler.  A restriction's property is an object property: its fillers are individuals."""
+    `ts` and links `by_prop`, its named classes tested before any
+    restriction reads a filler.  A restriction's property is an object
+    property: its fillers are individuals."""
     for named, atoms in body:
         for c in named:
             if ts.get(c, r) >= r:
                 break
         else:
-            for atom in atoms:  # a `break` out of this loop is an atom that fails
-                if type(atom) is tuple:  # a nested union
-                    if not _holds(atom, ts, by_prop, types, same, r):
-                        break
-                    continue
+            for atom in atoms:  # a `break` out of this loop is a restriction that fails
                 fillers, filler, kind = by_prop.get(atom.prop, ()), atom.filler, type(atom)
                 if kind is Some:
                     for f in fillers:

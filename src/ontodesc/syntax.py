@@ -22,11 +22,12 @@ Any other word that starts with a digit, a sign or a point is a
 malformed number.
 
 Class expressions use And / Or / Some / Only / Min / Max; a bare name in
-an expression position is that named class.  And and Or are n-ary;
-intersection binds tighter than union, so the only accepted nesting is a
-union whose members are atoms or plain intersections of atoms.  Calls
-therefore nest at most three deep below a statement (statement > Or >
-And > quantifier); a deeper call is a parse error at its head.  The
+an expression position is that named class.  And and Or are n-ary.  The
+model states the grammar (model._MEMBERS): a union whose members are
+atoms or intersections of atoms, intersection binding tighter than
+union.  The parser checks that nesting as it reads, so calls nest at
+most three deep below a statement (statement > Or > And > quantifier)
+and a deeper or misplaced call is a parse error at its head.  The
 count of Min and Max must be an integer token.
 
 Parsing builds no tokens.  A flat statement (a known head with only
@@ -47,7 +48,9 @@ a line (only a newline starts one) and column counted only then.
 Serialization is canonical: declarations first (classes, object
 properties, data properties, individuals, each sorted by IRI), then
 RBox, TBox and ABox axioms, each sorted by their rendered line.
-Re-serializing a parsed document is byte-stable.  Inferred axioms are
+Re-serializing a parsed document is byte-stable.  An IRI the parser
+would not read back as that one name (`1abc`, `true`, `a#b`, ...) is an
+OntologyError before any text is returned.  Inferred axioms are
 emitted only on request, rendered as `# inferred:` comment lines so the
 output stays parseable, after the asserted axioms and in the same order:
 by box, then by line.  They are rendered from the installed Closure's
@@ -118,6 +121,17 @@ _ESCAPE = re.compile(r"\\(.)")
 
 def _is_name(word: str) -> bool:
     return (word[0].isalpha() or word[0] == "_") and word != "true" and word != "false"
+
+
+def _reads_back(name: str) -> bool:
+    """The parser's name rule: `name` is one whole word token that _is_name accepts."""
+    m = _TOKEN.match(name)
+    return m.lastgroup == "word" and m.end() == len(name) and _is_name(name)
+
+
+# Lines of names that surely read back as themselves: an ASCII letter or
+# an underscore, then no character that ends a word, and not a boolean.
+_PLAIN_NAMES = re.compile(r'(?:(?!(?:true|false)\n)[A-Za-z_][^\s()"#]*\n)*')
 
 
 @dataclass(slots=True)
@@ -469,6 +483,14 @@ def _inferred_lines(closure) -> list[str]:
 
 
 def serialize(onto: Ontology, include_inferred: bool = False) -> str:
+    """The canonical text; OntologyError for an IRI the parser would not
+    read back as that one name.  One pass over the vocabulary's IRIs
+    passes plain names; any other world is held to _reads_back, name by
+    name."""
+    if _PLAIN_NAMES.fullmatch("\n".join(onto._vocab) + "\n") is None:
+        for iri in onto._vocab:
+            if not _reads_back(iri):
+                raise model.OntologyError(f"cannot write {iri!r}: the parser would not read it back as one name")
     lines: list[str] = []
     builtin = set(model.BUILTINS)
     for keyword, kind in _DECLARATIONS.items():

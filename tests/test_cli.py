@@ -202,6 +202,15 @@ class TestExample1:
         assert seed_file.read_bytes() == before
         assert list(seed_file.parent.iterdir()) == [seed_file]
 
+    def test_a_name_the_parser_would_read_differently_is_not_saved(self, capsys, seed_file):
+        before = seed_file.read_bytes()
+        code, _, err = run(capsys, "example1", "--ontology", str(seed_file), "New#1", "Corridor1", "Door9")
+        assert code == EXIT_PARSE
+        assert err.startswith("error: cannot write 'New#1'")
+        assert seed_file.read_bytes() == before
+        assert list(seed_file.parent.iterdir()) == [seed_file]
+        assert run(capsys, "reason", "--ontology", str(seed_file))[0] == EXIT_OK
+
     def test_unknown_connected_location_exits_two(self, capsys):
         code, _, err = run(capsys, "example1", "Location3", "Nowhere", "Door3")
         assert code == EXIT_UNKNOWN

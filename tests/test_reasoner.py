@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import chained_ontology, random_atom, random_expression, random_ontology, vocabulary
+from generators import chained_ontology, random_expression, random_ontology, vocabulary
 from oracles import (
     naive_reason,
     naive_stamps,
@@ -18,7 +18,7 @@ from oracles import (
     transitive_fillers,
 )
 from ontodesc import cli, model, reasoner, scenarios
-from ontodesc.model import And, Kind, Literal, NOTHING, Ontology, Or, StaleClosure, THING
+from ontodesc.model import And, Kind, Literal, NOTHING, Ontology, StaleClosure, THING
 from ontodesc.reasoner import reason
 from ontodesc.syntax import parse
 
@@ -594,14 +594,6 @@ def test_renaming_iris_renames_the_closure(seed, monotone):
 # phase three's compiled definitions
 
 
-def _nested_expression(rng: random.Random, onto: Ontology, depth: int):
-    """An API-built body: And and Or nested up to `depth` deep."""
-    if depth == 0 or rng.random() < 0.25:
-        return random_atom(rng, onto, monotone=False)
-    members = tuple(_nested_expression(rng, onto, depth - 1) for _ in range(rng.randint(2, 3)))
-    return (And if rng.random() < 0.5 else Or)(members)
-
-
 @pytest.mark.parametrize("seed", range(60))
 def test_the_compiled_plan_answers_as_the_recursive_walk(seed):
     """For random bodies, random stamp maps (stamps on both sides of the
@@ -626,40 +618,12 @@ def test_the_compiled_plan_answers_as_the_recursive_walk(seed):
         for group in ({i for i in individuals if rng.random() < 0.4} for _ in range(rng.randint(0, 2))):
             if len(group) > 1 and not group & same.keys():
                 same.update(dict.fromkeys(group, frozenset(group)))
-        for expr in (random_expression(rng, onto), _nested_expression(rng, onto, 3)):
-            plan = [(defined, reasoner._compile(expr))]
-            for ind in individuals:
-                gained = set()
-                reasoner._recognise(plan, ind, types[ind], gained, types, links, same, r)
-                assert (defined in gained) == satisfies_reference(expr, ind, types, links, same, r), expr
-
-
-def test_a_union_in_a_conjunction_stays_one_atom_so_the_plan_is_linear():
-    """An And of 20 two-way Ors compiles to one conjunction of 20 atoms,
-    where distributing And over Or would give 2**20 conjunctions; the
-    nested restrictions' fillers are in filler_reads, and reason() agrees
-    with the naive oracle on a world that holds the definition."""
-    rng = random.Random(7)
-    onto = Ontology()
-    classes = [onto.declare(Kind.CLASS, f"C{i}") for i in range(6)]
-    props = [onto.declare(Kind.OBJECT_PROPERTY, f"p{i}") for i in range(3)]
-    individuals = [onto.declare(Kind.INDIVIDUAL, f"a{i}") for i in range(8)]
-    body = And(tuple(
-        Or((model.Named(classes[i % 2]), model.Some(props[i % 3], classes[2 + i % 4]))) for i in range(20)
-    ))
-    defined = onto.declare(Kind.CLASS, "Defined")
-    onto.assert_axiom(model.class_definition(defined, body))
-    for ind in individuals:
-        for cls in rng.sample(classes, 2):
-            onto.assert_axiom(model.class_assertion(ind, cls))
-        for p in props:
-            onto.assert_axiom(model.property_assertion(ind, p, rng.choice(individuals)))
-    [(named, atoms)] = reasoner._compile(body)
-    assert named == () and len(atoms) == 20
-    closure = reason(onto)
-    assert closure._schema.filler_reads == {p: {classes[2 + i % 4] for i in range(20) if i % 3 == k} for k, p in enumerate(props)}
-    assert 0 < len(closure.instances_of(defined)) < len(individuals)
-    assert (closure.inferred, closure.consistent) == naive_reason(onto)
+        expr = random_expression(rng, onto)
+        plan = [(defined, reasoner._compile(expr))]
+        for ind in individuals:
+            gained = set()
+            reasoner._recognise(plan, ind, types[ind], gained, types, links, same, r)
+            assert (defined in gained) == satisfies_reference(expr, ind, types, links, same, r), expr
 
 
 def _perfbench_worlds():
@@ -734,20 +698,18 @@ def test_a_first_run_on_the_load_world_tests_no_definition_after_a_move_none_rea
     assert (closure.inferred, closure.consistent) == naive_reason(onto)
 
 
-@pytest.mark.parametrize("nested", [False, True])
-def test_entering_a_class_a_body_names_tests_the_definitions_again(nested):
+def test_entering_a_class_a_body_names_tests_the_definitions_again():
     """x enters A in round 1 through its filler, which moves no further, so
-    only x's own entry into A, which B names on x itself (as a conjunct,
-    or inside a union nested in the conjunction), makes B hold in round 2."""
+    only x's own entry into A, which B names as a conjunct on x itself,
+    makes B hold in round 2."""
     onto = Ontology()
-    a, b, c, other = (onto.declare(Kind.CLASS, n) for n in ("A", "B", "C", "X"))
+    a, b, c = (onto.declare(Kind.CLASS, n) for n in ("A", "B", "C"))
     p = onto.declare(Kind.OBJECT_PROPERTY, "p")
     x, y = (onto.declare(Kind.INDIVIDUAL, n) for n in ("x", "y"))
     has_c = model.Some(p, c)
-    named_a = Or((model.Named(a), model.Named(other))) if nested else model.Named(a)
     for axiom in (
         model.class_definition(a, has_c),
-        model.class_definition(b, And((named_a, has_c))),
+        model.class_definition(b, And((model.Named(a), has_c))),
         model.property_assertion(x, p, y),
         model.class_assertion(y, c),
     ):

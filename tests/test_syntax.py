@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -216,6 +217,19 @@ class TestSerializer:
     def test_golden_seed_file_is_canonical(self):
         text = seed_path().read_text(encoding="utf-8")
         assert serialize(parse(text)) == text
+
+    @pytest.mark.parametrize("name", ["1abc", "a(b", "true", "a#b", 'x"y', "a)Class(b", "\u00bdx"])
+    def test_a_name_the_parser_would_read_differently_is_refused(self, name):
+        onto = parse("Class(A)")
+        onto.declare(Kind.CLASS, name)
+        with pytest.raises(model.OntologyError, match=re.escape(repr(name))):
+            serialize(onto)
+
+    @pytest.mark.parametrize("name", ["_x", "trueish", "\u00dcber", "a+b.c"])
+    def test_a_name_the_parser_reads_back_is_written(self, name):
+        onto = parse("Class(A)")
+        onto.declare(Kind.INDIVIDUAL, name)
+        assert parse(serialize(onto)).lookup(name).kind is Kind.INDIVIDUAL
 
 
 def _inferred_lines(text: str) -> list[str]:
