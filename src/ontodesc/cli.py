@@ -17,7 +17,7 @@ line, deterministic for a fixed (file, flags, seed).
 
 Exit codes: 0 ok, 1 parse error or i/o error (an ontology file that
 cannot be read, or a failed example1 save, which leaves the file as it
-was; a new name the parser would not read back as itself, such as
+was and prints nothing to stdout; a new name the parser would not read back as itself, such as
 New#1, fails the save), 2 unknown entity or a usage error (such as
 patrol --steps 0 or --seed -1), 3 inconsistent world, 4 missing filler
 (no position or no door).
@@ -107,10 +107,10 @@ def _cmd_example1(args) -> int:
     types = scenarios.categorize_new_location(
         onto, args.new_location, args.connected_location, args.door
     )
+    if args.ontology is not None:  # print nothing unless the new location is saved
+        _replace_file(Path(args.ontology), serialize(onto))
     for iri in types:
         print(iri)
-    if args.ontology is not None:
-        _replace_file(Path(args.ontology), serialize(onto))
     return EXIT_OK
 
 

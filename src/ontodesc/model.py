@@ -43,6 +43,11 @@ class KindClash(OntologyError):
     """An IRI is already declared with a different entity kind."""
 
 
+def redeclared(iri: str, was: Kind, kind: Kind) -> KindClash:
+    """The error for declaring `iri`, already a `was`, as a `kind`."""
+    return KindClash(f"{iri!r} is already a {was.value}, cannot redeclare as {kind.value}")
+
+
 class KindMismatch(OntologyError):
     """An axiom or expression received an entity of the wrong kind."""
 
@@ -84,6 +89,23 @@ _ENTITIES: dict = {}
 _ENTITIES_LOCK = threading.Lock()
 
 
+def _intern(kind: Kind, iri: str) -> Entity:
+    """The live Entity for (kind, iri), made on a miss; the caller holds
+    _ENTITIES_LOCK and has checked that `kind` is not LITERAL and that
+    `iri` is a non-empty string."""
+    key = (kind, iri)
+    ref = _ENTITIES.get(key)
+    entity = None if ref is None else ref()
+    if entity is None:
+        if iri.split() != [iri]:  # str.split() splits where str.isspace() holds
+            raise OntologyError(f"IRI may not contain whitespace: {iri!r}")
+        entity = object.__new__(Entity)
+        object.__setattr__(entity, "kind", kind)
+        object.__setattr__(entity, "iri", iri)
+        _ENTITIES[key] = weakref.ref(entity, lambda _, key=key: _remove_dead_weakref(_ENTITIES, key))
+    return entity
+
+
 class Entity:
     """A named term of the vocabulary.  IRIs compare byte-for-byte.
 
@@ -101,22 +123,12 @@ class Entity:
             raise KindMismatch("literals carry a value, not an IRI; use Literal")
         if not isinstance(iri, str) or not iri:
             raise OntologyError("IRI must be a non-empty string")
-        key = (kind, iri)
-        ref = _ENTITIES.get(key)
+        ref = _ENTITIES.get((kind, iri))
         entity = None if ref is None else ref()
         if entity is not None:
             return entity
-        if iri.split() != [iri]:  # str.split() splits where str.isspace() holds
-            raise OntologyError(f"IRI may not contain whitespace: {iri!r}")
         with _ENTITIES_LOCK:
-            ref = _ENTITIES.get(key)
-            entity = None if ref is None else ref()
-            if entity is None:
-                entity = object.__new__(cls)
-                object.__setattr__(entity, "kind", kind)
-                object.__setattr__(entity, "iri", iri)
-                _ENTITIES[key] = weakref.ref(entity, lambda _, key=key: _remove_dead_weakref(_ENTITIES, key))
-        return entity
+            return _intern(kind, iri)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: entities are immutable")
@@ -589,11 +601,17 @@ class _GroundIndex:
 class Ontology:
     """Vocabulary plus asserted axioms, and the reasoner's last Closure.
 
-    The asserted set is only changed through assert_axiom / retract_axiom.
-    assert_axiom checks an axiom against this store's vocabulary and
-    orders an unordered pair, then _insert updates the set, the ground
-    index, the generation and the journal.  The parser calls _insert
-    directly, as its factory-built axioms hold only entities it looked up.
+    The asserted set is only changed through assert_axiom / retract_axiom,
+    and by the parser's batch.  assert_axiom checks an axiom against this
+    store's vocabulary and orders an unordered pair, then _insert updates
+    the set, the ground index, the generation and the journal.  The
+    parser fills a fresh store in two batch calls: _declare_all declares
+    the names it has checked, interning them under one hold of the intern
+    lock, and _insert_all adds its factory-built axioms, which hold only
+    entities it looked up, with one set.update.  Besides the set, _insert
+    keeps the journal and the built ground-index slots current, so a
+    batch insert checks that the store has neither and raises otherwise.
+    Each batch bumps the generation by what it added.
     The inferred partition is the installed Closure's `inferred`, which
     the Closure builds from its maps on first read; it is read through
     the "entailed" view, which is the union of both partitions and is
@@ -643,15 +661,28 @@ class Ontology:
         existing = self._vocab.get(iri)
         if existing is not None:
             if existing.kind is not kind:
-                raise KindClash(
-                    f"{iri!r} is already a {existing.kind.value}, cannot redeclare as {kind.value}"
-                )
+                raise redeclared(iri, existing.kind, kind)
             return existing
         entity = Entity(kind, iri)
         self._vocab[iri] = entity
         self._generation += 1
         self._journal = None
         return entity
+
+    def _declare_all(self, names: dict[str, Kind]) -> None:
+        """declare() for each IRI -> kind of `names`, in order, where each
+        IRI is a non-empty string not declared yet and each kind is not
+        LITERAL: one hold of the intern lock for all of them, and one
+        generation step each."""
+        vocab = self._vocab
+        if not vocab.keys().isdisjoint(names):
+            raise OntologyError("a batch declaration may only hold undeclared IRIs")
+        with _ENTITIES_LOCK:
+            for iri, kind in names.items():
+                vocab[iri] = _intern(kind, iri)
+        if names:
+            self._generation += len(names)
+            self._journal = None
 
     def ensure(self, entity: Entity) -> Entity:
         """Declare the entity's IRI with its kind if not present."""
@@ -695,6 +726,17 @@ class Ontology:
         self._generation += 1
         self._note(axiom, True)
         return True
+
+    def _insert_all(self, axioms: list[Axiom]) -> None:
+        """_insert for each canonical axiom over this store's entities, into
+        a store with no journal and no built ground-index slot, so that
+        one set.update and the generation are the whole change."""
+        if self._journal is not None or self._asserted_index._slots:
+            raise OntologyError("a batch insert needs a store with no journal and no built index slot")
+        asserted = self._asserted
+        before = len(asserted)
+        asserted.update(axioms)
+        self._generation += len(asserted) - before
 
     def retract_axiom(self, axiom: Axiom) -> bool:
         """Remove from the asserted set.  Returns True when the set changed."""

@@ -30,20 +30,26 @@ most three deep below a statement (statement > Or > And > quantifier)
 and a deeper or misplaced call is a parse error at its head.  The
 count of Min and Max must be an integer token.
 
-Parsing builds no tokens.  A flat statement (a known head with only
-names for arguments) is matched whole and split by str.split(); any
+Parsing builds no tokens, and a document is read into two lists, the
+declarations and the axiom statements, each in text order.  A flat
+statement (a known head with only names for arguments) is matched whole,
+split by str.split() and kept as a (head, offset, names) tuple; any
 other is parsed from its start by recursive descent over the token
-pattern's matches.  Names are resolved only after the whole document
-has been read, so a reference may precede its declaration; an
-undeclared name is an UnknownEntity error at the name.  An axiom of
-names alone is built by its head's plan (tag, argument order, factory),
-one vocabulary probe per name, and inserted unchecked; any other, or a
-plan that fails, is built argument by argument.  Argument kinds are
-checked by the model's axiom and expression constructors alone; a
-wrong kind anywhere in a statement is a ParseError at its head.  Errors
-come as if the whole text were tokenized first (a malformed token
-anywhere, the first bad statement, then declarations and axioms), with
-a line (only a newline starts one) and column counted only then.
+pattern's matches into a _Call tree.  Names are resolved only after the
+whole document has been read, so a reference may precede its
+declaration; an undeclared name is an UnknownEntity error at the name.
+Every declaration is checked in text order (one name, then no clash
+with a builtin or an earlier declaration), and the new names are
+declared in one batch (Ontology._declare_all).  An axiom of names alone
+is then built by its head's plan (tag, argument order, factory), one
+vocabulary probe per name; any other, or a plan that fails, is built
+argument by argument.  The axioms go into the fresh store in one
+unchecked update (Ontology._insert_all).  Argument kinds are checked by
+the model's axiom and expression constructors alone; a wrong kind
+anywhere in a statement is a ParseError at its head.  Errors come as if
+the whole text were tokenized first (a malformed token anywhere, the
+first bad statement, then declarations and axioms), with a line (only
+a newline starts one) and column counted only then.
 
 Serialization is canonical: declarations first (classes, object
 properties, data properties, individuals, each sorted by IRI), then
@@ -64,7 +70,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
-from itertools import pairwise
+from itertools import islice, pairwise
 
 from . import model
 from .model import (
@@ -204,7 +210,8 @@ _DECLARATIONS = {
 # the expression classes are named after their text heads
 _EXPRESSIONS = {cls.__name__: cls for cls in (And, Or, Some, Only, Min, Max)}
 _AXIOM_HEADS = {t.value: t for t in AxiomTag}
-_HEADS = _DECLARATIONS.keys() | _AXIOM_HEADS.keys()
+# head -> whether it starts a declaration
+_HEADS = dict.fromkeys(_DECLARATIONS, True) | dict.fromkeys(_AXIOM_HEADS, False)
 # Text argument j is axiom argument _TEXT_ORDER[tag][j]; other tags write
 # their arguments in axiom order.
 _TEXT_ORDER = {
@@ -231,6 +238,9 @@ class _Call:
     at: int  # the head's offset
     args: list  # names (str), Literals and _Calls
 
+    def __iter__(self):  # unpacks as a flat statement's (head, offset, names) does
+        return iter((self.head, self.at, self.args))
+
 
 class _Parser:
     """Flat statements matched whole, others parsed over _TOKEN matches."""
@@ -251,25 +261,29 @@ class _Parser:
             pass
         raise _error(self.text, at, message)
 
-    def parse_document(self) -> list[_Call]:
-        text, statements, flat = self.text, [], _FLAT.match
+    def parse_document(self) -> tuple[list, list]:
+        """The declarations and the axiom statements, each in text order: a
+        flat statement as a (head, offset, names) tuple, any other as a _Call."""
+        text, flat, heads = self.text, _FLAT.match, _HEADS.get
+        declarations: list = []
+        axioms: list = []
         while True:
             m = flat(text, self.pos)
-            if m and m[1] in _HEADS and all(map(_is_name, args := m[2].split())):
-                statements.append(_Call(m[1], m.start(1), args))
+            if m and (declares := heads(m[1])) is not None and all(map(_is_name, args := m[2].split())):
+                (declarations if declares else axioms).append((m[1], m.start(1), args))
                 self.pos = m.end()
                 continue
             typ, head, _, at = self.next()
             if typ == "eof":
-                return statements
+                return declarations, axioms
             if typ != "name":
                 self.fail(at, f"expected a statement, found {head!r}")
-            if head not in _HEADS:
+            if (declares := heads(head)) is None:
                 self.fail(at, f"unknown statement: {head!r}")
             typ, found, _, paren = self.next()
             if typ != "(":
                 self.fail(paren, f"expected '(', found {found!r}")
-            statements.append(self.parse_call(head, at, 0))
+            (declarations if declares else axioms).append(self.parse_call(head, at, 0))
 
     def parse_call(self, head: str, at: int, depth: int) -> _Call:
         """The call whose head and '(' have been read."""
@@ -302,28 +316,37 @@ def _argument_at(text: str, at: int, name: str) -> int:
 
 
 class _Builder:
-    """Second pass: turn statement trees into declarations and axioms."""
+    """Second pass: declare the names, then build and insert the axioms."""
 
     def __init__(self, text: str):
         self.text, self.onto = text, Ontology()
         self.at = 0  # the statement being built: its unknown names are looked for from here
-        self.names = self.onto._vocab.get  # IRI -> the store's entity, or None
 
-    def build(self, statements: list[_Call]) -> Ontology:
-        for st in statements:
-            if (kind := _DECLARATIONS.get(st.head)) is None:
-                continue
-            if len(st.args) != 1 or type(st.args[0]) is not str:
-                raise _error(self.text, st.at, f"{st.head} takes one name")
-            try:
-                self.onto.declare(kind, st.args[0])
-            except model.KindClash as e:
-                raise _error(self.text, _argument_at(self.text, st.at, st.args[0]), str(e)) from None
-        insert = self.onto._insert  # a factory-built axiom over the store's entities
-        for st in statements:
-            if st.head not in _DECLARATIONS:
-                self.at = st.at
-                insert(self._axiom(st))
+    def build(self, declarations: list, axioms: list) -> Ontology:
+        # IRI -> kind, the builtins and then each name this text declares
+        kinds = {iri: e.kind for iri, e in self.onto._vocab.items()}
+        known = len(kinds)
+        for head, at, args in declarations:
+            if len(args) != 1 or type(iri := args[0]) is not str:
+                raise _error(self.text, at, f"{head} takes one name")
+            kind = _DECLARATIONS[head]
+            if (was := kinds.setdefault(iri, kind)) is not kind:
+                clash = model.redeclared(iri, was, kind)
+                raise _error(self.text, _argument_at(self.text, at, iri), str(clash))
+        self.onto._declare_all(dict(islice(kinds.items(), known, None)))
+        names, built = self.onto._vocab.get, []  # IRI -> the store's entity, or None
+        for head, at, nodes in axioms:
+            # the plan takes names alone; anything else, an unknown name or
+            # a rejected kind (a named DefineClass body too) goes to _axiom
+            _, order, make = _PLANS[head]
+            if len(nodes) == len(order) and None not in (args := [names(nodes[j]) for j in order]):
+                try:
+                    built.append(make(*args))
+                    continue
+                except model.KindMismatch:
+                    pass
+            built.append(self._axiom(head, at, nodes))
+        self.onto._insert_all(built)
         return self.onto
 
     def _arg(self, node) -> object:
@@ -357,35 +380,30 @@ class _Builder:
             args[0] = count.value
         return cls(*args)
 
-    def _axiom(self, st: _Call) -> Axiom:
-        # the plan takes names alone; anything else, an unknown name or a
-        # rejected kind (a named DefineClass body too) is built below
-        tag, order, build = _PLANS[st.head]
-        if len(st.args) == len(order) and None not in (args := [self.names(st.args[j]) for j in order]):
-            try:
-                return build(*args)
-            except model.KindMismatch:
-                pass
+    def _axiom(self, head: str, at: int, nodes: list) -> Axiom:
+        """The statement's axiom, built argument by argument."""
+        tag, order, _ = _PLANS[head]
+        self.at = at
         try:
-            args = [self._arg(a) for a in st.args]
+            args = [self._arg(a) for a in nodes]
             # a composite second class makes a definition (of the same arity
             # and order); a named body is Named
-            if tag is AxiomTag.EQUIVALENT_CLASSES and len(args) == 2 and type(st.args[1]) is _Call:
+            if tag is AxiomTag.EQUIVALENT_CLASSES and len(args) == 2 and type(nodes[1]) is _Call:
                 tag = AxiomTag.CLASS_DEFINITION
             if tag is AxiomTag.CLASS_DEFINITION and len(args) == 2 and isinstance(args[1], Entity):
                 args[1] = Named(args[1])
             if len(args) != len(order):
-                raise _error(self.text, st.at, f"{st.head} takes {len(order)} arguments")
+                raise _error(self.text, at, f"{head} takes {len(order)} arguments")
             return model.AXIOM_FACTORIES[tag](*[args[j] for j in order])
         except (ParseError, model.UnknownEntity):
             raise
         except model.OntologyError as e:
             # the factories and expression classes are the kind checks
-            raise _error(self.text, st.at, str(e)) from None
+            raise _error(self.text, at, str(e)) from None
 
 
 def parse(text: str) -> Ontology:
-    return _Builder(text).build(_Parser(text).parse_document())
+    return _Builder(text).build(*_Parser(text).parse_document())
 
 
 def parse_file(path) -> Ontology:

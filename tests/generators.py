@@ -7,6 +7,7 @@ rechecks each world with a brute-force reasoner.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -339,3 +340,42 @@ def random_document(rng: random.Random) -> str:
     from ontodesc.syntax import serialize
 
     return serialize(random_ontology(rng))
+
+
+# Names the parser reads as one name, none of them in the ASCII-initial
+# form that vocabulary() makes: non-ASCII letters first, an underscore
+# first, punctuation inside, a boolean's prefix, statement and expression
+# heads used as plain names.
+IRREGULAR_NAMES = (
+    "Ärger", "ñ", "ℕ1", "Ω.ω", "ǅx", "_x", "_", "a!b", "x+y", "é-1",
+    "trueish", "falsey", "Class", "Individual", "SubClassOf", "Some", "And",
+)
+
+
+def _renamed(term, names: dict):
+    """An entity, class expression, literal or count with each entity
+    renamed through names (entity -> IRI)."""
+    if isinstance(term, Entity):
+        return Entity(term.kind, names.get(term, term.iri))
+    if isinstance(term, (And, Or)):
+        return type(term)(tuple(_renamed(m, names) for m in term.members))
+    if isinstance(term, model.EXPRESSION_CLASSES):
+        return type(term)(*[_renamed(getattr(term, f.name), names) for f in dataclasses.fields(term)])
+    return term
+
+
+def irregular_document(rng: random.Random) -> str:
+    """Canonical text of a random world in which a random subset of the
+    declared IRIs is renamed to IRREGULAR_NAMES."""
+    from ontodesc.syntax import serialize
+
+    onto = random_ontology(rng)
+    declared = [e for e in onto.vocabulary() if e not in model.BUILTINS]
+    picked = rng.sample(declared, rng.randint(1, min(len(declared), len(IRREGULAR_NAMES))))
+    names = dict(zip(picked, rng.sample(IRREGULAR_NAMES, len(picked))))
+    renamed = Ontology()
+    for entity in declared:
+        renamed.declare(entity.kind, names.get(entity, entity.iri))
+    for axiom in onto.axioms():
+        renamed.assert_axiom(model.Axiom(axiom.tag, tuple(_renamed(a, names) for a in axiom.args)))
+    return serialize(renamed)

@@ -194,18 +194,20 @@ class TestExample1:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", fail)
-        code, _, err = run(
+        code, out, err = run(
             capsys, "example1", "--ontology", str(seed_file), "Location3", "Corridor1", "Door3"
         )
         assert code == EXIT_PARSE
+        assert out == ""  # no classification of a location that was not saved
         assert err == "i/o error: disk full\n"
         assert seed_file.read_bytes() == before
         assert list(seed_file.parent.iterdir()) == [seed_file]
 
     def test_a_name_the_parser_would_read_differently_is_not_saved(self, capsys, seed_file):
         before = seed_file.read_bytes()
-        code, _, err = run(capsys, "example1", "--ontology", str(seed_file), "New#1", "Corridor1", "Door9")
+        code, out, err = run(capsys, "example1", "--ontology", str(seed_file), "New#1", "Corridor1", "Door9")
         assert code == EXIT_PARSE
+        assert out == ""
         assert err.startswith("error: cannot write 'New#1'")
         assert seed_file.read_bytes() == before
         assert list(seed_file.parent.iterdir()) == [seed_file]

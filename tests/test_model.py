@@ -397,6 +397,32 @@ class TestOntologyStore:
         assert onto.contains(model.disjoint_classes(a, b), "asserted")
         assert onto.contains(model.disjoint_classes(b, a), "asserted")
 
+    def test_a_batch_declares_as_declare_does_and_refuses_a_declared_iri(self):
+        onto, built = Ontology(), Ontology()
+        onto._declare_all({"A": Kind.CLASS, "x": Kind.INDIVIDUAL})
+        built.declare(Kind.CLASS, "A")
+        built.declare(Kind.INDIVIDUAL, "x")
+        assert list(onto.vocabulary()) == list(built.vocabulary())
+        assert onto.generation == built.generation == 2
+        for names in ({"A": Kind.CLASS}, {"B": Kind.CLASS, "THING": Kind.CLASS}):
+            with pytest.raises(OntologyError, match="undeclared"):
+                onto._declare_all(names)
+        assert onto.maybe_lookup("B") is None
+
+    def test_a_batch_insert_refuses_a_journaled_or_indexed_store(self):
+        onto, a, b, *_ = make_vocab()
+        generation = onto.generation
+        onto._insert_all([model.sub_class(a, b), model.sub_class(a, b), model.sub_class(b, a)])
+        assert onto.axioms() == {model.sub_class(a, b), model.sub_class(b, a)}
+        assert onto.generation == generation + 2
+        onto.axioms_about(AxiomTag.SUB_CLASS, a)  # builds an index slot
+        journaled = make_vocab()[0]
+        reason(journaled)  # installs a journal and builds no slot
+        for store in (onto, journaled):
+            with pytest.raises(OntologyError, match="no journal and no built index slot"):
+                store._insert_all([model.sub_class(a, THING)])
+            assert model.sub_class(a, THING) not in store.axioms()
+
     def test_inferred_view_is_disjoint_from_asserted(self):
         onto, a, b, p, d, x, y = make_vocab()
         c = onto.declare(Kind.CLASS, "C")

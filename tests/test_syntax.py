@@ -1,13 +1,15 @@
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from generators import random_document, random_ontology
+from generators import irregular_document, random_document, random_ontology
 from oracles import entailed_text_reference, naive_reason, parse_reference, tokenize_reference
 from test_incremental import edit
+from test_reasoner import _perfbench_worlds
 from ontodesc import model
 from ontodesc.model import AxiomTag, Kind, Literal, Ontology, UnknownEntity
 from ontodesc.reasoner import reason
@@ -339,6 +341,26 @@ def test_a_parsed_store_equals_one_built_through_public_calls(seed):
     assert (ours._types, ours._entered) == (theirs._types, theirs._entered)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_irregular_names_parse_as_the_reference_does_and_roundtrip(seed):
+    """Names outside the ASCII-initial form (non-ASCII letters, an initial
+    underscore, punctuation, heads used as names) are declared and built
+    as the reference parser does them: the same vocabulary in the same
+    order, asserted set and generation, in canonical and in shuffled
+    line order; the canonical text serializes back to itself."""
+    rng = random.Random(seed)
+    text = irregular_document(rng)
+    lines = text.splitlines()
+    rng.shuffle(lines)
+    for document in (text, "\n".join(lines)):
+        parsed, reference = parse(document), parse_reference(document)
+        assert list(parsed.vocabulary()) == list(reference.vocabulary())
+        assert parsed.axioms() == reference.axioms()
+        assert parsed.generation == reference.generation
+    assert serialize(parse(text)) == text
+
+
 def test_a_statement_of_names_is_built_by_its_head_plan(monkeypatch):
     """One statement per axiom head, with names only, builds each axiom from
     its head's plan and never resolves an argument the general way."""
@@ -357,6 +379,29 @@ def test_a_statement_of_names_is_built_by_its_head_plan(monkeypatch):
 
     monkeypatch.setattr(syntax._Builder, "_arg", general)
     assert parse(text).axioms() == expected
+
+
+def test_the_load_world_is_declared_and_inserted_in_bulk(monkeypatch):
+    """On the benchmark's load world parse declares every name in one
+    batch and inserts every axiom in one update, so no declare or
+    _insert call runs, and builds a _Call only for the three DefineClass
+    statements and the expressions nested in them."""
+    text = _perfbench_worlds().generate(128, 128, 64, seed=0).text
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    for name in ("declare", "_insert"):
+        monkeypatch.setattr(Ontology, name, counted(name, getattr(Ontology, name)))
+    monkeypatch.setattr(syntax._Call, "__init__", counted("_Call", syntax._Call.__init__))
+    onto = parse(text)
+    assert calls == {"_Call": 10}
+    assert len(onto.axioms()) == 908 and len(list(onto.vocabulary())) == 713 + len(model.BUILTINS)
+    assert onto.generation == 713 + 908
 
 
 def test_str_split_and_the_token_pattern_agree_on_whitespace():
@@ -462,6 +507,19 @@ _EVERY_HEAD = [
 @settings(max_examples=300, deadline=None)
 @given(parts=st.lists(_SOUP_PARTS, max_size=24), sep=st.sampled_from([" ", "\n"]))
 @example(parts=_EVERY_HEAD, sep=" ")
+# declaration errors: a clash with an earlier name and with a builtin, the
+# shapes that are not one name, and a bad declaration after a bad axiom,
+# where the first declaration error wins
+@example(parts=["Class(x)"], sep=" ")
+@example(parts=["Individual(THING)"], sep=" ")
+@example(parts=["Class(A B)"], sep=" ")
+@example(parts=['Class("s")'], sep=" ")
+@example(parts=["Class(1)"], sep=" ")
+@example(parts=["Class(B)", "Class(B)", "Individual(B)"], sep="\n")
+@example(parts=["Individual(A)", "Class(A B)"], sep=" ")
+@example(parts=["SubClassOf(A x)", "Class(p)"], sep="\n")
+@example(parts=["ClassAssertion(Nobody x)", 'Class("s")'], sep=" ")
+@example(parts=["SubClassOf(A x)", "Class(A B)", "Individual(A)"], sep="\n")
 def test_adversarial_input_parses_as_the_reference_does(parts, sep):
     text = _DECLARED + sep.join(parts)
     assert _outcome(parse, text) == _outcome(parse_reference, text)
