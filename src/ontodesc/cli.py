@@ -17,10 +17,12 @@ line, deterministic for a fixed (file, flags, seed).
 
 Exit codes: 0 ok, 1 parse error or i/o error (an ontology file that
 cannot be read, or a failed example1 save, which leaves the file as it
-was and prints nothing to stdout; a new name the parser would not read back as itself, such as
-New#1, fails the save), 2 unknown entity or a usage error (such as
-patrol --steps 0 or --seed -1), 3 inconsistent world, 4 missing filler
-(no position or no door).
+was and prints nothing to stdout; a new name the parser would not read
+back as itself, such as New#1, fails the save), 2 unknown entity, a name
+of the wrong kind (such as example1 ROOM Corridor1 Door3, whose new
+location names a class) or a usage error (such as patrol --steps 0 or
+--seed -1), 3 inconsistent world, 4 missing filler (no position or no
+door).  Every exit but 0 leaves an --ontology file as it was.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import scenarios
-from .model import Kind, KindMismatch, OntologyError, UnknownEntity
+from .model import Kind, KindClash, KindMismatch, OntologyError, UnknownEntity
 from .reasoner import reason
 from .syntax import ParseError, render_axiom, render_term, serialize
 
@@ -233,7 +235,7 @@ def main(argv=None) -> int:
     except UnknownEntity as exc:
         print(f"unknown entity: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except KindMismatch as exc:
+    except (KindMismatch, KindClash) as exc:
         print(f"wrong entity kind: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     except scenarios.NoFiller as exc:

@@ -546,10 +546,6 @@ def mentions_at_ground(axiom: Axiom, ground: Entity, at: int = 0) -> bool:
     return ground in _grounds(axiom, _ground_position(axiom.tag, at))
 
 
-# the tags whose edits the journal carries; any other edit drops it
-_JOURNALED_TAGS = frozenset({AxiomTag.CLASS_ASSERTION, AxiomTag.PROPERTY_ASSERTION})
-
-
 class _GroundIndex:
     """The asserted axioms by (tag, ground position, entity).
 
@@ -608,22 +604,26 @@ class Ontology:
     parser fills a fresh store in two batch calls: _declare_all declares
     the names it has checked, interning them under one hold of the intern
     lock, and _insert_all adds its factory-built axioms, which hold only
-    entities it looked up, with one set.update.  Besides the set, _insert
-    keeps the journal and the built ground-index slots current, so a
-    batch insert checks that the store has neither and raises otherwise.
+    entities it looked up, with one set.update.  Besides the vocabulary
+    and the set, declare and _insert keep the journal and the built
+    ground-index slots current, so each batch checks that the store has
+    no journal (and the insert, no built slot) and raises otherwise.
     Each batch bumps the generation by what it added.
     The inferred partition is the installed Closure's `inferred`, which
     the Closure builds from its maps on first read; it is read through
     the "entailed" view, which is the union of both partitions and is
     guarded by a staleness check.
 
-    The store also keeps a journal for the reasoner: the net
-    ClassAssertion and PropertyAssertion asserts and retracts since the
-    installed Closure's generation.  reason() resumes from that Closure
-    by changing its maps in place, and reads this store's asserted set
-    rather than a copy; the Closure it supersedes is stale and refuses
-    reads.  Any other change (another tag, a new declaration) drops the
-    journal, and the next run starts afresh.
+    The store also keeps a journal for the reasoner, a plain record of
+    every change since the installed Closure's generation: each axiom
+    asserted or retracted, of any tag, that the edits since have not
+    undone (axiom -> asserted), and each entity declared (entity ->
+    True).  reason() alone decides which of them it can resume across
+    (see the reasoner's module docstring); a resumed run changes the
+    installed Closure's maps in place, and reads this store's asserted
+    set rather than a copy, so the Closure it supersedes is stale and
+    refuses reads.  There is no journal before the first run, nor after
+    a run that raised part way: the next run starts afresh.
 
     axioms() copies a whole view and is meant for bulk work
     (serializing).  contains() and axioms_about() are lookups.
@@ -642,7 +642,7 @@ class Ontology:
         self._asserted_index = _GroundIndex(self._asserted)
         self._generation = 0
         self._closure = None
-        self._journal: dict[Axiom, bool] | None = None  # axiom -> asserted since _closure
+        self._journal: dict | None = None  # axiom -> asserted, entity -> True, since _closure
 
     # -- vocabulary
 
@@ -666,23 +666,21 @@ class Ontology:
         entity = Entity(kind, iri)
         self._vocab[iri] = entity
         self._generation += 1
-        self._journal = None
+        self._note(entity, True)
         return entity
 
     def _declare_all(self, names: dict[str, Kind]) -> None:
         """declare() for each IRI -> kind of `names`, in order, where each
         IRI is a non-empty string not declared yet and each kind is not
-        LITERAL: one hold of the intern lock for all of them, and one
-        generation step each."""
+        LITERAL, into a store with no journal: one hold of the intern lock
+        for all of them, and one generation step each."""
         vocab = self._vocab
-        if not vocab.keys().isdisjoint(names):
-            raise OntologyError("a batch declaration may only hold undeclared IRIs")
+        if self._journal is not None or not vocab.keys().isdisjoint(names):
+            raise OntologyError("a batch declaration needs a store with no journal, and undeclared IRIs")
         with _ENTITIES_LOCK:
             for iri, kind in names.items():
                 vocab[iri] = _intern(kind, iri)
-        if names:
-            self._generation += len(names)
-            self._journal = None
+        self._generation += len(names)
 
     def ensure(self, entity: Entity) -> Entity:
         """Declare the entity's IRI with its kind if not present."""
@@ -749,14 +747,10 @@ class Ontology:
         self._note(axiom, False)
         return True
 
-    def _note(self, axiom: Axiom, asserted: bool) -> None:
+    def _note(self, change: Axiom | Entity, asserted: bool) -> None:
         journal = self._journal
-        if journal is None:
-            return
-        if axiom.tag not in _JOURNALED_TAGS:
-            self._journal = None
-        elif journal.pop(axiom, None) is None:  # an edit undone leaves no entry
-            journal[axiom] = asserted
+        if journal is not None and journal.pop(change, None) is None:  # an edit undone leaves no entry
+            journal[change] = asserted
 
     @property
     def generation(self) -> int:
@@ -772,16 +766,14 @@ class Ontology:
         self._journal = {}
 
     def _take_journal(self):
-        """(installed Closure, journal), or (None, None) when a run must start afresh.
+        """(installed Closure, journal), or (None, None) when there is no journal.
 
         Called by the reasoner as a run starts; the journal stays dropped
         until the run installs its Closure, so a run that raises part way
         leaves the next one to start afresh.
         """
         journal, self._journal = self._journal, None
-        if journal is None:
-            return None, None
-        return self._closure, journal
+        return (None if journal is None else self._closure), journal
 
     def current_closure(self):
         if self.stale:

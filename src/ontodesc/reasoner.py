@@ -83,10 +83,17 @@ The state is what the installed Closure holds: the links map and its
 filler -> property -> subjects mirror (`back`), every membership with
 the snapshot round in which it entered (its stamp), the individuals
 that entered a class in each round, and the violations per individual.
-A run takes that state over and changes it in place, fed by the journal
-the Ontology keeps of the net ClassAssertion and PropertyAssertion
-asserts and retracts since that Closure's generation:
+A resumed run takes that state over and changes it in place, fed by
+the journal: the store's record of each axiom edit not undone since that
+Closure's generation and of each entity declared since.  Of those, the
+run reads the ClassAssertion and PropertyAssertion edits and the
+declared individuals:
 
+* a declared individual enters as every individual enters a first run:
+  it is touched with an empty stamp map, and phase two seeds its
+  reflexive self-links.  So its memberships, THING among them, and its
+  self-links are changes like any other, and the read of THING's
+  instances is dropped by the slot rule below.
 * phase two is maintained by DRed (Gupta, Mumick, Subrahmanian,
   *Maintaining Views Incrementally*, SIGMOD 1993): every fact with a
   derivation through a retracted one is deleted; those still asserted,
@@ -117,15 +124,22 @@ asserts and retracts since that Closure's generation:
   a read is keyed by the fact slot it lists, (axiom tag, position,
   ground), and each changed or edited fact drops the reads of its slots.
 
-Reset rule: any other edit (TBox, RBox, SameIndividual,
-DifferentIndividuals, a new declaration) drops the journal, and the next
-run starts from an empty state.  A first run is the same engine on the
-empty state, with every fact inserted and every individual typed afresh
-from one grouping of the asserted axioms by tag, but it keeps no change
-record: phase two returns no changed facts, phase three sets the round-0
-stamps directly and, after round 1, re-evaluates only the readers of the
-individuals that entered a class in the round before, and the violation
-check reads every individual.
+Resume rule: a run resumes across ClassAssertion and PropertyAssertion
+edits and across declarations of individuals and properties, which no
+schema map names.  It starts from an empty state on a class declaration
+(the schema holds each class's THING and NOTHING bounds) and on any
+TBox, RBox or identity (SameIndividual, DifferentIndividuals) edit, which
+the schema reads.  An edit undone before the run leaves no journal
+entry.  reason() states the rule, in one pass over the journal; the
+store records every change and decides nothing.
+
+A first run is the same engine on the empty state, with every fact
+inserted and every individual typed afresh from one grouping of the
+asserted axioms by tag, but it keeps no change record: phase two returns
+no changed facts, phase three sets the round-0 stamps directly and,
+after round 1, re-evaluates only the readers of the individuals that
+entered a class in the round before, and the violation check reads
+every individual.
 A run takes the journal when it starts and the store gets a new one
 only when the run installs its Closure, so a run that raises part way
 leaves the next run to start afresh.  The Closure a run supersedes is
@@ -178,7 +192,10 @@ class Changes:
     """What a resumed run changed against the Closure it resumed from: the
     (subject, property, filler) facts that entered or left the links,
     individual -> (classes gained, classes lost) for each individual whose
-    memberships changed, and the journal it took (axiom -> asserted)."""
+    memberships changed, and the axiom edits of the journal it took
+    (axiom -> asserted).  A declared individual shows as the classes it
+    gained, THING among them, and its self-links; a declaration is not
+    an edit."""
 
     links: set
     memberships: dict
@@ -837,7 +854,7 @@ def _memberships(schema, classed, links, back, types, entered, touched, relinked
             start.update(schema.ranges.get(p, ()))
         if first:
             types[ind] = dict.fromkeys(start, 0)
-        elif delta := _delta(start, types[ind], 0):
+        elif delta := _delta(start, types.setdefault(ind, {}), 0):  # a new individual has no stamps
             own(ind, 0).update(dict.fromkeys(start, 0))
             differs[ind] = delta
 
@@ -945,31 +962,44 @@ def _violation_key(v: Violation):
 
 
 def reason(onto: Ontology) -> Closure:
-    """Saturate the store, resuming from its installed Closure when the
-    journal carries every edit since (see the module docstring)."""
-    previous, edits = onto._take_journal()
+    """Saturate the store, resuming from its installed Closure when every
+    change the store's journal holds is one a run can resume across (see
+    the module docstring)."""
+    previous, journal = onto._take_journal()
     asserted = onto._asserted
-    resumed = previous is not None
-    if resumed:
-        schema = previous._schema
-        link_edits = {a: added for a, added in edits.items() if a.tag is AxiomTag.PROPERTY_ASSERTION}
-        seeds = ()
+    # The resume rule, in one pass over the journal (see the module docstring)
+    resumed, link_edits, touched, declared = False, {}, set(), []
+    for change, added in (journal or _EMPTY).items():
+        if type(change) is Entity:
+            if change.kind is Kind.CLASS:  # the schema holds each class's bounds
+                break
+            declared.append(change)  # an individual or a property: no schema map names it
+        elif change.tag is AxiomTag.CLASS_ASSERTION:
+            touched.add(change.args[0])
+        elif change.tag is AxiomTag.PROPERTY_ASSERTION:
+            link_edits[change] = added
+        else:
+            break
+    else:
+        resumed = previous is not None
+    if resumed:  # a declared individual enters as every individual enters a first run
+        individuals = [e for e in declared if e.kind is Kind.INDIVIDUAL]
     else:
         # an empty state, with every fact inserted and every individual typed afresh
         by_tag: dict[AxiomTag, list[Axiom]] = {}
         for a in asserted:
             by_tag.setdefault(a.tag, []).append(a)
-        schema = _schema(onto, by_tag)
-        previous = Closure(weakref.ref(onto), generation=-1, _schema=schema)
+        previous = Closure(weakref.ref(onto), generation=-1, _schema=_schema(onto, by_tag))
         link_edits = dict.fromkeys(by_tag.get(AxiomTag.PROPERTY_ASSERTION, ()), True)
         individuals = onto.individuals()
-        seeds = [(ind, p, ind) for p in schema.reflexive for ind in individuals]
+    schema = previous._schema
+    seeds = [(ind, p, ind) for p in schema.reflexive for ind in individuals]
 
     links, back = previous._links, previous._back
     changed = _property_assertions(schema, links, back, link_edits, asserted, seeds, resumed)
     types, entered, violations_by = previous._types, previous._entered, previous._violations_by
     if resumed:
-        touched = {a.args[0] for a in edits if a.tag is AxiomTag.CLASS_ASSERTION}
+        touched.update(individuals)
         relinked = set()
         for s, p, f in changed:  # a link sets initial types through a domain or range only
             if p in schema.domains:
@@ -978,11 +1008,9 @@ def reason(onto: Ontology) -> Closure:
                 touched.add(f)
             if p in schema.filler_reads:
                 relinked.add(s)
-        classed = {
-            ind: [a.args[1] for a in onto.axioms_about(AxiomTag.CLASS_ASSERTION, ind)]
-            for ind in touched
-        }
+        classed = _multimap(a.args for ind in touched for a in onto.axioms_about(AxiomTag.CLASS_ASSERTION, ind))
         memberships = _memberships(schema, classed, links, back, types, entered, touched, relinked)
+        edits = {a: added for a, added in journal.items() if type(a) is not Entity} if declared else journal
         changes = Changes(changed, memberships, edits)
         checked = memberships.keys() | changes.relinked
         for tag, args in changes.facts():

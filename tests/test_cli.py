@@ -217,6 +217,25 @@ class TestExample1:
         code, _, err = run(capsys, "example1", "Location3", "Nowhere", "Door3")
         assert code == EXIT_UNKNOWN
 
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("ROOM", "Corridor1", "Door3"),
+            ("hasDoor", "Corridor1", "Door3"),
+            ("Location3", "Corridor1", "DOOR"),
+            ("Location3", "Corridor1", "isIn"),
+        ],
+        ids=["location-is-a-class", "location-is-a-property", "door-is-a-class", "door-is-a-property"],
+    )
+    def test_a_new_name_of_the_wrong_kind_exits_two(self, capsys, seed_file, names):
+        before = seed_file.read_bytes()
+        code, out, err = run(capsys, "example1", "--ontology", str(seed_file), *names)
+        assert code == EXIT_UNKNOWN
+        assert out == ""
+        assert err.startswith("wrong entity kind: ")
+        assert seed_file.read_bytes() == before
+        assert list(seed_file.parent.iterdir()) == [seed_file]
+
 
 class TestReachable:
     def test_seed_world(self, capsys):

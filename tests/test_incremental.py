@@ -1,10 +1,11 @@
 """reason() resumed from the installed Closure against reason() from scratch.
 
 Random edit sequences - mostly ClassAssertion and PropertyAssertion
-asserts and retracts, now and then a TBox, SameIndividual or declaration
-edit that drops the journal - run reason() between edits.  After every
-run the resumed Closure must answer exactly what a from-scratch run on a
-copy of the store answers, and what the naive oracle derives.
+asserts and retracts and declared individuals, which a run resumes
+across, now and then a schema or SameIndividual edit or a declared
+property or class - run reason() between edits.  After every run the
+Closure must answer exactly what a from-scratch run on a copy of the
+store answers, and what the naive oracle derives.
 """
 
 import gc
@@ -72,9 +73,11 @@ def answers(onto: Ontology, closure) -> dict:
 
 
 def edit(rng: random.Random, onto: Ontology, monotone: bool, step: int) -> None:
-    """One random edit: nine in ten touch the ABox facts only."""
+    """One random edit: about three in four touch the ABox facts only, and
+    one in ten declares an individual, half of those with a class or a
+    link on it asserted in the same edit."""
     pick = rng.random()
-    if pick < 0.9:
+    if pick < 0.78:
         facts = sorted((a for a in onto.axioms("asserted") if a.tag in ABOX_FACTS), key=repr)
         if facts and rng.random() < 0.5:
             onto.retract_axiom(rng.choice(facts))
@@ -84,13 +87,27 @@ def edit(rng: random.Random, onto: Ontology, monotone: bool, step: int) -> None:
             if axiom.tag in ABOX_FACTS:
                 onto.assert_axiom(axiom)
                 return
-    elif pick < 0.95:
+    elif pick < 0.83:
         onto.assert_axiom(random_axiom(rng, onto, monotone))
-    elif pick < 0.98:
+    elif pick < 0.86:
         individuals = onto.individuals()
         onto.assert_axiom(model.same_individual(rng.choice(individuals), rng.choice(individuals)))
+    elif pick < 0.96:
+        fresh = onto.declare(Kind.INDIVIDUAL, f"fresh{step}")
+        fact = rng.random()
+        if fact < 0.25:
+            classes = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in model.DATATYPES]
+            onto.assert_axiom(model.class_assertion(fresh, rng.choice(classes)))
+        elif fact < 0.5:  # a link from or to it
+            ends = [fresh, rng.choice(onto.individuals())]
+            rng.shuffle(ends)
+            prop = rng.choice(onto.entities_of_kind(Kind.OBJECT_PROPERTY))
+            onto.assert_axiom(model.property_assertion(ends[0], prop, ends[1]))
+    elif pick < 0.98:
+        kind = rng.choice((Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY))
+        onto.declare(kind, f"fresh{'O' if kind is Kind.OBJECT_PROPERTY else 'D'}P{step}")
     else:
-        onto.declare(Kind.INDIVIDUAL, f"fresh{step}")
+        onto.declare(Kind.CLASS, f"freshC{step}")
 
 
 def check_resumed_runs(rng: random.Random, onto: Ontology, monotone: bool) -> None:
@@ -198,6 +215,15 @@ class TestJournal:
         assert onto._take_journal() == (closure, {typed: True})
         assert onto._take_journal() == (None, None)  # taken until the next run installs
 
+    @staticmethod
+    def resumed(change) -> bool:
+        """Whether reason() resumes after an ABox fact edit and then change."""
+        onto = parse("Class(A) Class(B) Individual(x) Individual(y)")
+        reason(onto)
+        onto.assert_axiom(model.class_assertion(onto.lookup("x"), onto.lookup("A")))
+        change(onto)
+        return reason(onto).changes() is not None
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -205,16 +231,83 @@ class TestJournal:
             lambda onto: onto.assert_axiom(
                 model.same_individual(onto.lookup("x"), onto.lookup("y"))
             ),
-            lambda onto: onto.declare(Kind.INDIVIDUAL, "z"),
+            lambda onto: onto.declare(Kind.CLASS, "C"),
         ],
         ids=["tbox", "same-individual", "declaration"],
     )
     def test_any_other_edit_starts_afresh(self, change):
-        onto = parse("Class(A) Class(B) Individual(x) Individual(y)")
-        reason(onto)
-        onto.assert_axiom(model.class_assertion(onto.lookup("x"), onto.lookup("A")))
-        change(onto)
-        assert onto._take_journal() == (None, None)
+        """The store journals every edit; reason() starts afresh on a class
+        declaration or a TBox, RBox or identity edit."""
+        assert not self.resumed(change)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda onto: onto.declare(Kind.INDIVIDUAL, "z"),
+            lambda onto: onto.declare(Kind.OBJECT_PROPERTY, "q"),
+            lambda onto: [
+                change(model.sub_class(onto.lookup("A"), onto.lookup("B")))
+                for change in (onto.assert_axiom, onto.retract_axiom)
+            ],
+        ],
+        ids=["individual-declaration", "property-declaration", "undone-tbox"],
+    )
+    def test_a_run_resumes_across_new_individuals_and_properties(self, change):
+        """reason() resumes across ABox fact edits and declared individuals
+        and properties.  An edit undone before the run leaves nothing to
+        start afresh on."""
+        assert self.resumed(change)
+
+
+@pytest.mark.parametrize("world", [random_ontology, chained_ontology])
+@pytest.mark.parametrize("seed", range(15))
+def test_a_declared_individual_changes_only_its_own_answers(monkeypatch, world, seed):
+    """The declaration law.  A new individual joins a reasoned world as a
+    first run types it, and the run that takes it in builds no schema.
+    changes() names the new individual alone: its memberships, THING
+    among them, and its self-links (a reflexive property's, and what
+    the rules derive from them).  It can enter more classes than THING,
+    a self-link's domains and definitions whose bodies hold with no
+    fillers (Only, Max), so each other answer stays the same but
+    instances_of for each class it entered, and a violation it is in.
+    A run after a class declaration builds the schema once."""
+    rng = random.Random(6000 + seed)
+    onto = world(rng)
+    before = answers(onto, reason(onto))
+    fresh = onto.declare(Kind.INDIVIDUAL, "fresh")
+    calls = 0
+    build = reasoner._schema
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return build(*args)
+
+    monkeypatch.setattr(reasoner, "_schema", counted)
+    closure = reason(onto)
+    assert calls == 0
+    types, changes = closure.types_of(fresh), closure.changes()
+    assert model.THING in types
+    assert changes.memberships == {fresh: (types, set())}
+    assert changes.links == {(fresh, p, f) for p, f in closure.links_of(fresh)}
+    assert all(f is fresh for _, f in closure.links_of(fresh)) and not changes.edits
+    after = answers(onto, closure)
+    violations, was = set(after.pop("violations")), set(before.pop("violations"))
+    assert violations >= was
+    assert all(any(fresh in model.axiom_entities(a) for a in v.axioms) for v in violations - was)
+    assert after.pop("consistent") == (not violations)
+    before.pop("consistent")
+    for key, answer in before.items():
+        entered = key[0] == "instances" and key[1] in types
+        assert after[key] == (answer | {fresh} if entered else answer), key
+    copy = copy_store(onto)
+    scratch = reason(copy)
+    assert answers(onto, closure) == answers(copy, scratch)
+    assert (closure._types, closure._entered) == (scratch._types, scratch._entered)
+
+    calls = 0
+    onto.declare(Kind.CLASS, "Fresh")
+    assert reason(onto).changes() is None and calls == 1
 
 
 def corridor_chain(n: int) -> Ontology:

@@ -409,6 +409,17 @@ class TestOntologyStore:
                 onto._declare_all(names)
         assert onto.maybe_lookup("B") is None
 
+    def test_a_batch_declaration_refuses_a_journaled_store(self):
+        """The journal records each declaration, which a batch does not,
+        so the parser's batch runs on a fresh store only."""
+        onto = make_vocab()[0]
+        reason(onto)
+        generation = onto.generation
+        with pytest.raises(OntologyError, match="no journal"):
+            onto._declare_all({"B2": Kind.CLASS})
+        assert onto.maybe_lookup("B2") is None and onto.generation == generation
+        assert not onto.stale
+
     def test_a_batch_insert_refuses_a_journaled_or_indexed_store(self):
         onto, a, b, *_ = make_vocab()
         generation = onto.generation

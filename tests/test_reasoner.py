@@ -318,11 +318,11 @@ class TestClosureInterface:
         assert closure.same_individuals(c) == set() and closure.same_individuals(a) == {b}
         assert closure.fillers(c, r) == {c}
 
-        # a declaration changes no schema map
+        # a declaration changes no schema map, so the run keeps the schema
         d = onto.declare(Kind.INDIVIDUAL, "d")
         onto.declare(Kind.OBJECT_PROPERTY, "s")
         closure = reason(onto)
-        assert closure._schema is not schema
+        assert closure._schema is schema
         assert closure._schema.same == schema.same
         assert closure._schema.prop_reach == schema.prop_reach
         assert closure.types_of(d) == {THING} and closure.fillers(d, r) == {d}
