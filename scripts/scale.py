@@ -31,6 +31,14 @@ reads the installed Closure keeps (len(Closure._reads)) after the timed
 steps.  The garbage collector runs before every timed call, outside the
 timer.
 
+The definitions block measures the TBox axis at one world size: the
+benchmark's load world (worlds.generate(128, k=128, m=64, seed=0)) plus
+D definitions DefineClass(Y<d> And(K<d mod 128> Some(hasDoor DOOR))),
+for D = 0, 32, 128 and 512 (with_definitions).  Each repeat parses the
+text and times reason() on the copy, from an empty state; phase three
+(reasoner._memberships, wrapped for the block as DescriptorState.read is
+for the patrol step) is timed inside that call and scaled with it.
+
 Machine speed drifts while the script runs, so each timed call is scaled
 the way perfbench scales an op: perfbench/run.py's calibrate() kernel is
 timed just before and just after the call, and scaled() turns the wall
@@ -38,12 +46,14 @@ time into milliseconds at the speed where the kernel takes
 run.CAL_REF_S.  cal_ms is the median kernel time of the size, unscaled.
 
 Writes BENCH_scale_<label>.json: the Python version, the repeat count,
-per n the asserted axiom count, the median scaled milliseconds of each
-measurement (patrol_step_ms, parse_ms, reason_ms, serialize_entailed_ms,
-reachable_first_ms, reachable_warm_ms, example1_ms), parse_kb_per_s,
-patrol_part_reads, patrol_fresh_reads, patrol_renders,
-patrol_memo_entries and cal_ms, and the patrol step's ratio between the
-largest and the smallest n.
+per D of the definitions block the asserted axiom count and the median
+reason_ms and phase3_ms, with phase three's ratio between the largest
+and the smallest D, and per n the asserted axiom count, the median
+scaled milliseconds of each measurement (patrol_step_ms, parse_ms,
+reason_ms, serialize_entailed_ms, reachable_first_ms, reachable_warm_ms,
+example1_ms), parse_kb_per_s, patrol_part_reads, patrol_fresh_reads,
+patrol_renders, patrol_memo_entries and cal_ms, and the patrol step's
+ratio between the largest and the smallest n.
 """
 
 from __future__ import annotations
@@ -67,18 +77,66 @@ from ontodesc import descriptor, reasoner, scenarios, syntax  # noqa: E402
 from ontodesc.descriptor import DescriptorState  # noqa: E402
 
 
+DEFINITIONS = (0, 32, 128, 512)
+
+
+def timed(call, cals: list) -> tuple[float, float]:
+    """Run call() once; return its wall seconds and the factor that turns
+    seconds of it into milliseconds at the reference speed.  The kernel
+    times taken around the call are added to `cals`."""
+    gc.collect()
+    around = [calibrate()]
+    start = time.perf_counter()
+    call()
+    elapsed = time.perf_counter() - start
+    around.append(calibrate())
+    cals.extend(around)
+    return elapsed, scaled(1000, around)
+
+
+def with_definitions(text: str, d: int) -> str:
+    """A load-world text plus d defined classes Y<i>: the instances of
+    K<i mod 128> that have a door."""
+    lines = [f"Class(Y{i})\nDefineClass(Y{i} And(K{i % 128} Some(hasDoor DOOR)))" for i in range(d)]
+    return "\n".join([text, *lines, ""])
+
+
+def measure_definitions(d: int, repeat: int) -> dict:
+    world = worlds.generate(128, k=128, m=64, seed=0)
+    text = with_definitions(world.text, d)
+    memberships, spent = reasoner._memberships, []
+
+    def timed_memberships(*args):
+        start = time.perf_counter()
+        changed = memberships(*args)
+        spent.append(time.perf_counter() - start)
+        return changed
+
+    cals, reason_ms, phase3_ms = [], [], []
+    reasoner._memberships = timed_memberships
+    try:
+        for _ in range(repeat):
+            fresh = syntax.parse(text)
+            elapsed, factor = timed(lambda: reasoner.reason(fresh), cals)
+            reason_ms.append(elapsed * factor)
+            phase3_ms.append(spent.pop() * factor)
+    finally:
+        reasoner._memberships = memberships
+    return {
+        "d": d,
+        "asserted": world.asserted + d,
+        "reason_ms": statistics.median(reason_ms),
+        "phase3_ms": statistics.median(phase3_ms),
+        "cal_ms": statistics.median(cals) * 1000,
+    }
+
+
 def measure(n: int, repeat: int) -> dict:
     cals = []
 
     def timed_ms(call) -> float:
-        gc.collect()
-        around = [calibrate()]
-        start = time.perf_counter()
-        call()
-        elapsed = time.perf_counter() - start
-        around.append(calibrate())
-        cals.extend(around)
-        return scaled(elapsed, around) * 1000
+        elapsed, factor = timed(call, cals)
+        return elapsed * factor
 
     world = worlds.generate(n, k=0, m=1, seed=0)
     parse_ms, reason_ms, serialize_ms, first_ms = [], [], [], []
@@ -181,6 +239,14 @@ def main(argv=None) -> int:
             f" reachable first {row['reachable_first_ms']:.2f} ms, warm {row['reachable_warm_ms']:.3f} ms,"
             f" example1 {row['example1_ms']:.2f} ms (kernel {row['cal_ms']:.2f} ms)"
         )
+    definitions = []
+    for d in DEFINITIONS:
+        row = measure_definitions(d, args.repeat)
+        definitions.append(row)
+        print(
+            f"load world + {d} definitions: reason {row['reason_ms']:.2f} ms, phase three {row['phase3_ms']:.2f} ms"
+            f" (kernel {row['cal_ms']:.2f} ms)"
+        )
     report = {
         "label": args.label,
         "python": platform.python_version(),
@@ -188,10 +254,16 @@ def main(argv=None) -> int:
         "world": {"k": 0, "m": 1, "seed": 0},
         "sizes": rows,
         "patrol_step_ratio": rows[-1]["patrol_step_ms"] / rows[0]["patrol_step_ms"],
+        "definitions": {
+            "world": {"n": 128, "k": 128, "m": 64, "seed": 0},
+            "rows": definitions,
+            "phase3_ratio": definitions[-1]["phase3_ms"] / definitions[0]["phase3_ms"],
+        },
     }
     path = args.out / f"BENCH_scale_{args.label}.json"
     path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"patrol step n={rows[-1]['n']} / n={rows[0]['n']}: {report['patrol_step_ratio']:.2f}x")
+    print(f"phase three D={DEFINITIONS[-1]} / D=0: {report['definitions']['phase3_ratio']:.2f}x")
     print(f"wrote {path}")
     return 0
 

@@ -48,7 +48,7 @@ and its filler-keyed mirror):
 
 Membership rules (phase three, iterated over full snapshots of the
 membership set until stable, so the outcome is independent of rule
-order):
+order; each round works class by class, on per-class sets):
 
 * every named individual is an instance of THING.
 * inheritance: an instance of a class is an instance of its entailed
@@ -64,8 +64,8 @@ order):
   relates them).  And/Or are conjunction and disjunction.  A body is a
   union of intersections of atoms (model._MEMBERS), and phase one
   compiles it into the tuple of its conjunctions, each its named classes
-  and its restrictions; named classes are tested before any restriction
-  reads a filler.
+  and its restrictions.  A definition is tested only on its candidates,
+  the individuals that hold every named class of one of its conjunctions.
 
 Consistency checks (reported as violations, never derived from):
 
@@ -137,9 +137,10 @@ A first run is the same engine on the empty state, with every fact
 inserted and every individual typed afresh from one grouping of the
 asserted axioms by tag, but it keeps no change record: phase two returns
 no changed facts, phase three sets the round-0 stamps directly and,
-after round 1, re-evaluates only the readers of the individuals that
-entered a class in the round before, and the violation check reads
-every individual.
+after round 1, finds through the mirror the subjects whose fillers
+entered a class they read, and shares only into the mates of the
+individuals that entered a class (a resumed run checks its own
+individuals instead), and the violation check reads every individual.
 A run takes the journal when it starts and the store gets a new one
 only when the run installs its Closure, so a run that raises part way
 leaves the next run to start afresh.  The Closure a run supersedes is
@@ -740,20 +741,12 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
 # phase three: memberships in snapshot rounds
 
 
-def _recognise(definitions, ind, ts, gained, types, links, same, r) -> None:
-    """Add to `gained` each defined class `ind` is not in yet whose body it
-    satisfies in the snapshot before round r."""
-    by_prop = links.get(ind, _EMPTY)
-    for cls, body in definitions:
-        if cls not in ts and cls not in gained and _holds(body, ts, by_prop, types, same, r):
-            gained.add(cls)
-
-
-def _holds(body, ts, by_prop, types, same, r) -> bool:
-    """Whether a conjunction of `body` holds for the individual with stamps
-    `ts` and links `by_prop`, its named classes tested before any
-    restriction reads a filler.  A restriction's property is an object
-    property: its fillers are individuals."""
+def _holds(body, ind, types, links, same, r) -> bool:
+    """Whether `ind` satisfies a conjunction of `body` in the snapshot
+    before round r, its named classes tested before any restriction
+    reads a filler.  A restriction's property is an object property: its
+    fillers are individuals."""
+    ts, by_prop = types[ind], links.get(ind, _EMPTY)
     for named, atoms in body:
         for c in named:
             if ts.get(c, r) >= r:
@@ -817,13 +810,16 @@ def _memberships(schema, classed, links, back, types, entered, touched, relinked
     a first run sets its stamps with no last run to compare them with,
     and returns an empty map.
 
-    Within one run the rounds are semi-naive: inheritance and sharing
-    need only the classes that entered in the round before (earlier ones
-    were propagated already), and an individual's definitions can give
-    something new only in round 1 or after a snapshot they read changed
-    in the round before: its own, in a class of own_reads, or a filler's.
-    So after round 1 a first run re-evaluates only the readers of the
-    individuals that entered a class in the round before.
+    A round works class by class on the individuals re-evaluated (every
+    one in a first run, the owned ones in a resumed run).  The rounds are
+    semi-naive: inheritance and sharing need only the classes that
+    entered in the round before (sharing pulls a mate's into an
+    individual re-evaluated), and a definition can give something new
+    only in round 1 or to an individual woken by a change in a snapshot it
+    reads, in the round before: its own, in a class of own_reads, or a
+    filler's, through a property of filler_reads.  A definition is tested
+    on the woken individuals that hold every named class of one of its
+    conjunctions.
     """
     class_reach, same = schema.class_reach, schema.same
     definitions, read, own_reads = schema.definitions, schema.filler_reads, schema.own_reads
@@ -832,18 +828,22 @@ def _memberships(schema, classed, links, back, types, entered, touched, relinked
     if first:
         entered.append(set())  # round 0 is every individual's; not tracked
     owned: dict = {}  # individual -> the last run's stamp map
+    members: dict = {}  # class -> the individuals re-evaluated that hold it in the snapshot
+    prev: dict = {}  # class -> those of them that entered it in the round before
 
-    def own(ind, r):
-        # ind's stamps before round r are the last run's; later ones are recomputed
+    def own(ind, r, start=()):
+        # ind's stamps before round r are the last run's (`start` for r = 0); later ones are recomputed
         before = owned[ind] = types[ind]
-        kept = {}
+        kept = types[ind] = dict.fromkeys(start, 0)
         for cls, stamp in before.items():
             if stamp < r:
                 kept[cls] = stamp
             elif stamp:
                 entered[stamp].discard(ind)
-        types[ind] = kept
-        return kept
+        for cls, stamp in kept.items():
+            members.setdefault(cls, set()).add(ind)
+            if stamp >= r - 1:
+                prev.setdefault(cls, set()).add(ind)
 
     differs = {}  # individual -> the classes its snapshot changed in, against the last run's
     for ind in touched:
@@ -854,51 +854,81 @@ def _memberships(schema, classed, links, back, types, entered, touched, relinked
             start.update(schema.ranges.get(p, ()))
         if first:
             types[ind] = dict.fromkeys(start, 0)
+            for cls in start:
+                members.setdefault(cls, set()).add(ind)
         elif delta := _delta(start, types.setdefault(ind, {}), 0):  # a new individual has no stamps
-            own(ind, 0).update(dict.fromkeys(start, 0))
+            own(ind, 0, start)
             differs[ind] = delta
+    if first:
+        prev = members  # members grows only after round 1 has read prev
+    for ind in relinked - owned.keys():
+        own(ind, 1)
 
-    dirty = set(types) if first else owned.keys() | relinked
     r = 0
-    while dirty:
+    while True:
         r += 1
-        for ind, delta in differs.items():
-            dirty |= _readers(schema, back, ind, delta)
-        if not first:
-            for ind in dirty - owned.keys():
-                own(ind, r)
         prior = r - 1
-        moved = entered[prior] if 1 < r <= len(entered) else None
-        grown = {}  # individual -> the classes it entered in round r
-        for ind in dirty:
-            ts = types[ind]
-            gained, evaluate = set(), moved is None
-            for cls, stamp in ts.items():
-                if stamp == prior:
-                    gained.update(class_reach.get(cls, ()))
-                    evaluate = evaluate or cls in own_reads
-            for other in same.get(ind, ()):
-                gained.update(c for c, stamp in types[other].items() if stamp == prior)
-            gained.difference_update(ts)
-            if not evaluate:
-                by_prop = links.get(ind, _EMPTY)
-                evaluate = any(not moved.isdisjoint(by_prop.get(p, ())) for p in read)
-            if evaluate:
-                _recognise(definitions, ind, ts, gained, types, links, same, r)
-            if gained:
-                ts.update(dict.fromkeys(gained, r))
-                if r == len(entered):
-                    entered.append(set())
-                entered[r].add(ind)
-                grown[ind] = gained
-        if r > last and not grown:
-            break
-        if first:  # no stamp was set before this run, so only what grew can wake a reader
-            dirty, differs = set(grown), grown
+        for ind, delta in differs.items():
+            for reader in _readers(schema, back, ind, delta):
+                if reader not in owned:
+                    own(reader, r)
+        everyone = members.get(THING, _NONE)
+        if r == 1:
+            woken = sharers = everyone
         else:
-            differs = {
-                ind: delta for ind in dirty if (delta := _delta(types[ind].keys(), owned[ind], r))
-            }
+            woken = set()
+            for cls, inds in prev.items():
+                if cls in own_reads:
+                    woken |= inds
+            if first:
+                for p, reads in read.items():
+                    for cls in reads:
+                        for f in prev.get(cls, ()):
+                            woken.update(back.get(f, _EMPTY).get(p, ()))
+                sharers = {mate for ind in entered[prior] for mate in same.get(ind, ())}
+            else:  # the world's entrants would make a step's cost track the world
+                moved = entered[prior]
+                for ind in owned:
+                    if any(not moved.isdisjoint(links.get(ind, _EMPTY).get(p, ())) for p in read):
+                        woken.add(ind)
+                sharers = everyone
+        new = {}  # class -> the individuals that enter it in round r
+        for cls, inds in prev.items():
+            for sup in class_reach.get(cls, ()):
+                if not inds <= members.get(sup, _NONE):
+                    new.setdefault(sup, set()).update(inds - members.get(sup, _NONE))
+        for ind in sharers:  # sharing pulls each mate's classes stamped r - 1
+            if group := same.get(ind):
+                shared = {c for other in group for c, stamp in types[other].items() if stamp == prior}
+                for cls in shared - types[ind].keys():
+                    new.setdefault(cls, set()).add(ind)
+        if woken:
+            for cls, body in definitions:
+                candidates = _NONE
+                for named, _ in body:
+                    found = woken
+                    for c in named:
+                        found = found & members.get(c, _NONE)
+                    candidates = candidates | found if candidates else found
+                held, entering = members.get(cls, _NONE), new.get(cls, _NONE)
+                for ind in candidates:
+                    if not (ind in held or ind in entering) and _holds(body, ind, types, links, same, r):
+                        new.setdefault(cls, set()).add(ind)
+        grown = set()
+        for cls, inds in new.items():
+            members.setdefault(cls, set()).update(inds)
+            for ind in inds:
+                types[ind][cls] = r
+            grown |= inds
+        prev = new
+        if grown:
+            if r == len(entered):
+                entered.append(set())
+            entered[r] |= grown
+        elif r > last:
+            break
+        if not first:
+            differs = {i: delta for i, before in owned.items() if (delta := _delta(types[i].keys(), before, r))}
     while len(entered) > 1 and not entered[-1]:
         entered.pop()
     changed = {}

@@ -379,3 +379,47 @@ def irregular_document(rng: random.Random) -> str:
     for axiom in onto.axioms():
         renamed.assert_axiom(model.Axiom(axiom.tag, tuple(_renamed(a, names) for a in axiom.args)))
     return serialize(renamed)
+
+
+def defined_world(rng: random.Random, text: str, count: int = 16) -> Ontology:
+    """A parsed world text of perfbench's load shape (rooms asserted into
+    classes K0.., doors, robots) plus `count` defined classes Y0.., so that
+    phase three's candidate sets are exercised with many definitions.
+
+    The first three bodies are fixed shapes: two named conjuncts, a union
+    whose conjunctions name different classes, and no named class.  The
+    rest are random conjunctions or unions of two, whose named classes
+    come from the world's classes and the earlier Y classes and whose
+    restrictions (Some, Only, Min, Max) run over the object properties
+    with any class, a later Y included, as filler.
+    """
+    from ontodesc.syntax import parse
+
+    onto = parse(text)
+    props = _object_props(onto)
+    known = [c for c in _classes(onto) if c not in (model.THING, model.NOTHING)]
+    ks = [c for c in known if c.iri.startswith("K")]
+    defined = [onto.declare(Kind.CLASS, f"Y{i}") for i in range(count)]
+    door, has_door = onto.lookup("DOOR"), onto.lookup("hasDoor")
+
+    def restriction():
+        prop, filler = rng.choice(props), rng.choice(known + defined)
+        kind = rng.choice((Some, Only, Min, Max))
+        return kind(rng.randint(kind is Min, 2), prop, filler) if kind in (Min, Max) else kind(prop, filler)
+
+    def conjunction(named):
+        atoms = [Named(c) for c in named] + [restriction() for _ in range(rng.randint(0 if named else 1, 2))]
+        return atoms[0] if len(atoms) == 1 else And(tuple(atoms))
+
+    bodies = [
+        And((Named(rng.choice(ks)), Named(rng.choice(ks)), Some(has_door, door))),
+        Or((And((Named(ks[0]), Some(has_door, door))), And((Named(ks[-1]), Max(1, has_door, door))))),
+        Min(2, has_door, door),
+    ]
+    for i in range(len(bodies), count):
+        pool = known + defined[:i]
+        parts = [conjunction(rng.sample(pool, rng.randint(0, 2))) for _ in range(rng.choice((1, 1, 2)))]
+        bodies.append(parts[0] if len(parts) == 1 else Or(tuple(parts)))
+    for cls, body in zip(defined, bodies):
+        onto.assert_axiom(model.class_definition(cls, body))
+    return onto

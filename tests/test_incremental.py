@@ -8,6 +8,7 @@ Closure must answer exactly what a from-scratch run on a copy of the
 store answers, and what the naive oracle derives.
 """
 
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -17,7 +18,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import chained_ontology, random_axiom, random_ontology
+from generators import chained_ontology, defined_world, random_axiom, random_ontology
 from oracles import naive_reason, naive_violations
 from ontodesc import descriptor, model, reasoner, scenarios
 from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag
@@ -25,6 +26,7 @@ from ontodesc.model import AxiomTag, Kind, Ontology, StaleClosure
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import PatrolConfig, patrol, seed_path
 from ontodesc.syntax import parse
+from test_reasoner import _perfbench_worlds
 
 ABOX_FACTS = (AxiomTag.CLASS_ASSERTION, AxiomTag.PROPERTY_ASSERTION)
 
@@ -146,6 +148,16 @@ def test_chained_worlds_resume_as_scratch_runs(seed, monotone):
     replays from the last run's stamps."""
     rng = random.Random(8000 + seed)
     check_resumed_runs(rng, chained_ontology(rng, monotone=monotone), monotone)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_many_definition_worlds_resume_as_scratch_runs(seed):
+    """Edits to small load-shaped worlds with up to 16 definitions
+    (generators.defined_world) replay rounds whose candidate sets hold
+    only the owned individuals."""
+    rng = random.Random(5500 + seed)
+    onto = defined_world(rng, _perfbench_worlds().generate(8, 8, 2, seed=seed).text, rng.randint(3, 16))
+    check_resumed_runs(rng, onto, monotone=False)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -329,29 +341,118 @@ def corridor_chain(n: int) -> Ontology:
     return parse("\n".join(lines))
 
 
-def _recognise_calls_in_a_step(monkeypatch, n: int) -> tuple[int, str]:
+def _re_evaluated(patch) -> list:
+    """Record, for each phase three run from here on, the individuals it
+    re-evaluates: a re-evaluated individual gets a new stamp map, and a
+    declared one its first."""
+    runs = []
+    memberships = reasoner._memberships
+
+    def recorded(schema, classed, links, back, types, entered, touched, relinked):
+        before = dict(types)
+        changed = memberships(schema, classed, links, back, types, entered, touched, relinked)
+        runs.append({ind for ind, ts in types.items() if before.get(ind) is not ts})
+        return changed
+
+    patch.setattr(reasoner, "_memberships", recorded)
+    return runs
+
+
+def _re_evaluated_in_a_step(monkeypatch, n: int) -> tuple[int, str]:
     onto = corridor_chain(n)
     reason(onto)
     patrol(onto, PatrolConfig(steps=1, seed=0))  # declares the door states: a full run
-    calls = 0
-    recognise = reasoner._recognise
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return recognise(*args)
-
     with monkeypatch.context() as patch:
-        patch.setattr(reasoner, "_recognise", counted)
+        runs = _re_evaluated(patch)
         [step] = patrol(onto, PatrolConfig(steps=1, seed=1))  # from C1, through three doors
-    return calls, step.line()
+    return sum(map(len, runs)), step.line()
 
 
 def test_a_patrol_step_costs_the_edit_not_the_world(monkeypatch):
-    small, small_line = _recognise_calls_in_a_step(monkeypatch, 32)
-    large, large_line = _recognise_calls_in_a_step(monkeypatch, 128)
+    small, small_line = _re_evaluated_in_a_step(monkeypatch, 32)
+    large, large_line = _re_evaluated_in_a_step(monkeypatch, 128)
     assert small_line == large_line  # the same local step in both worlds
     assert 0 < small and large <= 1.5 * small
+
+
+class _ReadIdentity(dict):
+    """An identity map that records in `read` each individual looked up in
+    it, and every one when it is walked whole."""
+
+    def __init__(self, same: dict, read: set):
+        super().__init__(same)
+        self.read = read
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self.read.update(super().keys())
+        return super().__iter__()
+
+    def keys(self):
+        self.read.update(super().keys())
+        return super().keys()
+
+    def items(self):
+        self.read.update(super().keys())
+        return super().items()
+
+
+def test_a_resumed_run_shares_only_into_what_it_re_evaluates(monkeypatch):
+    """Sharing pulls a mate's classes into each individual a run
+    re-evaluates, so a resumed run looks up the identity map for those
+    alone, however many identity groups the world holds."""
+    onto = parse(
+        "Class(A) Class(B) Class(C) SubClassOf(A B)"
+        + "".join(
+            f" Individual(x{i}) Individual(y{i}) SameIndividual(x{i} y{i}) ClassAssertion(A x{i})"
+            for i in range(64)
+        )
+    )
+    reason(onto)
+    runs, read = _re_evaluated(monkeypatch), set()
+    memberships = reasoner._memberships
+
+    def recorded(schema, *args):
+        return memberships(dataclasses.replace(schema, same=_ReadIdentity(schema.same, read)), *args)
+
+    monkeypatch.setattr(reasoner, "_memberships", recorded)
+    x0, y0, c = onto.lookup("x0"), onto.lookup("y0"), onto.lookup("C")
+    onto.assert_axiom(model.class_assertion(x0, c))
+    closure = reason(onto)
+    assert closure.changes() is not None and c in closure.types_of(y0)  # y0 shares x0's new class
+    assert set().union(*runs) == {x0, y0}
+    assert read == {x0, y0}
+
+
+def test_a_mate_gains_by_sharing_what_its_own_test_no_longer_gives():
+    """y holds B from round 0, so it enters D = And(B Max(0 p C)) in round
+    1, before its filler f enters C.  Its mate x holds B from round 1 on,
+    and in round 2 the Max test fails for it: x is in D only because
+    sharing copies y's round-1 class in round 2.  A first run and a run
+    resumed across the B assertion both share it."""
+    text = (
+        "Class(A) Class(B) Class(C) Class(D) ObjectProperty(p) SubClassOf(A C)"
+        " DefineClass(D And(B Max(0 p C)))"
+        " Individual(x) Individual(y) Individual(f) SameIndividual(x y)"
+        " ClassAssertion(A f) PropertyAssertion(p x f)"
+    )
+    first = parse(text + " ClassAssertion(B y)")
+    resumed = parse(text)
+    reason(resumed)
+    resumed.assert_axiom(model.class_assertion(resumed.lookup("y"), resumed.lookup("B")))
+    for onto in (first, resumed):
+        closure = reason(onto)
+        assert onto.lookup("D") in closure.types_of(onto.lookup("x"))
+        assert closure.inferred == naive_reason(onto)[0]
+        assert answers(onto, closure) == answers(copy_store(onto), reason(copy_store(onto)))
+    assert first.current_closure().changes() is None and resumed.current_closure().changes() is not None
 
 
 def test_a_first_run_records_no_changes(monkeypatch):
@@ -582,18 +683,11 @@ def test_a_changed_class_wakes_every_individual_that_reads_it(case):
 def test_a_patrol_step_re_evaluates_only_the_doors_it_flipped(monkeypatch):
     """The definitions test a location's doors for DOOR alone, so a door
     whose state flips between OPEN and CLOSE wakes no corridor or room
-    that holds it: only the flipped doors reach the definitions."""
+    that holds it: phase three re-evaluates only the flipped doors."""
     onto = corridor_chain(8)
     scenarios.setup_door_state_classes(onto)  # declares the door states: a full run
     states = {onto.lookup("OPEN"): "open", onto.lookup("CLOSE"): "closed"}
-    evaluated = set()
-    recognise = reasoner._recognise
-
-    def recorded(definitions, ind, *rest):
-        evaluated.add(ind)
-        return recognise(definitions, ind, *rest)
-
-    monkeypatch.setattr(reasoner, "_recognise", recorded)
+    runs = _re_evaluated(monkeypatch)
     evaluated_doors = 0
     for seed in range(12):
         closure = onto.current_closure()
@@ -601,8 +695,9 @@ def test_a_patrol_step_re_evaluates_only_the_doors_it_flipped(monkeypatch):
             ind: {states[cls] for cls in closure.types_of(ind) if cls in states}
             for ind in onto.individuals()
         }
-        evaluated.clear()
+        runs.clear()
         [step] = patrol(onto, PatrolConfig(steps=1, seed=seed))
+        evaluated = set().union(*runs)
         flipped = {
             onto.lookup(iri) for iri, state in step.door_states if was[onto.lookup(iri)] != {state}
         }

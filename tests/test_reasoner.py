@@ -3,12 +3,13 @@ import importlib.util
 import random
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import chained_ontology, random_expression, random_ontology, vocabulary
+from generators import chained_ontology, defined_world, random_expression, random_ontology, vocabulary
 from oracles import (
     naive_reason,
     naive_stamps,
@@ -598,12 +599,11 @@ def test_renaming_iris_renames_the_closure(seed, monotone):
 def test_the_compiled_plan_answers_as_the_recursive_walk(seed):
     """For random bodies, random stamp maps (stamps on both sides of the
     round), random links and identity groups and a random round, the
-    compiled plan recognises exactly the individuals that
+    compiled plan holds for exactly the individuals that
     oracles.satisfies_reference says satisfy the body."""
     rng = random.Random(seed)
     onto = vocabulary(rng, classes=6, object_props=3, individuals=7)
-    defined = onto.declare(Kind.CLASS, "Defined")
-    classes = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in model.DATATYPES and c is not defined]
+    classes = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in model.DATATYPES]
     props = onto.entities_of_kind(Kind.OBJECT_PROPERTY)
     individuals = onto.individuals()
     for _ in range(5):
@@ -619,11 +619,10 @@ def test_the_compiled_plan_answers_as_the_recursive_walk(seed):
             if len(group) > 1 and not group & same.keys():
                 same.update(dict.fromkeys(group, frozenset(group)))
         expr = random_expression(rng, onto)
-        plan = [(defined, reasoner._compile(expr))]
+        body = reasoner._compile(expr)
         for ind in individuals:
-            gained = set()
-            reasoner._recognise(plan, ind, types[ind], gained, types, links, same, r)
-            assert (defined in gained) == satisfies_reference(expr, ind, types, links, same, r), expr
+            held = reasoner._holds(body, ind, types, links, same, r)
+            assert held == satisfies_reference(expr, ind, types, links, same, r), expr
 
 
 def _perfbench_worlds():
@@ -636,64 +635,102 @@ def _perfbench_worlds():
     return worlds
 
 
+def _definition_tests(monkeypatch) -> list:
+    """Record (round, individual, body) for each definition body that
+    phase three tests on an individual, from here on."""
+    tests = []
+    holds = reasoner._holds
+
+    def recorded(body, ind, types, links, same, r):
+        tests.append((r, ind, body))
+        return holds(body, ind, types, links, same, r)
+
+    monkeypatch.setattr(reasoner, "_holds", recorded)
+    return tests
+
+
+def _tested_classes(closure, tests) -> list:
+    """(round, individual, defined class) for each recorded test."""
+    defined = {id(body): cls for cls, body in closure._schema.definitions}
+    return [(r, ind, defined[id(body)]) for r, ind, body in tests]
+
+
 def test_a_first_run_on_the_load_world_reads_no_filler_of_a_door_or_a_robot(monkeypatch):
     """Every definition of the seed TBox names LOCATION or INDOOR, which no
     door or robot holds, so a first run on the benchmark's load world
-    (n=128, k=128, m=64) tests those classes and reads no restriction atom
-    for a door or a robot; a location's atoms are read."""
+    (n=128, k=128, m=64) tests no definition on a door or a robot: none
+    of them is a candidate.  Only locations are tested."""
     onto = parse(_perfbench_worlds().generate(128, 128, 64, seed=0).text)
-    called, read = set(), set()
-    recognise = reasoner._recognise
-
-    class Watched(tuple):
-        # the atoms of one conjunction, recording whom each one is read for
-        def __iter__(self):
-            for atom in tuple.__iter__(self):
-                read.add(self.ind)
-                yield atom
-
-    def watched(definitions, ind, *rest):
-        called.add(ind)
-        plan = []
-        for cls, body in definitions:
-            conjunctions = []
-            for named, atoms in body:
-                atoms = Watched(atoms)
-                atoms.ind = ind
-                conjunctions.append((named, atoms))
-            plan.append((cls, tuple(conjunctions)))
-        return recognise(plan, ind, *rest)
-
-    monkeypatch.setattr(reasoner, "_recognise", watched)
+    tests = _definition_tests(monkeypatch)
     closure = reason(onto)
     kinds = {name: onto.lookup(name) for name in ("DOOR", "ROBOT", "LOCATION")}
     of = {name: {i for i in onto.individuals() if cls in closure.types_of(i)} for name, cls in kinds.items()}
     assert len(of["DOOR"]) == 255 and len(of["ROBOT"]) == 64
-    assert of["DOOR"] | of["ROBOT"] <= called  # tested, by name only
-    assert not read & (of["DOOR"] | of["ROBOT"])
-    assert read and read <= of["LOCATION"]
+    tested = {ind for _, ind, _ in tests}
+    assert not tested & (of["DOOR"] | of["ROBOT"])
+    assert tested and tested <= of["LOCATION"]
 
 
 def test_a_first_run_on_the_load_world_tests_no_definition_after_a_move_none_reads(monkeypatch):
     """After round 1 an individual's definitions are tested again only when
     it entered a class some definition tests on the individual itself, or
-    one of its fillers moved.  On the load world the corridors enter
-    CORRIDOR in round 2, which no body names and none of their fillers
-    sees, so round 3 tests nothing: 575 + 256 calls, where re-testing every
-    individual that entered any class made 959.  The stamps and the
-    closure stay the naive rounds' and the oracle's."""
+    one of its fillers moved, and then only those definitions whose named
+    classes it holds.  On the load world round 1 tests INDOOR on the 128
+    corridors (the rooms enter it by inheritance); round 2 tests CORRIDOR
+    on the 256 locations that entered INDOOR and ROOM on the corridors.
+    The corridors enter CORRIDOR in round 2, which no body names and none
+    of their fillers sees, so round 3 tests nothing: 512 tests, where
+    testing every definition on each individual evaluated made 575 + 256
+    calls of three tests each.  The stamps and the closure stay the naive
+    rounds' and the oracle's."""
     onto = parse(_perfbench_worlds().generate(128, 128, 64, seed=0).text)
-    rounds = {}
-    recognise = reasoner._recognise
-
-    def counted(*args):
-        rounds[args[-1]] = rounds.get(args[-1], 0) + 1
-        return recognise(*args)
-
-    monkeypatch.setattr(reasoner, "_recognise", counted)
+    tests = _definition_tests(monkeypatch)
     closure = reason(onto)
-    assert rounds == {1: 575, 2: 256}
+    names = Counter((r, cls.iri) for r, _, cls in _tested_classes(closure, tests))
+    assert names == {(1, "INDOOR"): 128, (2, "CORRIDOR"): 256, (2, "ROOM"): 128}
     assert len(closure._entered) == 3  # round 2 still adds memberships
+    assert (closure._types, closure._entered) == naive_stamps(onto)
+    assert (closure.inferred, closure.consistent) == naive_reason(onto)
+
+
+def _scale():
+    """scripts/scale.py, whose with_definitions builds its TBox axis's worlds."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "scale.py"
+    spec = importlib.util.spec_from_file_location("scale", path)
+    scale = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scale)
+    return scale
+
+
+def test_a_definition_is_tested_only_on_the_individuals_its_named_class_admits(monkeypatch):
+    """On the load world with 128 definitions Yd = K(d) and a door, no door
+    or robot is tested against any definition, and no room against a Yd
+    whose K class it does not hold: a room is tested only for the Yd of
+    the K classes it is in, each once.  The stamps stay the naive rounds'."""
+    onto = parse(_scale().with_definitions(_perfbench_worlds().generate(128, 128, 64, seed=0).text, 128))
+    tests = _definition_tests(monkeypatch)
+    closure = reason(onto)
+    tested = _tested_classes(closure, tests)
+    doors, robots, rooms = (closure.instances_of(onto.lookup(name)) for name in ("DOOR", "ROBOT", "ROOM"))
+    assert len(doors) == 255 and len(robots) == 64 and len(rooms) == 128
+    assert not {ind for _, ind, _ in tested} & (doors | robots)
+    by_room = [(ind, cls) for _, ind, cls in tested if ind in rooms]
+    assert len(by_room) == len(set(by_room))
+    ys = {(ind, cls) for ind, cls in by_room if cls.iri.startswith("Y")}
+    held = {(ind, cls) for ind in rooms for cls in closure.types_of(ind) if cls.iri.startswith("K")}
+    assert ys == {(ind, onto.lookup(f"Y{d}")) for d in range(128) for ind in rooms if (ind, onto.lookup(f"K{d}")) in held}
+    assert (closure._types, closure._entered) == naive_stamps(onto)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_many_definition_worlds_match_the_naive_rounds(seed):
+    """Small load-shaped worlds with up to 16 definitions (generators.defined_world):
+    two named conjuncts, unions naming different classes, bodies with no
+    named class.  The stamps are the naive rounds' and the closure the
+    oracle's."""
+    rng = random.Random(5000 + seed)
+    onto = defined_world(rng, _perfbench_worlds().generate(8, 8, 2, seed=seed).text, rng.randint(3, 16))
+    closure = reason(onto)
     assert (closure._types, closure._entered) == naive_stamps(onto)
     assert (closure.inferred, closure.consistent) == naive_reason(onto)
 

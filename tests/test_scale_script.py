@@ -30,6 +30,15 @@ def test_scale_script_writes_its_report(tmp_path, capsys):
     assert row["parse_kb_per_s"] > 0
     assert row["reachable_first_ms"] > 0 and row["reachable_warm_ms"] > 0
     assert report["patrol_step_ratio"] == 1.0
+    # the TBox axis: the load world with 0, 32, 128 and 512 more definitions
+    block = report["definitions"]
+    assert block["world"] == {"n": 128, "k": 128, "m": 64, "seed": 0}
+    assert [row["d"] for row in block["rows"]] == [0, 32, 128, 512]
+    zero = block["rows"][0]
+    for row in block["rows"]:
+        assert row["asserted"] == zero["asserted"] + row["d"]  # one DefineClass each
+        assert 0 < row["phase3_ms"] < row["reason_ms"] and row["cal_ms"] > 0
+    assert block["phase3_ratio"] == block["rows"][-1]["phase3_ms"] / block["rows"][0]["phase3_ms"]
     assert "wrote" in capsys.readouterr().out
 
 
