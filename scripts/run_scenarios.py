@@ -10,6 +10,7 @@ a fixed seed, so two invocations print identical text.
 import argparse
 import time
 
+from ontodesc.cli import _bounded_int
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import (
     PatrolConfig,
@@ -23,8 +24,8 @@ from ontodesc.syntax import serialize
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=7, help="patrol RNG seed")
-    parser.add_argument("--steps", type=int, default=20, help="patrol length")
+    parser.add_argument("--seed", type=_bounded_int(0, "an unsigned"), default=7, help="patrol RNG seed")
+    parser.add_argument("--steps", type=_bounded_int(1, "a positive"), default=20, help="patrol length")
     parser.add_argument(
         "--dump", action="store_true", help="print the final world in canonical text"
     )

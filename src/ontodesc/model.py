@@ -10,9 +10,10 @@ is a union of intersections of atoms, the shape that the .onto text and
 the DEFINITION descriptor hold; any other nesting is a KindMismatch at
 construction, and conjunctions() reads a body's shape.  The store keeps a
 vocabulary (IRI -> entity), an asserted axiom set partitioned into RBox,
-TBox and ABox, and the reasoner's last Closure, which holds the inferred
-partition.  Any mutation bumps a generation counter; entailed-view reads
-made against an outdated closure raise StaleClosure.
+TBox and ABox, the reasoner's last Closure, which holds the inferred
+partition, and a journal of every change since that Closure.  A Closure
+is current exactly while it is installed and the journal is empty;
+entailed-view reads made against any other raise StaleClosure.
 
 Entities are interned: one live object per (kind, IRI) in the process, so
 equality is identity and hashing is the C-level object hash.  The
@@ -62,7 +63,8 @@ class UnknownEntity(OntologyError):
 
 
 class StaleClosure(OntologyError):
-    """The entailed view was requested after mutations without re-reasoning."""
+    """An entailed read was made against a Closure that is not current:
+    the store changed since its run, or a later run superseded it."""
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +565,8 @@ class _GroundIndex:
         at = _ground_position(tag, at)
         slot = self._slots.get(tag, {}).get(at)
         if slot is None:
+            if at is not None and at not in range(len(SHAPES[tag].roles)):
+                raise ValueError(f"{tag.value} has no argument position {at!r}")
             slot = {}
             for axiom in self._axioms:
                 if axiom.tag is tag:
@@ -600,30 +604,33 @@ class Ontology:
     The asserted set is only changed through assert_axiom / retract_axiom,
     and by the parser's batch.  assert_axiom checks an axiom against this
     store's vocabulary and orders an unordered pair, then _insert updates
-    the set, the ground index, the generation and the journal.  The
-    parser fills a fresh store in two batch calls: _declare_all declares
-    the names it has checked, interning them under one hold of the intern
-    lock, and _insert_all adds its factory-built axioms, which hold only
-    entities it looked up, with one set.update.  Besides the vocabulary
-    and the set, declare and _insert keep the journal and the built
-    ground-index slots current, so each batch checks that the store has
-    no journal (and the insert, no built slot) and raises otherwise.
-    Each batch bumps the generation by what it added.
+    the set, the ground index and the journal.  The parser fills a fresh
+    store in two batch calls: _declare_all declares the names it has
+    checked, interning them under one hold of the intern lock, and
+    _insert_all adds its factory-built axioms, which hold only entities
+    it looked up, with one set.update.  Besides the vocabulary and the
+    set, declare and _insert keep the journal and the built ground-index
+    slots current, so each batch checks that the store has no journal
+    (and the insert, no built slot) and raises otherwise.
     The inferred partition is the installed Closure's `inferred`, which
     the Closure builds from its maps on first read; it is read through
     the "entailed" view, which is the union of both partitions and is
     guarded by a staleness check.
 
-    The store also keeps a journal for the reasoner, a plain record of
-    every change since the installed Closure's generation: each axiom
-    asserted or retracted, of any tag, that the edits since have not
-    undone (axiom -> asserted), and each entity declared (entity ->
-    True).  reason() alone decides which of them it can resume across
-    (see the reasoner's module docstring); a resumed run changes the
-    installed Closure's maps in place, and reads this store's asserted
-    set rather than a copy, so the Closure it supersedes is stale and
-    refuses reads.  There is no journal before the first run, nor after
-    a run that raised part way: the next run starts afresh.
+    The journal is the one record of change: every change since the
+    installed Closure, each axiom asserted or retracted, of any tag,
+    that the edits since have not undone (axiom -> asserted), and each
+    entity declared (entity -> True).  _is_current states the one
+    freshness rule on it: a Closure is current exactly when it is the
+    installed one and the journal is empty, so an edit undone before
+    the next run leaves the Closure current.  reason() alone decides
+    which changes it can resume across (see the reasoner's module
+    docstring); it takes the journal and the Closure together as it
+    starts and installs its own Closure with an empty journal, so the
+    Closure it supersedes is stale and refuses reads.  There is no
+    journal while no Closure is installed: before the first run, and
+    after a run that raised part way, which leaves the next run to
+    start afresh.
 
     axioms() copies a whole view and is meant for bulk work
     (serializing).  contains() and axioms_about() are lookups.
@@ -640,7 +647,6 @@ class Ontology:
         self._vocab: dict[str, Entity] = {e.iri: e for e in BUILTINS}
         self._asserted: set[Axiom] = set()
         self._asserted_index = _GroundIndex(self._asserted)
-        self._generation = 0
         self._closure = None
         self._journal: dict | None = None  # axiom -> asserted, entity -> True, since _closure
 
@@ -665,7 +671,6 @@ class Ontology:
             return existing
         entity = Entity(kind, iri)
         self._vocab[iri] = entity
-        self._generation += 1
         self._note(entity, True)
         return entity
 
@@ -673,14 +678,13 @@ class Ontology:
         """declare() for each IRI -> kind of `names`, in order, where each
         IRI is a non-empty string not declared yet and each kind is not
         LITERAL, into a store with no journal: one hold of the intern lock
-        for all of them, and one generation step each."""
+        for all of them."""
         vocab = self._vocab
         if self._journal is not None or not vocab.keys().isdisjoint(names):
             raise OntologyError("a batch declaration needs a store with no journal, and undeclared IRIs")
         with _ENTITIES_LOCK:
             for iri, kind in names.items():
                 vocab[iri] = _intern(kind, iri)
-        self._generation += len(names)
 
     def ensure(self, entity: Entity) -> Entity:
         """Declare the entity's IRI with its kind if not present."""
@@ -721,20 +725,16 @@ class Ontology:
             return False
         self._asserted.add(axiom)
         self._asserted_index.add(axiom)
-        self._generation += 1
         self._note(axiom, True)
         return True
 
     def _insert_all(self, axioms: list[Axiom]) -> None:
         """_insert for each canonical axiom over this store's entities, into
         a store with no journal and no built ground-index slot, so that
-        one set.update and the generation are the whole change."""
+        one set.update is the whole change."""
         if self._journal is not None or self._asserted_index._slots:
             raise OntologyError("a batch insert needs a store with no journal and no built index slot")
-        asserted = self._asserted
-        before = len(asserted)
-        asserted.update(axioms)
-        self._generation += len(asserted) - before
+        self._asserted.update(axioms)
 
     def retract_axiom(self, axiom: Axiom) -> bool:
         """Remove from the asserted set.  Returns True when the set changed."""
@@ -743,7 +743,6 @@ class Ontology:
             return False
         self._asserted.remove(axiom)
         self._asserted_index.remove(axiom)
-        self._generation += 1
         self._note(axiom, False)
         return True
 
@@ -752,13 +751,14 @@ class Ontology:
         if journal is not None and journal.pop(change, None) is None:  # an edit undone leaves no entry
             journal[change] = asserted
 
-    @property
-    def generation(self) -> int:
-        return self._generation
+    def _is_current(self, closure) -> bool:
+        """The one freshness rule: a Closure is current exactly when it is
+        the installed one and the journal holds no change since it."""
+        return closure is not None and closure is self._closure and not self._journal
 
     @property
     def stale(self) -> bool:
-        return self._closure is None or self._closure.generation != self._generation
+        return not self._is_current(self._closure)
 
     def _install_closure(self, closure) -> None:
         # called by the reasoner only
@@ -766,14 +766,16 @@ class Ontology:
         self._journal = {}
 
     def _take_journal(self):
-        """(installed Closure, journal), or (None, None) when there is no journal.
+        """(installed Closure, journal), or (None, None) when there is none.
 
-        Called by the reasoner as a run starts; the journal stays dropped
-        until the run installs its Closure, so a run that raises part way
-        leaves the next one to start afresh.
+        Called by the reasoner as a run starts; it uninstalls the Closure,
+        and the store has neither again until the run installs its own,
+        so a run that raises part way leaves no current Closure and the
+        next run to start afresh.
         """
-        journal, self._journal = self._journal, None
-        return (None if journal is None else self._closure), journal
+        taken = self._closure, self._journal
+        self._closure = self._journal = None
+        return taken
 
     def current_closure(self):
         if self.stale:
@@ -805,7 +807,8 @@ class Ontology:
         """The asserted `tag` axioms with `ground` in ground position `at`.
 
         A fresh set, looked up in the ground index (see the class
-        docstring); `at` is ignored for unordered pair tags.
+        docstring); `at` is ignored for unordered pair tags, and any other
+        tag's `at` outside its argument positions raises ValueError.
         """
         return set(self._asserted_index.lookup(tag, ground, at))
 

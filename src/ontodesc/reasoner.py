@@ -85,7 +85,7 @@ the snapshot round in which it entered (its stamp), the individuals
 that entered a class in each round, and the violations per individual.
 A resumed run takes that state over and changes it in place, fed by
 the journal: the store's record of each axiom edit not undone since that
-Closure's generation and of each entity declared since.  Of those, the
+Closure was installed and of each entity declared since.  Of those, the
 run reads the ClassAssertion and PropertyAssertion edits and the
 declared individuals:
 
@@ -141,11 +141,12 @@ after round 1, finds through the mirror the subjects whose fillers
 entered a class they read, and shares only into the mates of the
 individuals that entered a class (a resumed run checks its own
 individuals instead), and the violation check reads every individual.
-A run takes the journal when it starts and the store gets a new one
-only when the run installs its Closure, so a run that raises part way
-leaves the next run to start afresh.  The Closure a run supersedes is
-stale (its generation is behind the store's) and refuses every read but
-`consistent` and `violations`, which it stores.
+A run takes the journal when it starts, which uninstalls the Closure,
+and the store gets a new one only when the run installs its Closure, so
+a run that raises part way leaves no current Closure and the next run
+to start afresh.  The Closure a run supersedes is stale (it is no longer
+the installed one), even when no edit came between the runs, and
+refuses every read but `consistent` and `violations`, which it stores.
 """
 
 from __future__ import annotations
@@ -223,8 +224,9 @@ class Closure:
     """Entailment interface over one saturation run.
 
     All query methods, `inferred` and `inferred_groups` included,
-    re-check that the underlying ontology has not been mutated since the
-    run; if it has, they raise StaleClosure.  The next run takes these
+    re-check the store's one freshness rule (Ontology._is_current): this
+    Closure is the installed one and the store has journaled no change
+    since; otherwise they raise StaleClosure.  The next run takes these
     maps over and changes them in place, so a superseded Closure has
     nothing left to answer from; only `consistent` and `violations` are
     stored values and stay readable.
@@ -241,9 +243,9 @@ class Closure:
     fact slot it lists (axiom tag, position, ground) - the first time it
     is read (see DescriptorState.read).  Indexes and `_reads` entries
     are built on the first query that needs them.  The maps change only
-    in a later run, after a mutation (declare, assert_axiom,
-    retract_axiom) made this Closure stale; a resumed run drops the
-    `_reads` entries of the slots its `changes()` facts fill.
+    in a later run, which supersedes this Closure and so makes it stale;
+    a resumed run drops the `_reads` entries of the slots its
+    `changes()` facts fill.
     `inferred_groups` lists the derived facts not asserted, grouped by
     the map that holds them, and is what the entailed text and the
     `reason` counts read.  `inferred`, the store's inferred partition as
@@ -258,7 +260,6 @@ class Closure:
     """
 
     _store: weakref.ref
-    generation: int
     consistent: bool = True
     violations: tuple = ()
     _schema: _Schema | None = field(default=None, repr=False)
@@ -280,8 +281,8 @@ class Closure:
 
     def _check_fresh(self):
         onto = self._store()
-        if onto is not None and onto.generation != self.generation:
-            raise StaleClosure("the ontology changed after this closure was computed")
+        if onto is not None and not onto._is_current(self):
+            raise StaleClosure("the ontology changed or was reasoned again after this closure was computed")
 
     def changes(self) -> Changes | None:
         """What this run changed against the Closure it resumed from; None after a full run."""
@@ -1019,7 +1020,7 @@ def reason(onto: Ontology) -> Closure:
         by_tag: dict[AxiomTag, list[Axiom]] = {}
         for a in asserted:
             by_tag.setdefault(a.tag, []).append(a)
-        previous = Closure(weakref.ref(onto), generation=-1, _schema=_schema(onto, by_tag))
+        previous = Closure(weakref.ref(onto), _schema=_schema(onto, by_tag))
         link_edits = dict.fromkeys(by_tag.get(AxiomTag.PROPERTY_ASSERTION, ()), True)
         individuals = onto.individuals()
     schema = previous._schema
@@ -1054,7 +1055,6 @@ def reason(onto: Ontology) -> Closure:
 
     closure = Closure(
         weakref.ref(onto),
-        generation=onto.generation,
         consistent=not violations,
         violations=violations,
         _schema=schema,

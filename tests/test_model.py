@@ -390,6 +390,17 @@ class TestOntologyStore:
         for ground in (a, b):
             found = onto.axioms_about(AxiomTag.DISJOINT_CLASSES, ground)
             assert found == {axiom}
+            assert onto.axioms_about(AxiomTag.DISJOINT_CLASSES, ground, at=5) == {axiom}  # a pair ignores at
+
+    @pytest.mark.parametrize("at", [-1, 2])
+    def test_axioms_about_refuses_a_position_the_tag_lacks_and_builds_no_slot(self, at):
+        onto, a, b, p, d, x, y = make_vocab()
+        onto.assert_axiom(model.class_assertion(x, a))
+        with pytest.raises(ValueError, match="no argument position"):
+            onto.axioms_about(AxiomTag.CLASS_ASSERTION, x, at=at)
+        assert AxiomTag.CLASS_ASSERTION not in onto._asserted_index._slots
+        assert onto.axioms_about(AxiomTag.CLASS_ASSERTION, a, at=1) == {model.class_assertion(x, a)}
+        assert list(onto._asserted_index._slots[AxiomTag.CLASS_ASSERTION]) == [1]
 
     def test_contains_disjointness_in_both_argument_orders(self):
         onto, a, b, *_ = make_vocab()
@@ -403,7 +414,7 @@ class TestOntologyStore:
         built.declare(Kind.CLASS, "A")
         built.declare(Kind.INDIVIDUAL, "x")
         assert list(onto.vocabulary()) == list(built.vocabulary())
-        assert onto.generation == built.generation == 2
+        assert onto._journal is built._journal is None  # no run, so no record of change
         for names in ({"A": Kind.CLASS}, {"B": Kind.CLASS, "THING": Kind.CLASS}):
             with pytest.raises(OntologyError, match="undeclared"):
                 onto._declare_all(names)
@@ -414,18 +425,15 @@ class TestOntologyStore:
         so the parser's batch runs on a fresh store only."""
         onto = make_vocab()[0]
         reason(onto)
-        generation = onto.generation
         with pytest.raises(OntologyError, match="no journal"):
             onto._declare_all({"B2": Kind.CLASS})
-        assert onto.maybe_lookup("B2") is None and onto.generation == generation
-        assert not onto.stale
+        assert onto.maybe_lookup("B2") is None
+        assert not onto.stale  # the journal is still empty
 
     def test_a_batch_insert_refuses_a_journaled_or_indexed_store(self):
         onto, a, b, *_ = make_vocab()
-        generation = onto.generation
         onto._insert_all([model.sub_class(a, b), model.sub_class(a, b), model.sub_class(b, a)])
         assert onto.axioms() == {model.sub_class(a, b), model.sub_class(b, a)}
-        assert onto.generation == generation + 2
         onto.axioms_about(AxiomTag.SUB_CLASS, a)  # builds an index slot
         journaled = make_vocab()[0]
         reason(journaled)  # installs a journal and builds no slot
@@ -433,6 +441,7 @@ class TestOntologyStore:
             with pytest.raises(OntologyError, match="no journal and no built index slot"):
                 store._insert_all([model.sub_class(a, THING)])
             assert model.sub_class(a, THING) not in store.axioms()
+        assert not journaled.stale  # the refused batch journaled nothing
 
     def test_inferred_view_is_disjoint_from_asserted(self):
         onto, a, b, p, d, x, y = make_vocab()

@@ -320,7 +320,7 @@ def test_a_parsed_store_equals_one_built_through_public_calls(seed):
     """parse inserts its axioms past assert_axiom's checks, so the store it
     returns must be the one declare and assert_axiom build from the
     reference parser's output: the same vocabulary in the same order, the
-    same asserted set, generation and journal, and the same closure once
+    same asserted set and journal, and the same closure once
     reasoned.  The lines come shuffled, some twice, so names are used
     before their declaration and a repeated axiom inserts nothing."""
     rng = random.Random(seed)
@@ -335,7 +335,7 @@ def test_a_parsed_store_equals_one_built_through_public_calls(seed):
         assert built.assert_axiom(axiom)
     assert list(parsed.vocabulary()) == list(built.vocabulary())
     assert parsed.axioms() == built.axioms()
-    assert (parsed.generation, parsed._journal) == (built.generation, built._journal)
+    assert parsed._journal == built._journal
     ours, theirs = reason(parsed), reason(built)
     assert (ours.inferred, ours.consistent) == (theirs.inferred, theirs.consistent)
     assert (ours._types, ours._entered) == (theirs._types, theirs._entered)
@@ -347,7 +347,7 @@ def test_irregular_names_parse_as_the_reference_does_and_roundtrip(seed):
     """Names outside the ASCII-initial form (non-ASCII letters, an initial
     underscore, punctuation, heads used as names) are declared and built
     as the reference parser does them: the same vocabulary in the same
-    order, asserted set and generation, in canonical and in shuffled
+    order and asserted set, in canonical and in shuffled
     line order; the canonical text serializes back to itself."""
     rng = random.Random(seed)
     text = irregular_document(rng)
@@ -357,7 +357,6 @@ def test_irregular_names_parse_as_the_reference_does_and_roundtrip(seed):
         parsed, reference = parse(document), parse_reference(document)
         assert list(parsed.vocabulary()) == list(reference.vocabulary())
         assert parsed.axioms() == reference.axioms()
-        assert parsed.generation == reference.generation
     assert serialize(parse(text)) == text
 
 
@@ -401,7 +400,6 @@ def test_the_load_world_is_declared_and_inserted_in_bulk(monkeypatch):
     onto = parse(text)
     assert calls == {"_Call": 10}
     assert len(onto.axioms()) == 908 and len(list(onto.vocabulary())) == 713 + len(model.BUILTINS)
-    assert onto.generation == 713 + 908
 
 
 def test_str_split_and_the_token_pattern_agree_on_whitespace():
