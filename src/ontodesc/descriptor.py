@@ -7,15 +7,23 @@ map to; the ground is the entity the axioms are about.  TAG_SPECS holds
 one TagSpec row per tag: the axiom tag, the argument that holds the
 ground, the item type and the partition; the legal ground kinds are
 that argument's kinds in model.SHAPES, and the axiom tag's entry in
-model.AXIOM_FACTORIES builds the axioms.  Mapping is driven by that
-table alone, and is bidirectional and lossless:
+model.AXIOM_FACTORIES builds the axioms.  The items each tag holds:
+
+* Void for the four property characteristics (FUNCTIONAL, REFLEXIVE,
+  SYMMETRIC, TRANSITIVE), which name nothing but the ground,
+* Link, a (property, filler) pair, for LINKS,
+* Restriction, a connective plus one model atom (an instance of
+  model.ATOMS: Named, Some, Only, Min or Max), for DEFINITION only,
+* Ref, one entity, for every other tag, DOMAIN and RANGE included.
+
+Mapping is driven by that table alone, and is bidirectional and lossless:
 
 * to_axioms(tag, x, Y) renders the items as axioms,
 * from_axiom(tag, x, a) recovers the item encoded by one axiom,
 
 and the two are exact inverses on legal descriptors.  The DEFINITION tag
 is special: its whole item list encodes the single class-definition
-axiom, each item a restriction carrying the connective to its successor
+axiom, each item an atom of the body and the connective to its successor
 (intersection binds tighter than union; the last connective is END).
 
 Operations:
@@ -40,7 +48,7 @@ Closure alone; TYPES, INSTANCES and LINKS list everything entailed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import starmap
 from typing import Callable, Union
@@ -52,15 +60,10 @@ from .model import (
     AxiomTag,
     ClassExpression,
     Entity,
-    Literal,
-    Max,
-    Min,
     Named,
-    Only,
     Ontology,
     OntologyError,
     Or,
-    Some,
     Term,
 )
 
@@ -74,7 +77,7 @@ class IllegalItem(MappingError):
 
 
 class UnsupportedRestriction(MappingError):
-    """A restriction form not representable for this tag."""
+    """A restriction whose atom is not one of model.ATOMS."""
 
 
 class GroundMismatch(MappingError):
@@ -111,39 +114,20 @@ class Connective(Enum):
     __hash__ = object.__hash__  # hashed in every Restriction; see model.Kind
 
 
-class Form(Enum):
-    NAMED = "named"
-    SOME = "some"
-    ONLY = "only"
-    AT_LEAST = "at-least"
-    AT_MOST = "at-most"
-
-    __hash__ = object.__hash__
-
-
 @dataclass(frozen=True)
 class Restriction:
+    """One atom of a definition body and the connective to the next atom."""
+
     connective: Connective
-    form: Form
-    cls: Entity | None = None
-    count: int | None = None
-    prop: Entity | None = None
-    filler: Entity | None = None
+    atom: ClassExpression  # an instance of one of model.ATOMS
 
     def __post_init__(self):
-        """The enums are members, and exactly the fields of the form's atom class are set."""
-        if not isinstance(self.connective, Connective) or not isinstance(self.form, Form):
-            raise MappingError(f"not a connective and form: {self.connective!r}, {self.form!r}")
-        payload = _PAYLOADS[self.form]
-        if any((getattr(self, name) is None) == (name in payload) for name in _SLOTS):
-            raise MappingError(f"malformed restriction payload for form {self.form.value}")
-
-
-# form <-> the model's atom class, whose fields name the form's payload
-_ATOMS = {Form.NAMED: Named, Form.SOME: Some, Form.ONLY: Only, Form.AT_LEAST: Min, Form.AT_MOST: Max}
-_FORMS = {atom: form for form, atom in _ATOMS.items()}
-_PAYLOADS = {form: tuple(f.name for f in fields(atom)) for form, atom in _ATOMS.items()}
-_SLOTS = tuple(f.name for f in fields(Restriction))[2:]  # cls, count, prop, filler
+        """The connective is a member and the atom is a model atom, whose
+        own constructor checked its arguments."""
+        if not isinstance(self.connective, Connective):
+            raise MappingError(f"not a connective: {self.connective!r}")
+        if not isinstance(self.atom, model.ATOMS):
+            raise UnsupportedRestriction(f"not an atomic restriction: {self.atom!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,19 +139,13 @@ class Link:
 Item = Union[Void, Ref, Restriction, Link]
 
 
-def named_restriction(cls: Entity, connective: Connective = Connective.END) -> Restriction:
-    return Restriction(connective, Form.NAMED, cls=cls)
-
-
 def item_sort_key(item: Item):
+    """The order of a read's items; a definition keeps its body order."""
     if isinstance(item, Void):
         return (0, "", "")
     if isinstance(item, Ref):
         return (1, item.entity.iri, "")
-    if isinstance(item, Restriction):
-        name = item.cls.iri if item.form is Form.NAMED else item.prop.iri
-        return (2, name, item.form.value)
-    return (3, item.prop.iri, _term_sort_key(item.filler))
+    return (2, item.prop.iri, _term_sort_key(item.filler))
 
 
 def _term_sort_key(term: Term) -> str:
@@ -261,8 +239,8 @@ TAG_SPECS = {
     DescriptorTag.EQUIVALENT_PROPERTIES: TagSpec(_P, AxiomTag.EQUIVALENT_PROPERTIES, Ref),
     DescriptorTag.DISJOINT_PROPERTIES: TagSpec(_P, AxiomTag.DISJOINT_PROPERTIES, Ref),
     DescriptorTag.INVERSE_PROPERTIES: TagSpec(_P, AxiomTag.INVERSE_PROPERTIES, Ref),
-    DescriptorTag.DOMAIN: TagSpec(_P, AxiomTag.PROPERTY_DOMAIN, Restriction),
-    DescriptorTag.RANGE: TagSpec(_P, AxiomTag.PROPERTY_RANGE, Restriction),
+    DescriptorTag.DOMAIN: TagSpec(_P, AxiomTag.PROPERTY_DOMAIN, Ref),
+    DescriptorTag.RANGE: TagSpec(_P, AxiomTag.PROPERTY_RANGE, Ref),
     DescriptorTag.FUNCTIONAL: TagSpec(_P, AxiomTag.FUNCTIONAL_PROPERTY, Void),
     DescriptorTag.REFLEXIVE: TagSpec(_P, AxiomTag.REFLEXIVE_PROPERTY, Void),
     DescriptorTag.SYMMETRIC: TagSpec(_P, AxiomTag.SYMMETRIC_PROPERTY, Void),
@@ -299,17 +277,6 @@ def _check_item(tag: DescriptorTag, item: Item) -> None:
         )
 
 
-def restriction_to_atom(r: Restriction) -> ClassExpression:
-    return _ATOMS[r.form](*(getattr(r, name) for name in _PAYLOADS[r.form]))
-
-
-def atom_to_restriction(expr: ClassExpression, connective: Connective) -> Restriction:
-    form = _FORMS.get(type(expr))
-    if form is None:
-        raise UnsupportedRestriction(f"not an atomic restriction: {expr!r}")
-    return Restriction(connective, form, **{name: getattr(expr, name) for name in _PAYLOADS[form]})
-
-
 def restrictions_to_expression(items: list[Restriction]) -> ClassExpression:
     """Assemble the ordered restriction list into one class expression.
 
@@ -331,7 +298,7 @@ def restrictions_to_expression(items: list[Restriction]) -> ClassExpression:
             groups.append([])
     exprs = []
     for group in groups:
-        atoms = tuple(restriction_to_atom(r) for r in group)
+        atoms = tuple(r.atom for r in group)
         exprs.append(atoms[0] if len(atoms) == 1 else And(atoms))
     return exprs[0] if len(exprs) == 1 else Or(tuple(exprs))
 
@@ -343,28 +310,24 @@ def expression_to_restrictions(expr: ClassExpression) -> list[Restriction]:
     groups, items = model.conjunctions(expr), []
     for i, atoms in enumerate(groups, 1):
         last = Connective.END if i == len(groups) else Connective.UNION
-        items += [atom_to_restriction(a, Connective.INTERSECT) for a in atoms[:-1]]
-        items.append(atom_to_restriction(atoms[-1], last))
+        items += [Restriction(Connective.INTERSECT, a) for a in atoms[:-1]]
+        items.append(Restriction(last, atoms[-1]))
     return items
 
 
-def _payload(tag: DescriptorTag, item: Item) -> list:
+def _payload(item: Item) -> list:
     """The axiom arguments an item contributes besides the ground."""
     if isinstance(item, Ref):
         return [item.entity]
     if isinstance(item, Link):
         return [item.prop, item.filler]
-    if isinstance(item, Void):
-        return []
-    if tag is DescriptorTag.DEFINITION:
-        return [restriction_to_atom(item)]
-    if item.form is not Form.NAMED:
-        raise UnsupportedRestriction(f"{tag.value} accepts named-class restrictions only")
-    return [item.cls]
+    if isinstance(item, Restriction):
+        return [item.atom]
+    return []
 
 
 def _args(tag: DescriptorTag, ground: Entity, item: Item) -> list:
-    args = _payload(tag, item)
+    args = _payload(item)
     args.insert(TAG_SPECS[tag].ground_at, ground)
     return args
 
@@ -383,11 +346,9 @@ def _read_axiom(tag: DescriptorTag, ground: Entity, item: Item) -> Axiom:
     """to_axiom for an item a read found, built without the factory's checks.
 
     Read items come from checked asserted axioms or from Closure maps
-    built out of them, so their kinds hold.  DEFINITION atoms still go
-    through to_axiom; unordered pairs are put in canonical order.
+    built out of them, so their kinds hold; unordered pairs are put in
+    canonical order.
     """
-    if tag is DescriptorTag.DEFINITION:
-        return to_axiom(tag, ground, item)
     return model.canonical(Axiom(TAG_SPECS[tag].axiom_tag, tuple(_args(tag, ground, item))))
 
 
@@ -419,10 +380,7 @@ def from_axiom(tag: DescriptorTag, ground: Entity, axiom: Axiom) -> Item:
     payload = _payload_of(tag, ground, axiom)
     if tag is DescriptorTag.DEFINITION:
         raise MappingError("definitions map through from_definition, not from_axiom")
-    item_type = TAG_SPECS[tag].item_type
-    if item_type is Restriction:
-        return named_restriction(*payload)
-    return item_type(*payload)
+    return TAG_SPECS[tag].item_type(*payload)
 
 
 def from_definition(ground: Entity, axiom: Axiom) -> list[Restriction]:
@@ -591,9 +549,9 @@ class DescriptorState:
             if isinstance(item, Ref):
                 yield item.entity
             elif isinstance(item, Restriction):
-                if item.form is not Form.NAMED:
+                if type(item.atom) is not Named:
                     raise UndefinedBuild("build is undefined for quantified restrictions")
-                yield item.cls
+                yield item.atom.cls
             elif isinstance(item.filler, Entity):  # literal fillers name no entity
                 yield item.filler
 

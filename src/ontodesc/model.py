@@ -4,7 +4,7 @@ Entities (classes, properties, individuals), typed literals, class
 expressions, axioms, and the in-memory axiom store.  SHAPES, one row per
 axiom tag, is the one statement of each tag's box, argument kinds and
 unordered pair; the axiom factories are built from it.  _MEMBERS is the
-one statement of the class-expression grammar: And takes atoms (Named
+one statement of the class-expression grammar: And takes ATOMS (Named
 and the restrictions) and Or takes atoms and Ands, so every expression
 is a union of intersections of atoms, the shape that the .onto text and
 the DEFINITION descriptor hold; any other nesting is a KindMismatch at
@@ -318,8 +318,8 @@ EXPRESSION = Role("a class expression", (), lambda a, _: isinstance(a, EXPRESSIO
 
 # The one statement of the class-expression grammar, a union of
 # intersections of atoms: the classes each connective's members may be.
-_ATOMS = (Named, Some, Only, Min, Max)
-_MEMBERS = {And: _ATOMS, Or: (*_ATOMS, And)}
+ATOMS = (Named, Some, Only, Min, Max)
+_MEMBERS = {And: ATOMS, Or: (*ATOMS, And)}
 
 
 def _check_members(members, connective) -> None:

@@ -229,7 +229,8 @@ class Closure:
     since; otherwise they raise StaleClosure.  The next run takes these
     maps over and changes them in place, so a superseded Closure has
     nothing left to answer from; only `consistent` and `violations` are
-    stored values and stay readable.
+    stored values and stay readable.  That run cuts it from its store
+    for good, so it stays refused after the store is freed.
 
     Every query is a lookup in the maps the run left:
     `fillers` and `links_of` read the subject -> property -> fillers map,
@@ -255,11 +256,12 @@ class Closure:
     The store holds its installed Closure, and the Closure holds the
     store only weakly, so a dropped store is freed by reference counting
     rather than left to the cycle collector.  A Closure whose store is
-    gone stays fresh, since nothing can edit that store any more, and
-    reads the store's asserted set through its own reference to it.
+    gone and that no run superseded stays fresh, since nothing can edit
+    that store any more, and reads the store's asserted set through its
+    own reference to it.
     """
 
-    _store: weakref.ref
+    _store: weakref.ref | None  # None once a later run superseded this Closure
     consistent: bool = True
     violations: tuple = ()
     _schema: _Schema | None = field(default=None, repr=False)
@@ -274,14 +276,14 @@ class Closure:
 
     @property
     def ontology(self) -> Ontology | None:
-        """The store this Closure was computed over, or None once it is freed."""
-        return self._store()
+        """The store this Closure was computed over, or None once it is freed or superseded."""
+        return None if self._store is None else self._store()
 
     # -- guards
 
     def _check_fresh(self):
-        onto = self._store()
-        if onto is not None and not onto._is_current(self):
+        # superseded, or a live store on which this Closure is not current
+        if self._store is None or (onto := self._store()) is not None and not onto._is_current(self):
             raise StaleClosure("the ontology changed or was reasoned again after this closure was computed")
 
     def changes(self) -> Changes | None:
@@ -997,6 +999,8 @@ def reason(onto: Ontology) -> Closure:
     change the store's journal holds is one a run can resume across (see
     the module docstring)."""
     previous, journal = onto._take_journal()
+    if previous is not None:  # superseded, even if this run raises: it may change the maps in place
+        previous._store = None
     asserted = onto._asserted
     # The resume rule, in one pass over the journal (see the module docstring)
     resumed, link_edits, touched, declared = False, {}, set(), []

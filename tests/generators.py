@@ -17,7 +17,6 @@ from ontodesc import model
 from ontodesc.descriptor import (
     Connective,
     DescriptorTag,
-    Form,
     Link,
     Ref,
     Restriction,
@@ -264,14 +263,14 @@ def _keeps_taxonomy_acyclic(taxonomy: nx.DiGraph, defined: set, axiom) -> bool:
 def random_restriction(rng: random.Random, onto: Ontology, connective: Connective) -> Restriction:
     classes = _classes(onto)
     props = _object_props(onto)
-    form = rng.choice(list(Form)) if props else Form.NAMED
-    if form is Form.NAMED:
-        return Restriction(connective, form, cls=rng.choice(classes))
+    atom = rng.choice(model.ATOMS) if props else Named
+    if atom is Named:
+        return Restriction(connective, Named(rng.choice(classes)))
     prop, filler = rng.choice(props), rng.choice(classes)
-    if form in (Form.SOME, Form.ONLY):
-        return Restriction(connective, form, prop=prop, filler=filler)
-    count = rng.randint(1, 3) if form is Form.AT_LEAST else rng.randint(0, 3)
-    return Restriction(connective, form, count=count, prop=prop, filler=filler)
+    if atom in (Some, Only):
+        return Restriction(connective, atom(prop, filler))
+    count = rng.randint(1, 3) if atom is Min else rng.randint(0, 3)
+    return Restriction(connective, atom(count, prop, filler))
 
 
 def random_triple(rng: random.Random, onto: Ontology):
@@ -305,8 +304,8 @@ def random_triple(rng: random.Random, onto: Ontology):
     if tag in (DescriptorTag.DOMAIN, DescriptorTag.RANGE):
         if tag is DescriptorTag.RANGE and ground.kind is Kind.DATA_PROPERTY:
             datatype = rng.choice(sorted(model.DATATYPES, key=lambda e: e.iri))
-            return tag, ground, Restriction(Connective.END, Form.NAMED, cls=datatype)
-        return tag, ground, Restriction(Connective.END, Form.NAMED, cls=rng.choice(classes))
+            return tag, ground, Ref(datatype)
+        return tag, ground, Ref(rng.choice(classes))
     if tag is DescriptorTag.DEFINITION:
         items = []
         size = rng.randint(1, 4)

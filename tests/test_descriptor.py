@@ -11,7 +11,6 @@ from ontodesc.descriptor import (
     Connective,
     DescriptorState,
     DescriptorTag,
-    Form,
     GroundMismatch,
     IllegalItem,
     Intent,
@@ -28,7 +27,6 @@ from ontodesc.descriptor import (
     expression_to_restrictions,
     from_axiom,
     from_definition,
-    named_restriction,
     restrictions_to_expression,
     to_axiom,
     to_axioms,
@@ -57,8 +55,8 @@ class TestMappingPerTag:
             (DescriptorTag.EQUIVALENT_PROPERTIES, p, Ref(q)),
             (DescriptorTag.DISJOINT_PROPERTIES, p, Ref(q)),
             (DescriptorTag.INVERSE_PROPERTIES, p, Ref(q)),
-            (DescriptorTag.DOMAIN, p, named_restriction(a)),
-            (DescriptorTag.RANGE, p, named_restriction(b)),
+            (DescriptorTag.DOMAIN, p, Ref(a)),
+            (DescriptorTag.RANGE, p, Ref(b)),
             (DescriptorTag.FUNCTIONAL, p, Void()),
             (DescriptorTag.REFLEXIVE, p, Void()),
             (DescriptorTag.SYMMETRIC, p, Void()),
@@ -112,12 +110,19 @@ class TestMappingPerTag:
         with pytest.raises(IllegalItem):
             to_axiom(DescriptorTag.FUNCTIONAL, p, Ref(a))
 
-    def test_domain_range_need_named_restrictions(self):
+    def test_domain_and_range_refuse_restriction_items(self):
+        """DOMAIN and RANGE hold Ref items: a restriction, named or not,
+        is the wrong item variant however it reaches the descriptor."""
         onto = small_world()
         a, p = onto.lookup("A"), onto.lookup("p")
-        quantified = Restriction(Connective.END, Form.SOME, prop=p, filler=a)
-        with pytest.raises(UnsupportedRestriction):
-            to_axiom(DescriptorTag.DOMAIN, p, quantified)
+        for item in (Restriction(Connective.END, Named(a)), Restriction(Connective.INTERSECT, Some(p, a))):
+            for tag in (DescriptorTag.DOMAIN, DescriptorTag.RANGE):
+                with pytest.raises(IllegalItem):
+                    to_axiom(tag, p, item)
+                with pytest.raises(IllegalItem):
+                    DescriptorState(tag, p, onto, items=[item])
+                with pytest.raises(IllegalItem):
+                    DescriptorState(tag, p, onto).add(item)
 
     def test_tag_and_ground_mismatches(self):
         onto = small_world()
@@ -209,9 +214,9 @@ class TestDefinitionMapping:
         a, b, c = onto.lookup("A"), onto.lookup("B"), onto.lookup("C")
         p = onto.lookup("p")
         items = [
-            Restriction(Connective.INTERSECT, Form.NAMED, cls=b),
-            Restriction(Connective.UNION, Form.SOME, prop=p, filler=c),
-            Restriction(Connective.END, Form.AT_LEAST, count=2, prop=p, filler=b),
+            Restriction(Connective.INTERSECT, Named(b)),
+            Restriction(Connective.UNION, Some(p, c)),
+            Restriction(Connective.END, Min(2, p, b)),
         ]
         expr = restrictions_to_expression(items)
         assert expr == Or((And((Named(b), Some(p, c))), Min(2, p, b)))
@@ -221,8 +226,8 @@ class TestDefinitionMapping:
         onto = small_world()
         a, b = onto.lookup("A"), onto.lookup("B")
         items = [
-            Restriction(Connective.INTERSECT, Form.NAMED, cls=b),
-            Restriction(Connective.END, Form.AT_MOST, count=1, prop=onto.lookup("p"), filler=b),
+            Restriction(Connective.INTERSECT, Named(b)),
+            Restriction(Connective.END, Max(1, onto.lookup("p"), b)),
         ]
         axioms = to_axioms(DescriptorTag.DEFINITION, a, items)
         assert len(axioms) == 1
@@ -236,32 +241,34 @@ class TestDefinitionMapping:
         onto = small_world()
         b = onto.lookup("B")
         with pytest.raises(MappingError):
-            restrictions_to_expression([Restriction(Connective.INTERSECT, Form.NAMED, cls=b)])
+            restrictions_to_expression([Restriction(Connective.INTERSECT, Named(b))])
         with pytest.raises(MappingError):
             restrictions_to_expression([
-                Restriction(Connective.END, Form.NAMED, cls=b),
-                Restriction(Connective.END, Form.NAMED, cls=b),
+                Restriction(Connective.END, Named(b)),
+                Restriction(Connective.END, Named(b)),
             ])
 
     def test_malformed_restriction_payload(self):
+        """The atom is an instance of a model atom class: not the class,
+        not a bare entity, not a connective's expression."""
         onto = small_world()
-        with pytest.raises(MappingError):
-            Restriction(Connective.END, Form.NAMED)
-        with pytest.raises(MappingError):
-            Restriction(Connective.END, Form.SOME, cls=onto.lookup("A"))
+        a, b = onto.lookup("A"), onto.lookup("B")
+        for atom in (Named, a, And((Named(a), Named(b))), Or((Named(a), Named(b)))):
+            with pytest.raises(UnsupportedRestriction):
+                Restriction(Connective.END, atom)
 
     def test_restriction_enums_checked(self):
         onto = small_world()
         a, p = onto.lookup("A"), onto.lookup("p")
         with pytest.raises(MappingError):
-            Restriction(Connective.END, "some", prop=p, filler=a)
+            Restriction(Connective.END, "some")
         with pytest.raises(MappingError):
-            Restriction("end", Form.NAMED, cls=a)
+            Restriction("end", Some(p, a))
 
     def test_single_atom_definition(self):
         onto = small_world()
         a, b = onto.lookup("A"), onto.lookup("B")
-        items = [named_restriction(b)]
+        items = [Restriction(Connective.END, Named(b))]
         [axiom] = to_axioms(DescriptorTag.DEFINITION, a, items)
         assert axiom == model.class_definition(a, Named(b))
         assert from_definition(a, axiom) == items
@@ -334,7 +341,7 @@ class TestReadWrite:
             DescriptorState(tag, ground, onto).read()
 
     def test_descriptor_enums_hash_by_identity(self):
-        for enum in (DescriptorTag, Partition, Connective, Form):
+        for enum in (DescriptorTag, Partition, Connective):
             assert enum.__hash__ is object.__hash__
 
     def test_write_makes_asserted_projection_exact(self):
@@ -467,7 +474,7 @@ class TestReadWrite:
         a = onto.lookup("A")
         d = DescriptorState(DescriptorTag.DEFINITION, a, onto)
         d.read()
-        assert [r.form for r in d.items] == [Form.NAMED, Form.AT_LEAST]
+        assert [type(r.atom) for r in d.items] == [Named, Min]
         assert [r.connective for r in d.items] == [Connective.UNION, Connective.END]
         before = set(onto.axioms("asserted"))
         assert d.write() == []
@@ -479,7 +486,7 @@ class TestReadWrite:
         d = onto.lookup("D")
         original = DescriptorState(DescriptorTag.DEFINITION, d, onto)
         original.read()
-        assert [r.cls.iri for r in original.items] == ["A", "B", "A", "C"]
+        assert [r.atom.cls.iri for r in original.items] == ["A", "B", "A", "C"]
         copy = DescriptorState(DescriptorTag.DEFINITION, d, onto, items=list(original.items))
         assert copy.items == original.items
         before = set(onto.axioms("asserted"))
@@ -551,7 +558,7 @@ class TestReadWrite:
         if tag is DescriptorTag.TYPES:
             ground, item, other = onto.lookup("x"), Ref(a), Ref(b)
         else:
-            ground, item, other = c, named_restriction(a), named_restriction(b)
+            ground, item, other = c, Restriction(Connective.END, Named(a)), Restriction(Connective.END, Named(b))
         items = [item] * given
         d = DescriptorState(tag, ground, onto, items=items)
         assert d.items == items and d.items is not items
@@ -563,8 +570,8 @@ class TestReadWrite:
     def test_definition_items_keep_repeats(self):
         onto = small_world()
         a, b = onto.lookup("A"), onto.lookup("B")
-        first = named_restriction(a, Connective.INTERSECT)
-        items = [first, named_restriction(b, Connective.UNION), first]
+        first = Restriction(Connective.INTERSECT, Named(a))
+        items = [first, Restriction(Connective.UNION, Named(b)), first]
         d = DescriptorState(DescriptorTag.DEFINITION, onto.lookup("C"), onto, items=list(items))
         assert d.items == items
         assert d.add(first) is True
@@ -612,7 +619,7 @@ class TestBuild:
         a, p = onto.lookup("A"), onto.lookup("p")
         d = DescriptorState(
             DescriptorTag.DEFINITION, a, onto,
-            items=[Restriction(Connective.END, Form.SOME, prop=p, filler=onto.lookup("B"))],
+            items=[Restriction(Connective.END, Some(p, onto.lookup("B")))],
         )
         with pytest.raises(UndefinedBuild):
             d.build()

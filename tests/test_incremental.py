@@ -204,6 +204,29 @@ def test_a_superseded_closure_refuses_reads_with_no_edit_between(seed):
             read()
 
 
+@pytest.mark.parametrize("edit_between", [True, False])
+def test_a_superseded_closure_stays_refused_after_its_store_is_freed(edit_between):
+    """The later run changed the maps the superseded Closure shared, so
+    freeing the store must not make it answer from them: it keeps
+    `consistent` and `violations` and refuses every other read."""
+    onto = parse("Class(A) Individual(x)")
+    earlier = reason(onto)
+    if edit_between:
+        onto.assert_axiom(model.class_assertion(onto.lookup("x"), onto.lookup("A")))
+    latest = reason(onto)
+    calls = list(queries(onto, earlier))
+    del onto, latest
+    gc.collect()
+    assert earlier.ontology is None
+    assert (earlier.consistent, earlier.violations) == (True, ())
+    for key, call in calls:
+        with pytest.raises(StaleClosure):
+            call()
+    for read in (lambda: earlier.inferred, lambda: next(earlier.inferred_groups()), earlier.changes):
+        with pytest.raises(StaleClosure):
+            read()
+
+
 def undoable_edit(rng: random.Random, onto: Ontology):
     """One random axiom edit and its inverse, as (edit, inverse): the
     retract of an asserted ABox fact or the assert of an axiom not

@@ -7,6 +7,9 @@ inside a function.
 
 Whether a Closure is current is the store's one rule, over its installed
 Closure and its journal of changes since; no other module reads either.
+
+Every name a module imports is read in that module (the package's
+__init__ imports to re-export, and is not scanned).
 """
 
 import ast
@@ -73,3 +76,30 @@ def test_only_the_store_reads_its_closure_and_journal(name):
 def test_the_state_scan_sees_the_store_s_own_reads():
     assert store_state_reads("model") == STORE_STATE
     assert {"model", "reasoner", "descriptor", "scenarios"} <= set(MODULES)
+
+
+def unused_imports(tree: ast.Module) -> set[str]:
+    """The names an import binds in the tree and no expression reads;
+    a __future__ import binds none."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    assert not unused_imports(syntax_tree(name))
+
+
+def test_the_import_scan_sees_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as j\nfrom . import model\nfrom .model import A, B as C\n"
+        "def f(x: A) -> None:\n    return os.sep\n"
+    )
+    assert unused_imports(ast.parse(source)) == {"j", "model", "C"}
+    assert "__init__" not in MODULES
