@@ -15,11 +15,10 @@ from ontodesc.reasoner import reason
 from ontodesc.scenarios import (
     PatrolConfig,
     categorize_new_location,
-    load_seed,
     patrol,
     reachable_leaf_places,
 )
-from ontodesc.syntax import serialize
+from ontodesc.syntax import load_seed, serialize
 
 
 def main() -> int:

@@ -5,133 +5,53 @@ plain-text format with parser and canonical serializer, a saturation
 reasoner, and a descriptor layer that mirrors axioms into object-style
 states with read / write / build semantics.  A CLI drives the packaged
 smart-environment seed world.
+
+`import ontodesc` loads no submodule.  A public name, or a submodule
+such as `ontodesc.reasoner`, loads its module on first use (PEP 562),
+so a caller pays only for the layers it touches.
 """
 
-from .model import (
-    And,
-    Axiom,
-    AxiomTag,
-    Box,
-    Entity,
-    Kind,
-    KindClash,
-    KindMismatch,
-    Literal,
-    Max,
-    Min,
-    Named,
-    NOTHING,
-    Only,
-    Ontology,
-    OntologyError,
-    Or,
-    Some,
-    StaleClosure,
-    THING,
-    UnknownEntity,
-)
-from .syntax import ParseError, parse, parse_file, serialize
-from .reasoner import Closure, Violation, reason
-from .descriptor import (
-    Connective,
-    DescriptorState,
-    DescriptorTag,
-    Intent,
-    Link,
-    MappingError,
-    Partition,
-    Ref,
-    Restriction,
-    UndefinedBuild,
-    Void,
-    from_axiom,
-    from_definition,
-    to_axiom,
-    to_axioms,
-)
-from .compound import (
-    CompoundDescriptor,
-    MissingTag,
-    PartFailure,
-    PartitionClash,
-    default_factory,
-    full_class,
-    full_individual,
-    full_property,
-)
-from .scenarios import (
-    PatrolConfig,
-    PatrolRng,
-    PatrolStep,
-    categorize_new_location,
-    load_seed,
-    patrol,
-    reachable_leaf_places,
-    seed_path,
-    setup_door_state_classes,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "And",
-    "Axiom",
-    "AxiomTag",
-    "Box",
-    "Closure",
-    "CompoundDescriptor",
-    "Connective",
-    "DescriptorState",
-    "DescriptorTag",
-    "Entity",
-    "Intent",
-    "Kind",
-    "KindClash",
-    "KindMismatch",
-    "Link",
-    "Literal",
-    "MappingError",
-    "Max",
-    "Min",
-    "MissingTag",
-    "NOTHING",
-    "Named",
-    "Only",
-    "Ontology",
-    "OntologyError",
-    "Or",
-    "ParseError",
-    "PartFailure",
-    "Partition",
-    "PartitionClash",
-    "PatrolConfig",
-    "PatrolRng",
-    "PatrolStep",
-    "Ref",
-    "Restriction",
-    "Some",
-    "StaleClosure",
-    "THING",
-    "UndefinedBuild",
-    "UnknownEntity",
-    "Violation",
-    "Void",
-    "categorize_new_location",
-    "default_factory",
-    "from_axiom",
-    "from_definition",
-    "full_class",
-    "full_individual",
-    "full_property",
-    "load_seed",
-    "parse",
-    "parse_file",
-    "patrol",
-    "reachable_leaf_places",
-    "reason",
-    "seed_path",
-    "serialize",
-    "setup_door_state_classes",
-    "to_axiom",
-    "to_axioms",
-]
+# defining module -> the public names it exports
+_EXPORTS = {
+    "model": (
+        "And", "Axiom", "AxiomTag", "Box", "Entity", "Kind", "KindClash", "KindMismatch",
+        "Literal", "Max", "Min", "Named", "NOTHING", "Only", "Ontology", "OntologyError",
+        "Or", "Some", "StaleClosure", "THING", "UnknownEntity",
+    ),
+    "syntax": ("ParseError", "load_seed", "parse", "parse_file", "seed_path", "serialize"),
+    "reasoner": ("Closure", "Violation", "reason"),
+    "descriptor": (
+        "Connective", "DescriptorState", "DescriptorTag", "Intent", "Link", "MappingError",
+        "Partition", "Ref", "Restriction", "UndefinedBuild", "Void", "from_axiom",
+        "from_definition", "to_axiom", "to_axioms",
+    ),
+    "compound": (
+        "CompoundDescriptor", "MissingTag", "PartFailure", "PartitionClash",
+        "default_factory", "full_class", "full_individual", "full_property",
+    ),
+    "scenarios": (
+        "PatrolConfig", "PatrolRng", "PatrolStep", "categorize_new_location", "patrol",
+        "reachable_leaf_places", "setup_door_state_classes",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

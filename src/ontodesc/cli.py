@@ -15,6 +15,10 @@ a file.  example1 additionally saves the updated world back to that
 file, so flows can be chained.  Output is plain text, one record per
 line, deterministic for a fixed (file, flags, seed).
 
+reason, query and serialize load only the store, text and reasoner
+layers; the three flow commands import the scenarios module, and with
+it the descriptor layer, when they run.
+
 Exit codes: 0 ok, 1 parse error or i/o error (an ontology file that
 cannot be read, or a failed example1 save, which leaves the file as it
 was and prints nothing to stdout; a new name the parser would not read
@@ -30,16 +34,13 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import shutil
 import sys
-import tempfile
 from collections import Counter
 from pathlib import Path
 
-from . import scenarios
 from .model import Kind, KindClash, KindMismatch, OntologyError, UnknownEntity
 from .reasoner import reason
-from .syntax import ParseError, render_axiom, render_term, serialize
+from .syntax import ParseError, load_world, render_axiom, render_term, serialize
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -49,7 +50,7 @@ EXIT_NO_FILLER = 4
 
 
 def _cmd_reason(args) -> int:
-    onto = scenarios.load_world(args.ontology)
+    onto = load_world(args.ontology)
     closure = reason(onto)
     print("consistent" if closure.consistent else "inconsistent")
     counts = Counter()
@@ -69,7 +70,7 @@ def _cmd_query(args) -> int:
         got = f"{args.what} takes {arity} name(s), got {len(args.names)}"
         print(f"wrong number of names: {got}", file=sys.stderr)
         return EXIT_UNKNOWN
-    onto = scenarios.load_world(args.ontology)
+    onto = load_world(args.ontology)
     closure = reason(onto)
     if args.what == "types":
         entity = onto.lookup(args.names[0])
@@ -97,15 +98,35 @@ def _expect_kind(entity, kind: Kind) -> None:
 
 
 def _cmd_serialize(args) -> int:
-    onto = scenarios.load_world(args.ontology)
+    onto = load_world(args.ontology)
     if args.entailed:
         reason(onto)
     sys.stdout.write(serialize(onto, include_inferred=args.entailed))
     return EXIT_OK
 
 
-def _cmd_example1(args) -> int:
-    onto = scenarios.load_world(args.ontology)
+def _flow(command):
+    """A flow command, called as command(scenarios, args): the scenarios
+    module loads only when it runs, and its errors exit 3 and 4."""
+
+    def run(args) -> int:
+        from . import scenarios
+
+        try:
+            return command(scenarios, args)
+        except scenarios.NoFiller as exc:
+            print(f"missing filler: {exc}", file=sys.stderr)
+            return EXIT_NO_FILLER
+        except scenarios.ScenarioError as exc:
+            print(f"inconsistent world: {exc}", file=sys.stderr)
+            return EXIT_INCONSISTENT
+
+    return run
+
+
+@_flow
+def _cmd_example1(scenarios, args) -> int:
+    onto = load_world(args.ontology)
     types = scenarios.categorize_new_location(
         onto, args.new_location, args.connected_location, args.door
     )
@@ -118,6 +139,9 @@ def _cmd_example1(args) -> int:
 
 def _replace_file(path: Path, text: str) -> None:
     """Write `text` to `path` so that readers see the old or the new file, whole."""
+    import shutil
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -131,15 +155,18 @@ def _replace_file(path: Path, text: str) -> None:
         raise
 
 
-def _cmd_reachable(args) -> int:
-    onto = scenarios.load_world(args.ontology)
-    for individual, cls in scenarios.reachable_leaf_places(onto, args.robot):
+@_flow
+def _cmd_reachable(scenarios, args) -> int:
+    onto = load_world(args.ontology)
+    robot = scenarios.ROBOT if args.robot is None else args.robot
+    for individual, cls in scenarios.reachable_leaf_places(onto, robot):
         print(f"{individual} {cls}")
     return EXIT_OK
 
 
-def _cmd_patrol(args) -> int:
-    onto = scenarios.load_world(args.ontology)
+@_flow
+def _cmd_patrol(scenarios, args) -> int:
+    onto = load_world(args.ontology)
     config = scenarios.PatrolConfig(steps=args.steps, seed=args.seed)
     for step in scenarios.patrol(onto, config):
         print(step.line())
@@ -202,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_example1)
 
     p = sub.add_parser("reachable", parents=[common], help="reachable leaf places")
-    p.add_argument("robot", nargs="?", default=scenarios.ROBOT)
+    p.add_argument("robot", nargs="?")
     p.set_defaults(func=_cmd_reachable)
 
     p = sub.add_parser("patrol", parents=[common], help="seeded door-to-door walk")
@@ -238,12 +265,6 @@ def main(argv=None) -> int:
     except (KindMismatch, KindClash) as exc:
         print(f"wrong entity kind: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except scenarios.NoFiller as exc:
-        print(f"missing filler: {exc}", file=sys.stderr)
-        return EXIT_NO_FILLER
-    except scenarios.ScenarioError as exc:
-        print(f"inconsistent world: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
     except OntologyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

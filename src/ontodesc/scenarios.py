@@ -22,13 +22,11 @@ generator, so identical (seed, steps) always yield identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 from .compound import CompoundDescriptor
 from .descriptor import DescriptorState, DescriptorTag, Link, Ref
 from .model import NOTHING, Entity, Kind, Ontology, OntologyError, disjoint_classes, sub_class
 from .reasoner import Closure, reason
-from .syntax import parse, parse_file
 
 
 class ScenarioError(OntologyError):
@@ -47,21 +45,6 @@ HAS_DOOR = "hasDoor"
 IS_IN = "isIn"
 IS_CONNECTED_TO = "isConnectedTo"
 ROBOT = "Robot1"
-
-
-def seed_path():
-    return resources.files("ontodesc.data") / "seed_world.onto"
-
-
-def load_seed() -> Ontology:
-    return parse(seed_path().read_text(encoding="utf-8"))
-
-
-def load_world(path: str | None) -> Ontology:
-    """Parse the ontology at `path`, or the packaged seed when None."""
-    if path is None:
-        return load_seed()
-    return parse_file(path)
 
 
 # ---------------------------------------------------------------------------

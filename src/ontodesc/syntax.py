@@ -51,6 +51,9 @@ the whole text were tokenized first (a malformed token anywhere, the
 first bad statement, then declarations and axioms), with a line (only
 a newline starts one) and column counted only then.
 
+load_world reads a world from a file, or from the packaged seed world
+(load_seed, at seed_path()) when given no path.
+
 Serialization is canonical: declarations first (classes, object
 properties, data properties, individuals, each sorted by IRI), then
 RBox, TBox and ABox axioms, each sorted by their rendered line.
@@ -409,6 +412,24 @@ def parse(text: str) -> Ontology:
 def parse_file(path) -> Ontology:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
+
+
+def seed_path():
+    """The packaged seed world, data/seed_world.onto."""
+    from importlib import resources
+
+    return resources.files("ontodesc.data") / "seed_world.onto"
+
+
+def load_seed() -> Ontology:
+    return parse(seed_path().read_text(encoding="utf-8"))
+
+
+def load_world(path: str | None) -> Ontology:
+    """Parse the ontology at `path`, or the packaged seed when None."""
+    if path is None:
+        return load_seed()
+    return parse_file(path)
 
 
 # ---------------------------------------------------------------------------

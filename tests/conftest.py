@@ -1,7 +1,7 @@
 import pytest
 
 from ontodesc.reasoner import reason
-from ontodesc.scenarios import load_seed
+from ontodesc.syntax import load_seed
 
 
 @pytest.fixture

@@ -31,12 +31,10 @@ from ontodesc.model import Kind, Ontology
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import (
     PatrolConfig,
-    load_seed,
     patrol,
-    seed_path,
     setup_door_state_classes,
 )
-from ontodesc.syntax import parse, serialize
+from ontodesc.syntax import load_seed, parse, seed_path, serialize
 from oracles import naive_reason, subsumption_reachability, transitive_fillers
 
 WORLD_COUNT = 200

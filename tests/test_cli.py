@@ -15,8 +15,7 @@ from ontodesc.cli import (
     main,
 )
 from ontodesc.reasoner import reason
-from ontodesc.scenarios import load_seed, seed_path
-from ontodesc.syntax import parse, serialize
+from ontodesc.syntax import load_seed, parse, seed_path, serialize
 
 
 @pytest.fixture
@@ -258,6 +257,35 @@ class TestReachable:
     def test_unknown_robot_exits_two(self, capsys):
         code, _, _ = run(capsys, "reachable", "Robot9")
         assert code == EXIT_UNKNOWN
+
+
+class TestFlowOnAnInconsistentWorld:
+    """A flow's ScenarioError exits 3 with a message on stderr only."""
+
+    @pytest.fixture
+    def broken_file(self, seed_file):
+        with seed_file.open("a", encoding="utf-8") as fh:
+            fh.write("SameIndividual(Room1 Room2)\nDifferentIndividuals(Room1 Room2)\n")
+        return seed_file
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("reachable",), ("example1", "Location3", "Corridor1", "Door3")],
+        ids=["reachable", "example1"],
+    )
+    def test_exits_three_and_prints_nothing(self, capsys, broken_file, argv):
+        before = broken_file.read_bytes()
+        code, out, err = run(capsys, *argv, "--ontology", str(broken_file))
+        assert code == EXIT_INCONSISTENT
+        assert out == ""
+        assert err.startswith("inconsistent world: ")
+        assert broken_file.read_bytes() == before
+        assert list(broken_file.parent.iterdir()) == [broken_file]
+
+    def test_patrol_stops_at_the_first_inconsistent_step(self, capsys, broken_file):
+        code, out, _ = run(capsys, "patrol", "--steps", "2", "--ontology", str(broken_file))
+        assert code == EXIT_INCONSISTENT
+        assert len(out.splitlines()) == 1 and out.startswith("step=1 ")
 
 
 class TestPatrol:

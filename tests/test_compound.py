@@ -17,8 +17,7 @@ from ontodesc.compound import (
 from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag, Partition, Ref
 from ontodesc.model import Kind, KindMismatch, Ontology
 from ontodesc.reasoner import reason
-from ontodesc.scenarios import load_seed
-from ontodesc.syntax import parse
+from ontodesc.syntax import load_seed, parse
 
 
 class TestConstruction:

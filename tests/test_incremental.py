@@ -25,8 +25,8 @@ from ontodesc import descriptor, model, reasoner, scenarios
 from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag
 from ontodesc.model import AxiomTag, Kind, Ontology, StaleClosure
 from ontodesc.reasoner import reason
-from ontodesc.scenarios import PatrolConfig, patrol, seed_path
-from ontodesc.syntax import parse
+from ontodesc.scenarios import PatrolConfig, patrol
+from ontodesc.syntax import load_seed, parse, seed_path
 from test_reasoner import _perfbench_worlds
 
 ABOX_FACTS = (AxiomTag.CLASS_ASSERTION, AxiomTag.PROPERTY_ASSERTION)
@@ -573,7 +573,7 @@ def test_a_first_run_records_no_changes(monkeypatch):
     asserted axioms and builds no change record: it makes no ground
     lookup, so the ClassAssertion ground slot is built by the first
     resumed run that needs it."""
-    onto = scenarios.load_seed()
+    onto = load_seed()
     calls = Counter()
     axioms_about, changes = Ontology.axioms_about, reasoner.Changes
 
@@ -612,7 +612,7 @@ def test_a_patrol_step_matches_a_scratch_run():
 
 
 def test_patrol_resumes_after_its_first_step():
-    onto = scenarios.load_seed()
+    onto = load_seed()
     reason(onto)
     patrol(onto, PatrolConfig(steps=1, seed=3))
     onto_closure = onto.current_closure()

@@ -9,12 +9,20 @@ Whether a Closure is current is the store's one rule, over its installed
 Closure and its journal of changes since; no other module reads either.
 
 Every name a module imports is read in that module (the package's
-__init__ imports to re-export, and is not scanned).
+__init__ is not scanned).
+
+At run time a process loads only the layers it runs: `import ontodesc`
+loads no submodule, and the CLI's reason, query and serialize commands
+load nothing above the reasoner.
 """
 
 import ast
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +111,52 @@ def test_the_import_scan_sees_unused_names():
     )
     assert unused_imports(ast.parse(source)) == {"j", "model", "C"}
     assert "__init__" not in MODULES
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Run `code` in a new interpreter that imports this ontodesc; its stdout."""
+    src = str(Path(ontodesc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# imports ontodesc, then runs each argv through cli.main; prints, as JSON,
+# the ontodesc submodules loaded after each step, the exit code and stdout
+LOADS = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(name.split(".")[1] for name in sys.modules if name.startswith("ontodesc."))
+
+import ontodesc
+report = [[loaded(), 0, ""]]
+from ontodesc.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report.append([loaded(), code, out.getvalue()])
+print(json.dumps(report))
+"""
+
+READ_ONLY = [["reason"], ["query", "types", "Room1"], ["serialize", "--entailed"]]
+FLOWS = [["example1", "Location3", "Corridor1", "Door3"], ["reachable"], ["patrol"]]
+
+
+def test_each_command_loads_only_the_layers_it_runs(capsys):
+    """A fresh process runs the read-only commands first, then the flows;
+    each flow prints and exits as it does in this fully loaded process."""
+    from ontodesc.cli import main
+
+    report = json.loads(run_fresh(LOADS, json.dumps(READ_ONLY + FLOWS)))
+    assert report[0][0] == []
+    for loaded, code, out in report[1 : 1 + len(READ_ONLY)]:
+        assert code == 0 and out
+        assert set(loaded) >= set(LOWER) and not set(loaded) & (UPPER - {"cli"})
+    for argv, (loaded, code, out) in zip(FLOWS, report[1 + len(READ_ONLY) :]):
+        assert "scenarios" in loaded
+        assert [code, out] == [main(argv), capsys.readouterr().out]

@@ -31,7 +31,8 @@ from ontodesc import model, scenarios
 from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag, MappingError
 from ontodesc.model import AxiomTag, Kind, Ontology, OntologyError, StaleClosure
 from ontodesc.reasoner import reason
-from ontodesc.scenarios import PatrolConfig, load_seed
+from ontodesc.scenarios import PatrolConfig
+from ontodesc.syntax import load_seed
 
 ARITY = {tag: len(shape.roles) for tag, shape in model.SHAPES.items()}
 

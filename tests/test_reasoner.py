@@ -18,7 +18,7 @@ from oracles import (
     subsumption_reachability,
     transitive_fillers,
 )
-from ontodesc import cli, model, reasoner, scenarios
+from ontodesc import cli, model, reasoner, scenarios, syntax
 from ontodesc.model import And, Kind, Literal, NOTHING, Ontology, StaleClosure, THING
 from ontodesc.reasoner import reason
 from ontodesc.syntax import parse
@@ -363,7 +363,7 @@ class TestClosureInterface:
     def test_a_dropped_store_is_freed_without_the_cycle_collector(self):
         gc.disable()
         try:
-            onto = scenarios.load_seed()
+            onto = syntax.load_seed()
             closure = reason(onto)
             refs = weakref.ref(onto), weakref.ref(closure)
             del onto, closure
@@ -372,7 +372,7 @@ class TestClosureInterface:
             gc.enable()
 
     def test_a_closure_outlives_its_store(self):
-        text = scenarios.seed_path().read_text(encoding="utf-8")
+        text = syntax.seed_path().read_text(encoding="utf-8")
         kept = parse(text)
         expected = reason(kept)
         closure = reason(parse(text))
@@ -526,7 +526,7 @@ def test_flows_never_build_the_inferred_axioms(monkeypatch, capsys):
 
     monkeypatch.setattr(scenarios, "reason", recorded)
     monkeypatch.setattr(cli, "reason", recorded)
-    onto = scenarios.load_seed()
+    onto = syntax.load_seed()
     recorded(onto)
     scenarios.reachable_leaf_places(onto)
     scenarios.patrol(onto, scenarios.PatrolConfig(steps=1, seed=3))

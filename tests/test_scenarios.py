@@ -5,6 +5,7 @@ from ontodesc.compound import full_individual
 from ontodesc.descriptor import DescriptorState, DescriptorTag
 from ontodesc.model import Kind
 from ontodesc.reasoner import reason
+from ontodesc.syntax import load_seed
 from ontodesc.scenarios import (
     DoorDescriptor,
     NoFiller,
@@ -13,7 +14,6 @@ from ontodesc.scenarios import (
     PatrolStep,
     categorize_new_location,
     door_factory,
-    load_seed,
     patrol,
     reachable_leaf_places,
     setup_door_state_classes,

@@ -13,7 +13,6 @@ from test_reasoner import _perfbench_worlds
 from ontodesc import model
 from ontodesc.model import AxiomTag, Kind, Literal, Ontology, UnknownEntity
 from ontodesc.reasoner import reason
-from ontodesc.scenarios import seed_path
 from ontodesc import syntax
 from ontodesc.syntax import (
     _TOKEN,
@@ -21,6 +20,7 @@ from ontodesc.syntax import (
     parse,
     render_axiom,
     render_literal,
+    seed_path,
     serialize,
     tokenize,
 )
