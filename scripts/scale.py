@@ -221,10 +221,11 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="names the output file")
     parser.add_argument("--sizes", type=_sizes, default=[25, 400, 1600], help="corridor counts")
     parser.add_argument("--repeat", type=int, default=30, help="timed calls per measurement")
-    parser.add_argument("--out", type=Path, default=ROOT, help="directory for the JSON file")
+    parser.add_argument("--out", type=Path, default=ROOT, help="directory for the JSON file, made if missing")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be positive")
+    args.out.mkdir(parents=True, exist_ok=True)  # before the sweep, which a missing directory would lose
 
     rows = []
     for n in args.sizes:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .descriptor import PARTITION_TAGS, TAG_SPECS, DescriptorState, DescriptorTag, Intent, Partition
-from .model import Entity, Kind, Ontology, OntologyError
+from .model import Entity, Ontology, OntologyError
 
 
 class PartitionClash(OntologyError):
@@ -94,37 +94,33 @@ class CompoundDescriptor:
         return self._run("write")
 
 
+def _layout(ontology: Ontology, ground: Entity, partition: Partition) -> CompoundDescriptor:
+    """The partition's tags whose ground kinds admit the ground, in part
+    order.  A ground none admits gets the first tag alone, whose
+    DescriptorState raises KindMismatch."""
+    tags = [tag for tag in PARTITION_TAGS[partition] if ground.kind in TAG_SPECS[tag].ground_kinds]
+    parts = [DescriptorState(tag, ground, ontology) for tag in tags or PARTITION_TAGS[partition][:1]]
+    return CompoundDescriptor(ontology, ground, parts)
+
+
 def full_property(ontology: Ontology, ground: Entity) -> CompoundDescriptor:
     """Every property tag legal for the ground's kind (data properties
     skip the object-only characteristics)."""
-    parts = [
-        DescriptorState(tag, ground, ontology)
-        for tag in PARTITION_TAGS[Partition.PROPERTY]
-        if ground.kind in TAG_SPECS[tag].ground_kinds
-    ]
-    return CompoundDescriptor(ontology, ground, parts)
+    return _layout(ontology, ground, Partition.PROPERTY)
 
 
 def full_class(ontology: Ontology, ground: Entity) -> CompoundDescriptor:
-    parts = [DescriptorState(tag, ground, ontology) for tag in PARTITION_TAGS[Partition.CLASS]]
-    return CompoundDescriptor(ontology, ground, parts)
+    return _layout(ontology, ground, Partition.CLASS)
 
 
 def full_individual(ontology: Ontology, ground: Entity) -> CompoundDescriptor:
-    parts = [DescriptorState(tag, ground, ontology) for tag in PARTITION_TAGS[Partition.INDIVIDUAL]]
-    return CompoundDescriptor(ontology, ground, parts)
+    return _layout(ontology, ground, Partition.INDIVIDUAL)
+
+
+# entity kind -> the partition whose tags ground on it
+_PARTITION_OF = {kind: spec.partition for spec in TAG_SPECS.values() for kind in spec.ground_kinds}
 
 
 def default_factory(ontology: Ontology) -> Callable[[Entity], CompoundDescriptor]:
-    """Factory dispatching on entity kind, for descriptor build()."""
-
-    def make(entity: Entity) -> CompoundDescriptor:
-        if entity.kind is Kind.CLASS:
-            return full_class(ontology, entity)
-        if entity.kind is Kind.INDIVIDUAL:
-            return full_individual(ontology, entity)
-        if entity.kind in (Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY):
-            return full_property(ontology, entity)
-        raise OntologyError(f"no descriptor layout for {entity.kind.value}")
-
-    return make
+    """Factory building the layout of an entity's partition, for descriptor build()."""
+    return lambda entity: _layout(ontology, entity, _PARTITION_OF[entity.kind])

@@ -16,7 +16,20 @@ model.AXIOM_FACTORIES builds the axioms.  The items each tag holds:
   model.ATOMS: Named, Some, Only, Min or Max), for DEFINITION only,
 * Ref, one entity, for every other tag, DOMAIN and RANGE included.
 
-Mapping is driven by that table alone, and is bidirectional and lossless:
+Each item type states what it means, and nothing else branches on it:
+
+* axiom_args() - the axiom arguments it carries besides the ground, in
+  the order of its constructor, which rebuilds the item from them
+  (Void none, Ref its entity, Link property then filler, Restriction
+  its atom),
+* sort_key()   - the order of a read's items (a definition keeps its
+  body order, so Restriction has none),
+* named_entity() - the entity build() grounds on: a Ref's entity, a
+  Link's filler (None for a literal), a Named atom's class; a Void and
+  a quantified atom raise UndefinedBuild.
+
+Mapping is driven by that table and axiom_args alone, and is
+bidirectional and lossless:
 
 * to_axioms(tag, x, Y) renders the items as axioms,
 * from_axiom(tag, x, a) recovers the item encoded by one axiom,
@@ -31,8 +44,10 @@ Operations:
 * read    - replace Y with the entailed items of (tag, x) (see TagSpec),
 * write   - make the asserted axioms for (tag, x) exactly to_axioms(Y),
             reusing the last read's axiom for each item that read found,
-* build   - for every item, create a descriptor grounded on the item's
-            entity via a factory and read it.
+* build   - for each distinct entity the items name, in item order,
+            create a descriptor grounded on it via a factory and read
+            it; items naming none are skipped, and build raises
+            UndefinedBuild if any item's named_entity() does.
 
 read and write return Intent records, one per changed element; they give
 the operation's observable effect and are never rolled back.  write only
@@ -100,10 +115,33 @@ class UndefinedBuild(OntologyError):
 class Void:
     """Marker item for unary property characteristics."""
 
+    def axiom_args(self) -> list:
+        return []
+
+    def sort_key(self):
+        return ()
+
+    def named_entity(self):
+        raise UndefinedBuild("build is undefined for property characteristics")
+
 
 @dataclass(frozen=True, slots=True)
 class Ref:
     entity: Entity
+
+    def axiom_args(self) -> list:
+        return [self.entity]
+
+    def sort_key(self):
+        return self.entity.iri
+
+    def named_entity(self) -> Entity:
+        return self.entity
+
+    @classmethod
+    def from_closure(cls, found):
+        """The items of a Closure answer (see TagSpec): entities."""
+        return map(cls, found)
 
 
 class Connective(Enum):
@@ -129,29 +167,39 @@ class Restriction:
         if not isinstance(self.atom, model.ATOMS):
             raise UnsupportedRestriction(f"not an atomic restriction: {self.atom!r}")
 
+    def axiom_args(self) -> list:
+        return [self.atom]
+
+    def named_entity(self) -> Entity:
+        if type(self.atom) is not Named:
+            raise UndefinedBuild("build is undefined for quantified restrictions")
+        return self.atom.cls
+
 
 @dataclass(frozen=True, slots=True)
 class Link:
     prop: Entity
     filler: Term
 
+    def axiom_args(self) -> list:
+        return [self.prop, self.filler]
+
+    def sort_key(self):
+        filler = self.filler
+        if isinstance(filler, Entity):
+            return self.prop.iri, "e:" + filler.iri
+        return self.prop.iri, f"l:{type(filler.value).__name__}:{filler.value!r}"
+
+    def named_entity(self) -> Entity | None:
+        return self.filler if isinstance(self.filler, Entity) else None
+
+    @classmethod
+    def from_closure(cls, found):
+        """The items of a Closure answer (see TagSpec): (property, filler) pairs."""
+        return starmap(cls, found)
+
 
 Item = Union[Void, Ref, Restriction, Link]
-
-
-def item_sort_key(item: Item):
-    """The order of a read's items; a definition keeps its body order."""
-    if isinstance(item, Void):
-        return (0, "", "")
-    if isinstance(item, Ref):
-        return (1, item.entity.iri, "")
-    return (2, item.prop.iri, _term_sort_key(item.filler))
-
-
-def _term_sort_key(term: Term) -> str:
-    if isinstance(term, Entity):
-        return "e:" + term.iri
-    return f"l:{type(term.value).__name__}:{term.value!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +253,8 @@ class TagSpec:
     either argument.
 
     A read lists the asserted items, recovered by from_axiom, plus what
-    the Closure query named `derived` returns about the ground: entities
-    for Ref items, (property, filler) pairs for Link items.  For
+    the Closure query named `derived` returns about the ground, which
+    the item type's from_closure turns into items.  For
     `closure_only` tags that query alone is the answer.
 
     `ground_kinds` are the kinds of the role at `ground_at` in the axiom
@@ -224,11 +272,6 @@ class TagSpec:
     def __post_init__(self):
         kinds = model.SHAPES[self.axiom_tag].roles[self.ground_at].kinds
         object.__setattr__(self, "ground_kinds", kinds)
-
-    @property
-    def buildable(self) -> bool:
-        # property characteristics hold Void items, which name no entity
-        return self.item_type is not Void
 
 
 _P, _C, _I = Partition.PROPERTY, Partition.CLASS, Partition.INDIVIDUAL
@@ -315,19 +358,8 @@ def expression_to_restrictions(expr: ClassExpression) -> list[Restriction]:
     return items
 
 
-def _payload(item: Item) -> list:
-    """The axiom arguments an item contributes besides the ground."""
-    if isinstance(item, Ref):
-        return [item.entity]
-    if isinstance(item, Link):
-        return [item.prop, item.filler]
-    if isinstance(item, Restriction):
-        return [item.atom]
-    return []
-
-
 def _args(tag: DescriptorTag, ground: Entity, item: Item) -> list:
-    args = _payload(item)
+    args = item.axiom_args()
     args.insert(TAG_SPECS[tag].ground_at, ground)
     return args
 
@@ -463,9 +495,8 @@ class DescriptorState:
             return from_definition(self.ground, asserted.pop()) if asserted else []
         items = {from_axiom(self.tag, self.ground, a) for a in asserted}
         if spec.derived is not None:
-            found = getattr(closure, spec.derived)(self.ground)
-            items.update(starmap(Link, found) if spec.item_type is Link else map(Ref, found))
-        return sorted(items, key=item_sort_key)
+            items.update(spec.item_type.from_closure(getattr(closure, spec.derived)(self.ground)))
+        return sorted(items, key=spec.item_type.sort_key)
 
     def _memoized(self) -> tuple[list, list]:
         """The entailed items of (tag, ground) and the add intent of each.
@@ -544,33 +575,23 @@ class DescriptorState:
 
     # -- building
 
-    def _build_grounds(self):
-        for item in self.items:
-            if isinstance(item, Ref):
-                yield item.entity
-            elif isinstance(item, Restriction):
-                if type(item.atom) is not Named:
-                    raise UndefinedBuild("build is undefined for quantified restrictions")
-                yield item.atom.cls
-            elif isinstance(item.filler, Entity):  # literal fillers name no entity
-                yield item.filler
-
     def _build_each(self, grounds, factory: Callable | None) -> list:
-        """One read-initialised descriptor per distinct ground, in order."""
+        """One read-initialised descriptor per distinct ground, in order;
+        None, an item that names no entity, builds nothing.  `grounds` is
+        drained before the factory runs, so a raising item builds nothing."""
         if factory is None:
             from . import compound
 
             factory = compound.default_factory(self.ontology)
-        built = [factory(ground) for ground in dict.fromkeys(grounds)]
+        built = [factory(ground) for ground in dict.fromkeys(grounds) if ground is not None]
         for descriptor in built:
             descriptor.read()
         return built
 
     def build(self, factory: Callable | None = None) -> list:
-        """One read-initialised descriptor per distinct item entity."""
-        if not TAG_SPECS[self.tag].buildable:
-            raise UndefinedBuild(f"build is undefined for {self.tag.value}")
-        return self._build_each(self._build_grounds(), factory)
+        """One read-initialised descriptor per distinct entity the items
+        name (see named_entity on each item type)."""
+        return self._build_each((item.named_entity() for item in self.items), factory)
 
     def build_property(self, factory: Callable | None = None) -> list:
         """For LINKS: one property descriptor per distinct link property."""
@@ -582,10 +603,6 @@ class DescriptorState:
         """For LINKS: descriptors for the fillers reached through `prop`."""
         if self.tag is not DescriptorTag.LINKS:
             raise TagMismatch("build_individuals_by_property applies to LINKS descriptors only")
-        fillers = (
-            item.filler
-            for item in self.items
-            if item.prop == prop and isinstance(item.filler, Entity)
-        )
+        fillers = (item.named_entity() for item in self.items if item.prop == prop)
         return self._build_each(fillers, factory)
 

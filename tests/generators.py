@@ -18,6 +18,7 @@ from ontodesc.descriptor import (
     Connective,
     DescriptorTag,
     Link,
+    Partition,
     Ref,
     Restriction,
     Void,
@@ -271,6 +272,18 @@ def random_restriction(rng: random.Random, onto: Ontology, connective: Connectiv
         return Restriction(connective, atom(prop, filler))
     count = rng.randint(1, 3) if atom is Min else rng.randint(0, 3)
     return Restriction(connective, atom(count, prop, filler))
+
+
+def pick_ground(rng: random.Random, onto: Ontology, tag: DescriptorTag) -> Entity:
+    """A ground for a descriptor of `tag`: an object property, a class
+    that is not a datatype or an individual, by the tag's partition.
+    Object properties ground every property tag, the characteristics
+    included."""
+    if tag.partition is Partition.PROPERTY:
+        return rng.choice(_object_props(onto))
+    if tag.partition is Partition.CLASS:
+        return rng.choice(_classes(onto))
+    return rng.choice(onto.individuals())
 
 
 def random_triple(rng: random.Random, onto: Ontology):

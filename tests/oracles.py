@@ -42,7 +42,6 @@ from ontodesc.descriptor import (
     MappingError,
     from_axiom,
     from_definition,
-    item_sort_key,
     to_axiom,
 )
 from ontodesc.model import (
@@ -548,7 +547,7 @@ def read_reference(onto: Ontology, entailed, tag: DescriptorTag, ground, old_ite
             raise MappingError(f"{ground.iri} has {len(result)} definitions")
         items = from_definition(ground, next(iter(result))) if result else []
     else:
-        items = sorted({from_axiom(tag, ground, a) for a in result}, key=item_sort_key)
+        items = sorted({from_axiom(tag, ground, a) for a in result}, key=spec.item_type.sort_key)
     intents = [
         Intent("read", "remove", to_axiom(tag, ground, i), "descriptor")
         for i in old_items

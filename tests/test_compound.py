@@ -122,6 +122,12 @@ class TestLayouts:
             DescriptorTag.DIFFERENT_FROM,
         ]
 
+    def test_a_ground_of_another_partition_raises_kind_mismatch(self):
+        onto = parse("Class(A) ObjectProperty(p) Individual(x)")
+        for layout, ground in ((full_class, "x"), (full_individual, "A"), (full_property, "A")):
+            with pytest.raises(KindMismatch):
+                layout(onto, onto.lookup(ground))
+
     def test_default_factory_dispatch(self):
         onto = parse("Class(A) ObjectProperty(p) DataProperty(d) Individual(x)")
         make = default_factory(onto)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from generators import random_ontology, random_triple, vocabulary
+from generators import chained_ontology, pick_ground, random_ontology, random_triple, vocabulary
 from ontodesc import model
 from ontodesc.descriptor import (
     Connective,
@@ -664,38 +664,74 @@ class TestBuild:
         d = DescriptorState(DescriptorTag.TYPES, reasoned_seed.lookup("Room1"), reasoned_seed)
         assert d.build() == []
 
+    @pytest.mark.parametrize(
+        "row",
+        ["ref", "entity link", "literal link", "named definition", "quantified definition", "void", "empty void tag"],
+    )
+    def test_build_per_item_type(self, row):
+        """Each item type's named_entity decides what build() grounds on."""
+        onto = small_world()
+        reason(onto)
+        a, b, c, p, d, x, y = (onto.lookup(name) for name in "ABCpdxy")
+        meet, end = Connective.INTERSECT, Connective.END
+        tag, ground, items, built = {
+            "ref": (DescriptorTag.TYPES, x, [Ref(b), Ref(a)], ["B", "A"]),
+            "entity link": (DescriptorTag.LINKS, x, [Link(p, y)], ["y"]),
+            "literal link": (DescriptorTag.LINKS, x, [Link(d, Literal(7))], []),
+            "named definition": (
+                DescriptorTag.DEFINITION, a, [Restriction(meet, Named(b)), Restriction(end, Named(c))], ["B", "C"]
+            ),
+            "quantified definition": (
+                DescriptorTag.DEFINITION, a, [Restriction(meet, Named(b)), Restriction(end, Some(p, c))], None
+            ),
+            "void": (DescriptorTag.FUNCTIONAL, p, [Void()], None),
+            "empty void tag": (DescriptorTag.FUNCTIONAL, p, [], []),
+        }[row]
+        descriptor = DescriptorState(tag, ground, onto, items=items)
+        if built is None:
+            with pytest.raises(UndefinedBuild):
+                descriptor.build()
+        else:
+            assert [compound.ground.iri for compound in descriptor.build()] == built
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_bare_part_reads_as_the_compound_part(self, seed):
+        """A part built alone through factory= reads the same items as the
+        same part of default_factory's compound, for every tag."""
+        rng = random.Random(8000 + seed)
+        onto = random_ontology(rng, monotone=True)  # one definition per class, so every compound reads
+        reason(onto)
+        compared = 0
+        for source in DescriptorTag:
+            descriptor = DescriptorState(source, pick_ground(rng, onto, source), onto)
+            descriptor.read()
+            try:
+                compounds = descriptor.build()
+            except UndefinedBuild:
+                continue
+            for tag in DescriptorTag:
+                try:
+                    bare = descriptor.build(factory=lambda entity: DescriptorState(tag, entity, onto))
+                except model.KindMismatch:  # the tag does not ground on these entities
+                    continue
+                for part, compound in zip(bare, compounds, strict=True):
+                    assert part.items == compound.part(tag).items, (source, tag, part.ground)
+                    compared += 1
+        assert compared
+
 
 class TestCalculusLaws:
-    """Read/write laws on randomized worlds; tags sampled per partition."""
-
-    TAGS = [
-        DescriptorTag.SUPER_PROPERTIES,
-        DescriptorTag.DOMAIN,
-        DescriptorTag.SUB_CLASSES,
-        DescriptorTag.EQUIVALENT_CLASSES,
-        DescriptorTag.DISJOINT_CLASSES,
-        DescriptorTag.INSTANCES,
-        DescriptorTag.TYPES,
-        DescriptorTag.LINKS,
-        DescriptorTag.SAME_AS,
-    ]
-
-    def _descriptor(self, rng, onto, tag):
-        if tag.partition.value == "property":
-            pool = onto.entities_of_kind(Kind.OBJECT_PROPERTY)
-        elif tag.partition.value == "class":
-            pool = [c for c in onto.entities_of_kind(Kind.CLASS) if c not in model.DATATYPES]
-        else:
-            pool = onto.individuals()
-        return DescriptorState(tag, rng.choice(pool), onto)
+    """Read/write laws for every tag on the worlds criterion 5 (which
+    runs random_ontology's monotone ones) does not reach."""
 
     @pytest.mark.parametrize("seed", range(15))
     def test_read_and_write_idempotence(self, seed):
+        # random_ontology's full fragment, Only and Max definitions included
         rng = random.Random(5000 + seed)
         onto = random_ontology(rng)
-        for tag in self.TAGS:
+        for tag in DescriptorTag:
             reason(onto)
-            d = self._descriptor(rng, onto, tag)
+            d = DescriptorState(tag, pick_ground(rng, onto, tag), onto)
             d.read()
             assert d.read() == []
             d.write()
@@ -703,21 +739,23 @@ class TestCalculusLaws:
 
     @pytest.mark.parametrize("seed", range(15))
     def test_write_after_read_preserves_entailments(self, seed):
-        # stability is judged on informative axioms: a write may promote or
-        # retract a tautology (say, an asserted SubClassOf(A A)) freely
+        # on chained_ontology's monotone worlds, whose definitions chain
+        # through fillers; stability is judged on informative axioms: a
+        # write may promote or retract a tautology (say, an asserted
+        # SubClassOf(A A)) freely
         def informative(axioms):
             return {a for a in axioms if not model.tautological(a)}
 
         rng = random.Random(6000 + seed)
-        onto = random_ontology(rng, monotone=True)
-        reason(onto)
-        before = informative(onto.axioms("entailed"))
-        tag = rng.choice(self.TAGS)
-        d = self._descriptor(rng, onto, tag)
-        d.read()
-        d.write()
-        reason(onto)
-        assert informative(onto.axioms("entailed")) == before
+        onto = chained_ontology(rng, monotone=True)
+        for tag in DescriptorTag:
+            reason(onto)
+            before = informative(onto.axioms("entailed"))
+            d = DescriptorState(tag, pick_ground(rng, onto, tag), onto)
+            d.read()
+            d.write()
+            reason(onto)
+            assert informative(onto.axioms("entailed")) == before, tag
 
 
 def test_slotted_values_copy_pickle_and_hash_equal():

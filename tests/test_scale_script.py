@@ -11,8 +11,9 @@ def test_scale_script_writes_its_report(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("scale", SCRIPT)
     scale = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scale)
-    assert scale.main(["--sizes", "10", "--repeat", "2", "--label", "smoke", "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "BENCH_scale_smoke.json").read_text(encoding="utf-8"))
+    out = tmp_path / "new" / "out"  # --out need not exist: the script makes it, parents included
+    assert scale.main(["--sizes", "10", "--repeat", "2", "--label", "smoke", "--out", str(out)]) == 0
+    report = json.loads((out / "BENCH_scale_smoke.json").read_text(encoding="utf-8"))
     assert report["label"] == "smoke" and report["repeat"] == 2 and report["python"]
     [row] = report["sizes"]
     assert row["n"] == 10 and row["asserted"] > 0
