@@ -9,7 +9,10 @@ For each n the world is perfbench's corridor chain (worlds.generate with
 k=0 classes and m=1 robot, seed 0).  syntax.parse of the world text is
 timed, and reason() on the copy it returns, so it runs from an empty
 state; parse_kb_per_s is the text's UTF-8 size in KB (1024 bytes) over
-the median parse time.  Right after each such run,
+the median parse time.  Inside each such run phase two
+(reasoner._property_assertions) and phase three (reasoner._memberships)
+are timed as well, each wrapped for the call (phase_timers) and scaled
+with it.  Right after each such run,
 syntax.serialize(world, include_inferred=True) is timed once (the
 `serialize --entailed` text), and then scenarios.reachable_leaf_places(world)
 for Robot1: the first call reads every descriptor afresh.  Warm calls
@@ -35,9 +38,8 @@ The definitions block measures the TBox axis at one world size: the
 benchmark's load world (worlds.generate(128, k=128, m=64, seed=0)) plus
 D definitions DefineClass(Y<d> And(K<d mod 128> Some(hasDoor DOOR))),
 for D = 0, 32, 128 and 512 (with_definitions).  Each repeat parses the
-text and times reason() on the copy, from an empty state; phase three
-(reasoner._memberships, wrapped for the block as DescriptorState.read is
-for the patrol step) is timed inside that call and scaled with it.
+text and times reason() on the copy, from an empty state; phase three is
+timed inside that call the same way and scaled with it.
 
 Machine speed drifts while the script runs, so each timed call is scaled
 the way perfbench scales an op: perfbench/run.py's calibrate() kernel is
@@ -50,8 +52,8 @@ per D of the definitions block the asserted axiom count and the median
 reason_ms and phase3_ms, with phase three's ratio between the largest
 and the smallest D, and per n the asserted axiom count, the median
 scaled milliseconds of each measurement (patrol_step_ms, parse_ms,
-reason_ms, serialize_entailed_ms, reachable_first_ms, reachable_warm_ms,
-example1_ms), parse_kb_per_s, patrol_part_reads, patrol_fresh_reads,
+reason_ms, phase2_ms, phase3_ms, serialize_entailed_ms,
+reachable_first_ms, reachable_warm_ms, example1_ms), parse_kb_per_s, patrol_part_reads, patrol_fresh_reads,
 patrol_renders, patrol_memo_entries and cal_ms, and the patrol step's
 ratio between the largest and the smallest n.
 """
@@ -59,6 +61,7 @@ ratio between the largest and the smallest n.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import platform
@@ -78,6 +81,7 @@ from ontodesc.descriptor import DescriptorState  # noqa: E402
 
 
 DEFINITIONS = (0, 32, 128, 512)
+PHASES = {"phase2_ms": "_property_assertions", "phase3_ms": "_memberships"}  # key -> reasoner function
 
 
 def timed(call, cals: list) -> tuple[float, float]:
@@ -94,6 +98,40 @@ def timed(call, cals: list) -> tuple[float, float]:
     return elapsed, scaled(1000, around)
 
 
+@contextlib.contextmanager
+def phase_timers():
+    """Wrap the reasoner phases of PHASES, as DescriptorState.read is
+    wrapped for the patrol step; yields key -> the wall seconds of each
+    call made inside the block."""
+    spent = {key: [] for key in PHASES}
+    originals = {key: getattr(reasoner, name) for key, name in PHASES.items()}
+
+    def wrapped(key):
+        def timed_phase(*args):
+            start = time.perf_counter()
+            out = originals[key](*args)
+            spent[key].append(time.perf_counter() - start)
+            return out
+
+        return timed_phase
+
+    for key, name in PHASES.items():
+        setattr(reasoner, name, wrapped(key))
+    try:
+        yield spent
+    finally:
+        for key, name in PHASES.items():
+            setattr(reasoner, name, originals[key])
+
+
+def timed_reason(onto, cals: list) -> dict:
+    """Time reason(onto) with timed(); returns the scaled milliseconds of
+    the run (reason_ms) and of each phase of PHASES in it."""
+    with phase_timers() as spent:
+        elapsed, factor = timed(lambda: reasoner.reason(onto), cals)
+    return {"reason_ms": elapsed * factor, **{key: seconds * factor for key, [seconds] in spent.items()}}
+
+
 def with_definitions(text: str, d: int) -> str:
     """A load-world text plus d defined classes Y<i>: the instances of
     K<i mod 128> that have a door."""
@@ -104,29 +142,13 @@ def with_definitions(text: str, d: int) -> str:
 def measure_definitions(d: int, repeat: int) -> dict:
     world = worlds.generate(128, k=128, m=64, seed=0)
     text = with_definitions(world.text, d)
-    memberships, spent = reasoner._memberships, []
-
-    def timed_memberships(*args):
-        start = time.perf_counter()
-        changed = memberships(*args)
-        spent.append(time.perf_counter() - start)
-        return changed
-
-    cals, reason_ms, phase3_ms = [], [], []
-    reasoner._memberships = timed_memberships
-    try:
-        for _ in range(repeat):
-            fresh = syntax.parse(text)
-            elapsed, factor = timed(lambda: reasoner.reason(fresh), cals)
-            reason_ms.append(elapsed * factor)
-            phase3_ms.append(spent.pop() * factor)
-    finally:
-        reasoner._memberships = memberships
+    cals = []
+    runs = [timed_reason(syntax.parse(text), cals) for _ in range(repeat)]
     return {
         "d": d,
         "asserted": world.asserted + d,
-        "reason_ms": statistics.median(reason_ms),
-        "phase3_ms": statistics.median(phase3_ms),
+        "reason_ms": statistics.median(run["reason_ms"] for run in runs),
+        "phase3_ms": statistics.median(run["phase3_ms"] for run in runs),
         "cal_ms": statistics.median(cals) * 1000,
     }
 
@@ -139,12 +161,12 @@ def measure(n: int, repeat: int) -> dict:
         return elapsed * factor
 
     world = worlds.generate(n, k=0, m=1, seed=0)
-    parse_ms, reason_ms, serialize_ms, first_ms = [], [], [], []
+    parse_ms, runs, serialize_ms, first_ms = [], [], [], []
     for _ in range(repeat):
         parsed = []
         parse_ms.append(timed_ms(lambda: parsed.append(syntax.parse(world.text))))
         [fresh] = parsed
-        reason_ms.append(timed_ms(lambda: reasoner.reason(fresh)))
+        runs.append(timed_reason(fresh, cals))
         serialize_ms.append(timed_ms(lambda: syntax.serialize(fresh, include_inferred=True)))
         first_ms.append(timed_ms(lambda: scenarios.reachable_leaf_places(fresh)))
     warm_ms = [timed_ms(lambda: scenarios.reachable_leaf_places(fresh)) for _ in range(repeat)]
@@ -197,7 +219,7 @@ def measure(n: int, repeat: int) -> dict:
         "patrol_memo_entries": len(onto.current_closure()._reads),
         "parse_ms": statistics.median(parse_ms),
         "parse_kb_per_s": kb / (statistics.median(parse_ms) / 1000),
-        "reason_ms": statistics.median(reason_ms),
+        **{key: statistics.median(run[key] for run in runs) for key in ("reason_ms", *PHASES)},
         "serialize_entailed_ms": statistics.median(serialize_ms),
         "reachable_first_ms": statistics.median(first_ms),
         "reachable_warm_ms": statistics.median(warm_ms),
@@ -236,7 +258,8 @@ def main(argv=None) -> int:
             f" {row['patrol_fresh_reads']:.2f} fresh, {row['patrol_renders']:.2f} renders,"
             f" {row['patrol_memo_entries']} memo entries),"
             f" parse {row['parse_ms']:.2f} ms ({row['parse_kb_per_s']:.0f} KB/s),"
-            f" reason {row['reason_ms']:.2f} ms, serialize --entailed {row['serialize_entailed_ms']:.2f} ms,"
+            f" reason {row['reason_ms']:.2f} ms (phase two {row['phase2_ms']:.2f}, three {row['phase3_ms']:.2f}),"
+            f" serialize --entailed {row['serialize_entailed_ms']:.2f} ms,"
             f" reachable first {row['reachable_first_ms']:.2f} ms, warm {row['reachable_warm_ms']:.3f} ms,"
             f" example1 {row['example1_ms']:.2f} ms (kernel {row['cal_ms']:.2f} ms)"
         )

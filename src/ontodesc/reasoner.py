@@ -30,13 +30,21 @@ declared class's THING and NOTHING bounds; a missing identity group or
 property reach reads as empty, so no other declaration changes it.
 
 Property-assertion rules (phase two, run to fixpoint over the links map
-and its filler-keyed mirror):
+and its filler-keyed mirror in semi-naive rounds, set at a time: a round
+passes the facts the round before added to one rule function,
+`_consequences`, in one batch per property, which makes each
+property-level lookup once for the batch and inserts nothing; the
+round then inserts what is new, grouped by property into the next
+round's batches.  A batch whose property only identity sharing reads
+(it is outside `_Schema.ruled`) would derive nothing while no
+SameIndividual group exists, and is then not passed):
 
 * super-property: a filler of p is a filler of every super-property of p.
 * inverse: InverseProperties(p, r) swaps subject and filler, in both
   directions of the declaration.
 * symmetric: SymmetricProperty(p) swaps subject and filler.
-* transitive: TransitiveProperty(p) joins p-assertions end to end.
+* transitive: TransitiveProperty(p) joins p-assertions end to end; it
+  is the chain (p, p, p).
 * reflexive: ReflexiveProperty(p) relates every named individual to
   itself.
 * chain: SubPropertyChain(r, p1, p2) composes a p1-assertion with a
@@ -98,12 +106,15 @@ declared individuals:
   *Maintaining Views Incrementally*, SIGMOD 1993): every fact with a
   derivation through a retracted one is deleted; those still asserted,
   the reflexive self-links and those the rules derive from the facts
-  left to the deleted facts' subjects are put back; and the worklist
-  runs on them and on the inserted facts.  The subjects' facts are
+  left to the deleted facts' subjects are put back, in rounds that take
+  in only deleted facts (a consequence of a fact the last run held was
+  held too, so a missing one was deleted); and the rounds run on the
+  inserted facts.  Each step runs the rules in the same rounds of
+  per-property batches.  The subjects' facts are
   enough: a one-way rule (super-property, transitive, chain) derives a
   fact from a premise with the same subject, and a two-way rule's
   premise (inverse, symmetric, identity sharing) was deleted with the
-  fact, so the worklist derives the fact again if the premise comes back.
+  fact, so the rounds derive the fact again if the premise comes back.
 * phase three replays the rounds.  An individual is re-evaluated from
   the first round in which its snapshot can differ from the last
   run's: its initial types changed (a ClassAssertion edit, or a changed
@@ -136,8 +147,10 @@ store records every change and decides nothing.
 A first run is the same engine on the empty state, with every fact
 inserted and every individual typed afresh from one grouping of the
 asserted axioms by tag, but it keeps no change record: phase two returns
-no changed facts, phase three sets the round-0 stamps directly and,
-after round 1, finds through the mirror the subjects whose fillers
+no changed facts, phase three types every individual in round 0 with
+the initial-type rule class by class (`_initial`, which a resumed run
+applies to its touched individuals only) and sets the round-0 stamps
+directly, and, after round 1, finds through the mirror the subjects whose fillers
 entered a class they read, and shares only into the mates of the
 individuals that entered a class (a resumed run checks its own
 individuals instead), and the violation check reads every individual.
@@ -494,10 +507,11 @@ class _Schema:
     same: dict
     inverses: dict
     symmetric: frozenset
-    transitive: frozenset
     reflexive: frozenset
     irreflexive: frozenset
-    chains: list
+    chain_starts: dict  # property -> (head, second property) of each chain it starts
+    chain_ends: dict  # property -> (head, first property) of each chain it ends
+    ruled: frozenset  # the properties that prop_reach, inverses, symmetric or a chain table keys
     domains: dict
     ranges: dict
     definitions: list  # (class, its body's conjunctions: (named classes, restrictions))
@@ -579,6 +593,12 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
             group = frozenset(_reach(identity, ind))
             same.update(dict.fromkeys(group, group))
 
+    # the phase-two rule tables; TransitiveProperty(p) is the chain p p -> p
+    prop_reach = _reach_map((), edges(AxiomTag.SUB_PROPERTY) + edges(AxiomTag.EQUIVALENT_PROPERTIES))
+    inverses, symmetric = _multimap(edges(AxiomTag.INVERSE_PROPERTIES)), unary(AxiomTag.SYMMETRIC_PROPERTY)
+    chains = {(p, p, p) for p in unary(AxiomTag.TRANSITIVE_PROPERTY)}
+    chains.update(tuple(a.args) for a in tagged(AxiomTag.PROPERTY_CHAIN))
+
     violations = set()
     for a in tagged(AxiomTag.DIFFERENT_INDIVIDUALS):
         x, y = a.args
@@ -587,14 +607,15 @@ def _schema(onto: Ontology, by_tag: dict) -> _Schema:
 
     return _Schema(
         class_reach=_reach_map(classes, class_edges),
-        prop_reach=_reach_map((), edges(AxiomTag.SUB_PROPERTY) + edges(AxiomTag.EQUIVALENT_PROPERTIES)),
+        prop_reach=prop_reach,
         same=same,
-        inverses=_multimap(edges(AxiomTag.INVERSE_PROPERTIES)),
-        symmetric=unary(AxiomTag.SYMMETRIC_PROPERTY),
-        transitive=unary(AxiomTag.TRANSITIVE_PROPERTY),
+        inverses=inverses,
+        symmetric=symmetric,
         reflexive=unary(AxiomTag.REFLEXIVE_PROPERTY),
         irreflexive=unary(AxiomTag.IRREFLEXIVE_PROPERTY),
-        chains=[tuple(a.args) for a in tagged(AxiomTag.PROPERTY_CHAIN)],
+        chain_starts=_multimap((first, (head, second)) for head, first, second in chains),
+        chain_ends=_multimap((second, (head, first)) for head, first, second in chains),
+        ruled=frozenset(prop_reach).union(inverses, symmetric, *(chain[1:] for chain in chains)),
         domains=_multimap(edges(AxiomTag.PROPERTY_DOMAIN)),
         ranges=_multimap((p, c) for p, c in edges(AxiomTag.PROPERTY_RANGE) if c not in DATATYPES),
         definitions=definitions,
@@ -622,6 +643,31 @@ def _discard(nested: dict, key, prop, value) -> None:
             del nested[key]
 
 
+def _consequences(schema: _Schema, links: dict, back: dict, p, pairs) -> list:
+    """The facts the rules derive from the facts (s, p, f), one for each
+    (s, f) of `pairs`, and the maps: the one encoding of the phase-two
+    rules.  Each property-level lookup is made once for the batch.
+    Returns the derived facts, repeats included, and inserts none, so no
+    join iterates a set that grows."""
+    out = []
+    for sup in schema.prop_reach.get(p, ()):
+        out += [(s, sup, f) for s, f in pairs]
+    # the rules below hold for object properties only (model.SHAPES), whose
+    # fillers are individuals (model.FILLER); a literal is in no group
+    for inv in schema.inverses.get(p, ()):
+        out += [(f, inv, s) for s, f in pairs]
+    if p in schema.symmetric:
+        out += [(f, p, s) for s, f in pairs]
+    for head, second in schema.chain_starts.get(p, ()):
+        out += [(s, head, f2) for s, f in pairs for f2 in links.get(f, _EMPTY).get(second, ())]
+    for head, first in schema.chain_ends.get(p, ()):
+        out += [(s0, head, f) for s, f in pairs for s0 in back.get(s, _EMPTY).get(first, ())]
+    if same := schema.same:
+        out += [(other, p, f) for s, f in pairs for other in same.get(s, ()) if other is not s]
+        out += [(s, p, other) for s, f in pairs for other in same.get(f, ()) if other is not f]
+    return out
+
+
 def _property_assertions(schema: _Schema, links: dict, back: dict, edits, asserted, seeds, record):
     """Phase two: bring the links and their mirror up to date with the edits.
 
@@ -629,114 +675,95 @@ def _property_assertions(schema: _Schema, links: dict, back: dict, edits, assert
     PropertyAssertion axioms to True (asserted) or False (retracted);
     `seeds` are premise-free facts to insert.  With `record` set (a
     resumed run), returns the facts that entered or left the maps; a
-    first run fills empty maps and returns None.  `consequences` is the
-    one encoding of the rules, and all three DRed steps (see the module
-    docstring) run it.
-    """
-    prop_reach, inverses, chains = schema.prop_reach, schema.inverses, schema.chains
-    symmetric, transitive, irreflexive = schema.symmetric, schema.transitive, schema.irreflexive
-    same = schema.same
+    first run fills empty maps and returns None.
 
-    def consequences(s, p, f, emit):
-        # emit every fact one rule derives from (s, p, f) and the maps
-        for sup in prop_reach.get(p, ()):
-            emit(s, sup, f)
-        if isinstance(f, Entity):
-            for inv in inverses.get(p, ()):
-                emit(f, inv, s)
-            if p in symmetric:
-                emit(f, p, s)
-            if p in transitive:
-                for f2 in links.get(f, _EMPTY).get(p, ()):
-                    emit(s, p, f2)
-                for s0 in back.get(s, _EMPTY).get(p, ()):
-                    emit(s0, p, f)
-            for sup, p1, p2 in chains:
-                if p == p1:
-                    for f2 in links.get(f, _EMPTY).get(p2, ()):
-                        emit(s, sup, f2)
-                if p == p2:
-                    for s0 in back.get(s, _EMPTY).get(p1, ()):
-                        emit(s0, sup, f)
-            for other in same.get(f, ()):
-                if other is not f:
-                    emit(s, p, other)
-        for other in same.get(s, ()):
-            if other is not s:
-                emit(other, p, f)
+    All three DRed steps (see the module docstring) run the rules in
+    semi-naive rounds, set at a time (Bancilhon & Ramakrishnan, SIGMOD
+    1986): a round passes the facts the round before took in to
+    `_consequences`, one batch per property, and takes in what that
+    returns, filing each new fact into the next round's batch of its
+    property.  No join reads a set while a fact enters it, since
+    `_consequences` returns its facts before any is taken in.  A batch
+    of a property outside `_Schema.ruled` is passed only when identity
+    groups exist: nothing else derives from it.
+    """
+    pending: dict = {}  # property -> the (subject, filler) pairs of the next round's batch
+
+    def rounds(take):
+        nonlocal pending
+        while pending:
+            batches, pending = pending, {}
+            for p, pairs in batches.items():
+                if p in schema.ruled or schema.same:
+                    take(_consequences(schema, links, back, p, pairs))
+
+    retracted, inserted = [], []
+    for axiom, added in edits.items():
+        (inserted if added else retracted).append(axiom.args)
 
     # DRed, first step: overdelete every fact with a derivation through a
     # retracted one, joining against the maps as they were
     gone: set[tuple] = set()
-    stack: list[tuple] = []
 
-    def overdelete(s, p, f):
-        fact = (s, p, f)
-        if fact not in gone and f in links.get(s, _EMPTY).get(p, ()):
-            gone.add(fact)
-            stack.append(fact)
+    def overdelete(facts):
+        for fact in facts:
+            s, p, f = fact
+            if fact not in gone and f in links.get(s, _EMPTY).get(p, ()):
+                gone.add(fact)
+                pending.setdefault(p, []).append((s, f))
 
-    for axiom, added in edits.items():
-        if not added:
-            overdelete(*axiom.args)
-    while stack:
-        consequences(*stack.pop(), overdelete)
+    overdelete(retracted)
+    rounds(overdelete)
     for s, p, f in gone:
         _discard(links, s, p, f)
         if isinstance(f, Entity):
             _discard(back, f, p, s)
 
-    pending: list[tuple] = []
     put_facts: list[tuple] = []
 
-    def put(s, p, f):
-        # a fact is pending once, when it enters both maps
-        if f in links.get(s, _EMPTY).get(p, ()):
-            return
-        links.setdefault(s, {}).setdefault(p, set()).add(f)
-        if isinstance(f, Entity):
-            back.setdefault(f, {}).setdefault(p, set()).add(s)
-        fact = (s, p, f)
-        pending.append(fact)
-        if record:
-            put_facts.append(fact)
-
-    def derive(s, p, f):
-        if not (p in irreflexive and s is f):
-            put(s, p, f)
+    def put(facts, derived=True):
+        # a fact enters both maps and the next round's batch once; a rule
+        # derives no self-assertion on an irreflexive property
+        irreflexive = schema.irreflexive if derived else _NONE
+        for s, p, f in facts:
+            if s is f and p in irreflexive:
+                continue
+            if (by_prop := links.get(s)) is None:
+                by_prop = links[s] = {}
+            if (fs := by_prop.get(p)) is None:
+                fs = by_prop[p] = set()
+            elif f in fs:
+                continue
+            fs.add(f)
+            if isinstance(f, Entity):
+                back.setdefault(f, {}).setdefault(p, set()).add(s)
+            if (batch := pending.get(p)) is None:
+                pending[p] = [(s, f)]
+            else:
+                batch.append((s, f))
+            if record:
+                put_facts.append((s, p, f))
 
     # second step: put back what is asserted, a reflexive self-link, and
-    # what a rule derives from the facts the gone facts' subjects kept ...
+    # what the rules derive from the facts the gone facts' subjects kept,
+    # in rounds that take in only gone facts ...
     subjects = set()
-    for s, p, f in gone:
-        if Axiom(AxiomTag.PROPERTY_ASSERTION, (s, p, f)) in asserted:
-            put(s, p, f)
-        elif s is f and p in schema.reflexive:
-            derive(s, p, f)
+    for fact in gone:
+        if Axiom(AxiomTag.PROPERTY_ASSERTION, fact) in asserted:
+            put([fact], derived=False)
+        elif fact[0] is fact[2] and fact[1] in schema.reflexive:
+            put([fact])
         else:
-            subjects.add(s)
-
-    def restore(s, p, f):
-        if (s, p, f) in gone:
-            derive(s, p, f)
-
-    # a snapshot, since restore() grows these subjects' maps
-    kept = [(s, p, f) for s in subjects for p, fs in links.get(s, _EMPTY).items() for f in fs]
-    for fact in kept:
-        consequences(*fact, restore)
+            subjects.add(fact[0])
+    for s in subjects:
+        for p, fs in links.get(s, _EMPTY).items():
+            pending.setdefault(p, []).extend((s, f) for f in fs)
+    rounds(lambda facts: put([fact for fact in facts if fact in gone]))
     # ... third: insert, asserted facts even on an irreflexive property,
-    # and run the worklist to fixpoint
-    for axiom, added in edits.items():
-        if added:
-            put(*axiom.args)
-    for fact in seeds:
-        derive(*fact)
-    # The joins iterate live sets.  derive() grows only links[subject][prop]
-    # and back[filler][prop]; a join derives into the set it iterates only
-    # from a self-loop (s is f), and then a fact that set already holds
-    # (the maps mirror each other), so none grows.
-    while pending:
-        consequences(*pending.pop(), derive)
+    # and run the rounds to fixpoint
+    put(inserted, derived=False)
+    put(seeds)
+    rounds(put)
     return gone.symmetric_difference(put_facts) if record else None
 
 
@@ -799,6 +826,26 @@ def _readers(schema: _Schema, back, ind, delta) -> set:
     return found
 
 
+def _initial(schema: _Schema, classed: dict, links: dict, back: dict, inds) -> dict:
+    """The initial-type rule, class by class: class -> the individuals of
+    `inds` that hold it in round 0.  Every one holds THING and the classes
+    `classed` (class -> the individuals of `inds` asserted into it) gives
+    it, a subject each domain of its properties (over `links`) and a
+    filler each range of its properties (over `back`).  The map returned
+    is `classed`, grown in place.  The loops are plain ones: a step's
+    handful of individuals would pay more to set up comprehensions."""
+    classed[THING] = set(inds)
+    for ends, typing in ((links, schema.domains), (back, schema.ranges)):
+        for p, classes in typing.items():
+            holders = set()
+            for ind in inds:
+                if p in ends.get(ind, _EMPTY):
+                    holders.add(ind)
+            for cls in classes:
+                classed.setdefault(cls, set()).update(holders)
+    return classed
+
+
 def _memberships(schema, classed, links, back, types, entered, touched, relinked):
     """Phase three: replay the snapshot rounds from the last run's stamps.
 
@@ -806,14 +853,18 @@ def _memberships(schema, classed, links, back, types, entered, touched, relinked
     entered[r] holds the individuals that entered a class in round r
     (r >= 1); both are changed in place, and both are empty before a
     first run.  `touched` individuals get their initial types
-    recomputed (every individual, in a first run), from the asserted
-    classes `classed` maps them to; `relinked` ones changed links that a
-    definition reads.  A resumed run returns individual -> (classes
-    gained, classes lost) for each individual whose memberships changed;
-    a first run sets its stamps with no last run to compare them with,
-    and returns an empty map.
+    recomputed (every individual, in a first run), and `classed` maps
+    each class to the touched individuals asserted into it; `relinked`
+    ones changed links that a definition reads.  A resumed run returns
+    individual -> (classes gained, classes lost) for each individual
+    whose memberships changed; a first run sets its stamps with no last
+    run to compare them with, and returns an empty map.
 
-    A round works class by class on the individuals re-evaluated (every
+    Round 0 is class-major too: `_initial` states the initial-type rule
+    once, as class -> individuals over the touched individuals, and a
+    first run takes its sets as the round's members; a resumed run
+    re-evaluates each touched individual whose round-0 classes differ.
+    A round after it works class by class on the individuals re-evaluated (every
     one in a first run, the owned ones in a resumed run).  The rounds are
     semi-naive: inheritance and sharing need only the classes that
     entered in the round before (sharing pulls a mate's into an
@@ -834,10 +885,11 @@ def _memberships(schema, classed, links, back, types, entered, touched, relinked
     members: dict = {}  # class -> the individuals re-evaluated that hold it in the snapshot
     prev: dict = {}  # class -> those of them that entered it in the round before
 
-    def own(ind, r, start=()):
-        # ind's stamps before round r are the last run's (`start` for r = 0); later ones are recomputed
+    def own(ind, r, kept=None):
+        # ind's stamps before round r are the last run's (for r = 0, `kept`:
+        # its round-0 stamps); later ones are recomputed
         before = owned[ind] = types[ind]
-        kept = types[ind] = dict.fromkeys(start, 0)
+        kept = types[ind] = {} if kept is None else kept
         for cls, stamp in before.items():
             if stamp < r:
                 kept[cls] = stamp
@@ -849,21 +901,19 @@ def _memberships(schema, classed, links, back, types, entered, touched, relinked
                 prev.setdefault(cls, set()).add(ind)
 
     differs = {}  # individual -> the classes its snapshot changed in, against the last run's
-    for ind in touched:
-        start = {THING, *classed.get(ind, ())}
-        for p in links.get(ind, _EMPTY):
-            start.update(schema.domains.get(p, ()))
-        for p in back.get(ind, _EMPTY):
-            start.update(schema.ranges.get(p, ()))
-        if first:
-            types[ind] = dict.fromkeys(start, 0)
-            for cls in start:
-                members.setdefault(cls, set()).add(ind)
-        elif delta := _delta(start, types.setdefault(ind, {}), 0):  # a new individual has no stamps
-            own(ind, 0, start)
-            differs[ind] = delta
+    start = _initial(schema, classed, links, back, touched)
     if first:
-        prev = members  # members grows only after round 1 has read prev
+        types.update((ind, {}) for ind in touched)
+        for cls, inds in start.items():
+            for ind in inds:
+                types[ind][cls] = 0
+        members = prev = start  # members grows only after round 1 has read prev
+    else:
+        for ind in touched:
+            initial = {cls: 0 for cls, inds in start.items() if ind in inds}
+            if delta := _delta(initial.keys(), types.setdefault(ind, {}), 0):  # a new individual has no stamps
+                own(ind, 0, initial)
+                differs[ind] = delta
     for ind in relinked - owned.keys():
         own(ind, 1)
 
@@ -891,9 +941,8 @@ def _memberships(schema, classed, links, back, types, entered, touched, relinked
                 sharers = {mate for ind in entered[prior] for mate in same.get(ind, ())}
             else:  # the world's entrants would make a step's cost track the world
                 moved = entered[prior]
-                for ind in owned:
-                    if any(not moved.isdisjoint(links.get(ind, _EMPTY).get(p, ())) for p in read):
-                        woken.add(ind)
+                for p in read:
+                    woken.update(i for i in owned if not moved.isdisjoint(links.get(i, _EMPTY).get(p, ())))
                 sharers = everyone
         new = {}  # class -> the individuals that enter it in round r
         for cls, inds in prev.items():
@@ -1043,7 +1092,7 @@ def reason(onto: Ontology) -> Closure:
                 touched.add(f)
             if p in schema.filler_reads:
                 relinked.add(s)
-        classed = _multimap(a.args for ind in touched for a in onto.axioms_about(AxiomTag.CLASS_ASSERTION, ind))
+        classed = _multimap(a.args[::-1] for ind in touched for a in onto.axioms_about(AxiomTag.CLASS_ASSERTION, ind))
         memberships = _memberships(schema, classed, links, back, types, entered, touched, relinked)
         edits = {a: added for a, added in journal.items() if type(a) is not Entity} if declared else journal
         changes = Changes(changed, memberships, edits)
@@ -1052,7 +1101,7 @@ def reason(onto: Ontology) -> Closure:
             for at, arg in enumerate(args):
                 previous._reads.pop((tag, at, arg), None)
     else:  # a first run changes nothing it could report, and starts with no reads
-        classed = _multimap(a.args for a in by_tag.get(AxiomTag.CLASS_ASSERTION, ()))
+        classed = _multimap(a.args[::-1] for a in by_tag.get(AxiomTag.CLASS_ASSERTION, ()))
         _memberships(schema, classed, links, back, types, entered, individuals, ())
         changes, checked = None, types
     violations = _violations(schema, types, links, violations_by, checked)

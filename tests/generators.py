@@ -144,7 +144,7 @@ def random_axiom(rng: random.Random, onto: Ontology, monotone: bool = False):
         return model.property_chain(rng.choice(oprops), rng.choice(oprops), rng.choice(oprops))
     if kind == "class_assertion":
         return model.class_assertion(rng.choice(inds), rng.choice(classes))
-    if kind == "same":
+    if kind == "same" and not monotone:  # merging two fillers can drop a Min count
         return model.same_individual(rng.choice(inds), rng.choice(inds))
     if kind == "different" and not monotone:
         return model.different_individuals(rng.choice(inds), rng.choice(inds))
@@ -157,7 +157,8 @@ def random_ontology(rng: random.Random, axioms: int | None = None, monotone: boo
     """A small world: bounded vocabulary plus a random axiom soup.
 
     monotone=True avoids the constructs that can retract satisfaction
-    (Only/Max definitions) and anything that only matters for violation
+    (Only/Max definitions, and SameIndividual, which can merge two fillers
+    a Min counted apart) and anything that only matters for violation
     reporting, so entailment growth is monotone in the axiom set.  It
     also keeps descriptor semantics total and lossless: one definition
     per class, and no subsumption cycles (a cycle edge cannot survive a

@@ -113,14 +113,34 @@ def edit(rng: random.Random, onto: Ontology, monotone: bool, step: int) -> None:
         onto.declare(Kind.CLASS, f"freshC{step}")
 
 
+def answered_facts(onto: Ontology, closure) -> tuple[set, dict]:
+    """The (subject, property, filler) facts and individual -> classes that
+    the Closure's queries answer for the store's individuals."""
+    individuals = onto.individuals()
+    links = {(ind, p, f) for ind in individuals for p, f in closure.links_of(ind)}
+    return links, {ind: closure.types_of(ind) for ind in individuals}
+
+
 def check_resumed_runs(rng: random.Random, onto: Ontology, monotone: bool) -> None:
     """Random edits with a resumed run after each batch, held to a scratch
-    run on a copy of the store and to the naive oracle."""
+    run on a copy of the store and to the naive oracle.  A run that resumed
+    reports in changes() exactly the link facts and memberships that
+    differ from the ones before it; the "before" side is read before the
+    edits, since the run changes the maps in place."""
     reason(onto)
     for step in range(rng.randint(2, 8)):
+        links_before, types_before = answered_facts(onto, onto.current_closure())
         for _ in range(rng.randint(1, 4)):
             edit(rng, onto, monotone, step)
         resumed = reason(onto)
+        if (changes := resumed.changes()) is not None:
+            links, types = answered_facts(onto, resumed)
+            assert changes.links == links ^ links_before
+            assert changes.memberships == {
+                ind: (now - was, was - now)
+                for ind, now in types.items()
+                if now != (was := types_before.get(ind, set()))
+            }
         copy = copy_store(onto)
         scratch = reason(copy)
         assert resumed.inferred == scratch.inferred
@@ -486,6 +506,45 @@ def test_a_patrol_step_costs_the_edit_not_the_world(monkeypatch):
     large, large_line = _re_evaluated_in_a_step(monkeypatch, 128)
     assert small_line == large_line  # the same local step in both worlds
     assert 0 < small and large <= 1.5 * small
+
+
+def _pairs_passed(monkeypatch, n: int) -> tuple[int, int, str]:
+    """The (subject, filler) pairs that phase two passes to the rules in one
+    patrol step, and in a retract and a re-assert of PropertyAssertion(hasDoor
+    C1 D1), each followed by a resumed run, on the n-corridor chain."""
+    onto = corridor_chain(n)
+    reason(onto)
+    patrol(onto, PatrolConfig(steps=1, seed=0))  # declares the door states: a full run
+    passed = []
+    consequences = reasoner._consequences
+
+    def counted(schema, links, back, p, pairs):
+        passed.append(len(pairs))
+        return consequences(schema, links, back, p, pairs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reasoner, "_consequences", counted)
+        [step] = patrol(onto, PatrolConfig(steps=1, seed=1))
+        in_step = sum(passed)
+        door = model.property_assertion(*(onto.lookup(iri) for iri in ("C1", "hasDoor", "D1")))
+        onto.retract_axiom(door)
+        assert reason(onto).changes() is not None
+        onto.assert_axiom(door)
+        assert reason(onto).changes() is not None
+    return in_step, sum(passed) - in_step, step.line()
+
+
+def test_phase_two_passes_the_rules_what_the_edit_touches_not_the_world(monkeypatch):
+    """A resumed run's DRed steps pass the rules only the facts an edit
+    reaches, so a step's batches do not grow with the world.  A patrol step
+    moves the robot along isIn, which no rule reads, so it passes none;
+    moving a door out of a corridor and back passes the same pairs at 32
+    and at 128 corridors."""
+    small_step, small_door, small_line = _pairs_passed(monkeypatch, 32)
+    large_step, large_door, large_line = _pairs_passed(monkeypatch, 128)
+    assert small_line == large_line  # the same local step in both worlds
+    assert small_step == large_step == 0
+    assert 0 < small_door == large_door
 
 
 class _ReadIdentity(dict):

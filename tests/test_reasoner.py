@@ -693,6 +693,34 @@ def test_a_first_run_on_the_load_world_tests_no_definition_after_a_move_none_rea
     assert (closure.inferred, closure.consistent) == naive_reason(onto)
 
 
+def test_a_first_run_on_the_load_world_passes_each_property_to_the_rules_once(monkeypatch):
+    """Phase two runs the rules set at a time: a round passes the facts the
+    round before added to reasoner._consequences, one batch per property.
+    On the load world hasDoor's asserted facts give isDoorOf (inverse),
+    whose facts give isConnectedTo (the chain), whose symmetric copies are
+    there already, so a first run makes three calls, one per property and
+    round, where passing one fact at a time made 1594.  isIn has no rule
+    but identity sharing, and no SameIndividual group, so its batch is
+    never passed.  Every fact is passed once, and the stamps and the
+    closure stay the naive rounds' and the oracle's."""
+    onto = parse(_perfbench_worlds().generate(128, 128, 64, seed=0).text)
+    calls = []
+    consequences = reasoner._consequences
+
+    def counted(schema, links, back, p, pairs):
+        calls.append((p.iri, list(pairs)))
+        return consequences(schema, links, back, p, pairs)
+
+    monkeypatch.setattr(reasoner, "_consequences", counted)
+    closure = reason(onto)
+    assert [p for p, _ in calls] == ["hasDoor", "isDoorOf", "isConnectedTo"]
+    facts = [(s, p, f) for p, pairs in calls for s, f in pairs]
+    assert len(facts) == len(set(facts)) == 3 * 510
+    assert all(f in closure.fillers(s, onto.lookup(p)) for s, p, f in facts)
+    assert (closure._types, closure._entered) == naive_stamps(onto)
+    assert (closure.inferred, closure.consistent) == naive_reason(onto)
+
+
 def _scale():
     """scripts/scale.py, whose with_definitions builds its TBox axis's worlds."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "scale.py"

@@ -18,6 +18,8 @@ def test_scale_script_writes_its_report(tmp_path, capsys):
     [row] = report["sizes"]
     assert row["n"] == 10 and row["asserted"] > 0
     assert row["patrol_step_ms"] > 0 and row["reason_ms"] > 0
+    # phase two and phase three, timed inside each from-scratch reason()
+    assert 0 < row["phase2_ms"] < row["reason_ms"] and 0 < row["phase3_ms"] < row["reason_ms"]
     assert row["patrol_fresh_reads"] > 0  # every step moves the robot: its links are read afresh
     assert row["patrol_part_reads"] >= row["patrol_fresh_reads"]
     # a step renders the robot's new position and a new state for each door
