@@ -82,13 +82,24 @@ class Kind(Enum):
     __hash__ = object.__hash__
 
 
-# (kind, iri) -> a weak reference to the live Entity; the lock makes a
-# miss create one object.  A plain dict of weakref.ref keeps lookups and
-# inserts in C, where a WeakValueDictionary runs Python code for each.
-# The callback that drops a dead entry takes no lock, since it can run
-# while the lock is held, and removes the entry only if it is still dead.
+# (kind, iri) -> a _Ref to the live Entity; the lock makes a miss create
+# one object.  A plain dict of weak references keeps lookups and inserts
+# in C, where a WeakValueDictionary runs Python code for each.  Every
+# _Ref carries its key and has the one callback _drop, which drops a dead
+# entry: it takes no lock, since it can run while the lock is held, and
+# removes the entry only if it is still dead.
 _ENTITIES: dict = {}
 _ENTITIES_LOCK = threading.Lock()
+
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned Entity, keyed by its _ENTITIES key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref) -> None:
+    _remove_dead_weakref(_ENTITIES, ref.key)
 
 
 def _intern(kind: Kind, iri: str) -> Entity:
@@ -104,7 +115,8 @@ def _intern(kind: Kind, iri: str) -> Entity:
         entity = object.__new__(Entity)
         object.__setattr__(entity, "kind", kind)
         object.__setattr__(entity, "iri", iri)
-        _ENTITIES[key] = weakref.ref(entity, lambda _, key=key: _remove_dead_weakref(_ENTITIES, key))
+        _ENTITIES[key] = ref = _Ref(entity, _drop)
+        ref.key = key
     return entity
 
 
@@ -429,14 +441,23 @@ SHAPES = {
 ORDERLESS_TAGS = frozenset(tag for tag, shape in SHAPES.items() if shape.pair)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Axiom:
     tag: AxiomTag
     args: tuple
 
+    def __init__(self, tag: AxiomTag, args: tuple):
+        # the slots' own setters: a frozen dataclass's __init__ would go
+        # through object.__setattr__ and a lookup by name for each field
+        _set_tag(self, tag)
+        _set_args(self, args)
+
     def __repr__(self):
         inner = " ".join(repr(a) for a in self.args)
         return f"{self.tag.value}({inner})"
+
+
+_set_tag, _set_args = Axiom.tag.__set__, Axiom.args.__set__
 
 
 def _factory(tag: AxiomTag):

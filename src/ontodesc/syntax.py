@@ -32,14 +32,15 @@ count of Min and Max must be an integer token.
 
 Parsing builds no tokens, and a document is read into two lists, the
 declarations and the axiom statements, each in text order.  A flat
-statement (a known head with only names for arguments) is matched whole,
-split by str.split() and kept as a (head, offset, names) tuple; any
-other is parsed from its start by recursive descent over the token
-pattern's matches into a _Call tree.  Names are resolved only after the
-whole document has been read, so a reference may precede its
-declaration; an undeclared name is an UnknownEntity error at the name.
-Every declaration is checked in text order (one name, then no clash
-with a builtin or an earlier declaration), and the new names are
+statement (a known head with only plain names for arguments, see
+_PLAIN_NAME) is matched whole where the last statement ended, its names
+checked by the pattern, split by str.split() and kept as a (head,
+offset, names) tuple; any other is parsed from its start by recursive
+descent over the token pattern's matches into a _Call tree.  Names are
+resolved only after the whole document has been read, so a reference may
+precede its declaration; an undeclared name is an UnknownEntity error at
+the name.  Every declaration is checked in text order (one name, then no
+clash with a builtin or an earlier declaration), and the new names are
 declared in one batch (Ontology._declare_all).  An axiom of names alone
 is then built by its head's plan (tag, argument order, factory), one
 vocabulary probe per name; any other, or a plan that fails, is built
@@ -48,15 +49,15 @@ unchecked update (Ontology._insert_all).  Argument kinds are checked by
 the model's axiom and expression constructors alone; a wrong kind
 anywhere in a statement is a ParseError at its head.  Errors come as if
 the whole text were tokenized first (a malformed token anywhere, the
-first bad statement, then declarations and axioms), with a line (only
-a newline starts one) and column counted only then.
+first bad statement, then declarations and axioms), with a line (only a
+newline starts one) and column counted only then.
 
 load_world reads a world from a file, or from the packaged seed world
 (load_seed, at seed_path()) when given no path.
 
 Serialization is canonical: declarations first (classes, object
 properties, data properties, individuals, each sorted by IRI), then
-RBox, TBox and ABox axioms, each sorted by their rendered line.
+RBox, TBox and ABox axioms, each box sorted by rendered line.
 Re-serializing a parsed document is byte-stable.  An IRI the parser
 would not read back as that one name (`1abc`, `true`, `a#b`, ...) is an
 OntologyError before any text is returned.  Inferred axioms are
@@ -72,6 +73,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, fields
 from itertools import islice, pairwise
 
@@ -138,9 +140,12 @@ def _reads_back(name: str) -> bool:
     return m.lastgroup == "word" and m.end() == len(name) and _is_name(name)
 
 
-# Lines of names that surely read back as themselves: an ASCII letter or
-# an underscore, then no character that ends a word, and not a boolean.
-_PLAIN_NAMES = re.compile(r'(?:(?!(?:true|false)\n)[A-Za-z_][^\s()"#]*\n)*')
+# The plain-name rule, which passes some of the names _is_name accepts:
+# an ASCII letter or an underscore, then no character that ends a word,
+# and not a boolean.
+_PLAIN_NAME = r'(?!(?:true|false)(?![^\s()"#]))[A-Za-z_][^\s()"#]*'
+# Lines of names that surely read back as themselves.
+_PLAIN_NAMES = re.compile(rf"(?:{_PLAIN_NAME}\n)*")
 
 
 @dataclass(slots=True)
@@ -231,8 +236,20 @@ _ARITY = {tag: len(shape.roles) for tag, shape in model.SHAPES.items()} | {
 }
 # head -> its plan: the tag, each axiom argument's text position, the factory
 _PLANS = {h: (t, _FROM_TEXT.get(t, range(_ARITY[t])), model.AXIOM_FACTORIES[t]) for h, t in _AXIOM_HEADS.items()}
-# a flat statement: its arguments are split on \s by str.split()
-_FLAT = re.compile(r'\s*([^\s()"#]+)\s*\(([^()"#]*)\)')
+
+
+def _flat_pattern(possessive: bool) -> re.Pattern:
+    """A flat statement: a head, '(', plain names apart by \\s, ')'.  Its
+    arguments are split on \\s by str.split().  Possessive quantifiers
+    (Python 3.11+) refuse a statement without backtracking.  Without
+    them the names are apart by \\s+, never \\s*, so no word splits
+    into two names and a refusal backtracks in linear time."""
+    q = "+" if possessive else ""
+    name = _PLAIN_NAME + q
+    return re.compile(rf'\s*{q}([^\s()"#]+{q})\s*{q}\(\s*{q}((?:{name}(?:\s+{q}{name})*{q})?{q})\s*{q}\)')
+
+
+_FLAT = _flat_pattern(sys.version_info >= (3, 11))
 
 
 @dataclass(slots=True, eq=False)  # hashed by identity, so no name matches one
@@ -272,8 +289,8 @@ class _Parser:
         axioms: list = []
         while True:
             m = flat(text, self.pos)
-            if m and (declares := heads(m[1])) is not None and all(map(_is_name, args := m[2].split())):
-                (declarations if declares else axioms).append((m[1], m.start(1), args))
+            if m and (declares := heads(m[1])) is not None:
+                (declarations if declares else axioms).append((m[1], m.start(1), m[2].split()))
                 self.pos = m.end()
                 continue
             typ, head, _, at = self.next()
@@ -516,6 +533,11 @@ def _inferred_lines(closure) -> list[str]:
         boxes[box].extend([
             prefix + (t.iri if type(t) is Entity else render_literal(t)) + suffix for t in tails
         ])
+    return _by_box(boxes)
+
+
+def _by_box(boxes: list[list[str]]) -> list[str]:
+    """The lines box by box, each box sorted."""
     for lines in boxes:
         lines.sort()
     return [line for lines in boxes for line in lines]
@@ -535,9 +557,10 @@ def serialize(onto: Ontology, include_inferred: bool = False) -> str:
     for keyword, kind in _DECLARATIONS.items():
         names = sorted(e.iri for e in onto.entities_of_kind(kind) if e not in builtin)
         lines.extend(f"{keyword}({iri})" for iri in names)
-    asserted = onto.axioms("asserted")
-    rendered = sorted((_LINE_TEMPLATES[a.tag][2], render_axiom(a)) for a in asserted)
-    lines.extend(text for _, text in rendered)
+    boxes: list[list[str]] = [[] for _ in _BOX_ORDER]
+    for axiom in onto._asserted:
+        boxes[_LINE_TEMPLATES[axiom.tag][2]].append(render_axiom(axiom))
+    lines.extend(_by_box(boxes))
     if include_inferred:
         lines.extend(_inferred_lines(onto.current_closure()))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -961,10 +961,11 @@ def test_a_retracted_link_puts_back_what_is_still_derived(case):
 
 
 def test_a_patrol_step_rebuilds_no_robot_or_location_types(monkeypatch):
-    """isIn and hasDoor have neither a domain nor a range in the seed
-    schema, so the robot's move rebuilds the initial types of no robot
-    or location: a step recomputes only the doors whose ClassAssertions
-    it wrote."""
+    """A step edits only isIn links and door ClassAssertions, and isIn has
+    neither a domain nor a range in the seed schema (hasDoor has both,
+    but no step edits a hasDoor link), so the robot's move rebuilds the
+    initial types of no robot or location: a step recomputes only the
+    doors whose ClassAssertions it wrote."""
     onto = corridor_chain(8)
     scenarios.setup_door_state_classes(onto)  # declares the door states: a full run
     doors = onto.current_closure().instances_of(onto.lookup("DOOR"))

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import timeit
 from collections import Counter
 
 import pytest
@@ -402,6 +403,30 @@ def test_the_load_world_is_declared_and_inserted_in_bulk(monkeypatch):
     assert len(onto.axioms()) == 908 and len(list(onto.vocabulary())) == 713 + len(model.BUILTINS)
 
 
+def test_one_parse_of_the_load_world_checks_names_in_the_pattern_and_shares_one_callback(monkeypatch):
+    """On the benchmark's load world the flat-statement pattern checks the
+    names, so _is_name runs only for the name tokens of the three
+    DefineClass statements that recursive descent parses; and every
+    intern-table weak reference has the one shared callback."""
+    text = _perfbench_worlds().generate(128, 128, 64, seed=0).text
+    described = [line for line in text.splitlines() if "(" in line.partition("(")[2]]
+    assert len(described) == 3
+    expected = sum(t.typ == "name" for line in described for t in tokenize(line))
+    calls = Counter()
+    is_name = syntax._is_name
+
+    def counted(word):
+        calls[word] += 1
+        return is_name(word)
+
+    monkeypatch.setattr(syntax, "_is_name", counted)
+    onto = parse(text)
+    assert calls.total() == expected == 24
+    live = [ref for ref in model._ENTITIES.values() if ref() is not None]
+    assert len(live) >= len(list(onto.vocabulary()))
+    assert {ref.__callback__ for ref in live} == {model._drop}
+
+
 def test_str_split_and_the_token_pattern_agree_on_whitespace():
     """A flat statement's arguments are split by str.split(); every other
     statement by _TOKEN, whose blanks are re's \\s."""
@@ -443,6 +468,25 @@ def test_arbitrary_string_literals_roundtrip(value):
     assert token.typ == "string" and token.value == value
 
 
+# every \s code point
+_BLANKS = re.findall(r"\s", "".join(map(chr, range(sys.maxunicode + 1))))
+# plain names, names the flat-statement pattern leaves to recursive
+# descent, and words that are no name
+_FLAT_WORDS = ["A", "B_1", "true_", "falsey", "Ä", "Äx", "²a", "true", "false", "1a", "+a", "-1", ".5", "x", "p"]
+_FLAT_DECLARED = "Class(A) Class(B_1) Class(true_) Class(falsey) Class(Ä) Class(Äx) Individual(x) ObjectProperty(p)\n"
+
+
+@st.composite
+def _flat_statements(draw) -> str:
+    """A head and words in parentheses, apart by \\s blanks: at least one
+    between two words, perhaps none elsewhere."""
+    head = draw(st.sampled_from(["SubClassOf", "DisjointClasses", "ClassAssertion", "PropertyAssertion", "Class"]))
+    words = draw(st.lists(st.sampled_from(_FLAT_WORDS), max_size=3))
+    gap, edge = (st.text(st.sampled_from(_BLANKS), min_size=n, max_size=2) for n in (1, 0))
+    inner = "".join((draw(gap) if i else "") + word for i, word in enumerate(words))
+    return f"{draw(edge)}{head}{draw(edge)}({draw(edge)}{inner}{draw(edge)})"
+
+
 _DECLARED = "Class(A) ObjectProperty(p) DataProperty(d) Individual(x)\n"
 _HEADS = [t.value for t in AxiomTag] + ["Class", "Individual", "And", "Or", "Some", "Only", "Min", "Max"]
 _SOUP_PARTS = st.one_of(
@@ -457,6 +501,7 @@ _SOUP_PARTS = st.one_of(
     st.integers(1, 3000).map(lambda n: "(" * n + ")" * n),
     st.integers(1, 6000).map(lambda n: "9" * n),
     st.integers(1, 6000).map(lambda n: '"' + "s" * n),
+    _flat_statements(),
 )
 
 
@@ -518,7 +563,43 @@ _EVERY_HEAD = [
 @example(parts=["SubClassOf(A x)", "Class(p)"], sep="\n")
 @example(parts=["ClassAssertion(Nobody x)", 'Class("s")'], sep=" ")
 @example(parts=["SubClassOf(A x)", "Class(A B)", "Individual(A)"], sep="\n")
+# a long name before a stray quote: the flat pattern refuses it, and
+# recursive descent finds the unterminated string
+@example(parts=["SubClassOf(A " + "a" * 10**4 + '"'], sep=" ")
 def test_adversarial_input_parses_as_the_reference_does(parts, sep):
     text = _DECLARED + sep.join(parts)
     assert _outcome(parse, text) == _outcome(parse_reference, text)
     assert _tokens(text, tokenize) == _tokens(text, tokenize_reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(statements=st.lists(_flat_statements(), max_size=8), sep=st.sampled_from(_BLANKS))
+def test_flat_statements_parse_as_the_reference_does(statements, sep):
+    """Statements the flat pattern passes, and ones it leaves to recursive
+    descent (a name it does not check, a word that is no name), apart by
+    any \\s: the same world or the same error as the reference parser."""
+    text = _FLAT_DECLARED + sep.join(statements)
+    assert _outcome(parse, text) == _outcome(parse_reference, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.one_of(_flat_statements(), st.sampled_from(_FLAT_WORDS + ["(", ")", '"', "#"])), max_size=12))
+def test_both_forms_of_the_flat_pattern_match_alike(parts):
+    """The form without possessive quantifiers, which Python 3.10 runs,
+    matches as the form in use does at every offset of the text."""
+    text = "".join(parts)
+    plain = syntax._flat_pattern(possessive=False)
+    for at in range(len(text) + 1):
+        ours, theirs = syntax._FLAT.match(text, at), plain.match(text, at)
+        assert (ours and ours.regs) == (theirs and theirs.regs)
+
+
+def test_refused_statements_are_scanned_in_linear_time():
+    """Each statement with a literal is refused by the flat pattern and
+    parsed by recursive descent, from where the pattern was tried: 40
+    times the statements take well under 200 times as long (a scan that
+    searched past each refused statement for the next flat one would
+    take about 1600 times as long)."""
+    small, large = (_DECLARED + 'PropertyAssertion(d x "s")\n' * n for n in (100, 4000))
+    bound = 200 * min(timeit.repeat(lambda: parse(small), number=1, repeat=5))
+    assert any(timeit.timeit(lambda: parse(large), number=1) < bound for _ in range(3))
