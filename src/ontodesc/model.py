@@ -441,23 +441,14 @@ SHAPES = {
 ORDERLESS_TAGS = frozenset(tag for tag, shape in SHAPES.items() if shape.pair)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Axiom:
     tag: AxiomTag
     args: tuple
 
-    def __init__(self, tag: AxiomTag, args: tuple):
-        # the slots' own setters: a frozen dataclass's __init__ would go
-        # through object.__setattr__ and a lookup by name for each field
-        _set_tag(self, tag)
-        _set_args(self, args)
-
     def __repr__(self):
         inner = " ".join(repr(a) for a in self.args)
         return f"{self.tag.value}({inner})"
-
-
-_set_tag, _set_args = Axiom.tag.__set__, Axiom.args.__set__
 
 
 def _factory(tag: AxiomTag):

@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass, fields
 from itertools import islice, pairwise
 
@@ -238,18 +237,11 @@ _ARITY = {tag: len(shape.roles) for tag, shape in model.SHAPES.items()} | {
 _PLANS = {h: (t, _FROM_TEXT.get(t, range(_ARITY[t])), model.AXIOM_FACTORIES[t]) for h, t in _AXIOM_HEADS.items()}
 
 
-def _flat_pattern(possessive: bool) -> re.Pattern:
-    """A flat statement: a head, '(', plain names apart by \\s, ')'.  Its
-    arguments are split on \\s by str.split().  Possessive quantifiers
-    (Python 3.11+) refuse a statement without backtracking.  Without
-    them the names are apart by \\s+, never \\s*, so no word splits
-    into two names and a refusal backtracks in linear time."""
-    q = "+" if possessive else ""
-    name = _PLAIN_NAME + q
-    return re.compile(rf'\s*{q}([^\s()"#]+{q})\s*{q}\(\s*{q}((?:{name}(?:\s+{q}{name})*{q})?{q})\s*{q}\)')
-
-
-_FLAT = _flat_pattern(sys.version_info >= (3, 11))
+# A flat statement: a head, '(', plain names apart by \s, ')'; its
+# arguments are split on \s by str.split().  The names are apart by \s+,
+# never \s*, so no word splits into two names and a refusal backtracks
+# in linear time.
+_FLAT = re.compile(rf'\s*([^\s()"#]+)\s*\(\s*((?:{_PLAIN_NAME}(?:\s+{_PLAIN_NAME})*)?)\s*\)')
 
 
 @dataclass(slots=True, eq=False)  # hashed by identity, so no name matches one

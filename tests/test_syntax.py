@@ -1,7 +1,6 @@
 import random
 import re
 import sys
-import timeit
 from collections import Counter
 
 import pytest
@@ -582,24 +581,35 @@ def test_flat_statements_parse_as_the_reference_does(statements, sep):
     assert _outcome(parse, text) == _outcome(parse_reference, text)
 
 
-@settings(max_examples=300, deadline=None)
-@given(parts=st.lists(st.one_of(_flat_statements(), st.sampled_from(_FLAT_WORDS + ["(", ")", '"', "#"])), max_size=12))
-def test_both_forms_of_the_flat_pattern_match_alike(parts):
-    """The form without possessive quantifiers, which Python 3.10 runs,
-    matches as the form in use does at every offset of the text."""
-    text = "".join(parts)
-    plain = syntax._flat_pattern(possessive=False)
-    for at in range(len(text) + 1):
-        ours, theirs = syntax._FLAT.match(text, at), plain.match(text, at)
-        assert (ours and ours.regs) == (theirs and theirs.regs)
+class _Anchored:
+    """The flat pattern with `match` alone, recording where it is tried:
+    a scan that searched for the next flat statement would need more."""
+
+    def __init__(self, pattern):
+        self.pattern, self.tried = pattern, []
+
+    def match(self, text, pos):
+        self.tried.append(pos)
+        return self.pattern.match(text, pos)
 
 
-def test_refused_statements_are_scanned_in_linear_time():
+@pytest.mark.parametrize("n", [100, 4000])
+def test_refused_statements_are_scanned_once_each(n, monkeypatch):
     """Each statement with a literal is refused by the flat pattern and
-    parsed by recursive descent, from where the pattern was tried: 40
-    times the statements take well under 200 times as long (a scan that
-    searched past each refused statement for the next flat one would
-    take about 1600 times as long)."""
-    small, large = (_DECLARED + 'PropertyAssertion(d x "s")\n' * n for n in (100, 4000))
-    bound = 200 * min(timeit.repeat(lambda: parse(small), number=1, repeat=5))
-    assert any(timeit.timeit(lambda: parse(large), number=1) < bound for _ in range(3))
+    parsed by recursive descent from where the pattern was tried: the
+    pattern is tried once where each statement starts and once at the
+    end, and recursive descent starts once per refused statement."""
+    text = _DECLARED + 'PropertyAssertion(d x "s")\n' * n
+    pattern, starts = _Anchored(syntax._FLAT), Counter()
+    parse_call = syntax._Parser.parse_call
+
+    def counted(self, head, at, depth):
+        starts[depth] += 1
+        return parse_call(self, head, at, depth)
+
+    monkeypatch.setattr(syntax, "_FLAT", pattern)
+    monkeypatch.setattr(syntax._Parser, "parse_call", counted)
+    parse(text)
+    ends = [0] + [m.end() for m in re.finditer(r"\)", text)]
+    assert pattern.tried == ends and len(ends) == 4 + n + 1
+    assert starts[0] == n
