@@ -17,10 +17,15 @@ syntax.serialize(world, include_inferred=True) is timed once (the
 `serialize --entailed` text), and then scenarios.reachable_leaf_places(world)
 for Robot1: the first call reads every descriptor afresh.  Warm calls
 repeat it on the last of those worlds, unchanged, so their reads come
-from the Closure's memo.  example1 is then timed on that same world,
-once per repeat: scenarios.categorize_new_location joins a location
-with a fresh name to C0 through a door with a fresh name, the paper's
-Example 1, so each call declares two individuals.  The patrol step is
+from the Closure's memo.  The world text is then written to a temporary
+file, and cli.main(["serialize", "--entailed", "--ontology", path]) is
+timed once per repeat, its output written to a buffer
+(cli_serialize_entailed_ms): the one-shot command as a user runs it,
+parse, reason() and serialize together, with the cyclic collector as
+the command sets it.  example1 is then timed on the world the warm
+calls read, once per repeat: scenarios.categorize_new_location joins a
+location with a fresh name to C0 through a door with a fresh name, the
+paper's Example 1, so each call declares two individuals.  The patrol step is
 scenarios.patrol(world, PatrolConfig(steps=1, seed=s_i)) on one world
 carried from step to step, after one untimed warm-up step that also
 declares the door state classes; the seeds s_i come from random.Random(0)
@@ -53,7 +58,8 @@ reason_ms and phase3_ms, with phase three's ratio between the largest
 and the smallest D, and per n the asserted axiom count, the median
 scaled milliseconds of each measurement (patrol_step_ms, parse_ms,
 reason_ms, phase2_ms, phase3_ms, serialize_entailed_ms,
-reachable_first_ms, reachable_warm_ms, example1_ms), parse_kb_per_s, patrol_part_reads, patrol_fresh_reads,
+cli_serialize_entailed_ms, reachable_first_ms, reachable_warm_ms,
+example1_ms), parse_kb_per_s, patrol_part_reads, patrol_fresh_reads,
 patrol_renders, patrol_memo_entries and cal_ms, and the patrol step's
 ratio between the largest and the smallest n.
 """
@@ -63,11 +69,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import io
 import json
 import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -76,7 +84,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import worlds  # noqa: E402  (perfbench/worlds.py: standard library only)
 from run import calibrate, scaled  # noqa: E402  (perfbench/run.py)
-from ontodesc import descriptor, reasoner, scenarios, syntax  # noqa: E402
+from ontodesc import cli, descriptor, reasoner, scenarios, syntax  # noqa: E402
 from ontodesc.descriptor import DescriptorState  # noqa: E402
 
 
@@ -132,6 +140,15 @@ def timed_reason(onto, cals: list) -> dict:
     return {"reason_ms": elapsed * factor, **{key: seconds * factor for key, [seconds] in spent.items()}}
 
 
+def cli_serialize_entailed(path: Path) -> None:
+    """One in-process `ontodesc serialize --entailed --ontology path`, its
+    text written to a buffer."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["serialize", "--entailed", "--ontology", str(path)])
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"serialize --entailed exited {code} on {path}")
+
+
 def with_definitions(text: str, d: int) -> str:
     """A load-world text plus d defined classes Y<i>: the instances of
     K<i mod 128> that have a door."""
@@ -170,6 +187,10 @@ def measure(n: int, repeat: int) -> dict:
         serialize_ms.append(timed_ms(lambda: syntax.serialize(fresh, include_inferred=True)))
         first_ms.append(timed_ms(lambda: scenarios.reachable_leaf_places(fresh)))
     warm_ms = [timed_ms(lambda: scenarios.reachable_leaf_places(fresh)) for _ in range(repeat)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "world.onto"
+        path.write_text(world.text, encoding="utf-8")
+        cli_ms = [timed_ms(lambda: cli_serialize_entailed(path)) for _ in range(repeat)]
     example1_ms = [
         timed_ms(lambda: scenarios.categorize_new_location(fresh, f"NewPlace{i}", "C0", f"NewDoor{i}"))
         for i in range(repeat)
@@ -221,6 +242,7 @@ def measure(n: int, repeat: int) -> dict:
         "parse_kb_per_s": kb / (statistics.median(parse_ms) / 1000),
         **{key: statistics.median(run[key] for run in runs) for key in ("reason_ms", *PHASES)},
         "serialize_entailed_ms": statistics.median(serialize_ms),
+        "cli_serialize_entailed_ms": statistics.median(cli_ms),
         "reachable_first_ms": statistics.median(first_ms),
         "reachable_warm_ms": statistics.median(warm_ms),
         "example1_ms": statistics.median(example1_ms),
@@ -260,6 +282,7 @@ def main(argv=None) -> int:
             f" parse {row['parse_ms']:.2f} ms ({row['parse_kb_per_s']:.0f} KB/s),"
             f" reason {row['reason_ms']:.2f} ms (phase two {row['phase2_ms']:.2f}, three {row['phase3_ms']:.2f}),"
             f" serialize --entailed {row['serialize_entailed_ms']:.2f} ms,"
+            f" CLI serialize --entailed {row['cli_serialize_entailed_ms']:.2f} ms,"
             f" reachable first {row['reachable_first_ms']:.2f} ms, warm {row['reachable_warm_ms']:.3f} ms,"
             f" example1 {row['example1_ms']:.2f} ms (kernel {row['cal_ms']:.2f} ms)"
         )

@@ -20,19 +20,31 @@ layers; the three flow commands import the scenarios module, and with
 it the descriptor layer, when they run.
 
 Exit codes: 0 ok, 1 parse error or i/o error (an ontology file that
-cannot be read, or a failed example1 save, which leaves the file as it
-was and prints nothing to stdout; a new name the parser would not read
-back as itself, such as New#1, fails the save), 2 unknown entity, a name
-of the wrong kind (such as example1 ROOM Corridor1 Door3, whose new
-location names a class) or a usage error (such as patrol --steps 0 or
---seed -1), 3 inconsistent world, 4 missing filler (no position or no
-door).  Every exit but 0 leaves an --ontology file as it was.
+cannot be read or is not UTF-8 text, or a failed example1 save, which
+leaves the file as it was and prints nothing to stdout; a new name the
+parser would not read back as itself, such as New#1, fails the save), 2
+unknown entity, a name of the wrong kind (such as example1 ROOM
+Corridor1 Door3, whose new location names a class) or a usage error
+(such as patrol --steps 0 or --seed -1), 3 inconsistent world, 4
+missing filler (no position or no door).  Every exit but 0 leaves an --ontology file as it was.
+
+main() runs the command with the cyclic garbage collector paused, and
+turns it back on when the command ends, however it ends, if it was on
+before.  A world is acyclic: its store, entities, axioms and Closure
+refer to one another through plain maps and weak references, so
+reference counting frees all of it when the command returns, and a
+collection in between finds nothing to free.  argparse's help formatter
+makes cyclic garbage, so parsing the arguments stays outside the pause.
+No library module touches the collector: a library call leaves it as
+its caller set it.  A program that embeds ontodesc can pause it the
+same way around its own calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from collections import Counter
@@ -248,6 +260,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # a command makes no reference cycles; see the module docstring
     try:
         return args.func(args)
     except ParseError as exc:
@@ -259,6 +273,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        text = f"{args.ontology} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        print(f"cannot read ontology: {text}", file=sys.stderr)
+        return EXIT_PARSE
     except UnknownEntity as exc:
         print(f"unknown entity: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -268,6 +286,9 @@ def main(argv=None) -> int:
     except OntologyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entrypoint() -> None:

@@ -1,10 +1,11 @@
+import gc
 import os
 import random
 from collections import Counter
 
 import pytest
 
-from generators import random_ontology
+from generators import chained_ontology, random_ontology
 from ontodesc import model
 from ontodesc.cli import (
     EXIT_INCONSISTENT,
@@ -23,6 +24,14 @@ def seed_file(tmp_path):
     path = tmp_path / "world.onto"
     path.write_text(seed_path().read_text(encoding="utf-8"), encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def broken_file(seed_file):
+    """The seed world plus a same-and-different clash: inconsistent."""
+    with seed_file.open("a", encoding="utf-8") as fh:
+        fh.write("SameIndividual(Room1 Room2)\nDifferentIndividuals(Room1 Room2)\n")
+    return seed_file
 
 
 def run(capsys, *argv):
@@ -153,6 +162,15 @@ class TestSerialize:
         assert code == EXIT_PARSE
         assert "parse error" in err
 
+    @pytest.mark.parametrize("command", ["reason", "serialize"])
+    def test_a_file_that_is_not_utf8_exits_one_on_one_line(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.onto"
+        path.write_bytes(b"Class(A\xff)\n")
+        code, out, err = run(capsys, command, "--ontology", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == f"cannot read ontology: {path} is not UTF-8 text (invalid start byte at byte 7)\n"
+
     def test_deep_nesting_exits_one(self, capsys, tmp_path):
         path = tmp_path / "deep.onto"
         path.write_text("Class(A)\nDefineClass(A " + "And(A " * 2000 + ")" * 2001, encoding="utf-8")
@@ -212,6 +230,18 @@ class TestExample1:
         assert list(seed_file.parent.iterdir()) == [seed_file]
         assert run(capsys, "reason", "--ontology", str(seed_file))[0] == EXIT_OK
 
+    def test_a_file_that_is_not_utf8_is_left_as_it_was(self, capsys, seed_file):
+        seed_file.write_bytes(seed_file.read_bytes() + b"Class(\xe9t\xe9)\n")  # Latin-1, not UTF-8
+        before = seed_file.read_bytes()
+        argv = ("example1", "--ontology", str(seed_file), "Location3", "Corridor1", "Door3")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"cannot read ontology: {seed_file} is not UTF-8 text (")
+        assert err.count("\n") == 1
+        assert seed_file.read_bytes() == before
+        assert list(seed_file.parent.iterdir()) == [seed_file]
+
     def test_unknown_connected_location_exits_two(self, capsys):
         code, _, err = run(capsys, "example1", "Location3", "Nowhere", "Door3")
         assert code == EXIT_UNKNOWN
@@ -261,12 +291,6 @@ class TestReachable:
 
 class TestFlowOnAnInconsistentWorld:
     """A flow's ScenarioError exits 3 with a message on stderr only."""
-
-    @pytest.fixture
-    def broken_file(self, seed_file):
-        with seed_file.open("a", encoding="utf-8") as fh:
-            fh.write("SameIndividual(Room1 Room2)\nDifferentIndividuals(Room1 Room2)\n")
-        return seed_file
 
     @pytest.mark.parametrize(
         "argv",
@@ -351,3 +375,144 @@ def test_the_parser_is_built_once_and_answers_each_call_as_a_fresh_one(capsys, m
     monkeypatch.setattr(cli, "build_parser", lambda build=cli.build_parser: built.append(1) or build())
     assert [call(*argv) for argv in commands] == first
     assert len(built) == 1
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state however a test leaves it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """main() runs a command with the cyclic collector paused and leaves it
+    on or off as it found it, however the command ends."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["query", "types", "Room1"], EXIT_OK),
+            (["reason", "--ontology", "{missing}"], EXIT_PARSE),
+            (["query", "types", "Nobody"], EXIT_UNKNOWN),
+            (["reason", "--ontology", "{inconsistent}"], EXIT_INCONSISTENT),
+            (["reachable", "Door1"], EXIT_NO_FILLER),
+            (["patrol", "--steps", "0"], SystemExit),
+        ],
+        ids=["ok", "parse", "unknown", "inconsistent", "no-filler", "usage"],
+    )
+    def test_state_is_restored_on_every_exit(self, capsys, collector, broken_file, enabled, argv, expected):
+        (gc.enable if enabled else gc.disable)()
+        files = {"missing": broken_file.parent / "nope.onto", "inconsistent": broken_file}
+        argv = [a.format(**files) for a in argv]
+        if expected is SystemExit:
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            assert stop.value.code == 2
+        else:
+            assert main(argv) == expected
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyboardInterrupt()], ids=lambda e: type(e).__name__)
+    def test_state_is_restored_when_an_unmapped_exception_escapes(self, collector, monkeypatch, enabled, exc):
+        from ontodesc import cli
+
+        def load_world(path):
+            raise exc
+
+        (gc.enable if enabled else gc.disable)()
+        monkeypatch.setattr(cli, "load_world", load_world)
+        with pytest.raises(type(exc)):
+            main(["reason"])
+        assert gc.isenabled() is enabled
+
+    def test_the_command_runs_paused(self, capsys, collector, monkeypatch):
+        from ontodesc import cli
+
+        gc.enable()
+        seen = []
+        load = cli.load_world
+        monkeypatch.setattr(cli, "load_world", lambda path: seen.append(gc.isenabled()) or load(path))
+        assert main(["reason"]) == EXIT_OK
+        assert seen == [False] and gc.isenabled()
+
+    def test_serialize_entailed_on_the_load_world_makes_no_collection(self, capsys, collector, tmp_path):
+        """perfbench's load op, on its world: with the parser built and the
+        heap collected first, the command starts no collection.  (The
+        objects it allocated set off one young collection soon after the
+        collector is back on, so the count is taken as main returns.)"""
+        from ontodesc import cli
+        from test_reasoner import _perfbench_worlds
+
+        path = tmp_path / "load.onto"
+        path.write_text(_perfbench_worlds().generate(128, 128, 64, seed=0).text, encoding="utf-8")
+        gc.enable()
+        cli._parser()
+        gc.collect()
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            code, started = main(["serialize", "--entailed", "--ontology", str(path)]), len(starts)
+        finally:
+            gc.callbacks.remove(count)
+        assert code == EXIT_OK and "# inferred: " in capsys.readouterr().out
+        assert starts[:started] == []  # the generations of the collections main started
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reason"],
+            ["query", "types", "{individual}"],
+            ["serialize", "--entailed"],
+            ["reachable"],
+            ["patrol", "--steps", "50"],
+            ["example1", "NewPlace", "{corridor}", "NewDoor"],
+        ],
+        ids=["reason", "query", "serialize-entailed", "reachable", "patrol", "example1"],
+    )
+    @pytest.mark.parametrize("world", ["seed", "generated"])
+    def test_a_command_leaves_no_cyclic_garbage(self, capsys, collector, tmp_path, world, argv):
+        """The premise of the pause: what a command allocates, reference
+        counting frees, so a collection right after it finds nothing.  The
+        seed world is the packaged one; the generated one is read from a
+        file, which example1 saves."""
+        from ontodesc import cli
+        from test_reasoner import _perfbench_worlds
+
+        if world == "seed":
+            names, source = {"individual": "Room1", "corridor": "Corridor1"}, []
+        else:
+            path = tmp_path / "world.onto"
+            path.write_text(_perfbench_worlds().generate(16, 16, 8, seed=1).text, encoding="utf-8")
+            names, source = {"individual": "R0", "corridor": "C0"}, ["--ontology", str(path)]
+        argv = [a.format(**names) for a in argv] + source
+        cli._parser()
+        gc.collect()
+        code = main(argv)
+        found = gc.collect()
+        assert code == EXIT_OK and capsys.readouterr().out
+        assert found == 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("world", [random_ontology, chained_ontology], ids=["random", "chained"])
+def test_shuffled_lines_give_the_same_entailed_text(capsys, tmp_path, world, seed):
+    """A reasoner law through the CLI: `serialize --entailed` prints the same
+    bytes for a world's canonical file and for its lines in another order."""
+    rng = random.Random(9000 + seed)
+    text = serialize(world(rng))
+    lines = text.splitlines()
+    rng.shuffle(lines)
+    printed = []
+    for name, document in [("canonical", text), ("shuffled", "\n".join(lines) + "\n")]:
+        path = tmp_path / f"{name}.onto"
+        path.write_text(document, encoding="utf-8")
+        printed.append(run(capsys, "serialize", "--entailed", "--ontology", str(path)))
+    assert printed[0] == printed[1] and printed[0][0] == EXIT_OK

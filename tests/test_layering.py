@@ -11,6 +11,9 @@ Closure and its journal of changes since; no other module reads either.
 Every name a module imports is read in that module (the package's
 __init__ is not scanned).
 
+The cyclic garbage collector is process-wide state, so only the CLI,
+which owns its process, imports gc.
+
 At run time a process loads only the layers it runs: `import ontodesc`
 loads no submodule, and the CLI's reason, query and serialize commands
 load nothing above the reasoner.
@@ -84,6 +87,17 @@ def test_only_the_store_reads_its_closure_and_journal(name):
 def test_the_state_scan_sees_the_store_s_own_reads():
     assert store_state_reads("model") == STORE_STATE
     assert {"model", "reasoner", "descriptor", "scenarios"} <= set(MODULES)
+
+
+def test_only_the_cli_imports_gc():
+    def imports_gc(name: str) -> bool:
+        return any(
+            isinstance(node, ast.Import) and "gc" in {alias.name for alias in node.names}
+            or isinstance(node, ast.ImportFrom) and node.module == "gc"
+            for node in ast.walk(syntax_tree(name))
+        )
+
+    assert [name for name in MODULES if imports_gc(name)] == ["cli"]
 
 
 def unused_imports(tree: ast.Module) -> set[str]:

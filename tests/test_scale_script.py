@@ -30,6 +30,7 @@ def test_scale_script_writes_its_report(tmp_path, capsys):
     assert row["patrol_memo_entries"] >= 1
     assert row["cal_ms"] > 0  # the calibration kernel timed around each call
     assert row["parse_ms"] > 0 and row["serialize_entailed_ms"] > 0
+    assert row["cli_serialize_entailed_ms"] > 0  # the one-shot CLI command, from a file
     assert row["parse_kb_per_s"] > 0
     assert row["reachable_first_ms"] > 0 and row["reachable_warm_ms"] > 0
     assert report["patrol_step_ratio"] == 1.0
