@@ -22,11 +22,13 @@ it the descriptor layer, when they run.
 Exit codes: 0 ok, 1 parse error or i/o error (an ontology file that
 cannot be read or is not UTF-8 text, or a failed example1 save, which
 leaves the file as it was and prints nothing to stdout; a new name the
-parser would not read back as itself, such as New#1, fails the save), 2
-unknown entity, a name of the wrong kind (such as example1 ROOM
-Corridor1 Door3, whose new location names a class) or a usage error
-(such as patrol --steps 0 or --seed -1), 3 inconsistent world, 4
-missing filler (no position or no door).  Every exit but 0 leaves an --ontology file as it was.
+parser would not read back as itself, such as New#1, fails the save,
+and the store refuses a new name that is not UTF-8, such as one whose
+argv bytes end in 0xff), 2 unknown entity, a name of the wrong kind
+(such as example1 ROOM Corridor1 Door3, whose new location names a
+class) or a usage error (such as patrol --steps 0 or --seed -1), 3
+inconsistent world, 4 missing filler (no position or no door).  Every
+exit but 0 leaves an --ontology file as it was.
 
 main() runs the command with the cyclic garbage collector paused, and
 turns it back on when the command ends, however it ends, if it was on

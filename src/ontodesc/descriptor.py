@@ -43,7 +43,9 @@ Operations:
 
 * read    - replace Y with the entailed items of (tag, x) (see TagSpec),
 * write   - make the asserted axioms for (tag, x) exactly to_axioms(Y),
-            reusing the last read's axiom for each item that read found,
+            reusing the last read's axiom for each item that read found;
+            it compares them with the store's live ground-index bucket in
+            place, so a write that changes nothing copies nothing,
 * build   - for each distinct entity the items name, in item order,
             create a descriptor grounded on it via a factory and read
             it; items naming none are skipped, and build raises
@@ -57,8 +59,11 @@ on under the fact slot the read lists, (axiom tag, ground_at, x), and a
 resumed run carries it unless a fact the run changed fills that slot.
 
 Reading SUB_CLASSES / SUPER_CLASSES lists the direct taxonomy neighbours
-(so a leaf class reads {NOTHING} and a root reads {THING}), from the
-Closure alone; TYPES, INSTANCES and LINKS list everything entailed.
+(so a leaf class reads {NOTHING} and a root reads {THING}); TYPES,
+INSTANCES and LINKS list everything entailed.  Those five tags read the
+Closure alone (TagSpec.closure_only).  Every other tag still reads the
+store's asserted items: SUPER_PROPERTIES and SAME_AS add them to a
+Closure query, and the rest list them alone.
 """
 
 from __future__ import annotations
@@ -254,8 +259,16 @@ class TagSpec:
 
     A read lists the asserted items, recovered by from_axiom, plus what
     the Closure query named `derived` returns about the ground, which
-    the item type's from_closure turns into items.  For
-    `closure_only` tags that query alone is the answer.
+    the item type's from_closure turns into items.  For `closure_only`
+    tags that query alone is the answer, and the read does not touch
+    the store: SUB_CLASSES and SUPER_CLASSES list the direct taxonomy
+    neighbours, and the TYPES, LINKS and INSTANCES answers already hold
+    every asserted item of the slot (phase two inserts every asserted
+    PropertyAssertion, even on an irreflexive property, and round 0 of
+    phase three every asserted ClassAssertion).  SUPER_PROPERTIES and
+    SAME_AS keep the asserted union: the property reach and the identity
+    groups leave out SubPropertyOf(p p) and SameIndividual(a a).  Tags
+    with no `derived` query read the asserted items alone.
 
     `ground_kinds` are the kinds of the role at `ground_at` in the axiom
     tag's model.SHAPES row.  No two rows share (axiom_tag, ground_at).
@@ -297,9 +310,11 @@ TAG_SPECS = {
     ),
     DescriptorTag.EQUIVALENT_CLASSES: TagSpec(_C, AxiomTag.EQUIVALENT_CLASSES, Ref),
     DescriptorTag.DISJOINT_CLASSES: TagSpec(_C, AxiomTag.DISJOINT_CLASSES, Ref),
-    DescriptorTag.INSTANCES: TagSpec(_C, AxiomTag.CLASS_ASSERTION, Ref, ground_at=1, derived="instances_of"),
-    DescriptorTag.TYPES: TagSpec(_I, AxiomTag.CLASS_ASSERTION, Ref, derived="types_of"),
-    DescriptorTag.LINKS: TagSpec(_I, AxiomTag.PROPERTY_ASSERTION, Link, derived="links_of"),
+    DescriptorTag.INSTANCES: TagSpec(
+        _C, AxiomTag.CLASS_ASSERTION, Ref, ground_at=1, derived="instances_of", closure_only=True
+    ),
+    DescriptorTag.TYPES: TagSpec(_I, AxiomTag.CLASS_ASSERTION, Ref, derived="types_of", closure_only=True),
+    DescriptorTag.LINKS: TagSpec(_I, AxiomTag.PROPERTY_ASSERTION, Link, derived="links_of", closure_only=True),
     DescriptorTag.SAME_AS: TagSpec(_I, AxiomTag.SAME_INDIVIDUAL, Ref, derived="same_individuals"),
     DescriptorTag.DIFFERENT_FROM: TagSpec(_I, AxiomTag.DIFFERENT_INDIVIDUALS, Ref),
 }
@@ -387,9 +402,7 @@ def _read_axiom(tag: DescriptorTag, ground: Entity, item: Item) -> Axiom:
 def to_axioms(tag: DescriptorTag, ground: Entity, items: list) -> list[Axiom]:
     """Render the whole item list; DEFINITION consumes it as one axiom."""
     if tag is DescriptorTag.DEFINITION:
-        if not items:
-            return []
-        return [model.class_definition(ground, restrictions_to_expression(items))]
+        return [model.class_definition(ground, restrictions_to_expression(items))] if items else []
     return [to_axiom(tag, ground, item) for item in items]
 
 
@@ -479,20 +492,19 @@ class DescriptorState:
 
     # -- the three operations
 
-    def _asserted(self) -> set[Axiom]:
+    def _asserted(self):
+        """The live ground-index bucket of (tag, ground): compared and read, never changed."""
         spec = TAG_SPECS[self.tag]
-        return self.ontology.axioms_about(spec.axiom_tag, self.ground, at=spec.ground_at)
+        return self.ontology._asserted_index.lookup(spec.axiom_tag, self.ground, spec.ground_at)
 
     def _entailed_items(self, closure) -> list[Item]:
-        """The asserted items plus the derived ones, sorted (see TagSpec)."""
+        """The derived items plus, unless the tag is closure_only, the asserted ones, sorted (see TagSpec)."""
         spec = TAG_SPECS[self.tag]
-        asserted = set() if spec.closure_only else self._asserted()
+        asserted = () if spec.closure_only else self._asserted()
         if self.tag is DescriptorTag.DEFINITION:
             if len(asserted) > 1:
-                raise MappingError(
-                    f"{self.ground.iri} has {len(asserted)} definitions; a descriptor holds one"
-                )
-            return from_definition(self.ground, asserted.pop()) if asserted else []
+                raise MappingError(f"{self.ground.iri} has {len(asserted)} definitions; a descriptor holds one")
+            return from_definition(self.ground, next(iter(asserted))) if asserted else []
         items = {from_axiom(self.tag, self.ground, a) for a in asserted}
         if spec.derived is not None:
             items.update(spec.item_type.from_closure(getattr(closure, spec.derived)(self.ground)))
@@ -548,7 +560,9 @@ class DescriptorState:
         An item that is one the last read found, not merely equal to one,
         takes that read's axiom (set_ground forgets the read); any other,
         one appended straight to Y too, goes through the checked to_axiom.
-        Y is rendered, diffed and its new entities checked against the
+        Y is rendered and compared with the slot's live ground-index
+        bucket, so a Y that equals it returns [] and copies nothing;
+        otherwise it is diffed and its new entities checked against the
         vocabulary before any is declared, so a raising write declares nothing.
         """
         read = {id(i): add.axiom for i, add in zip(*self._read)} if self._read else {}  # hashes no item
@@ -557,16 +571,17 @@ class DescriptorState:
             else {read.get(id(i)) or to_axiom(self.tag, self.ground, i) for i in self.items}
         )
         current = self._asserted()
-        added, removed = target - current, current - target
-        if len(added) > 1:  # intents in repr order; one axiom needs no sort, so no repr
-            added = sorted(added, key=repr)
+        if target == current:
+            return []
+        added, removed = target - current, current - target  # new sets: the store may change below
+        added = sorted(added, key=repr) if len(added) > 1 else added  # intents in repr order; one needs no repr
         entities = [entity for axiom in added for entity in model.axiom_entities(axiom)]
         clashes = [entity for entity in entities if self.ontology.maybe_lookup(entity.iri) not in (None, entity)]
         for entity in clashes + entities:  # a clash raises KindClash before anything is declared
             self.ontology.ensure(entity)
         intents = []
-        for axiom in added:
-            self.ontology.assert_axiom(axiom)
+        for axiom in added:  # canonical, with its entities just declared: assert_axiom's checks hold
+            self.ontology._insert(axiom)
             intents.append(Intent("write", "add", axiom, "ontology"))
         for axiom in sorted(removed, key=repr) if len(removed) > 1 else removed:
             self.ontology.retract_axiom(axiom)

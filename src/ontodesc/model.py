@@ -112,6 +112,11 @@ def _intern(kind: Kind, iri: str) -> Entity:
     if entity is None:
         if iri.split() != [iri]:  # str.split() splits where str.isspace() holds
             raise OntologyError(f"IRI may not contain whitespace: {iri!r}")
+        if not iri.isascii():  # a lone surrogate, as argv decodes a byte that is not UTF-8, has no encoding
+            try:
+                iri.encode()
+            except UnicodeEncodeError:
+                raise OntologyError(f"IRI is not UTF-8 text: {iri!r}") from None
         entity = object.__new__(Entity)
         object.__setattr__(entity, "kind", kind)
         object.__setattr__(entity, "iri", iri)
@@ -560,13 +565,17 @@ def mentions_at_ground(axiom: Axiom, ground: Entity, at: int = 0) -> bool:
     return ground in _grounds(axiom, _ground_position(axiom.tag, at))
 
 
+_NO_AXIOMS = frozenset()
+
+
 class _GroundIndex:
     """The asserted axioms by (tag, ground position, entity).
 
     A slot per (tag, position) maps each entity to the axioms holding it
     there; unordered pair tags have one slot, holding each axiom under
     both arguments.  A slot is built by one pass over the axioms on its
-    first lookup, and add/remove keep the built slots current.
+    first lookup, and add/remove keep the built slots current.  lookup
+    hands out the live bucket, which its callers read and never change.
     """
 
     def __init__(self, axioms):
@@ -585,7 +594,7 @@ class _GroundIndex:
                     for g in _grounds(axiom, at):
                         slot.setdefault(g, set()).add(axiom)
             self._slots.setdefault(tag, {})[at] = slot
-        return slot.get(ground, ())
+        return slot.get(ground, _NO_AXIOMS)
 
     def _built_slots(self, axiom: Axiom):
         # no slot is built on the bulk load path; skip even the tag lookup
@@ -614,9 +623,12 @@ class Ontology:
     """Vocabulary plus asserted axioms, and the reasoner's last Closure.
 
     The asserted set is only changed through assert_axiom / retract_axiom,
-    and by the parser's batch.  assert_axiom checks an axiom against this
-    store's vocabulary and orders an unordered pair, then _insert updates
-    the set, the ground index and the journal.  The parser fills a fresh
+    by the parser's batch, and by descriptor writes.  assert_axiom checks
+    an axiom against this store's vocabulary and orders an unordered pair,
+    then _insert updates the set, the ground index and the journal.  A
+    descriptor write calls _insert itself: each axiom it adds is already
+    canonical, built by a factory or from a read, and the write has just
+    checked and declared its entities.  The parser fills a fresh
     store in two batch calls: _declare_all declares the names it has
     checked, interning them under one hold of the intern lock, and
     _insert_all adds its factory-built axioms, which hold only entities
@@ -651,8 +663,9 @@ class Ontology:
     pair tags.  Each (tag, position) slot is built on the first query
     that needs it (a resumed reason() reads the ClassAssertion one; a
     from-scratch run reads none), and assert_axiom / retract_axiom keep
-    built slots current.  Entailed facts about one entity are Closure
-    queries.
+    built slots current.  Descriptors and the flows read a slot's live
+    bucket in place, through the index's lookup, where they only compare
+    it.  Entailed facts about one entity are Closure queries.
     """
 
     def __init__(self):
@@ -790,9 +803,10 @@ class Ontology:
         return taken
 
     def current_closure(self):
-        if self.stale:
+        closure = self._closure
+        if not self._is_current(closure):
             raise StaleClosure("reason() must run before entailed reads")
-        return self._closure
+        return closure
 
     def _entailed_view(self, view: str) -> bool:
         """True for the entailed view, False for the asserted one.

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .compound import CompoundDescriptor
-from .descriptor import DescriptorState, DescriptorTag, Link, Ref
-from .model import NOTHING, Entity, Kind, Ontology, OntologyError, disjoint_classes, sub_class
+from .descriptor import TAG_SPECS, DescriptorState, DescriptorTag, Link, Ref
+from .model import NOTHING, Entity, Kind, Ontology, OntologyError
 from .reasoner import Closure, reason
 
 
@@ -194,20 +194,24 @@ def setup_door_state_classes(onto: Ontology) -> None:
     OPEN, and CLOSE as the disjoint of OPEN.  Each write makes the
     asserted axioms of its (tag, ground) exactly its items, so when all
     three already match, as after an earlier call, the writes are
-    skipped.  Reasons only when the writes (or earlier edits) changed
-    the world: on a world set up before, the closure stands.
+    skipped.  That check reads each (tag, ground)'s live ground-index
+    bucket in place: it matches when it holds one axiom, and that axiom
+    names the written class.  Reasons only when the writes (or earlier
+    edits) changed the world: on a world set up before, the closure
+    stands.
     """
     door = onto.lookup(DOOR_CLASS)
     close = onto.declare(Kind.CLASS, CLOSE_CLASS)
     opened = onto.declare(Kind.CLASS, OPEN_CLASS)
 
     written = (
-        (DescriptorTag.SUPER_CLASSES, close, door, sub_class(close, door)),
-        (DescriptorTag.SUPER_CLASSES, opened, door, sub_class(opened, door)),
-        (DescriptorTag.DISJOINT_CLASSES, opened, close, disjoint_classes(opened, close)),
+        (DescriptorTag.SUPER_CLASSES, close, door),
+        (DescriptorTag.SUPER_CLASSES, opened, door),
+        (DescriptorTag.DISJOINT_CLASSES, opened, close),
     )
-    if any(onto.axioms_about(axiom.tag, ground) != {axiom} for _, ground, _, axiom in written):
-        for tag, ground, cls, _ in written:
+    slots = (onto._asserted_index.lookup(TAG_SPECS[tag].axiom_tag, ground, 0) for tag, ground, _ in written)
+    if any(len(held) != 1 or cls not in next(iter(held)).args for held, (_, _, cls) in zip(slots, written)):
+        for tag, ground, cls in written:
             DescriptorState(tag, ground, onto, [Ref(cls)]).write()
     _fresh_closure(onto)
 
@@ -303,10 +307,7 @@ def patrol(onto: Ontology, config: PatrolConfig = PatrolConfig()) -> list[Patrol
         moving.write()
 
         closure = reason(onto)
-        states = tuple(
-            (door.ground.iri, "open" if is_open else "closed")
-            for door, is_open in zip(doors, drawn)
-        )
+        states = tuple((door.ground.iri, "open" if is_open else "closed") for door, is_open in zip(doors, drawn))
         trace.append(
             PatrolStep(
                 index=index,

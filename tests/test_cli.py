@@ -230,6 +230,18 @@ class TestExample1:
         assert list(seed_file.parent.iterdir()) == [seed_file]
         assert run(capsys, "reason", "--ontology", str(seed_file))[0] == EXIT_OK
 
+    def test_a_name_that_is_not_utf8_is_refused_and_not_saved(self, capsys, seed_file):
+        # the name as Python decodes the argv bytes b"Loc\xff": a lone surrogate
+        name = os.fsdecode(b"Loc\xff")
+        assert name == "Loc\udcff"
+        before = seed_file.read_bytes()
+        code, out, err = run(capsys, "example1", "--ontology", str(seed_file), name, "Corridor1", "Door3")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == "error: IRI is not UTF-8 text: 'Loc\\udcff'\n"
+        assert seed_file.read_bytes() == before
+        assert list(seed_file.parent.iterdir()) == [seed_file]
+
     def test_a_file_that_is_not_utf8_is_left_as_it_was(self, capsys, seed_file):
         seed_file.write_bytes(seed_file.read_bytes() + b"Class(\xe9t\xe9)\n")  # Latin-1, not UTF-8
         before = seed_file.read_bytes()

@@ -98,6 +98,17 @@ class TestEntity:
             with pytest.raises(OntologyError):
                 Entity(Kind.CLASS, f"a{c}b")
 
+    @pytest.mark.parametrize("iri", ["Loc\udcff", "\ud800", "a\udfffb"], ids=["argv-byte", "alone", "inside"])
+    def test_rejects_an_iri_that_does_not_encode_as_utf8(self, iri):
+        # Python decodes an argv byte that is not UTF-8 to a lone surrogate
+        onto = Ontology()
+        with pytest.raises(OntologyError, match="not UTF-8 text"):
+            onto.declare(Kind.INDIVIDUAL, iri)
+        assert onto.maybe_lookup(iri) is None
+
+    def test_accepts_a_non_ascii_iri_that_encodes_as_utf8(self):
+        assert Entity(Kind.CLASS, "Salle\u00e9\U0001f6aa").iri == "Salle\u00e9\U0001f6aa"
+
     def test_literal_kind_is_not_an_entity(self):
         with pytest.raises(KindMismatch):
             Entity(Kind.LITERAL, "five")

@@ -13,7 +13,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from generators import random_axiom, random_ontology
+from generators import chained_ontology, random_axiom, random_ontology
 from oracles import (
     axioms_about_scan,
     direct_scan,
@@ -28,11 +28,11 @@ from oracles import (
 )
 from test_incremental import edit
 from ontodesc import model, scenarios
-from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag, MappingError
+from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag, MappingError, from_axiom
 from ontodesc.model import AxiomTag, Kind, Ontology, OntologyError, StaleClosure
 from ontodesc.reasoner import reason
 from ontodesc.scenarios import PatrolConfig
-from ontodesc.syntax import load_seed
+from ontodesc.syntax import load_seed, parse
 
 ARITY = {tag: len(shape.roles) for tag, shape in model.SHAPES.items()}
 
@@ -258,6 +258,67 @@ def test_carried_reads_match_the_round_trip(seed, monotone):
             assert got == _outcome(lambda: read_reference(onto, entailed, tag, ground, [])), (step, tag, ground)
         for _ in range(rng.randint(1, 4)):
             edit(rng, onto, monotone, step)
+
+
+# the closure_only tags whose Closure answer must hold every asserted item
+# of the slot; SUB_CLASSES and SUPER_CLASSES list the direct neighbours
+ANSWERS_HOLD_THE_ASSERTED = (DescriptorTag.TYPES, DescriptorTag.LINKS, DescriptorTag.INSTANCES)
+
+
+def _check_answers_hold_the_asserted(onto: Ontology, closure) -> None:
+    """Each asserted axiom of a TYPES, LINKS or INSTANCES slot maps to an
+    item of the Closure's answer for that slot, so a read of those tags
+    need not read the store, and reads still equal the round trip."""
+    entailed = onto.axioms("entailed")
+    for tag in ANSWERS_HOLD_THE_ASSERTED:
+        spec = TAG_SPECS[tag]
+        for ground in (e for e in onto.vocabulary() if e.kind in spec.ground_kinds):
+            answer = set(spec.item_type.from_closure(getattr(closure, spec.derived)(ground)))
+            for axiom in onto.axioms_about(spec.axiom_tag, ground, at=spec.ground_at):
+                assert from_axiom(tag, ground, axiom) in answer, (tag, ground, axiom)
+            got = _outcome(lambda: _read(DescriptorState(tag, ground, onto)))
+            assert got == _outcome(lambda: read_reference(onto, entailed, tag, ground, [])), (tag, ground)
+
+
+def test_closure_only_marks_the_taxonomy_and_the_answers_that_hold_the_asserted():
+    closure_only = {tag for tag, spec in TAG_SPECS.items() if spec.closure_only}
+    assert closure_only == {DescriptorTag.SUB_CLASSES, DescriptorTag.SUPER_CLASSES, *ANSWERS_HOLD_THE_ASSERTED}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9), chained=st.booleans(), monotone=st.booleans())
+def test_closure_answers_hold_every_asserted_item(seed, chained, monotone):
+    """On generated worlds, after a first run and after each resumed run
+    of an edit sequence."""
+    rng = random.Random(seed)
+    onto = (chained_ontology if chained else random_ontology)(rng, monotone=monotone)
+    for step in range(rng.randint(2, 5)):
+        _check_answers_hold_the_asserted(onto, reason(onto))
+        for _ in range(rng.randint(1, 4)):
+            edit(rng, onto, monotone, step)
+
+
+def test_closure_answers_hold_asserted_self_links_on_an_irreflexive_property():
+    """No rule derives a self-link on an irreflexive property, but an
+    asserted one stays in the links map: inserted by a first run and by a
+    resumed one, and put back after a retract deletes a derivation of it."""
+    onto = parse(
+        "ObjectProperty(p) IrreflexiveProperty(p) TransitiveProperty(p) Class(A)"
+        " Individual(x) Individual(y) Individual(z)"
+        " PropertyAssertion(p x x) PropertyAssertion(p x y) PropertyAssertion(p y x)"
+        " ClassAssertion(A z)"
+    )
+    x, y, z, p = (onto.lookup(name) for name in ("x", "y", "z", "p"))
+    _check_answers_hold_the_asserted(onto, reason(onto))
+    onto.assert_axiom(model.property_assertion(z, p, z))
+    closure = reason(onto)
+    assert closure.changes() is not None  # resumed
+    _check_answers_hold_the_asserted(onto, closure)
+    onto.retract_axiom(model.property_assertion(y, p, x))  # deletes x p x, which x p y p x joins to
+    closure = reason(onto)
+    assert closure.changes() is not None
+    _check_answers_hold_the_asserted(onto, closure)
+    assert (p, x) in closure.links_of(x) and (p, z) in closure.links_of(z)
 
 
 def test_two_definitions_raise_on_every_read():

@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from ontodesc import model, scenarios
 from ontodesc.compound import full_individual
-from ontodesc.descriptor import DescriptorState, DescriptorTag
-from ontodesc.model import Kind
+from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag, from_axiom
+from ontodesc.model import Kind, Ontology
 from ontodesc.reasoner import reason
 from ontodesc.syntax import load_seed
 from ontodesc.scenarios import (
@@ -145,6 +147,50 @@ class TestDoorSetup:
         setup_door_state_classes(onto)
         assert writes == []
         assert not onto.stale and onto.current_closure() is closure
+
+    def test_a_set_up_world_is_compared_in_place(self, monkeypatch):
+        """On a world set up and patrolled before, a write whose items are
+        the asserted slot's, and setup itself, read the live ground-index
+        buckets: no axioms_about copy, no setup write, no journal entry."""
+        onto = load_seed()
+        patrol(onto, PatrolConfig(steps=2, seed=7))
+        door, close = onto.lookup("DOOR"), onto.lookup("CLOSE")
+        slots = [
+            (DescriptorTag.SUPER_CLASSES, close),
+            (DescriptorTag.DISJOINT_CLASSES, close),
+            (DescriptorTag.TYPES, onto.lookup("Door1")),
+            (DescriptorTag.LINKS, onto.lookup("Robot1")),
+            (DescriptorTag.INSTANCES, door),
+            (DescriptorTag.SUB_CLASSES, door),
+            (DescriptorTag.DIFFERENT_FROM, onto.lookup("Robot1")),
+        ]
+
+        def asserted_items(tag, ground):
+            spec = TAG_SPECS[tag]
+            return [from_axiom(tag, ground, a) for a in onto.axioms_about(spec.axiom_tag, ground, at=spec.ground_at)]
+
+        asserted = [asserted_items(tag, ground) for tag, ground in slots]
+        assert [bool(items) for items in asserted] == [True] * 6 + [False]  # an empty slot too
+        closure = onto.current_closure()
+        calls = Counter()
+        axioms_about, write = Ontology.axioms_about, DescriptorState.write
+
+        def counted_axioms_about(*args, **kwargs):
+            calls["axioms_about"] += 1
+            return axioms_about(*args, **kwargs)
+
+        def counted_write(descriptor):
+            calls["write"] += 1
+            return write(descriptor)
+
+        monkeypatch.setattr(Ontology, "axioms_about", counted_axioms_about)
+        monkeypatch.setattr(DescriptorState, "write", counted_write)
+        setup_door_state_classes(onto)
+        assert calls == Counter()
+        for (tag, ground), items in zip(slots, asserted):
+            assert DescriptorState(tag, ground, onto, items).write() == [], (tag, ground)
+        assert calls == Counter(write=len(slots))
+        assert onto._journal == {} and onto.current_closure() is closure
 
     def test_other_axioms_about_the_state_classes_are_still_retracted(self):
         # each write makes its (tag, ground) exactly its items, so an extra
