@@ -20,15 +20,17 @@ layers; the three flow commands import the scenarios module, and with
 it the descriptor layer, when they run.
 
 Exit codes: 0 ok, 1 parse error or i/o error (an ontology file that
-cannot be read or is not UTF-8 text, or a failed example1 save, which
-leaves the file as it was and prints nothing to stdout; a new name the
-parser would not read back as itself, such as New#1, fails the save,
-and the store refuses a new name that is not UTF-8, such as one whose
-argv bytes end in 0xff), 2 unknown entity, a name of the wrong kind
-(such as example1 ROOM Corridor1 Door3, whose new location names a
-class) or a usage error (such as patrol --steps 0 or --seed -1), 3
-inconsistent world, 4 missing filler (no position or no door).  Every
-exit but 0 leaves an --ontology file as it was.
+cannot be read, such as a missing file, a directory or a file that is
+not UTF-8 text, which prints "cannot read ontology: ...", or a failed
+example1 save, which leaves the file as it was and prints nothing to
+stdout: a failed write prints "i/o error: ...", a new name the parser
+would not read back as itself, such as New#1, fails the save, and the
+store refuses a new name that is not UTF-8, such as one whose argv
+bytes end in 0xff), 2 unknown entity, a name of the wrong kind (such
+as example1 ROOM Corridor1 Door3, whose new location names a class) or
+a usage error (such as patrol --steps 0 or --seed -1), 3 inconsistent
+world, 4 missing filler (no position or no door).  Every exit but 0
+leaves an --ontology file as it was.
 
 main() runs the command with the cyclic garbage collector paused, and
 turns it back on when the command ends, however it ends, if it was on
@@ -145,7 +147,11 @@ def _cmd_example1(scenarios, args) -> int:
         onto, args.new_location, args.connected_location, args.door
     )
     if args.ontology is not None:  # print nothing unless the new location is saved
-        _replace_file(Path(args.ontology), serialize(onto))
+        try:
+            _replace_file(Path(args.ontology), serialize(onto))
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     for iri in types:
         print(iri)
     return EXIT_OK
@@ -269,11 +275,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # reading --ontology: example1's save reports its own
         print(f"cannot read ontology: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except UnicodeDecodeError as exc:
         text = f"{args.ontology} is not UTF-8 text ({exc.reason} at byte {exc.start})"

@@ -17,11 +17,10 @@ descriptor build() falls back to it when no factory is wired in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .descriptor import PARTITION_TAGS, TAG_SPECS, DescriptorState, DescriptorTag, Intent, Partition
-from .model import Entity, Ontology, OntologyError
+from .model import Entity, Ontology, OntologyError, Record
 
 
 class PartitionClash(OntologyError):
@@ -32,13 +31,11 @@ class MissingTag(OntologyError):
     """The compound has no part for the requested tag."""
 
 
-@dataclass
-class PartFailure(OntologyError):
-    """A part's read or write raised; carries what had happened so far."""
+class PartFailure(Record, OntologyError):
+    """A part's read or write raised; carries what had happened so far:
+    PartFailure(tag, intents, cause)."""
 
-    tag: DescriptorTag
-    intents: list
-    cause: Exception
+    __slots__ = ("tag", "intents", "cause")
 
     def __str__(self):
         return f"{self.tag.value} failed after {len(self.intents)} intents: {self.cause}"

@@ -68,7 +68,6 @@ Closure query, and the rest list them alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import starmap
 from typing import Callable, Union
@@ -84,7 +83,9 @@ from .model import (
     Ontology,
     OntologyError,
     Or,
+    Record,
     Term,
+    Value,
 )
 
 
@@ -116,9 +117,10 @@ class UndefinedBuild(OntologyError):
 # items
 
 
-@dataclass(frozen=True)
-class Void:
+class Void(Value):
     """Marker item for unary property characteristics."""
+
+    __slots__ = ()
 
     def axiom_args(self) -> list:
         return []
@@ -130,9 +132,20 @@ class Void:
         raise UndefinedBuild("build is undefined for property characteristics")
 
 
-@dataclass(frozen=True, slots=True)
-class Ref:
-    entity: Entity
+class Ref(Value):
+    # Ref, Link and Intent are built and compared on every read: see model.Axiom
+    __slots__ = ("entity",)
+
+    def __init__(self, entity: Entity):
+        _set_entity(self, entity)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.entity,) == (other.entity,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entity,))
 
     def axiom_args(self) -> list:
         return [self.entity]
@@ -149,6 +162,9 @@ class Ref:
         return map(cls, found)
 
 
+_set_entity = Ref.entity.__set__
+
+
 class Connective(Enum):
     INTERSECT = "intersect"
     UNION = "union"
@@ -157,20 +173,19 @@ class Connective(Enum):
     __hash__ = object.__hash__  # hashed in every Restriction; see model.Kind
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(Value):
     """One atom of a definition body and the connective to the next atom."""
 
-    connective: Connective
-    atom: ClassExpression  # an instance of one of model.ATOMS
+    __slots__ = ("connective", "atom")
 
-    def __post_init__(self):
-        """The connective is a member and the atom is a model atom, whose
-        own constructor checked its arguments."""
-        if not isinstance(self.connective, Connective):
-            raise MappingError(f"not a connective: {self.connective!r}")
-        if not isinstance(self.atom, model.ATOMS):
-            raise UnsupportedRestriction(f"not an atomic restriction: {self.atom!r}")
+    def __init__(self, connective: Connective, atom: ClassExpression):
+        """The connective is a member and the atom is an instance of one
+        of model.ATOMS, whose own constructor checked its arguments."""
+        if not isinstance(connective, Connective):
+            raise MappingError(f"not a connective: {connective!r}")
+        if not isinstance(atom, model.ATOMS):
+            raise UnsupportedRestriction(f"not an atomic restriction: {atom!r}")
+        self._init(connective, atom)
 
     def axiom_args(self) -> list:
         return [self.atom]
@@ -181,10 +196,20 @@ class Restriction:
         return self.atom.cls
 
 
-@dataclass(frozen=True, slots=True)
-class Link:
-    prop: Entity
-    filler: Term
+class Link(Value):
+    __slots__ = ("prop", "filler")
+
+    def __init__(self, prop: Entity, filler: Term):
+        _set_prop(self, prop)
+        _set_filler(self, filler)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.prop, self.filler) == (other.prop, other.filler)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.prop, self.filler))
 
     def axiom_args(self) -> list:
         return [self.prop, self.filler]
@@ -203,6 +228,8 @@ class Link:
         """The items of a Closure answer (see TagSpec): (property, filler) pairs."""
         return starmap(cls, found)
 
+
+_set_prop, _set_filler = Link.prop.__set__, Link.filler.__set__
 
 Item = Union[Void, Ref, Restriction, Link]
 
@@ -247,8 +274,7 @@ class DescriptorTag(Enum):
         return TAG_SPECS[self].partition
 
 
-@dataclass(frozen=True)
-class TagSpec:
+class TagSpec(Value):
     """What one descriptor tag maps to.
 
     The tag's items become `axiom_tag` axioms, built by that tag's
@@ -271,20 +297,19 @@ class TagSpec:
     with no `derived` query read the asserted items alone.
 
     `ground_kinds` are the kinds of the role at `ground_at` in the axiom
-    tag's model.SHAPES row.  No two rows share (axiom_tag, ground_at).
+    tag's model.SHAPES row, a field that is not an argument.  No two rows
+    share (axiom_tag, ground_at).
     """
 
-    partition: Partition
-    axiom_tag: AxiomTag
-    item_type: type
-    ground_at: int = 0
-    derived: str | None = None
-    closure_only: bool = False
-    ground_kinds: tuple = field(init=False)
+    __slots__ = ("partition", "axiom_tag", "item_type", "ground_at", "derived", "closure_only", "ground_kinds")
 
-    def __post_init__(self):
-        kinds = model.SHAPES[self.axiom_tag].roles[self.ground_at].kinds
-        object.__setattr__(self, "ground_kinds", kinds)
+    def __init__(self, partition: Partition, axiom_tag: AxiomTag, item_type: type, ground_at: int = 0,
+                 derived: str | None = None, closure_only: bool = False):
+        kinds = model.SHAPES[axiom_tag].roles[ground_at].kinds
+        self._init(partition, axiom_tag, item_type, ground_at, derived, closure_only, kinds)
+
+    def __reduce__(self):
+        return (TagSpec, self._values()[:-1])
 
 
 _P, _C, _I = Partition.PROPERTY, Partition.CLASS, Partition.INDIVIDUAL
@@ -437,31 +462,55 @@ def from_definition(ground: Entity, axiom: Axiom) -> list[Restriction]:
 # intents and descriptor state
 
 
-@dataclass(frozen=True, slots=True)
-class Intent:
-    direction: str  # "read" | "write"
-    change: str  # "add" | "remove"
-    axiom: Axiom
-    target: str  # "descriptor" | "ontology"
-    succeeded: bool = True
+class Intent(Value):
+    """Intent(direction, change, axiom, target, succeeded=True): direction
+    is "read" or "write", change "add" or "remove", target "descriptor"
+    or "ontology"."""
+
+    __slots__ = ("direction", "change", "axiom", "target", "succeeded")
+
+    def __init__(self, direction: str, change: str, axiom: Axiom, target: str, succeeded: bool = True):
+        _set_direction(self, direction)
+        _set_change(self, change)
+        _set_axiom(self, axiom)
+        _set_target(self, target)
+        _set_succeeded(self, succeeded)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.direction, self.change, self.axiom, self.target, self.succeeded) == (
+                other.direction, other.change, other.axiom, other.target, other.succeeded
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.direction, self.change, self.axiom, self.target, self.succeeded))
 
 
-@dataclass
-class DescriptorState:
-    tag: DescriptorTag
-    ground: Entity
-    ontology: Ontology
-    items: list = ()
-    _read: tuple | None = field(default=None, init=False, repr=False, compare=False)
+_set_direction, _set_change, _set_axiom, _set_target, _set_succeeded = (
+    getattr(Intent, name).__set__ for name in Intent.__slots__
+)
 
-    def __post_init__(self):
+
+class DescriptorState(Record):
+    """DescriptorState(tag, ground, ontology, items=()): the descriptor's
+    item list Y for (tag, ground) in one store.  It keeps the memo pair
+    of its last read, which equality and repr leave out, and an instance
+    dict, so a caller may set an attribute of its own on a state."""
+
+    __slots__ = ("tag", "ground", "ontology", "items", "_read", "__dict__")
+
+    def __init__(self, tag: DescriptorTag, ground: Entity, ontology: Ontology, items: list = ()):
         """Check the ground, then check and copy the items passed in, if any."""
-        self._check_ground(self.ground)
-        items, self.items = self.items, []
+        self.tag, self.ground, self.ontology, self.items, self._read = tag, ground, ontology, [], None
+        self._check_ground(ground)
         if items:
             for item in items:
-                _check_item(self.tag, item)
-            self.items = list(items if self.tag is DescriptorTag.DEFINITION else dict.fromkeys(items))
+                _check_item(tag, item)
+            self.items = list(items if tag is DescriptorTag.DEFINITION else dict.fromkeys(items))
+
+    def _values(self) -> tuple:
+        return self.tag, self.ground, self.ontology, self.items
 
     def _check_ground(self, entity: Entity) -> None:
         kinds = TAG_SPECS[self.tag].ground_kinds

@@ -27,9 +27,8 @@ from __future__ import annotations
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +161,75 @@ class Entity:
         return f"{self.kind.value}:{self.iri}"
 
 
-class Literal:
+class Record:
+    """A record whose fields are the names in its `__slots__`, in order.
+
+    Record(*values, **named) sets each field from a positional argument
+    or, after those, from the keyword of its name; a record that checks
+    its arguments or has a default writes its own __init__, which sets
+    the fields through _init.  A record equals one of its own class with
+    equal fields, returns NotImplemented for any other type, shows as
+    Name(field=value, ...) and is mutable and unhashable; see Value.
+    _values() gives the fields compared and shown: a record that keeps
+    a field of its own past them returns a prefix of its slots.
+
+    The package's records are written out this way rather than made by
+    a class decorator, which builds each class's methods from source
+    text at import: every command is a new process that would pay it.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named:  # the keywords name the fields after the positional ones
+            values += tuple([named.pop(name) for name in names[len(values) :] if name in named])
+        if named or len(values) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(names)}")
+        self._init(*values)
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+
+class Value(Record):
+    """An immutable Record: hashed as the tuple of its fields, refusing
+    assignment and deletion, and copied and pickled by calling its class
+    with its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} values are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} values are immutable")
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+class Literal(Value):
     """A typed literal value: string, integer, boolean or double.
 
     Equality is by exact type and value, so Literal(1), Literal(True) and
-    Literal(1.0) are three distinct literals.
+    Literal(1.0) are three distinct literals.  Literals are immutable, so
+    one in a set or a store keeps its hash.
     """
 
     __slots__ = ("value",)
@@ -177,7 +240,7 @@ class Literal:
             raise KindMismatch(f"unsupported literal value: {value!r}")
         if isinstance(value, float) and (value != value or value in (float("inf"), float("-inf"))):
             raise OntologyError("non-finite doubles are not supported")
-        self.value = value
+        self._init(value)
 
     @property
     def kind(self) -> Kind:
@@ -214,9 +277,9 @@ BUILTINS = (THING, NOTHING, DT_STRING, DT_INTEGER, DT_BOOLEAN, DT_DOUBLE)
 _OP, _DP = Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY
 
 
-@dataclass(frozen=True, slots=True)
-class Role:
-    """What one argument of an axiom or class expression may be.
+class Role(Value):
+    """What one argument of an axiom or class expression may be: Role(noun,
+    kinds, fits).
 
     `kinds` are the kinds it may have; a datatype is a class-kind entity,
     so they alone do not tell a class from a datatype.  `fits(arg, before)`
@@ -224,9 +287,7 @@ class Role:
     the roles that depend on an earlier argument read.
     """
 
-    noun: str
-    kinds: tuple
-    fits: Callable  # (argument, argument before it) -> bool
+    __slots__ = ("noun", "kinds", "fits")
 
     def check(self, arg, before, label: str) -> None:
         if not self.fits(arg, before):
@@ -262,70 +323,64 @@ FILLER = Role(
 # class expressions
 
 
-@dataclass(frozen=True)
-class Named:
-    cls: Entity
+class Named(Value):
+    __slots__ = ("cls",)
 
-    def __post_init__(self):
-        CLASS.check(self.cls, None, "named expression")
-
-
-@dataclass(frozen=True)
-class And:
-    members: tuple
-
-    def __post_init__(self):
-        _check_members(self.members, And)
+    def __init__(self, cls: Entity):
+        CLASS.check(cls, None, "named expression")
+        self._init(cls)
 
 
-@dataclass(frozen=True)
-class Or:
-    members: tuple
+class And(Value):
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        _check_members(self.members, Or)
-
-
-@dataclass(frozen=True)
-class Some:
-    prop: Entity
-    filler: Entity
-
-    def __post_init__(self):
-        _check_quantifier(self.prop, self.filler)
+    def __init__(self, members: tuple):
+        _check_members(members, And)
+        self._init(members)
 
 
-@dataclass(frozen=True)
-class Only:
-    prop: Entity
-    filler: Entity
+class Or(Value):
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        _check_quantifier(self.prop, self.filler)
+    def __init__(self, members: tuple):
+        _check_members(members, Or)
+        self._init(members)
 
 
-@dataclass(frozen=True)
-class Min:
-    count: int
-    prop: Entity
-    filler: Entity
+class Some(Value):
+    __slots__ = ("prop", "filler")
 
-    def __post_init__(self):
-        _check_quantifier(self.prop, self.filler)
-        if not isinstance(self.count, int) or self.count < 1:
+    def __init__(self, prop: Entity, filler: Entity):
+        _check_quantifier(prop, filler)
+        self._init(prop, filler)
+
+
+class Only(Value):
+    __slots__ = ("prop", "filler")
+
+    def __init__(self, prop: Entity, filler: Entity):
+        _check_quantifier(prop, filler)
+        self._init(prop, filler)
+
+
+class Min(Value):
+    __slots__ = ("count", "prop", "filler")
+
+    def __init__(self, count: int, prop: Entity, filler: Entity):
+        _check_quantifier(prop, filler)
+        if not isinstance(count, int) or count < 1:
             raise OntologyError("Min cardinality must be an integer >= 1")
+        self._init(count, prop, filler)
 
 
-@dataclass(frozen=True)
-class Max:
-    count: int
-    prop: Entity
-    filler: Entity
+class Max(Value):
+    __slots__ = ("count", "prop", "filler")
 
-    def __post_init__(self):
-        _check_quantifier(self.prop, self.filler)
-        if not isinstance(self.count, int) or self.count < 0:
+    def __init__(self, count: int, prop: Entity, filler: Entity):
+        _check_quantifier(prop, filler)
+        if not isinstance(count, int) or count < 0:
             raise OntologyError("Max cardinality must be an integer >= 0")
+        self._init(count, prop, filler)
 
 
 EXPRESSION_CLASSES = (Named, And, Or, Some, Only, Min, Max)
@@ -446,14 +501,30 @@ SHAPES = {
 ORDERLESS_TAGS = frozenset(tag for tag, shape in SHAPES.items() if shape.pair)
 
 
-@dataclass(frozen=True, slots=True)
-class Axiom:
-    tag: AxiomTag
-    args: tuple
+class Axiom(Value):
+    # Built for every parsed, derived and written axiom and hashed on
+    # every store probe: __init__ sets the slots through their member
+    # descriptors, and __eq__ and __hash__ skip Value's loop over them.
+    __slots__ = ("tag", "args")
+
+    def __init__(self, tag: AxiomTag, args: tuple):
+        _set_tag(self, tag)
+        _set_args(self, args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tag, self.args) == (other.tag, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.tag, self.args))
 
     def __repr__(self):
         inner = " ".join(repr(a) for a in self.args)
         return f"{self.tag.value}({inner})"
+
+
+_set_tag, _set_args = Axiom.tag.__set__, Axiom.args.__set__
 
 
 def _factory(tag: AxiomTag):

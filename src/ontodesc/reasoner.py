@@ -165,7 +165,6 @@ refuses every read but `consistent` and `violations`, which it stores.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -182,8 +181,10 @@ from .model import (
     Named,
     Only,
     Ontology,
+    Record,
     Some,
     StaleClosure,
+    Value,
     canonical,
     class_assertion,
     conjunctions,
@@ -196,25 +197,23 @@ _EMPTY: dict = {}  # stands in for a missing map entry; never written
 _NONE: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    axioms: frozenset
+class Violation(Value):
+    """Violation(rule, axioms): the rule's name and the frozenset of the
+    axioms that break it."""
+
+    __slots__ = ("rule", "axioms")
 
 
-@dataclass(frozen=True)
-class Changes:
-    """What a resumed run changed against the Closure it resumed from: the
-    (subject, property, filler) facts that entered or left the links,
-    individual -> (classes gained, classes lost) for each individual whose
-    memberships changed, and the axiom edits of the journal it took
-    (axiom -> asserted).  A declared individual shows as the classes it
-    gained, THING among them, and its self-links; a declaration is not
-    an edit."""
+class Changes(Value):
+    """What a resumed run changed against the Closure it resumed from,
+    Changes(links, memberships, edits): the set of (subject, property,
+    filler) facts that entered or left the links, individual -> (classes
+    gained, classes lost) for each individual whose memberships changed,
+    and the axiom edits of the journal it took (axiom -> asserted).  A
+    declared individual shows as the classes it gained, THING among
+    them, and its self-links; a declaration is not an edit."""
 
-    links: set
-    memberships: dict
-    edits: dict
+    __slots__ = ("links", "memberships", "edits")
 
     @property
     def relinked(self) -> set:
@@ -232,8 +231,7 @@ class Changes:
                 yield AxiomTag.CLASS_ASSERTION, (ind, cls)
 
 
-@dataclass
-class Closure:
+class Closure(Record):
     """Entailment interface over one saturation run.
 
     All query methods, `inferred` and `inferred_groups` included,
@@ -272,20 +270,44 @@ class Closure:
     gone and that no run superseded stays fresh, since nothing can edit
     that store any more, and reads the store's asserted set through its
     own reference to it.
+
+    Closure(_store, consistent=True, violations=(), _schema=None, ...)
+    takes each of its twelve fields by position or keyword; a map left
+    out starts empty.  Its cached indexes live in its instance dict, and
+    it shows only its first three fields.
     """
 
-    _store: weakref.ref | None  # None once a later run superseded this Closure
-    consistent: bool = True
-    violations: tuple = ()
-    _schema: _Schema | None = field(default=None, repr=False)
-    _links: dict = field(default_factory=dict, repr=False)
-    _back: dict = field(default_factory=dict, repr=False)
-    _types: dict = field(default_factory=dict, repr=False)  # individual -> class -> round
-    _entered: list = field(default_factory=list, repr=False)  # round -> individuals
-    _violations_by: dict = field(default_factory=dict, repr=False)
-    _reads: dict = field(default_factory=dict, repr=False)  # (axiom tag, at, ground) -> (items, add intents)
-    _asserted: set = field(default_factory=set, repr=False)  # the store's live asserted set
-    _changes: Changes | None = field(default=None, repr=False)
+    def __init__(
+        self,
+        _store: weakref.ref | None,  # None once a later run superseded this Closure
+        consistent: bool = True,
+        violations: tuple = (),
+        _schema: _Schema | None = None,
+        _links: dict | None = None,
+        _back: dict | None = None,
+        _types: dict | None = None,  # individual -> class -> round
+        _entered: list | None = None,  # round -> individuals
+        _violations_by: dict | None = None,
+        _reads: dict | None = None,  # (axiom tag, at, ground) -> (items, add intents)
+        _asserted: set | None = None,  # the store's live asserted set
+        _changes: Changes | None = None,
+    ):
+        self._store, self.consistent, self.violations, self._schema = _store, consistent, violations, _schema
+        self._links = {} if _links is None else _links
+        self._back = {} if _back is None else _back
+        self._types = {} if _types is None else _types
+        self._entered = [] if _entered is None else _entered
+        self._violations_by = {} if _violations_by is None else _violations_by
+        self._reads = {} if _reads is None else _reads
+        self._asserted = set() if _asserted is None else _asserted
+        self._changes = _changes
+
+    def _values(self) -> tuple:
+        return (self._store, self.consistent, self.violations, self._schema, self._links, self._back,
+                self._types, self._entered, self._violations_by, self._reads, self._asserted, self._changes)
+
+    def __repr__(self):
+        return f"Closure(_store={self._store!r}, consistent={self.consistent!r}, violations={self.violations!r})"
 
     @property
     def ontology(self) -> Ontology | None:
@@ -489,8 +511,7 @@ class Closure:
 # phase one: the schema
 
 
-@dataclass(frozen=True)
-class _Schema:
+class _Schema(Value):
     """Phase one's closures and the rule tables the later phases read.
 
     It holds what the TBox, RBox and identity axioms name, plus each
@@ -499,28 +520,23 @@ class _Schema:
 
     `same` is the one identity map: every member of a SameIndividual
     group maps to one shared frozenset of them all, and an individual
-    with no entry is alone.
+    with no entry is alone.  `chain_starts` maps a property to the
+    (head, second property) of each chain it starts, `chain_ends` to
+    the (head, first property) of each chain it ends.  `ruled` holds
+    the properties that prop_reach, inverses, symmetric or a chain table
+    keys.  `definitions` lists (class, its body's conjunctions: (named
+    classes, restrictions)); `filler_reads` maps a property to the
+    filler classes definition bodies restrict it to, and `own_reads`
+    holds the named classes of the bodies' conjunctions, tested on the
+    individual itself.  `violations` are the same-and-different ones:
+    no ABox fact bears on them.
     """
 
-    class_reach: dict
-    prop_reach: dict
-    same: dict
-    inverses: dict
-    symmetric: frozenset
-    reflexive: frozenset
-    irreflexive: frozenset
-    chain_starts: dict  # property -> (head, second property) of each chain it starts
-    chain_ends: dict  # property -> (head, first property) of each chain it ends
-    ruled: frozenset  # the properties that prop_reach, inverses, symmetric or a chain table keys
-    domains: dict
-    ranges: dict
-    definitions: list  # (class, its body's conjunctions: (named classes, restrictions))
-    filler_reads: dict  # property -> the filler classes definition bodies restrict it to
-    own_reads: frozenset  # the named classes of the bodies' conjunctions, tested on the individual itself
-    disjoint_classes: list
-    disjoint_properties: list
-    functional: list
-    violations: frozenset  # same-and-different: no ABox fact bears on them
+    __slots__ = (
+        "class_reach", "prop_reach", "same", "inverses", "symmetric", "reflexive", "irreflexive",
+        "chain_starts", "chain_ends", "ruled", "domains", "ranges", "definitions", "filler_reads",
+        "own_reads", "disjoint_classes", "disjoint_properties", "functional", "violations",
+    )
 
 
 def _multimap(pairs) -> dict:

@@ -21,11 +21,9 @@ generator, so identical (seed, steps) always yield identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .compound import CompoundDescriptor
 from .descriptor import TAG_SPECS, DescriptorState, DescriptorTag, Link, Ref
-from .model import NOTHING, Entity, Kind, Ontology, OntologyError
+from .model import NOTHING, Entity, Kind, Ontology, OntologyError, Value
 from .reasoner import Closure, reason
 
 
@@ -216,15 +214,12 @@ def setup_door_state_classes(onto: Ontology) -> None:
     _fresh_closure(onto)
 
 
-@dataclass(frozen=True)
-class PatrolStep:
-    index: int
-    location: str
-    door_states: tuple[tuple[str, str], ...]  # (door, "open" | "closed")
-    crossed: str
-    destination: str
-    consistent: bool
-    position_count: int
+class PatrolStep(Value):
+    """PatrolStep(index, location, door_states, crossed, destination,
+    consistent, position_count); door_states holds a (door, "open" or
+    "closed") pair for each door."""
+
+    __slots__ = ("index", "location", "door_states", "crossed", "destination", "consistent", "position_count")
 
     def line(self) -> str:
         states = " ".join(f"{door}={state}" for door, state in self.door_states)
@@ -234,17 +229,15 @@ class PatrolStep:
         )
 
 
-@dataclass(frozen=True)
-class PatrolConfig:
-    steps: int = 20
-    seed: int = 7
-    robot: str = ROBOT
+class PatrolConfig(Value):
+    __slots__ = ("steps", "seed", "robot")
 
-    def __post_init__(self):
-        if self.steps < 1:
+    def __init__(self, steps: int = 20, seed: int = 7, robot: str = ROBOT):
+        if steps < 1:
             raise ValueError("steps must be positive")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be unsigned")
+        self._init(steps, seed, robot)
 
 
 def patrol(onto: Ontology, config: PatrolConfig = PatrolConfig()) -> list[PatrolStep]:

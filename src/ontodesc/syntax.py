@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
 from itertools import islice, pairwise
 
 from . import model
@@ -92,6 +91,7 @@ from .model import (
     Only,
     Ontology,
     Or,
+    Record,
     Some,
 )
 
@@ -147,13 +147,11 @@ _PLAIN_NAME = r'(?!(?:true|false)(?![^\s()"#]))[A-Za-z_][^\s()"#]*'
 _PLAIN_NAMES = re.compile(rf"(?:{_PLAIN_NAME}\n)*")
 
 
-@dataclass(slots=True)
-class Token:
-    typ: str  # ( ) name string int double bool eof
-    text: str
-    value: object
-    line: int
-    col: int
+class Token(Record):
+    """Token(typ, text, value, line, col); typ is one of ( ) name string
+    int double bool eof."""
+
+    __slots__ = ("typ", "text", "value", "line", "col")
 
 
 def _error(text: str, at: int, message: str) -> ParseError:
@@ -231,7 +229,7 @@ _FROM_TEXT = {tag: tuple(map(order.index, range(len(order)))) for tag, order in 
 _MAX_DEPTH = 3
 # arguments per axiom tag and per quantifier class
 _ARITY = {tag: len(shape.roles) for tag, shape in model.SHAPES.items()} | {
-    cls: len(fields(cls)) for cls in (Some, Only, Min, Max)
+    cls: len(cls.__slots__) for cls in (Some, Only, Min, Max)
 }
 # head -> its plan: the tag, each axiom argument's text position, the factory
 _PLANS = {h: (t, _FROM_TEXT.get(t, range(_ARITY[t])), model.AXIOM_FACTORIES[t]) for h, t in _AXIOM_HEADS.items()}
@@ -244,11 +242,13 @@ _PLANS = {h: (t, _FROM_TEXT.get(t, range(_ARITY[t])), model.AXIOM_FACTORIES[t]) 
 _FLAT = re.compile(rf'\s*([^\s()"#]+)\s*\(\s*((?:{_PLAIN_NAME}(?:\s+{_PLAIN_NAME})*)?)\s*\)')
 
 
-@dataclass(slots=True, eq=False)  # hashed by identity, so no name matches one
-class _Call:
-    head: str
-    at: int  # the head's offset
-    args: list  # names (str), Literals and _Calls
+class _Call(Record):
+    """_Call(head, at, args): the head, its offset, and the arguments:
+    names (str), Literals and _Calls."""
+
+    __slots__ = ("head", "at", "args")
+    # hashed by identity, so no name matches one
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __iter__(self):  # unpacks as a flat statement's (head, offset, names) does
         return iter((self.head, self.at, self.args))
@@ -475,7 +475,7 @@ def render_expression(expr: ClassExpression) -> str:
     if isinstance(expr, (And, Or)):
         args = expr.members
     else:
-        args = [getattr(expr, f.name) for f in fields(expr)]
+        args = [getattr(expr, name) for name in expr.__slots__]
     return f"{type(expr).__name__}({' '.join(_render_arg(a) for a in args)})"
 
 

@@ -7,7 +7,6 @@ rechecks each world with a brute-force reasoner.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -373,7 +372,7 @@ def _renamed(term, names: dict):
     if isinstance(term, (And, Or)):
         return type(term)(tuple(_renamed(m, names) for m in term.members))
     if isinstance(term, model.EXPRESSION_CLASSES):
-        return type(term)(*[_renamed(getattr(term, f.name), names) for f in dataclasses.fields(term)])
+        return type(term)(*[_renamed(getattr(term, name), names) for name in term.__slots__])
     return term
 
 

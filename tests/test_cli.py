@@ -153,7 +153,7 @@ class TestSerialize:
     def test_directory_path_exits_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "reason", "--ontology", str(tmp_path))
         assert code == EXIT_PARSE
-        assert err.startswith("i/o error: ")
+        assert err.startswith("cannot read ontology: ")
 
     def test_bad_syntax_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.onto"

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import random
 
@@ -31,8 +30,9 @@ from ontodesc.descriptor import (
     to_axiom,
     to_axioms,
 )
-from ontodesc.model import And, Kind, Literal, Max, Min, Named, Only, Ontology, Or, Some
-from ontodesc.reasoner import reason
+from ontodesc.model import And, Kind, Literal, Max, Min, Named, Only, Ontology, Or, Role, Some
+from ontodesc.reasoner import Changes, Violation, reason
+from ontodesc.scenarios import PatrolConfig, PatrolStep
 from ontodesc.syntax import parse
 
 
@@ -759,33 +759,117 @@ class TestCalculusLaws:
 
 
 def test_slotted_values_copy_pickle_and_hash_equal():
-    """Axiom, Intent, Ref and Link are frozen slots dataclasses: no
-    instance dict, no assignment, and equal to what copy, deepcopy and a
-    pickle round trip give back, under the same hash.  Pickle protocols
-    0 and 1 cannot save a slots class without __getstate__ (Literal
-    could not before), so the round trip runs from protocol 2 up."""
+    """Every immutable record (a model.Value: the axioms, expressions,
+    items, intents, tag specs and the reasoner's and the patrol's
+    records) and Literal has no instance dict, refuses assignment and
+    deletion, and shows as the dataclass it replaced did.  It equals
+    what rebuilding it from its fields, copy, deepcopy and a pickle
+    round trip give back, under the same hash; a record that holds a
+    set or a dict (Changes, the reasoner's schema) is unhashable, as a
+    frozen dataclass of those fields was.  The round trip runs from
+    protocol 2 up, where the slots classes of the standard library can
+    be saved too."""
     onto = small_world()
-    x, y, p, d = (onto.lookup(n) for n in ("x", "y", "p", "d"))
+    x, y, p, d, a, b, c = (onto.lookup(n) for n in ("x", "y", "p", "d", "A", "B", "C"))
     axiom = model.property_assertion(x, p, y)
-    values = [
-        axiom,
-        model.property_assertion(x, d, Literal(3)),
-        model.class_definition(onto.lookup("A"), And((Named(onto.lookup("B")), Some(p, onto.lookup("C"))))),
-        Intent("read", "add", axiom, "descriptor"),
-        Intent("write", "remove", axiom, "ontology", succeeded=False),
-        Ref(x),
-        Link(p, y),
-        Link(d, Literal("three")),
+    shown = [
+        (Role("a thing", (Kind.CLASS,), callable), "Role(noun='a thing', kinds=(<Kind.CLASS: 'class'>,), fits=<built-in function callable>)"),
+        (Named(a), "Named(cls=class:A)"),
+        (And((Named(b), Some(p, c))), "And(members=(Named(cls=class:B), Some(prop=object-property:p, filler=class:C)))"),
+        (
+            Or((Named(a), And((Named(b), Only(p, c))))),
+            "Or(members=(Named(cls=class:A), And(members=(Named(cls=class:B), Only(prop=object-property:p, filler=class:C)))))",
+        ),
+        (Min(2, p, c), "Min(count=2, prop=object-property:p, filler=class:C)"),
+        (Max(0, p, c), "Max(count=0, prop=object-property:p, filler=class:C)"),
+        (axiom, "PropertyAssertion(individual:x object-property:p individual:y)"),
+        (model.property_assertion(x, d, Literal(3)), "PropertyAssertion(individual:x data-property:d literal:3)"),
+        (
+            model.class_definition(a, And((Named(b), Some(p, c)))),
+            "DefineClass(class:A And(members=(Named(cls=class:B), Some(prop=object-property:p, filler=class:C))))",
+        ),
+        (Literal(3), "literal:3"),
+        (Literal("three"), "literal:'three'"),
+        (Literal(True), "literal:True"),
+        (Literal(-0.5), "literal:-0.5"),
+        (Void(), "Void()"),
+        (Ref(x), "Ref(entity=individual:x)"),
+        (Restriction(Connective.INTERSECT, Named(b)), "Restriction(connective=<Connective.INTERSECT: 'intersect'>, atom=Named(cls=class:B))"),
+        (Link(p, y), "Link(prop=object-property:p, filler=individual:y)"),
+        (Link(d, Literal("three")), "Link(prop=data-property:d, filler=literal:'three')"),
+        (
+            TAG_SPECS[DescriptorTag.LINKS],
+            "TagSpec(partition=<Partition.INDIVIDUAL: 'individual'>, axiom_tag=<AxiomTag.PROPERTY_ASSERTION: "
+            "'PropertyAssertion'>, item_type=<class 'ontodesc.descriptor.Link'>, ground_at=0, derived='links_of', "
+            "closure_only=True, ground_kinds=(<Kind.INDIVIDUAL: 'individual'>,))",
+        ),
+        (
+            Intent("read", "add", axiom, "descriptor"),
+            "Intent(direction='read', change='add', axiom=PropertyAssertion(individual:x object-property:p "
+            "individual:y), target='descriptor', succeeded=True)",
+        ),
+        (
+            Intent("write", "remove", axiom, "ontology", succeeded=False),
+            "Intent(direction='write', change='remove', axiom=PropertyAssertion(individual:x object-property:p "
+            "individual:y), target='ontology', succeeded=False)",
+        ),
+        (
+            Violation("same-and-different", frozenset({axiom})),
+            "Violation(rule='same-and-different', axioms=frozenset({PropertyAssertion(individual:x "
+            "object-property:p individual:y)}))",
+        ),
+        (
+            PatrolStep(1, "Room1", (("Door1", "open"),), "Door1", "Room2", True, 1),
+            "PatrolStep(index=1, location='Room1', door_states=(('Door1', 'open'),), crossed='Door1', "
+            "destination='Room2', consistent=True, position_count=1)",
+        ),
+        (PatrolConfig(steps=3, seed=1), "PatrolConfig(steps=3, seed=1, robot='Robot1')"),
     ]
-    for value in values:
+    unhashable = [
+        (
+            Changes({(x, p, y)}, {x: ({a}, set())}, {axiom: True}),
+            "Changes(links={(individual:x, object-property:p, individual:y)}, memberships={individual:x: "
+            "({class:A}, set())}, edits={PropertyAssertion(individual:x object-property:p individual:y): True})",
+        ),
+        (reason(onto)._schema, None),
+    ]
+    def copies(value, text):
+        """What rebuilding, copy, deepcopy and pickle give back, each checked equal."""
+        if text is not None:
+            assert repr(value) == text
         assert not hasattr(value, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, dataclasses.fields(value)[0].name, None)
-        twin = dataclasses.replace(value)
-        assert twin == value and hash(twin) == hash(value) and twin is not value
+        field = (*type(value).__slots__, "new")[0]
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        rebuild, fields = value.__reduce__()
+        twin = rebuild(*fields)
+        assert twin is not value
         pickled = [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
-        for other in [copy.copy(value), copy.deepcopy(value), *pickled]:
-            assert type(other) is type(value)
-            assert other == value and hash(other) == hash(value)
+        others = [twin, copy.copy(value), copy.deepcopy(value), *pickled]
+        for other in others:
+            assert type(other) is type(value) and other == value
+        return others
+
+    for value, text in shown:
+        assert all(hash(other) == hash(value) for other in copies(value, text))
+    for value, text in unhashable:
+        copies(value, text)
+        with pytest.raises(TypeError):
+            hash(value)
+    values = [value for value, _ in shown]
     assert len(set(values) | set(map(copy.deepcopy, values))) == len(values)
     assert Ref(x) != Ref(y) and Link(p, y) != Link(p, x)
+
+
+def test_a_literal_refuses_assignment_and_keeps_its_hash():
+    """A literal in a set keeps its hash: assigning or deleting its value
+    raises, and the set still finds it."""
+    lit = Literal(3)
+    held, before = {lit}, hash(lit)
+    with pytest.raises(AttributeError):
+        lit.value = 4
+    with pytest.raises(AttributeError):
+        del lit.value
+    assert lit.value == 3 and hash(lit) == before and lit in held and Literal(3) in held

@@ -8,7 +8,6 @@ Closure must answer exactly what a from-scratch run on a copy of the
 store answers, and what the naive oracle derives.
 """
 
-import dataclasses
 import gc
 import random
 import tracemalloc
@@ -592,7 +591,8 @@ def test_a_resumed_run_shares_only_into_what_it_re_evaluates(monkeypatch):
     memberships = reasoner._memberships
 
     def recorded(schema, *args):
-        return memberships(dataclasses.replace(schema, same=_ReadIdentity(schema.same, read)), *args)
+        fields = {name: getattr(schema, name) for name in schema.__slots__}
+        return memberships(type(schema)(**fields | {"same": _ReadIdentity(schema.same, read)}), *args)
 
     monkeypatch.setattr(reasoner, "_memberships", recorded)
     x0, y0, c = onto.lookup("x0"), onto.lookup("y0"), onto.lookup("C")

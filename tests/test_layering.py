@@ -14,6 +14,11 @@ __init__ is not scanned).
 The cyclic garbage collector is process-wide state, so only the CLI,
 which owns its process, imports gc.
 
+Every command is a new process, so importing the package generates no
+code: no module imports dataclasses, whose decorator builds each class's
+methods from source text, and a process that loads every module has
+loaded neither dataclasses nor inspect.
+
 At run time a process loads only the layers it runs: `import ontodesc`
 loads no submodule, and the CLI's reason, query and serialize commands
 load nothing above the reasoner.
@@ -89,15 +94,23 @@ def test_the_state_scan_sees_the_store_s_own_reads():
     assert {"model", "reasoner", "descriptor", "scenarios"} <= set(MODULES)
 
 
-def test_only_the_cli_imports_gc():
-    def imports_gc(name: str) -> bool:
-        return any(
-            isinstance(node, ast.Import) and "gc" in {alias.name for alias in node.names}
-            or isinstance(node, ast.ImportFrom) and node.module == "gc"
-            for node in ast.walk(syntax_tree(name))
-        )
+def imports(tree: ast.Module, module: str) -> bool:
+    """Whether the tree imports `module`, in any import form."""
+    return any(
+        isinstance(node, ast.Import) and module in {alias.name for alias in node.names}
+        or isinstance(node, ast.ImportFrom) and node.module == module
+        for node in ast.walk(tree)
+    )
 
-    assert [name for name in MODULES if imports_gc(name)] == ["cli"]
+
+def test_only_the_cli_imports_gc():
+    assert [name for name in MODULES if imports(syntax_tree(name), "gc")] == ["cli"]
+
+
+def test_no_module_imports_dataclasses():
+    assert [name for name in MODULES if imports(syntax_tree(name), "dataclasses")] == []
+    for source in ("import dataclasses", "from dataclasses import dataclass", "def f():\n    import dataclasses"):
+        assert imports(ast.parse(source), "dataclasses")
 
 
 def unused_imports(tree: ast.Module) -> set[str]:
@@ -136,6 +149,16 @@ def run_fresh(code: str, *args: str) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_loading_every_module_generates_no_code():
+    code = (
+        "import importlib, json, sys\n"
+        "for name in json.loads(sys.argv[1]):\n"
+        "    importlib.import_module('ontodesc.' + name)\n"
+        "print(json.dumps(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)))\n"
+    )
+    assert json.loads(run_fresh(code, json.dumps(MODULES))) == []
 
 
 # imports ontodesc, then runs each argv through cli.main; prints, as JSON,
