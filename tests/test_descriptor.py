@@ -762,12 +762,12 @@ def test_slotted_values_copy_pickle_and_hash_equal():
     """Every immutable record (a model.Value: the axioms, expressions,
     items, intents, tag specs and the reasoner's and the patrol's
     records) and Literal has no instance dict, refuses assignment and
-    deletion, and shows as the dataclass it replaced did.  It equals
-    what rebuilding it from its fields, copy, deepcopy and a pickle
-    round trip give back, under the same hash; a record that holds a
-    set or a dict (Changes, the reasoner's schema) is unhashable, as a
-    frozen dataclass of those fields was.  The round trip runs from
-    protocol 2 up, where the slots classes of the standard library can
+    deletion, and shows as Name(field=value, ...), each text pinned.  It
+    equals what rebuilding it from its fields, copy, deepcopy and a
+    pickle round trip give back, under the same hash; a record that
+    holds a set or a dict (Changes, the reasoner's schema) is
+    unhashable, since its hash is its fields' tuple's.  The round trip
+    runs from protocol 2 up, where slots classes without __reduce__ can
     be saved too."""
     onto = small_world()
     x, y, p, d, a, b, c = (onto.lookup(n) for n in ("x", "y", "p", "d", "A", "B", "C"))
