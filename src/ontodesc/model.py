@@ -10,10 +10,11 @@ is a union of intersections of atoms, the shape that the .onto text and
 the DEFINITION descriptor hold; any other nesting is a KindMismatch at
 construction, and conjunctions() reads a body's shape.  The store keeps a
 vocabulary (IRI -> entity), an asserted axiom set partitioned into RBox,
-TBox and ABox, the reasoner's last Closure, which holds the inferred
-partition, and a journal of every change since that Closure.  A Closure
-is current exactly while it is installed and the journal is empty;
-entailed-view reads made against any other raise StaleClosure.
+TBox and ABox, the reasoner's last Closure, and a journal of every
+change since that Closure.  The store answers for the asserted set only;
+what is entailed is the Closure's to answer.  A Closure is current
+exactly while it is installed and the journal is empty, and
+current_closure() raises StaleClosure for any other.
 
 Entities are interned: one live object per (kind, IRI) in the process, so
 equality is identity and hashing is the C-level object hash.  The
@@ -550,26 +551,18 @@ def _factory(tag: AxiomTag):
 # descriptor mapping build through them.  The reasoner builds its derived
 # axioms as plain Axiom(tag, args) from checked asserted axioms' arguments.
 AXIOM_FACTORIES = {tag: _factory(tag) for tag in AxiomTag}
-sub_property = AXIOM_FACTORIES[AxiomTag.SUB_PROPERTY]
-equivalent_properties = AXIOM_FACTORIES[AxiomTag.EQUIVALENT_PROPERTIES]
 disjoint_properties = AXIOM_FACTORIES[AxiomTag.DISJOINT_PROPERTIES]
-inverse_properties = AXIOM_FACTORIES[AxiomTag.INVERSE_PROPERTIES]
-property_domain = AXIOM_FACTORIES[AxiomTag.PROPERTY_DOMAIN]
-property_range = AXIOM_FACTORIES[AxiomTag.PROPERTY_RANGE]
 functional = AXIOM_FACTORIES[AxiomTag.FUNCTIONAL_PROPERTY]
 reflexive = AXIOM_FACTORIES[AxiomTag.REFLEXIVE_PROPERTY]
 symmetric = AXIOM_FACTORIES[AxiomTag.SYMMETRIC_PROPERTY]
 transitive = AXIOM_FACTORIES[AxiomTag.TRANSITIVE_PROPERTY]
 irreflexive = AXIOM_FACTORIES[AxiomTag.IRREFLEXIVE_PROPERTY]
-property_chain = AXIOM_FACTORIES[AxiomTag.PROPERTY_CHAIN]
 sub_class = AXIOM_FACTORIES[AxiomTag.SUB_CLASS]
-equivalent_classes = AXIOM_FACTORIES[AxiomTag.EQUIVALENT_CLASSES]
 disjoint_classes = AXIOM_FACTORIES[AxiomTag.DISJOINT_CLASSES]
 class_definition = AXIOM_FACTORIES[AxiomTag.CLASS_DEFINITION]
 class_assertion = AXIOM_FACTORIES[AxiomTag.CLASS_ASSERTION]
 property_assertion = AXIOM_FACTORIES[AxiomTag.PROPERTY_ASSERTION]
 same_individual = AXIOM_FACTORIES[AxiomTag.SAME_INDIVIDUAL]
-different_individuals = AXIOM_FACTORIES[AxiomTag.DIFFERENT_INDIVIDUALS]
 
 
 def axiom_entities(axiom: Axiom) -> Iterator[Entity]:
@@ -707,10 +700,11 @@ class Ontology:
     set, declare and _insert keep the journal and the built ground-index
     slots current, so each batch checks that the store has no journal
     (and the insert, no built slot) and raises otherwise.
-    The inferred partition is the installed Closure's `inferred`, which
-    the Closure builds from its maps on first read; it is read through
-    the "entailed" view, which is the union of both partitions and is
-    guarded by a staleness check.
+
+    The store answers for the asserted set alone.  What the installed
+    Closure entails is that Closure's to answer (Closure.is_entailed);
+    the store holds it only to tell whether it is current, and reads
+    none of its attributes.
 
     The journal is the one record of change: every change since the
     installed Closure, each axiom asserted or retracted, of any tag,
@@ -727,8 +721,8 @@ class Ontology:
     after a run that raised part way, which leaves the next run to
     start afresh.
 
-    axioms() copies a whole view and is meant for bulk work
-    (serializing).  contains() and axioms_about() are lookups.
+    axioms() copies the whole asserted set.  contains() and
+    axioms_about() are lookups.
     axioms_about() reads the asserted partition's ground index, keyed by
     (tag, argument position, entity) - or (tag, entity) for unordered
     pair tags.  Each (tag, position) slot is built on the first query
@@ -879,26 +873,8 @@ class Ontology:
             raise StaleClosure("reason() must run before entailed reads")
         return closure
 
-    def _entailed_view(self, view: str) -> bool:
-        """True for the entailed view, False for the asserted one.
-
-        Raises StaleClosure for an entailed view the reasoner has not
-        caught up with, and ValueError for any other view name.
-        """
-        if view == "asserted":
-            return False
-        if view == "entailed":
-            self.current_closure()  # raises StaleClosure
-            return True
-        raise ValueError(f"view must be 'asserted' or 'entailed', got {view!r}")
-
-    def axioms(self, view: str = "asserted") -> frozenset[Axiom]:
-        if self._entailed_view(view):
-            return frozenset(self._asserted) | self._closure.inferred
+    def axioms(self) -> frozenset[Axiom]:
         return frozenset(self._asserted)
-
-    def inferred_axioms(self) -> frozenset[Axiom]:
-        return self.current_closure().inferred
 
     def axioms_about(self, tag: AxiomTag, ground: Entity, *, at: int = 0) -> set[Axiom]:
         """The asserted `tag` axioms with `ground` in ground position `at`.
@@ -909,8 +885,5 @@ class Ontology:
         """
         return set(self._asserted_index.lookup(tag, ground, at))
 
-    def contains(self, axiom: Axiom, view: str = "asserted") -> bool:
-        axiom = canonical(axiom)
-        if self._entailed_view(view):
-            return axiom in self._asserted or axiom in self._closure.inferred
-        return axiom in self._asserted
+    def contains(self, axiom: Axiom) -> bool:
+        return canonical(axiom) in self._asserted

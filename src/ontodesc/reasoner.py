@@ -3,7 +3,7 @@
 reason() computes the deductive closure of the asserted axioms and keeps
 each derived fact once, in the maps of the Closure it installs and
 returns.  Closure.inferred_groups lists the derived facts from those
-maps, and Closure.inferred builds them into axioms on its first read.
+maps, and Closure.is_entailed looks one axiom up in them.
 Derived axioms never repeat asserted ones and the asserted set is never
 touched.
 
@@ -260,9 +260,10 @@ class Closure(Record):
     `changes()` facts fill.
     `inferred_groups` lists the derived facts not asserted, grouped by
     the map that holds them, and is what the entailed text and the
-    `reason` counts read.  `inferred`, the store's inferred partition as
-    a set of axioms, is built from the same groups on first read, by the
-    entailed view's readers only.
+    `reason` counts read; `is_entailed` looks one axiom up in the same
+    maps.  `inferred`, the derived facts not asserted as a set of
+    axioms, is built from the same groups on first read; no module of
+    the package reads it, only the benchmark and the tests do.
 
     The store holds its installed Closure, and the Closure holds the
     store only weakly, so a dropped store is freed by reference counting
@@ -348,8 +349,9 @@ class Closure(Record):
 
         Yields (tag, head, tails): one inferred Axiom(tag, (*head, tail))
         per tail, where head holds the fixed leading arguments and tails
-        the values the last argument ranges over.  This is the one place
-        that knows which map holds which axiom shape:
+        the values the last argument ranges over.  This and _HOLDS, the
+        same table as lookups for is_entailed, are the one place that
+        knows which map holds which axiom shape:
 
         * class_reach: SubClassOf(cls ·)
         * prop_reach: SubPropertyOf(prop ·)
@@ -400,14 +402,26 @@ class Closure(Record):
 
     # -- entailment
 
+    # inferred_groups' table as a lookup: whether the map that holds a shape holds one axiom's arguments
+    _HOLDS = {
+        AxiomTag.SUB_CLASS: lambda c, sub, sup: sup in c._schema.class_reach.get(sub, ()),
+        AxiomTag.SUB_PROPERTY: lambda c, sub, sup: sup in c._schema.prop_reach.get(sub, ()),
+        AxiomTag.SAME_INDIVIDUAL: lambda c, a, b: b in c._schema.same.get(a, ()),
+        AxiomTag.PROPERTY_ASSERTION: lambda c, s, p, f: f in c._links.get(s, _EMPTY).get(p, ()),
+        AxiomTag.CLASS_ASSERTION: lambda c, ind, cls: cls in c._types.get(ind, ()),
+    }
+
     def is_entailed(self, axiom: Axiom) -> bool:
+        """Whether the axiom is asserted, held by the map that holds its
+        shape (_HOLDS), or a tautology.  It builds no axiom.  An axiom of
+        any other tag, EquivalentClasses and DifferentIndividuals among
+        them, is entailed only when asserted or tautological."""
         self._check_fresh()
         axiom = canonical(axiom)
-        if axiom in self._asserted or axiom in self._inferred:
-            return True
+        holds = self._HOLDS.get(axiom.tag)
         # tautologies hold everywhere; the reflexive ones are never
         # materialised, nor are the bounds of entities not declared here
-        return tautological(axiom)
+        return axiom in self._asserted or holds is not None and holds(self, *axiom.args) or tautological(axiom)
 
     def subsumed_by(self, sub: Entity, sup: Entity) -> bool:
         """Entailed class subsumption, reflexivity included."""

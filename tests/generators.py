@@ -22,7 +22,7 @@ from ontodesc.descriptor import (
     Restriction,
     Void,
 )
-from ontodesc.model import And, Entity, Kind, Literal, Max, Min, Named, Ontology, Only, Or, Some
+from ontodesc.model import And, AxiomTag, Entity, Kind, Literal, Max, Min, Named, Ontology, Only, Or, Some
 
 
 def vocabulary(
@@ -98,6 +98,7 @@ def random_axiom(rng: random.Random, onto: Ontology, monotone: bool = False):
     oprops = _object_props(onto)
     dprops = _data_props(onto)
     inds = onto.individuals()
+    build = model.AXIOM_FACTORIES
     choices = [
         "sub_class", "equivalent_classes", "disjoint_classes", "definition",
         "sub_property", "equivalent_properties", "inverse", "domain", "range",
@@ -110,25 +111,26 @@ def random_axiom(rng: random.Random, onto: Ontology, monotone: bool = False):
     if kind == "sub_class":
         return model.sub_class(rng.choice(classes), rng.choice(classes))
     if kind == "equivalent_classes":
-        return model.equivalent_classes(rng.choice(classes), rng.choice(classes))
+        return build[AxiomTag.EQUIVALENT_CLASSES](rng.choice(classes), rng.choice(classes))
     if kind == "disjoint_classes" and not monotone:
         return model.disjoint_classes(rng.choice(classes), rng.choice(classes))
     if kind == "definition":
         return model.class_definition(rng.choice(classes), random_expression(rng, onto, monotone))
     if kind == "sub_property":
-        return model.sub_property(rng.choice(oprops), rng.choice(oprops))
+        return build[AxiomTag.SUB_PROPERTY](rng.choice(oprops), rng.choice(oprops))
     if kind == "equivalent_properties":
-        return model.equivalent_properties(rng.choice(oprops), rng.choice(oprops))
+        return build[AxiomTag.EQUIVALENT_PROPERTIES](rng.choice(oprops), rng.choice(oprops))
     if kind == "disjoint_properties":
         return model.disjoint_properties(rng.choice(oprops), rng.choice(oprops))
     if kind == "inverse" and len(oprops) > 1:
-        return model.inverse_properties(*rng.sample(oprops, 2))
+        return build[AxiomTag.INVERSE_PROPERTIES](*rng.sample(oprops, 2))
     if kind == "domain":
-        return model.property_domain(rng.choice(oprops), rng.choice(classes))
+        return build[AxiomTag.PROPERTY_DOMAIN](rng.choice(oprops), rng.choice(classes))
     if kind == "range":
         if dprops and rng.random() < 0.3:
-            return model.property_range(rng.choice(dprops), rng.choice(sorted(model.DATATYPES, key=lambda e: e.iri)))
-        return model.property_range(rng.choice(oprops), rng.choice(classes))
+            datatypes = sorted(model.DATATYPES, key=lambda e: e.iri)
+            return build[AxiomTag.PROPERTY_RANGE](rng.choice(dprops), rng.choice(datatypes))
+        return build[AxiomTag.PROPERTY_RANGE](rng.choice(oprops), rng.choice(classes))
     if kind == "functional" and not monotone:
         return model.functional(rng.choice(oprops))
     if kind == "reflexive":
@@ -140,13 +142,13 @@ def random_axiom(rng: random.Random, onto: Ontology, monotone: bool = False):
     if kind == "irreflexive" and not monotone:
         return model.irreflexive(rng.choice(oprops))
     if kind == "chain":
-        return model.property_chain(rng.choice(oprops), rng.choice(oprops), rng.choice(oprops))
+        return build[AxiomTag.PROPERTY_CHAIN](*(rng.choice(oprops) for _ in range(3)))
     if kind == "class_assertion":
         return model.class_assertion(rng.choice(inds), rng.choice(classes))
     if kind == "same" and not monotone:  # merging two fillers can drop a Min count
         return model.same_individual(rng.choice(inds), rng.choice(inds))
     if kind == "different" and not monotone:
-        return model.different_individuals(rng.choice(inds), rng.choice(inds))
+        return build[AxiomTag.DIFFERENT_INDIVIDUALS](rng.choice(inds), rng.choice(inds))
     if dprops and rng.random() < 0.25:
         return model.property_assertion(rng.choice(inds), rng.choice(dprops), random_literal(rng))
     return model.property_assertion(rng.choice(inds), rng.choice(oprops), rng.choice(inds))

@@ -18,8 +18,9 @@ reasoner's compiled definitions replaced.
 
 The *_scan functions are the linear scans that the store's and the
 Closure's query indexes replaced, kept as references for them.  They
-read the entailed view, not the Closure's private maps.  read_reference
-is the axiom round trip that descriptor reads replaced.
+read entailed_axioms, the asserted set plus Closure.inferred, not the
+Closure's private maps.  read_reference is the axiom round trip that
+descriptor reads replaced.
 entailed_text_reference is the per-axiom rendering of the inferred set
 that the entailed serializer replaced.  parse_reference is the parser
 that flat-statement matching replaced: it builds a Token for every
@@ -67,7 +68,6 @@ from ontodesc.model import (
     mentions_at_ground,
     same_individual,
     sub_class,
-    sub_property,
 )
 from ontodesc.syntax import (
     _AXIOM_HEADS,
@@ -90,7 +90,7 @@ _EMPTY: dict = {}  # stands in for a missing map entry; never written
 
 
 def _tagged(onto: Ontology, tag: AxiomTag):
-    return [a for a in onto.axioms("asserted") if a.tag is tag]
+    return [a for a in onto.axioms() if a.tag is tag]
 
 
 def _pair_closure(pairs: set[tuple]) -> set[tuple]:
@@ -277,7 +277,7 @@ def naive_stamps(onto: Ontology) -> tuple[dict, list]:
 
 def naive_reason(onto: Ontology):
     """Returns (inferred axiom frozenset, consistent flag)."""
-    asserted = set(onto.axioms("asserted"))
+    asserted = set(onto.axioms())
     class_pairs, prop_pairs, groups, facts, types = _naive_saturate(onto)
 
     # violations
@@ -312,7 +312,7 @@ def naive_reason(onto: Ontology):
             derived.add(sub_class(a, b))
     for a, b in prop_pairs:
         if a != b:
-            derived.add(sub_property(a, b))
+            derived.add(model.AXIOM_FACTORIES[AxiomTag.SUB_PROPERTY](a, b))
     for group in {g for g in groups.values() if len(g) > 1}:
         for x, y in itertools.combinations(sorted(group, key=lambda e: e.iri), 2):
             derived.add(same_individual(x, y))
@@ -440,8 +440,14 @@ def transitive_fillers(onto: Ontology, prop: Entity) -> set[tuple]:
 # query scans
 
 
+def entailed_axioms(onto: Ontology) -> frozenset:
+    """The asserted axioms and the current Closure's inferred ones; raises
+    StaleClosure while the store has changed since its last run."""
+    return onto.axioms() | onto.current_closure().inferred
+
+
 def axioms_about_scan(axioms, tag: AxiomTag, ground, at: int = 0) -> set:
-    """Ontology.axioms_about over one view's axioms, by scanning them."""
+    """Ontology.axioms_about over a set of axioms, by scanning them."""
     return {a for a in axioms if a.tag is tag and mentions_at_ground(a, ground, at)}
 
 
@@ -449,7 +455,7 @@ def entailed_links(onto: Ontology) -> set[tuple]:
     """Every entailed (subject, property, filler) triple."""
     return {
         tuple(a.args)
-        for a in onto.axioms("entailed")
+        for a in entailed_axioms(onto)
         if a.tag is AxiomTag.PROPERTY_ASSERTION
     }
 
@@ -465,7 +471,7 @@ def links_of_scan(links: set[tuple], individual: Entity) -> set:
 def entailed_types(onto: Ontology) -> dict[Entity, set]:
     """Each individual's entailed classes."""
     types = {ind: set() for ind in onto.individuals()}
-    for a in onto.axioms("entailed"):
+    for a in entailed_axioms(onto):
         if a.tag is AxiomTag.CLASS_ASSERTION:
             types[a.args[0]].add(a.args[1])
     return types
@@ -478,7 +484,7 @@ def instances_of_scan(types: dict, cls: Entity) -> set:
 def entailed_reach(onto: Ontology) -> dict[Entity, set]:
     """Each named class's strict entailed superclasses, equivalents included."""
     reach = {c: set() for c in _named_classes(onto)}
-    for a in onto.axioms("entailed"):
+    for a in entailed_axioms(onto):
         if a.tag is AxiomTag.SUB_CLASS and a.args[0] != a.args[1]:
             reach[a.args[0]].add(a.args[1])
     return reach
@@ -528,8 +534,8 @@ def read_reference(onto: Ontology, entailed, tag: DescriptorTag, ground, old_ite
 
     Every entailed fact becomes a checked axiom - SUB_CLASSES,
     SUPER_CLASSES and INSTANCES from Closure queries, every other tag
-    from a scan of `entailed`, the entailed view - and from_axiom maps
-    each back to an item.  Returns the items and the intents a read of a
+    from a scan of `entailed`, an entailed_axioms set - and from_axiom
+    maps each back to an item.  Returns the items and the intents a read of a
     descriptor holding `old_items` gives.
     """
     closure = onto.current_closure()

@@ -34,7 +34,7 @@ from ontodesc.scenarios import (
     setup_door_state_classes,
 )
 from ontodesc.syntax import load_seed, parse, seed_path, serialize
-from oracles import naive_reason, subsumption_reachability, transitive_fillers
+from oracles import entailed_axioms, naive_reason, subsumption_reachability, transitive_fillers
 
 WORLD_COUNT = 200
 WORLD_BASE_SEED = 9000
@@ -97,10 +97,10 @@ def test_criterion_3_patrol_setup_and_determinism():
     opened = onto.lookup("OPEN")
     close = onto.lookup("CLOSE")
     setup_ok = (
-        onto.contains(model.sub_class(close, door), "asserted")
-        and onto.contains(model.sub_class(opened, door), "asserted")
-        and onto.contains(model.disjoint_classes(opened, close), "asserted")
-        and onto.contains(model.disjoint_classes(close, opened), "asserted")
+        onto.contains(model.sub_class(close, door))
+        and onto.contains(model.sub_class(opened, door))
+        and onto.contains(model.disjoint_classes(opened, close))
+        and onto.contains(model.disjoint_classes(close, opened))
     )
     first = patrol(load_seed(), PatrolConfig(steps=20, seed=7))
     second = patrol(load_seed(), PatrolConfig(steps=20, seed=7))
@@ -145,7 +145,7 @@ def test_criterion_4_mapping_bijection_10000_triples():
 
 
 def _informative(axioms):
-    """Entailed view minus tautologies: writes may materialise or retract
+    """Entailed axioms minus tautologies: writes may materialise or retract
     a tautology (e.g. an asserted SubClassOf(A A)) without changing what
     is entailed, so stability is judged on the informative axioms."""
     return {a for a in axioms if not model.tautological(a)}
@@ -171,12 +171,12 @@ def test_criterion_5_descriptor_calculus_laws():
                 built = []
             if any(b.read() != [] for b in built):
                 failures.append((index, tag.value, "built descriptor out of sync"))
-            before = _informative(onto.axioms("entailed"))
+            before = _informative(entailed_axioms(onto))
             descriptor.write()
             if descriptor.write() != []:
                 failures.append((index, tag.value, "write not idempotent"))
             reason(onto)
-            after = _informative(onto.axioms("entailed"))
+            after = _informative(entailed_axioms(onto))
             if before != after:
                 failures.append((index, tag.value, "write after read changed entailments"))
             if descriptor.read() != []:
@@ -206,7 +206,7 @@ def test_criterion_6_reasoner_matches_naive_oracle():
         # generated worlds may assert tautologies like SubClassOf(A A))
         entailed_pairs = {
             (a.args[0], a.args[1])
-            for a in onto.axioms("entailed")
+            for a in entailed_axioms(onto)
             if a.tag is model.AxiomTag.SUB_CLASS and a.args[0] != a.args[1]
         }
         if entailed_pairs != subsumption_reachability(onto):
@@ -221,7 +221,7 @@ def test_criterion_6_reasoner_matches_naive_oracle():
                 continue
             edges = {
                 (a.args[0], a.args[2])
-                for a in onto.axioms("entailed")
+                for a in entailed_axioms(onto)
                 if a.tag is model.AxiomTag.PROPERTY_ASSERTION and a.args[1] == prop
             }
             closed = set(nx.transitive_closure(nx.DiGraph(edges)).edges)

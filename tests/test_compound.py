@@ -191,12 +191,12 @@ class TestReadWrite:
     def test_write_preserves_entailments(self):
         rng = random.Random(71)
         onto = random_ontology(rng)
-        before = set(reason(onto).inferred) | set(onto.axioms("asserted"))
+        before = set(reason(onto).inferred) | set(onto.axioms())
         ind = rng.choice(onto.individuals())
         compound = full_individual(onto, ind)
         compound.read()
         compound.write()
-        after = set(reason(onto).inferred) | set(onto.axioms("asserted"))
+        after = set(reason(onto).inferred) | set(onto.axioms())
         assert before == after
 
     def test_part_failure_carries_tag_and_prior_intents(self):
@@ -237,4 +237,4 @@ class TestReadWrite:
         assert caught.value.tag is DescriptorTag.LINKS
         assert len(caught.value.intents) == 1
         # the part before the failure already landed
-        assert model.class_assertion(onto.lookup("x"), onto.lookup("A")) in set(onto.axioms("asserted"))
+        assert model.class_assertion(onto.lookup("x"), onto.lookup("A")) in set(onto.axioms())

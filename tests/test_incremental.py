@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from generators import chained_ontology, defined_world, random_axiom, random_ontology
-from oracles import naive_reason, naive_violations
+from oracles import entailed_axioms, naive_reason, naive_violations
 from ontodesc import descriptor, model, reasoner, scenarios
 from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag
 from ontodesc.model import AxiomTag, Kind, Ontology, StaleClosure
@@ -35,7 +35,7 @@ def copy_store(onto: Ontology) -> Ontology:
     copy = Ontology()
     for entity in onto.vocabulary():
         copy.ensure(entity)
-    for axiom in onto.axioms("asserted"):
+    for axiom in onto.axioms():
         copy.assert_axiom(axiom)
     return copy
 
@@ -80,7 +80,7 @@ def edit(rng: random.Random, onto: Ontology, monotone: bool, step: int) -> None:
     link on it asserted in the same edit."""
     pick = rng.random()
     if pick < 0.78:
-        facts = sorted((a for a in onto.axioms("asserted") if a.tag in ABOX_FACTS), key=repr)
+        facts = sorted((a for a in onto.axioms() if a.tag in ABOX_FACTS), key=repr)
         if facts and rng.random() < 0.5:
             onto.retract_axiom(rng.choice(facts))
             return
@@ -180,6 +180,56 @@ def test_many_definition_worlds_resume_as_scratch_runs(seed):
     check_resumed_runs(rng, onto, monotone=False)
 
 
+def entailment_candidates(onto: Ontology):
+    """Every SubClassOf, EquivalentClasses, SubPropertyOf, SameIndividual,
+    DifferentIndividuals and ClassAssertion pair over the vocabulary, and
+    every PropertyAssertion of an individual, a property and an
+    individual or a literal of the store's links.  They are built as
+    plain Axioms with no kind check, and each pair comes in both orders,
+    so every unordered pair also comes in its non-canonical order."""
+    classes = onto.entities_of_kind(Kind.CLASS)
+    props = onto.entities_of_kind(Kind.OBJECT_PROPERTY) + onto.entities_of_kind(Kind.DATA_PROPERTY)
+    individuals = onto.individuals()
+    literals = {a.args[2] for a in entailed_axioms(onto) if a.tag is AxiomTag.PROPERTY_ASSERTION} - set(individuals)
+    pairs = (
+        (AxiomTag.SUB_CLASS, classes, classes),
+        (AxiomTag.EQUIVALENT_CLASSES, classes, classes),
+        (AxiomTag.SUB_PROPERTY, props, props),
+        (AxiomTag.SAME_INDIVIDUAL, individuals, individuals),
+        (AxiomTag.DIFFERENT_INDIVIDUALS, individuals, individuals),
+        (AxiomTag.CLASS_ASSERTION, individuals, classes),
+    )
+    for tag, firsts, seconds in pairs:
+        for first in firsts:
+            for second in seconds:
+                yield model.Axiom(tag, (first, second))
+    for subject in individuals:
+        for prop in props:
+            for filler in [*individuals, *literals]:
+                yield model.Axiom(AxiomTag.PROPERTY_ASSERTION, (subject, prop, filler))
+
+
+@pytest.mark.parametrize("world", [random_ontology, chained_ontology])
+@pytest.mark.parametrize("seed", range(12))
+def test_is_entailed_answers_the_asserted_and_inferred_axioms(world, seed):
+    """Closure.is_entailed looks an axiom up in the run's maps.  It must
+    answer exactly membership in the asserted and inferred axioms, or a
+    tautology, after a first run and after each resumed run."""
+    rng = random.Random(9500 + seed)
+    onto = world(rng)
+    resumed = 0
+    for step in range(4):
+        for _ in range(rng.randint(1, 4) if step else 0):
+            edit(rng, onto, False, step)
+        closure = reason(onto)
+        resumed += closure.changes() is not None
+        entailed = entailed_axioms(onto)
+        for axiom in entailment_candidates(onto):
+            expected = model.canonical(axiom) in entailed or model.tautological(axiom)
+            assert closure.is_entailed(axiom) == expected, (step, axiom)
+    assert resumed
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_an_earlier_closure_keeps_its_results(seed):
     """A resumed run changes the maps in place: the Closure before it keeps
@@ -250,7 +300,7 @@ def undoable_edit(rng: random.Random, onto: Ontology):
     """One random axiom edit and its inverse, as (edit, inverse): the
     retract of an asserted ABox fact or the assert of an axiom not
     asserted, mostly an ABox fact, which a run resumes across."""
-    facts = sorted((a for a in onto.axioms("asserted") if a.tag in ABOX_FACTS), key=repr)
+    facts = sorted((a for a in onto.axioms() if a.tag in ABOX_FACTS), key=repr)
     if facts and rng.random() < 0.4:
         axiom = rng.choice(facts)
     else:

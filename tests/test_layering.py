@@ -7,6 +7,8 @@ inside a function.
 
 Whether a Closure is current is the store's one rule, over its installed
 Closure and its journal of changes since; no other module reads either.
+The store answers for the asserted set only, and reads no attribute of
+the Closure it holds: what is entailed is the Closure's to answer.
 
 Every name a module imports is read in that module (the package's
 __init__ is not scanned).
@@ -92,6 +94,34 @@ def test_only_the_store_reads_its_closure_and_journal(name):
 def test_the_state_scan_sees_the_store_s_own_reads():
     assert store_state_reads("model") == STORE_STATE
     assert {"model", "reasoner", "descriptor", "scenarios"} <= set(MODULES)
+
+
+def closure_reads(tree: ast.Module) -> set[str]:
+    """The attributes the tree reads off `self._closure`."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(held := node.value, ast.Attribute)
+        and held.attr == "_closure"
+        and isinstance(held.value, ast.Name)
+        and held.value.id == "self"
+    }
+
+
+def test_the_store_reads_no_attribute_of_its_closure():
+    assert closure_reads(syntax_tree("model")) == set()
+
+
+def test_the_closure_scan_sees_a_read():
+    source = (
+        "class Store:\n"
+        "    def view(self):\n"
+        "        return self._closure.inferred | other._closure.maps\n"
+        "    def current(self):\n"
+        "        return self._closure is not None and self._closure._check_fresh()\n"
+    )
+    assert closure_reads(ast.parse(source)) == {"inferred", "_check_fresh"}
 
 
 def imports(tree: ast.Module, module: str) -> bool:

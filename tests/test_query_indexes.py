@@ -17,6 +17,7 @@ from generators import chained_ontology, random_axiom, random_ontology
 from oracles import (
     axioms_about_scan,
     direct_scan,
+    entailed_axioms,
     entailed_links,
     entailed_reach,
     entailed_types,
@@ -50,7 +51,7 @@ def test_arity_covers_every_argument_position():
 
 
 def _check_axioms_about(onto: Ontology) -> None:
-    axioms = onto.axioms("asserted")
+    axioms = onto.axioms()
     grounds = set(onto.vocabulary())
     for axiom in axioms:
         grounds.update(axiom.args)  # literals and class expressions too
@@ -88,7 +89,7 @@ def test_indexes_match_the_scans_through_edit_sequences(seed):
         if pick < 0.4:
             onto.assert_axiom(random_axiom(rng, onto))
         elif pick < 0.75:
-            asserted = sorted(onto.axioms("asserted"), key=repr)
+            asserted = sorted(onto.axioms(), key=repr)
             if asserted:
                 onto.retract_axiom(rng.choice(asserted))
         else:
@@ -132,13 +133,13 @@ def test_read_matches_the_axiom_round_trip(seed):
     rng = random.Random(seed)
     onto = random_ontology(rng)
     for _ in range(rng.randint(0, 6)):
-        asserted = sorted(onto.axioms("asserted"), key=repr)
+        asserted = sorted(onto.axioms(), key=repr)
         if asserted and rng.random() < 0.4:
             onto.retract_axiom(rng.choice(asserted))
         else:
             onto.assert_axiom(random_axiom(rng, onto))
     reason(onto)
-    entailed = onto.axioms("entailed")
+    entailed = entailed_axioms(onto)
     vocabulary = sorted(onto.vocabulary(), key=lambda e: (e.kind.value, e.iri))
     for tag, spec in TAG_SPECS.items():
         held = []
@@ -171,7 +172,7 @@ def _check_memoized_reads(onto: Ontology, rng: random.Random, pairs: list) -> No
     """Two reads of every pair - the first fills the Closure's memo, the
     second is answered from it - each equal the round trip: fresh, over
     an old buffer, and after the caller edits what a read handed out."""
-    entailed = onto.axioms("entailed")
+    entailed = entailed_axioms(onto)
     wants = {
         (tag, ground): _outcome(lambda: read_reference(onto, entailed, tag, ground, []))
         for tag, ground in pairs
@@ -252,7 +253,7 @@ def test_carried_reads_match_the_round_trip(seed, monotone):
     onto = random_ontology(rng, monotone=monotone)
     for step in range(rng.randint(2, 6)):
         reason(onto)
-        entailed = onto.axioms("entailed")
+        entailed = entailed_axioms(onto)
         for tag, ground in _legal_pairs(onto):
             got = _outcome(lambda: _read(DescriptorState(tag, ground, onto)))
             assert got == _outcome(lambda: read_reference(onto, entailed, tag, ground, [])), (step, tag, ground)
@@ -269,7 +270,7 @@ def _check_answers_hold_the_asserted(onto: Ontology, closure) -> None:
     """Each asserted axiom of a TYPES, LINKS or INSTANCES slot maps to an
     item of the Closure's answer for that slot, so a read of those tags
     need not read the store, and reads still equal the round trip."""
-    entailed = onto.axioms("entailed")
+    entailed = entailed_axioms(onto)
     for tag in ANSWERS_HOLD_THE_ASSERTED:
         spec = TAG_SPECS[tag]
         for ground in (e for e in onto.vocabulary() if e.kind in spec.ground_kinds):
@@ -375,17 +376,17 @@ def test_a_repeated_flow_reads_from_the_memo(monkeypatch):
 
 def test_query_path_copies_no_store(monkeypatch):
     """Descriptor reads and writes, Closure queries and the flows built on
-    them never copy a whole view; only reason() does."""
+    them never copy the asserted set; only reason() does."""
     onto = load_seed()
     reason(onto)
     copies = []
     reasoning = []
     axioms, run_reason = Ontology.axioms, scenarios.reason
 
-    def counted_axioms(self, view="asserted"):
+    def counted_axioms(self):
         if not reasoning:
-            copies.append(view)
-        return axioms(self, view)
+            copies.append(self)
+        return axioms(self)
 
     def uncounted_reason(world):
         reasoning.append(True)

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from oracles import entailed_axioms
 from ontodesc import model, scenarios
 from ontodesc.compound import full_individual
 from ontodesc.descriptor import TAG_SPECS, DescriptorState, DescriptorTag, from_axiom
@@ -71,15 +72,15 @@ class TestCategorizeNewLocation:
     def test_repeat_runs_stabilise(self):
         onto = load_seed()
         first = categorize_new_location(onto, "Location3", "Corridor1", "Door3")
-        entailed_after_first = set(onto.axioms("entailed"))
+        entailed_after_first = set(entailed_axioms(onto))
         # run two may promote entailed links into the asserted set, but the
-        # result and the entailed view never change, and run three is a no-op
+        # result and the entailed axioms never change, and run three is a no-op
         second = categorize_new_location(onto, "Location3", "Corridor1", "Door3")
-        asserted_after_second = set(onto.axioms("asserted"))
+        asserted_after_second = set(onto.axioms())
         third = categorize_new_location(onto, "Location3", "Corridor1", "Door3")
         assert first == second == third
-        assert set(onto.axioms("entailed")) == entailed_after_first
-        assert set(onto.axioms("asserted")) == asserted_after_second
+        assert set(entailed_axioms(onto)) == entailed_after_first
+        assert set(onto.axioms()) == asserted_after_second
 
     def test_links_through_two_doors_make_a_corridor(self):
         onto = load_seed()
@@ -125,12 +126,11 @@ class TestDoorSetup:
         door = onto.lookup("DOOR")
         opened = onto.lookup("OPEN")
         close = onto.lookup("CLOSE")
-        asserted = "asserted"
-        assert onto.contains(model.sub_class(close, door), asserted)
-        assert onto.contains(model.sub_class(opened, door), asserted)
+        assert onto.contains(model.sub_class(close, door))
+        assert onto.contains(model.sub_class(opened, door))
         # disjointness is orderless: both argument orders must be found
-        assert onto.contains(model.disjoint_classes(opened, close), asserted)
-        assert onto.contains(model.disjoint_classes(close, opened), asserted)
+        assert onto.contains(model.disjoint_classes(opened, close))
+        assert onto.contains(model.disjoint_classes(close, opened))
 
     def test_setup_leaves_world_consistent_and_reasoned(self):
         onto = load_seed()

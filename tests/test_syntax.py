@@ -87,13 +87,11 @@ class TestParser:
     def test_world_parses(self):
         onto = parse(WORLD)
         assert onto.lookup("A").kind is Kind.CLASS
-        assert len(set(onto.axioms("asserted"))) == 4
+        assert len(set(onto.axioms())) == 4
 
     def test_forward_references_allowed(self):
         onto = parse("SubClassOf(A B) Class(A) Class(B)")
-        assert onto.contains(
-            model.sub_class(onto.lookup("A"), onto.lookup("B")), "asserted"
-        )
+        assert onto.contains(model.sub_class(onto.lookup("A"), onto.lookup("B")))
 
     def test_unknown_entity_reports_position(self):
         with pytest.raises(UnknownEntity) as err:
@@ -135,10 +133,10 @@ class TestParser:
 
     def test_equivalent_classes_splits_named_and_composite(self):
         onto = parse("Class(A) Class(B) EquivalentClasses(A B)")
-        [axiom] = onto.axioms("asserted")
+        [axiom] = onto.axioms()
         assert axiom.tag is AxiomTag.EQUIVALENT_CLASSES
         onto = parse("Class(A) Class(B) ObjectProperty(p) EquivalentClasses(A Some(p B))")
-        [axiom] = onto.axioms("asserted")
+        [axiom] = onto.axioms()
         assert axiom.tag is AxiomTag.CLASS_DEFINITION
 
     def test_literal_argument_kinds(self):
@@ -187,7 +185,7 @@ class TestParser:
 
     def test_empty_document(self):
         onto = parse("")
-        assert not set(onto.axioms("asserted"))
+        assert not set(onto.axioms())
         assert serialize(onto) == ""
 
 
@@ -200,7 +198,7 @@ class TestSerializer:
 
     def test_axiom_render_parses_back(self):
         onto = parse(WORLD)
-        for axiom in onto.axioms("asserted"):
+        for axiom in onto.axioms():
             line = render_axiom(axiom)
             assert line.endswith(")") and "(" in line
 
@@ -214,7 +212,7 @@ class TestSerializer:
         text = serialize(onto, include_inferred=True)
         assert "# inferred: SubClassOf(A C)" in text
         reparsed = parse(text)  # comments are skipped on the way back
-        assert set(reparsed.axioms("asserted")) == set(onto.axioms("asserted"))
+        assert set(reparsed.axioms()) == set(onto.axioms())
 
     def test_golden_seed_file_is_canonical(self):
         text = seed_path().read_text(encoding="utf-8")
@@ -311,7 +309,7 @@ def test_generated_documents_roundtrip(seed):
     document = random_document(random.Random(seed))
     onto = parse(document)
     assert serialize(onto) == document
-    assert set(parse(serialize(onto)).axioms("asserted")) == set(onto.axioms("asserted"))
+    assert set(parse(serialize(onto)).axioms()) == set(onto.axioms())
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,7 +438,7 @@ def _outcome(parser, text: str):
         onto = parser(text)
     except (ParseError, UnknownEntity) as e:
         return type(e), str(e), e.line, e.col
-    return set(onto.vocabulary()), set(onto.axioms("asserted"))
+    return set(onto.vocabulary()), set(onto.axioms())
 
 
 @settings(max_examples=100, deadline=None)
