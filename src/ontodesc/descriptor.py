@@ -476,16 +476,6 @@ class Intent(Value):
         _set_target(self, target)
         _set_succeeded(self, succeeded)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.direction, self.change, self.axiom, self.target, self.succeeded) == (
-                other.direction, other.change, other.axiom, other.target, other.succeeded
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.direction, self.change, self.axiom, self.target, self.succeeded))
-
 
 _set_direction, _set_change, _set_axiom, _set_target, _set_succeeded = (
     getattr(Intent, name).__set__ for name in Intent.__slots__

@@ -181,7 +181,6 @@ from .model import (
     Named,
     Only,
     Ontology,
-    Record,
     Some,
     StaleClosure,
     Value,
@@ -231,7 +230,7 @@ class Changes(Value):
                 yield AxiomTag.CLASS_ASSERTION, (ind, cls)
 
 
-class Closure(Record):
+class Closure:
     """Entailment interface over one saturation run.
 
     All query methods, `inferred` and `inferred_groups` included,
@@ -272,43 +271,26 @@ class Closure(Record):
     that store any more, and reads the store's asserted set through its
     own reference to it.
 
-    Closure(_store, consistent=True, violations=(), _schema=None, ...)
-    takes each of its twelve fields by position or keyword; a map left
-    out starts empty.  Its cached indexes live in its instance dict, and
-    it shows only its first three fields.
+    Closure(onto, schema, previous=None) is built once per run, as the
+    run starts: it takes over `previous`'s saturation state (links,
+    mirror, stamps, entered rounds, violations per individual and read
+    memo), or starts empty maps on `schema`, and the run sets
+    `violations`, `consistent` and `_changes` on it as it ends.  A
+    Closure equals only itself, and its cached indexes live in its
+    instance dict.
     """
 
-    def __init__(
-        self,
-        _store: weakref.ref | None,  # None once a later run superseded this Closure
-        consistent: bool = True,
-        violations: tuple = (),
-        _schema: _Schema | None = None,
-        _links: dict | None = None,
-        _back: dict | None = None,
-        _types: dict | None = None,  # individual -> class -> round
-        _entered: list | None = None,  # round -> individuals
-        _violations_by: dict | None = None,
-        _reads: dict | None = None,  # (axiom tag, at, ground) -> (items, add intents)
-        _asserted: set | None = None,  # the store's live asserted set
-        _changes: Changes | None = None,
-    ):
-        self._store, self.consistent, self.violations, self._schema = _store, consistent, violations, _schema
-        self._links = {} if _links is None else _links
-        self._back = {} if _back is None else _back
-        self._types = {} if _types is None else _types
-        self._entered = [] if _entered is None else _entered
-        self._violations_by = {} if _violations_by is None else _violations_by
-        self._reads = {} if _reads is None else _reads
-        self._asserted = set() if _asserted is None else _asserted
-        self._changes = _changes
-
-    def _values(self) -> tuple:
-        return (self._store, self.consistent, self.violations, self._schema, self._links, self._back,
-                self._types, self._entered, self._violations_by, self._reads, self._asserted, self._changes)
-
-    def __repr__(self):
-        return f"Closure(_store={self._store!r}, consistent={self.consistent!r}, violations={self.violations!r})"
+    def __init__(self, onto: Ontology, schema: _Schema, previous: Closure | None = None):
+        self._store = weakref.ref(onto)  # None once a later run superseded this Closure
+        self._schema, self._asserted = schema, onto._asserted  # the store's live asserted set
+        # _types: individual -> class -> round; _entered: round -> individuals;
+        # _reads: (axiom tag, at, ground) -> (items, add intents)
+        if previous is None:
+            self._links, self._back, self._types, self._entered = {}, {}, {}, []
+            self._violations_by, self._reads = {}, {}
+        else:
+            self._links, self._back, self._types = previous._links, previous._back, previous._types
+            self._entered, self._violations_by, self._reads = previous._entered, previous._violations_by, previous._reads
 
     @property
     def ontology(self) -> Ontology | None:
@@ -1097,21 +1079,22 @@ def reason(onto: Ontology) -> Closure:
     else:
         resumed = previous is not None
     if resumed:  # a declared individual enters as every individual enters a first run
+        closure = Closure(onto, previous._schema, previous)
         individuals = [e for e in declared if e.kind is Kind.INDIVIDUAL]
     else:
         # an empty state, with every fact inserted and every individual typed afresh
         by_tag: dict[AxiomTag, list[Axiom]] = {}
         for a in asserted:
             by_tag.setdefault(a.tag, []).append(a)
-        previous = Closure(weakref.ref(onto), _schema=_schema(onto, by_tag))
+        closure = Closure(onto, _schema(onto, by_tag))
         link_edits = dict.fromkeys(by_tag.get(AxiomTag.PROPERTY_ASSERTION, ()), True)
         individuals = onto.individuals()
-    schema = previous._schema
+    schema = closure._schema
     seeds = [(ind, p, ind) for p in schema.reflexive for ind in individuals]
 
-    links, back = previous._links, previous._back
+    links, back = closure._links, closure._back
     changed = _property_assertions(schema, links, back, link_edits, asserted, seeds, resumed)
-    types, entered, violations_by = previous._types, previous._entered, previous._violations_by
+    types, entered, violations_by = closure._types, closure._entered, closure._violations_by
     if resumed:
         touched.update(individuals)
         relinked = set()
@@ -1129,26 +1112,12 @@ def reason(onto: Ontology) -> Closure:
         checked = memberships.keys() | changes.relinked
         for tag, args in changes.facts():
             for at, arg in enumerate(args):
-                previous._reads.pop((tag, at, arg), None)
+                closure._reads.pop((tag, at, arg), None)
     else:  # a first run changes nothing it could report, and starts with no reads
         classed = _multimap(a.args[::-1] for a in by_tag.get(AxiomTag.CLASS_ASSERTION, ()))
         _memberships(schema, classed, links, back, types, entered, individuals, ())
         changes, checked = None, types
     violations = _violations(schema, types, links, violations_by, checked)
-
-    closure = Closure(
-        weakref.ref(onto),
-        consistent=not violations,
-        violations=violations,
-        _schema=schema,
-        _links=links,
-        _back=back,
-        _types=types,
-        _entered=entered,
-        _violations_by=violations_by,
-        _reads=previous._reads,
-        _asserted=asserted,
-        _changes=changes,
-    )
+    closure.violations, closure.consistent, closure._changes = violations, not violations, changes
     onto._install_closure(closure)
     return closure

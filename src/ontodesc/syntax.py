@@ -424,10 +424,10 @@ def parse_file(path) -> Ontology:
 
 
 def seed_path():
-    """The packaged seed world, data/seed_world.onto."""
-    from importlib import resources
+    """The packaged seed world, data/seed_world.onto beside this module."""
+    from pathlib import Path  # not loaded by the time this module is, on 3.12 and 3.13
 
-    return resources.files("ontodesc.data") / "seed_world.onto"
+    return Path(__file__).with_name("data") / "seed_world.onto"
 
 
 def load_seed() -> Ontology:

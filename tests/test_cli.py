@@ -103,6 +103,11 @@ class TestQuery:
         assert code == EXIT_UNKNOWN
         assert "wrong entity kind" in err
 
+    def test_a_class_named_as_the_property_exits_two(self, capsys):
+        code, out, err = run(capsys, "query", "fillers", "Robot1", "ROOM")
+        assert code == EXIT_UNKNOWN
+        assert out == "" and err == "wrong entity kind: ROOM is not a property\n"
+
     def test_fillers_arity_checked(self, capsys):
         code, _, err = run(capsys, "query", "fillers", "Corridor1")
         assert code == EXIT_UNKNOWN
@@ -358,6 +363,42 @@ class TestPatrol:
         err = capsys.readouterr().err
         assert exit_info.value.code == 2
         assert "usage:" in err and "--seed" in err and "Traceback" not in err
+
+    def test_a_step_count_that_is_not_an_integer_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["patrol", "--steps", "x"])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert "usage:" in captured.err and "'x' is not an integer" in captured.err
+
+    @pytest.mark.parametrize(
+        "dropped, added, expected",
+        [
+            ("PropertyAssertion(isIn Robot1 Corridor1)\n", "", "Robot1 has no isIn filler"),
+            (
+                "PropertyAssertion(isIn Robot1 Corridor1)\n",
+                "Individual(Hall9)\nClassAssertion(LOCATION Hall9)\nPropertyAssertion(isIn Robot1 Hall9)\n",
+                "no door at Hall9",
+            ),
+            (None, "Individual(Door9)\nPropertyAssertion(hasDoor Corridor1 Door9)\n", "Door9 leads nowhere from Corridor1"),
+        ],
+        ids=["no-position", "no-door", "door-leads-nowhere"],
+    )
+    def test_a_missing_filler_exits_four(self, capsys, seed_file, dropped, added, expected):
+        """The seed world less `dropped`, plus `added`."""
+        text = seed_file.read_text(encoding="utf-8")
+        if dropped is not None:
+            assert dropped in text
+            text = text.replace(dropped, "")
+        seed_file.write_text(text + added, encoding="utf-8")
+        before = seed_file.read_bytes()
+        code, out, err = run(capsys, "patrol", "--ontology", str(seed_file))
+        assert code == EXIT_NO_FILLER
+        assert out == ""
+        assert err == f"missing filler: {expected}\n"
+        assert seed_file.read_bytes() == before
+        assert list(seed_file.parent.iterdir()) == [seed_file]
 
 
 def test_the_parser_is_built_once_and_answers_each_call_as_a_fresh_one(capsys, monkeypatch):

@@ -76,6 +76,15 @@ class TestMappingPerTag:
         for tag, ground, item in cases:
             axiom = to_axiom(tag, ground, item)
             assert from_axiom(tag, ground, axiom) == item
+            assert to_axioms(tag, ground, [item]) == [axiom]
+
+    def test_a_list_of_another_tag_than_definition_maps_item_by_item(self):
+        onto = small_world()
+        a, b, p, x, y = map(onto.lookup, "ABpxy")
+        items = [Link(p, y), Link(p, x), Link(onto.lookup("d"), Literal(1))]
+        assert to_axioms(DescriptorTag.LINKS, x, items) == [to_axiom(DescriptorTag.LINKS, x, i) for i in items]
+        assert to_axioms(DescriptorTag.SUPER_CLASSES, a, [Ref(b)]) == [model.sub_class(a, b)]
+        assert to_axioms(DescriptorTag.TYPES, x, []) == []
 
     def test_sub_and_super_class_tags_orient_the_same_axiom(self):
         onto = small_world()
@@ -234,6 +243,8 @@ class TestDefinitionMapping:
         axioms = to_axioms(DescriptorTag.DEFINITION, a, items)
         assert len(axioms) == 1
         assert from_definition(a, axioms[0]) == items
+        with pytest.raises(MappingError, match="from_definition"):
+            from_axiom(DescriptorTag.DEFINITION, a, axioms[0])
 
     def test_empty_definition_maps_to_no_axioms(self):
         onto = small_world()
@@ -249,6 +260,13 @@ class TestDefinitionMapping:
                 Restriction(Connective.END, Named(b)),
                 Restriction(Connective.END, Named(b)),
             ])
+
+    def test_a_definition_list_holds_restrictions_only(self):
+        onto = small_world()
+        b, x = onto.lookup("B"), onto.lookup("x")
+        for items in ([Ref(x)], [Restriction(Connective.INTERSECT, Named(b)), Ref(b)]):
+            with pytest.raises(IllegalItem, match="must be restrictions, got Ref"):
+                restrictions_to_expression(items)
 
     def test_malformed_restriction_payload(self):
         """The atom is an instance of a model atom class: not the class,

@@ -195,6 +195,12 @@ class TestVocabulary:
         with pytest.raises(KindClash):
             onto.declare(Kind.INDIVIDUAL, "A")
 
+    def test_a_literal_is_never_declared(self):
+        onto = Ontology()
+        with pytest.raises(KindMismatch):
+            onto.declare(Kind.LITERAL, "five")
+        assert onto.maybe_lookup("five") is None
+
     def test_lookup_unknown(self):
         onto = Ontology()
         with pytest.raises(UnknownEntity):
@@ -368,6 +374,21 @@ class TestOntologyStore:
         other = Entity(Kind.CLASS, "B")
         with pytest.raises(UnknownEntity):
             onto.assert_axiom(model.sub_class(stranger, other))
+
+    def test_assert_refuses_what_is_not_an_axiom(self):
+        onto, a, b, *_ = make_vocab()
+        with pytest.raises(OntologyError, match="not an axiom: 'x'"):
+            onto.assert_axiom("x")
+        with pytest.raises(OntologyError, match="not an axiom"):
+            onto.assert_axiom((AxiomTag.SUB_CLASS, (a, b)))
+        assert not onto.axioms()
+
+    def test_assert_refuses_an_entity_declared_with_another_kind(self):
+        onto, a, *_ = make_vocab()
+        punned = Entity(Kind.INDIVIDUAL, "A")
+        with pytest.raises(KindClash, match="'A' is declared as class, axiom uses individual"):
+            onto.assert_axiom(model.class_assertion(punned, a))
+        assert not onto.axioms()
 
     def test_assert_and_retract_report_change(self):
         onto, a, b, *_ = make_vocab()

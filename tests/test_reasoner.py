@@ -353,6 +353,41 @@ class TestClosureInterface:
 
         assert reach_calls(10) == reach_calls(300)
 
+    def test_a_run_builds_one_closure(self, monkeypatch):
+        """First, resumed and restarted runs each build one Closure; a
+        resumed one takes the maps over, and the one it supersedes keeps
+        only its verdict."""
+        built = []
+        init = reasoner.Closure.__init__
+
+        def counted(self, *args, **named):
+            built.append(self)
+            init(self, *args, **named)
+
+        monkeypatch.setattr(reasoner.Closure, "__init__", counted)
+        onto = parse(
+            "Class(A) Class(B) DisjointClasses(A B) Individual(x) ObjectProperty(p) ClassAssertion(A x)"
+        )
+        x, b = onto.lookup("x"), onto.lookup("B")
+        first = reason(onto)
+        assert built == [first] and first.changes() is None and first.consistent
+        onto.assert_axiom(model.class_assertion(x, b))
+        resumed = reason(onto)
+        assert built == [first, resumed] and resumed.changes() is not None
+        assert resumed._links is first._links and resumed._types is first._types
+        assert resumed._reads is first._reads and resumed._schema is first._schema
+        assert not resumed.consistent and len(resumed.violations) == 1
+        assert first.consistent and first.violations == ()
+        with pytest.raises(StaleClosure):
+            first.types_of(x)
+        onto.assert_axiom(model.sub_class(onto.lookup("A"), b))
+        restarted = reason(onto)
+        assert built == [first, resumed, restarted] and restarted.changes() is None
+        assert restarted._links is not first._links
+        assert resumed.violations and not restarted.consistent
+        # a Closure equals only itself and hashes by identity
+        assert len({first, resumed, restarted}) == 3 and restarted == restarted
+
     def test_instances_and_links_listing(self, reasoned_seed):
         closure = reasoned_seed.current_closure()
         room = reasoned_seed.lookup("ROOM")

@@ -183,6 +183,12 @@ class TestParser:
         assert (err.value.line, err.value.col) == (2, 3)
         assert str(err.value) == "line 2, column 3: SubClassOf takes 2 arguments"
 
+    def test_wrong_arity_of_a_restriction(self):
+        with pytest.raises(ParseError) as err:
+            parse("Class(A) ObjectProperty(p)\nDefineClass(A Some(p))")
+        assert (err.value.line, err.value.col) == (2, 15)
+        assert str(err.value) == "line 2, column 15: Some takes 2 arguments"
+
     def test_empty_document(self):
         onto = parse("")
         assert not set(onto.axioms())
